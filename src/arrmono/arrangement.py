@@ -177,13 +177,13 @@ def parse_arrangement(text: str) -> Arrangement:
     except ValueError:
         raise ParseError(f"bad dimension {head[1]!r}") from None
     hyperplanes = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != dim + 1:
-            raise ParseError(f"expected {dim + 1} rationals on line {ln!r}")
-        vals = [parse_fraction(p) for p in parts]
-        hyperplanes.append(Hyperplane(normal=tuple(vals[1:]), offset=vals[0]))
     try:
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != dim + 1:
+                raise ParseError(f"expected {dim + 1} rationals on line {ln!r}")
+            vals = [parse_fraction(p) for p in parts]
+            hyperplanes.append(Hyperplane(normal=tuple(vals[1:]), offset=vals[0]))
         return Arrangement(dim=dim, hyperplanes=tuple(hyperplanes))
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -12,6 +12,7 @@ into a proof: a wrong candidate simply fails to divide.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,45 +340,69 @@ def _factors_over_primes(value: Fraction, n: int) -> bool:
 
 
 def _integer_roots(coeffs: list[Fraction]) -> dict[int, int]:
-    """Integer roots with multiplicity of a monic integer polynomial."""
-    work = list(coeffs)
+    """Integer roots with multiplicity of a monic polynomial over Q.
+
+    After clearing denominators and stripping roots at zero, an integer root
+    divides the constant term c0 and lies within Fujiwara's bound
+    2 * max_k |c_{d-k}|^{1/k}.  Only divisors up to that bound are tried, each
+    is divided out with its full multiplicity, and the search never
+    restarts, so the cost does not grow with the size of c0.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    work = [int(c * den) for c in coeffs]
     roots: dict[int, int] = {}
-    # Strip roots at zero first.
+    zeros = 0
     while len(work) > 1 and work[0] == 0:
-        roots[0] = roots.get(0, 0) + 1
-        work = work[1:]
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        c0 = work[0]
-        assert c0 != 0
-        c0int = abs(int(c0)) if c0.denominator == 1 else None
-        if c0int is None:
-            break
-        for cand in _divisors_with_sign(c0int):
-            if _eval_univariate(work, Fraction(cand)) == 0:
-                # Synthetic division by (z - cand).
-                out = []
-                carry = work[-1]
-                for i in range(len(work) - 2, -1, -1):
-                    out.append(carry)
-                    carry = work[i] + cand * carry
-                assert carry == 0
-                work = list(reversed(out))
-                roots[cand] = roots.get(cand, 0) + 1
-                changed = True
-                break
+        work.pop(0)
+        zeros += 1
+    if zeros:
+        roots[0] = zeros
+    degree = len(work) - 1
+    if degree == 0:
+        return roots
+    bound = 2 * max(_ceil_root(abs(work[degree - k]), den, k) for k in range(1, degree + 1))
+    c0 = abs(work[0])
+    divisors = set()
+    d = 1
+    while d <= bound and d * d <= c0:
+        if c0 % d == 0:
+            divisors.add(d)
+            if c0 // d <= bound:
+                divisors.add(c0 // d)
+        d += 1
+    for cand in sorted(divisors):
+        for r in (cand, -cand):
+            while len(work) > 1:
+                quotient = _divide_root(work, r)
+                if quotient is None:
+                    break
+                work = quotient
+                roots[r] = roots.get(r, 0) + 1
     return roots
 
 
-def _divisors_with_sign(n: int) -> list[int]:
-    divs = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.update({d, n // d, -d, -(n // d)})
-        d += 1
-    return sorted(divs, key=abs)
+def _ceil_root(num: int, den: int, k: int) -> int:
+    """The least integer b >= 0 with b^k >= num / den."""
+    lo, hi = 0, 1 << (num.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** k * den >= num:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _divide_root(work: list[int], r: int) -> list[int] | None:
+    """Quotient of sum work[i] z^i by (z - r), or None if r is not a root."""
+    out = []
+    carry = 0
+    for c in reversed(work):
+        carry = carry * r + c
+        out.append(carry)
+    if out.pop() != 0:
+        return None
+    return out[::-1]
 
 
 def eigen_linear_forms(omega: RingMatrix, seed: int = 0) -> EigenReport:

@@ -201,7 +201,10 @@ def parse_presentation(text: str) -> Presentation:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "generators":
         raise ParseError(f"expected 'generators N' header, got {lines[0]!r}")
-    ngens = int(head[1])
+    try:
+        ngens = int(head[1])
+    except ValueError:
+        raise ParseError(f"bad generator count {head[1]!r}") from None
     relators = tuple(parse_word(ln, ngens) for ln in lines[1:])
     try:
         return Presentation(ngens=ngens, relators=relators)
@@ -470,7 +473,10 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError(f"bad relator header {ln!r}")
-            current = int(parts[1])
+            try:
+                current = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad relator index {parts[1]!r}") from None
             if not 1 <= current <= pres.nrels:
                 raise ParseError(f"relator index {current} out of range")
             terms.setdefault(current, [])

@@ -5,10 +5,14 @@ v -> v * M, so a chain map F between complexes with boundaries D satisfies
 the literal matrix identity D^q * F^{q+1} = F^q * D^q.
 
 Rational ranks use fraction-free Bareiss elimination after clearing row
-denominators.  Symbolic solving runs over the fraction field with explicit
-numerator/denominator tracking and a final ring-membership (exact division)
-check.  Characteristic polynomials use Faddeev-LeVerrier, which needs only
-ring arithmetic plus division by integers, valid over Q-algebras.
+denominators.  Solving over Q and the rational reduced row echelon form share
+one sparse Gauss-Jordan: rows hold only their nonzeros, and the pivot is the
+row with the fewest of them (Markowitz).  The reduced row echelon form is
+unique, so the answer does not depend on the pivot order.  Symbolic solving
+runs over the fraction field with explicit numerator/denominator tracking and
+a final ring-membership (exact division) check.  Characteristic polynomials
+use Faddeev-LeVerrier, which needs only ring arithmetic plus division by
+integers, valid over Q-algebras.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     NoSolution,
@@ -281,29 +285,69 @@ def rank_at(m: RingMatrix, point: Sequence[Fraction | int]) -> int:
     return rational_rank(evaluate_matrix(m, point))
 
 
+def _sparse_rows(entries: Iterable[Sequence]) -> list[dict[int, Fraction]]:
+    """Each row as a dict from column to its nonzero Fraction entries."""
+    return [{j: v if type(v) is Fraction else Fraction(v)
+             for j, v in enumerate(row) if v} for row in entries]
+
+
+def _gauss_jordan(rows: list[dict[int, Fraction]], stop: int) -> list[tuple[int, int]]:
+    """Sparse Gauss-Jordan over Q on columns 0..stop-1, in place.
+
+    rows holds only nonzeros, so entries that cancel are deleted.  Columns
+    are taken left to right; the pivot is the unused row with the fewest
+    nonzeros (ties to the lowest index), and only rows with a nonzero in the
+    pivot column are updated.  Returns (column, row index) per pivot, by
+    column.  Pivot rows end normalized and reduced, i.e. they are the rows
+    of the unique reduced row echelon form; every other row is zero on
+    columns below stop.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    used = [False] * len(rows)
+    pivots: list[tuple[int, int]] = []
+    for c in sorted(j for j in col_rows if j < stop):
+        holders = col_rows[c]
+        free = [i for i in holders if not used[i]]
+        if not free:
+            continue
+        p = min(free, key=lambda i: (len(rows[i]), i))
+        used[p] = True
+        prow = rows[p]
+        pv = prow[c]
+        if pv != 1:
+            for j in prow:
+                prow[j] /= pv
+        for i in [i for i in holders if i != p]:
+            row = rows[i]
+            f = row[c]
+            for j, v in prow.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = -f * v
+                    col_rows[j].add(i)
+                else:
+                    new = old - f * v
+                    if new:
+                        row[j] = new
+                    else:
+                        del row[j]
+                        col_rows[j].discard(i)
+        pivots.append((c, p))
+    return pivots
+
+
 def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    grid = [[Fraction(v) for v in row] for row in rows]
-    nrows = len(grid)
-    ncols = len(grid[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if grid[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        pv = grid[r][c]
-        grid[r] = [v / pv for v in grid[r]]
-        for i in range(nrows):
-            if i != r and grid[i][c] != 0:
-                f = grid[i][c]
-                grid[i] = [v - f * p for v, p in zip(grid[i], grid[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return grid, pivots
+    ncols = len(rows[0]) if rows else 0
+    sparse = _sparse_rows(rows)
+    pivots = _gauss_jordan(sparse, ncols)
+    zero = Fraction(0)
+    out = [[sparse[p].get(j, zero) for j in range(ncols)] for _, p in pivots]
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, [c for c, _ in pivots]
 
 
 def rational_left_kernel(m: RingMatrix) -> list[list[Fraction]]:
@@ -343,20 +387,20 @@ def _seeded_points(nvars: int, seed: int, count: int = 2) -> list[tuple[Fraction
 
 
 def generic_rank(m: RingMatrix, seed: int = 0) -> int:
-    """Rank over the fraction field: two seeded random evaluations, with an
-    exact symbolic elimination fallback when they disagree."""
+    """Rank over the fraction field.  An evaluation never exceeds the generic
+    rank, so two seeded random evaluations may only prove full rank; any
+    lower rank comes from exact symbolic elimination."""
     if isinstance(m.ring, RationalField):
         return rational_rank(m)
-    if m.rows == 0 or m.cols == 0:
+    full = min(m.rows, m.cols)
+    if full == 0:
         return 0
-    p1, p2 = _seeded_points(m.ring.nvars, seed)
-    try:
-        r1 = rank_at(m, p1)
-        r2 = rank_at(m, p2)
-    except ZeroAtPole:
-        return _symbolic_rank(m)
-    if r1 == r2:
-        return r1
+    for point in _seeded_points(m.ring.nvars, seed):
+        try:
+            if rank_at(m, point) == full:
+                return full
+        except ZeroAtPole:
+            pass
     return _symbolic_rank(m)
 
 
@@ -468,41 +512,31 @@ class SolveResult:
 
 
 def _solve_right_rational(a: RingMatrix, b: RingMatrix) -> SolveResult:
-    """Gauss-Jordan over Q.  Fractions already form a field, so X is always
-    'in the ring' here and kernel vectors are returned as found."""
-    m, n, k = a.rows, a.cols, b.cols
-    aug = [[Fraction(a.entries[i][j]) for j in range(n)]
-           + [Fraction(b.entries[i][j]) for j in range(k)] for i in range(m)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [e / pivot for e in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if any(aug[i][c] != 0 for c in range(n, n + k)):
+    """Sparse Gauss-Jordan over Q on the rows of [A | B].  Fractions already
+    form a field, so X is always 'in the ring' here.  The reduced row echelon
+    form is unique, so the particular solution (free coordinates 0) and the
+    kernel basis do not depend on the pivot order."""
+    n, k = a.cols, b.cols
+    rows = _sparse_rows(ra + rb for ra, rb in zip(a.entries, b.entries))
+    pivots = _gauss_jordan(rows, n)
+    pivot_rows = {p for _, p in pivots}
+    for i, row in enumerate(rows):
+        if row and i not in pivot_rows:
             raise NoSolution(f"inconsistent row {i}")
     cleared = RingMatrix.zero(QQ, n, k)
-    for pi, c in enumerate(pivots):
-        for j in range(k):
-            cleared.entries[c][j] = aug[pi][n + j]
+    for c, p in pivots:
+        for j, v in rows[p].items():
+            if j >= n:
+                cleared.entries[c][j - n] = v
+    pivot_cols = {c for c, _ in pivots}
     kernel = []
-    for fc in (c for c in range(n) if c not in pivots):
+    for fc in (c for c in range(n) if c not in pivot_cols):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for pi, c in enumerate(pivots):
-            vec[c] = -aug[pi][fc]
+        for c, p in pivots:
+            v = rows[p].get(fc)
+            if v is not None:
+                vec[c] = -v
         kernel.append(vec)
     return SolveResult(ring=QQ, numerator=cleared, denominator=Fraction(1),
                        kernel=kernel, in_ring=True, cleared=cleared)

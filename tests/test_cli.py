@@ -2,7 +2,7 @@
 round-trips, and failure exit codes."""
 
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -178,6 +178,29 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("dim q\n")
     code, _ = run_cli("info", "-a", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("pres", "generators x\n[g1,g2]\n"),
+    ("cert", "relator x\n( 1 , 1 , +1 )\n"),
+    ("arr", "dim 2\n0 1 0\n0 0 1\n1 0 0\n"),
+])
+def test_malformed_input_is_a_parse_error(tmp_path, kind, text):
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    if kind == "arr":
+        argv = ["info", "-a", str(path)]
+    elif kind == "pres":
+        argv = ["fox", "-p", str(path)]
+    else:
+        argv = ["verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"],
+                "-c", str(path)]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(*argv)
+    assert code == 2
+    assert err.getvalue().startswith("parse error")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_monodromy_without_certificate():

@@ -162,6 +162,44 @@ def test_eigen_monomials_factorization_failure():
         eigen_monomials(m)
 
 
+def test_eigen_linear_forms_large_constant_term():
+    # char = (z - 7 y1)^24: the axis probe has constant term 7^24, whose
+    # divisors lie far beyond the root bound 2 * 24 * 7.
+    m = RingMatrix.identity(R, 24).map_entries(lambda e: e.scale(7) * R.variable(1))
+    assert eigen_linear_forms(m).multiset() == {(7, 0, 0, 0): 24}
+
+
+def test_integer_roots_with_multiplicity():
+    from arrmono.connection import _integer_roots
+    # (z - 7)^24 (z + 3)^2 z^3 (z - 1000), coefficients lowest degree first.
+    poly = [1]
+    for root, mult in ((7, 24), (-3, 2), (0, 3), (1000, 1)):
+        for _ in range(mult):
+            poly = [a - root * b for a, b in zip([0] + poly, poly + [0])]
+    roots = _integer_roots([Fraction(c) for c in poly])
+    assert roots == {7: 24, -3: 2, 0: 3, 1000: 1}
+    # z^2 - 3/2 z + 1/2 = (z - 1)(z - 1/2) has the single integer root 1.
+    assert _integer_roots([Fraction(1, 2), Fraction(-3, 2), Fraction(1)]) == {1: 1}
+    assert _integer_roots([Fraction(2), Fraction(0), Fraction(1)]) == {}
+
+
+def test_exp_relation_negative_gauge_verdict():
+    # exp-substituted, x1^2 - x1 + 1 has degree-2 part 3/2 y1^2 against
+    # Omega^2 / 2 = y1^2 / 2, and a diagonal Omega leaves no gauge room on
+    # the diagonal.
+    l1, r1 = laurent_ring(1, var="x"), poly_ring(1, var="y")
+    report = verify_exp_relation(mat(l1, [["x1^2 - x1 + 1"]]), mat(r1, [["y1"]]))
+    assert report.identity_at_one and report.linear_part_matches
+    assert report.gauge_degree2 is False and not report.passed
+    assert report.mismatch == "degree-2 terms are not gauge conjugate"
+    l2, r2 = laurent_ring(2, var="x"), poly_ring(2, var="y")
+    report = verify_exp_relation(mat(l2, [["x1^2 - x1 + 1", "0"], ["0", "x2"]]),
+                                 mat(r2, [["y1", "0"], ["0", "y2"]]))
+    assert report.identity_at_one and report.linear_part_matches
+    assert report.gauge_degree2 is False
+    assert report.mismatch == "degree-2 terms are not gauge conjugate"
+
+
 def test_eigen_linear_forms_rejects_nonlinear():
     with pytest.raises(ValueError):
         eigen_linear_forms(mat(R, [["y1*y2"]]))

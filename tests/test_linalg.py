@@ -79,6 +79,14 @@ def test_generic_rank_with_symbolic_fallback(displayed):
     assert _symbolic_rank(displayed["d1"]) == 3
 
 
+def test_generic_rank_ignores_agreeing_rank_drops():
+    # (x1-2)(x1-15) vanishes at both seed-0 evaluation points x1 = 2 and 15.
+    ring = poly_ring(1, var="x")
+    m = mat(ring, [["(x1-2)*(x1-15)"]])
+    assert rank_at(m, [2]) == rank_at(m, [15]) == 0
+    assert generic_rank(m, seed=0) == 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=5),
        st.randoms(use_true_random=False))

@@ -1,0 +1,149 @@
+"""Sparse Gauss-Jordan over Q against the dense reference elimination it
+replaced: equal particular solutions, kernel bases, NoSolution verdicts and
+reduced row echelon forms on random sparse rational systems."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arrmono import QQ, NoSolution, RingMatrix, solve_right
+from arrmono.linalg import rational_rref
+
+
+def dense_rref(rows):
+    """Dense Gauss-Jordan; first nonzero row from the top is the pivot."""
+    grid = [[Fraction(v) for v in row] for row in rows]
+    nrows = len(grid)
+    ncols = len(grid[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if grid[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        pv = grid[r][c]
+        grid[r] = [v / pv for v in grid[r]]
+        for i in range(nrows):
+            if i != r and grid[i][c] != 0:
+                f = grid[i][c]
+                grid[i] = [v - f * p for v, p in zip(grid[i], grid[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return grid, pivots
+
+
+def dense_solve_right(a, b):
+    """Dense Gauss-Jordan on [A | B] over the columns of A.
+
+    Returns (particular solution with free coordinates 0, kernel basis)."""
+    m, n, k = a.rows, a.cols, b.cols
+    aug = [[Fraction(a.entries[i][j]) for j in range(n)]
+           + [Fraction(b.entries[i][j]) for j in range(k)] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        pivot = aug[r][c]
+        aug[r] = [e / pivot for e in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [e - f * p for e, p in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if any(aug[i][c] != 0 for c in range(n, n + k)):
+            raise NoSolution(f"inconsistent row {i}")
+    cleared = RingMatrix.zero(QQ, n, k)
+    for pi, c in enumerate(pivots):
+        for j in range(k):
+            cleared.entries[c][j] = aug[pi][n + j]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for pi, c in enumerate(pivots):
+            vec[c] = -aug[pi][fc]
+        kernel.append(vec)
+    return cleared, kernel
+
+
+ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def _grid(draw, rows, cols):
+    return [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+
+
+def _product(u, v, rows, cols):
+    inner = len(v)
+    return [[sum((u[i][t] * v[t][j] for t in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+@st.composite
+def systems(draw):
+    """[A | B] with shapes from empty to 7x7, wide and tall; A is either
+    random or a product through a narrower inner dimension (rank deficient),
+    and B is either random or A times a random X (consistent)."""
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 7))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, max(0, min(m, n) - 1)))
+        a = _product(_grid(draw, m, inner), _grid(draw, inner, n), m, n)
+    else:
+        a = _grid(draw, m, n)
+    if draw(st.booleans()):
+        b = _product(a, _grid(draw, n, k), m, k)
+    else:
+        b = _grid(draw, m, k)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_sparse_solve_matches_dense_reference(system):
+    a_rows, b_rows = system
+    a, b = RingMatrix(QQ, a_rows), RingMatrix(QQ, b_rows)
+    try:
+        expected = dense_solve_right(a, b)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            solve_right(a, b)
+        return
+    res = solve_right(a, b)
+    assert res.in_ring and res.denominator == 1
+    assert res.cleared == expected[0]
+    assert res.kernel == expected[1]
+    if res.cleared.rows:
+        assert a * res.cleared == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_sparse_rref_matches_dense_reference(system):
+    a_rows, b_rows = system
+    for rows in (a_rows, [ra + rb for ra, rb in zip(a_rows, b_rows)]):
+        assert rational_rref(rows) == dense_rref(rows)
+
+
+def test_integer_entries_and_zero_rows():
+    a = RingMatrix(QQ, [[0, 0, 0], [2, 4, 0], [0, 0, 0], [1, 2, 3]])
+    b = RingMatrix(QQ, [[0], [2], [0], [4]])
+    res = solve_right(a, b)
+    assert res.cleared.col(0) == [1, 0, 1]
+    assert res.kernel == [[-2, 1, 0]]
+    with pytest.raises(NoSolution):
+        solve_right(a, RingMatrix(QQ, [[1], [2], [0], [4]]))
