@@ -87,10 +87,7 @@ from .linalg import (
     evaluate_matrix,
     generic_rank,
     linearize_matrix,
-    mat_add,
     mat_exp_truncated,
-    mat_mul,
-    mat_scale,
     rank_at,
     rational_det,
     rational_rank,

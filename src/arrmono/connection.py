@@ -255,10 +255,6 @@ class EigenReport:
         return {f.data: f.multiplicity for f in self.factors}
 
 
-def _poly_root_from_exponents(ring: PolyRing, exps: tuple[int, ...]) -> Poly:
-    return ring.monomial(tuple(exps))
-
-
 def _linear_form(ring: PolyRing, coeffs: tuple[int, ...]) -> Poly:
     out = ring.zero()
     for j, c in enumerate(coeffs, start=1):
@@ -301,7 +297,7 @@ def eigen_monomials(phi: RingMatrix, seed: int = 0) -> EigenReport:
     factors: list[EigenFactor] = []
     remaining = cp
     for exps in candidates:
-        value = _poly_root_from_exponents(phi.ring, exps)
+        value = phi.ring.monomial(exps)
         # Pre-filter: x^m evaluated at the prime vector must be a root.
         val = value.evaluate(probe)
         if _eval_univariate(cp_probe, val) != 0:
@@ -320,8 +316,8 @@ def eigen_monomials(phi: RingMatrix, seed: int = 0) -> EigenReport:
     return EigenReport(kind="monomial", size=size, factors=tuple(factors))
 
 
-def _eval_univariate(coeffs: Sequence[Fraction], z: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _eval_univariate(coeffs: Sequence, z):
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -342,11 +338,15 @@ def _factors_over_primes(value: Fraction, n: int) -> bool:
 def _integer_roots(coeffs: list[Fraction]) -> dict[int, int]:
     """Integer roots with multiplicity of a monic polynomial over Q.
 
-    After clearing denominators and stripping roots at zero, an integer root
-    divides the constant term c0 and lies within Fujiwara's bound
-    2 * max_k |c_{d-k}|^{1/k}.  Only divisors up to that bound are tried, each
-    is divided out with its full multiplicity, and the search never
-    restarts, so the cost does not grow with the size of c0.
+    After clearing denominators and stripping roots at zero, every integer
+    root lies within Fujiwara's bound B = 2 * max_k |c_{d-k}|^{1/k} and is a
+    simple root of the squarefree part g = f / gcd(f, f').  Take the first
+    prime p dividing neither g's leading coefficient nor its discriminant,
+    so that g stays squarefree mod p: each root of g mod p lifts uniquely by
+    Newton (Hensel) steps to a root modulo some p^k > 2B, read in the
+    symmetric range.  Exact division keeps the true roots with their full
+    multiplicity.  The cost grows with the bit size of the coefficients,
+    not with B.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     work = [int(c * den) for c in coeffs]
@@ -361,24 +361,98 @@ def _integer_roots(coeffs: list[Fraction]) -> dict[int, int]:
     if degree == 0:
         return roots
     bound = 2 * max(_ceil_root(abs(work[degree - k]), den, k) for k in range(1, degree + 1))
-    c0 = abs(work[0])
-    divisors = set()
-    d = 1
-    while d <= bound and d * d <= c0:
-        if c0 % d == 0:
-            divisors.add(d)
-            if c0 // d <= bound:
-                divisors.add(c0 // d)
-        d += 1
-    for cand in sorted(divisors):
-        for r in (cand, -cand):
-            while len(work) > 1:
-                quotient = _divide_root(work, r)
-                if quotient is None:
-                    break
-                work = quotient
-                roots[r] = roots.get(r, 0) + 1
+    for r in _lifted_roots(_squarefree_part(work), bound):
+        while len(work) > 1:
+            quotient = _divide_root(work, r)
+            if quotient is None:
+                break
+            work = quotient
+            roots[r] = roots.get(r, 0) + 1
     return roots
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """The primitive integer polynomial f / gcd(f, f'), lowest degree first."""
+    d = _poly_gcd(f, [k * c for k, c in enumerate(f)][1:])
+    # d is primitive, so by Gauss's lemma the quotient is integral and every
+    # step of the long division below is exact.
+    g = list(f)
+    q = [0] * (len(f) - len(d) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = g[i + len(d) - 1] // d[-1]
+        for j, dj in enumerate(d):
+            g[i + j] -= q[i] * dj
+    return _primitive(q)
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int = 0) -> list[int]:
+    """A gcd of a and b (lowest degree first), over F_p when p is given and
+    otherwise primitive over Z."""
+    while b and not b[-1]:
+        b = b[:-1]
+    while b:
+        a, b = b, _remainder(a, b, p)
+    return a if p else _primitive(a)
+
+
+def _primitive(a: list[int]) -> list[int]:
+    content = math.gcd(*a)
+    return [x // content for x in a]
+
+
+def _remainder(a: list[int], b: list[int], p: int) -> list[int]:
+    """The remainder of a by b over F_p when p is given, and otherwise the
+    primitive part of the pseudo-remainder over Z, which keeps the
+    coefficients small without fractions.  No leading zeros."""
+    a = list(a)
+    lead, db = b[-1], len(b) - 1
+    inv = pow(lead, -1, p) if p else 1
+    while len(a) > db:
+        c = a.pop()
+        if not c:
+            continue
+        s = len(a) - db
+        if p:
+            c = c * inv % p
+            for j in range(db):
+                a[s + j] = (a[s + j] - c * b[j]) % p
+        else:
+            a = [x * lead for x in a]
+            for j in range(db):
+                a[s + j] -= c * b[j]
+    while a and not a[-1]:
+        a.pop()
+    return a if p or not a else _primitive(a)
+
+
+def _lifted_roots(g: list[int], bound: int) -> list[int]:
+    """Candidate integer roots of g in [-bound, bound]: each root of g mod
+    p, for the first prime p that keeps g squarefree, Hensel-lifted past
+    2 * bound and read in the symmetric range."""
+    dg = [k * c for k, c in enumerate(g)][1:]
+    for p in _primes():
+        if g[-1] % p and len(_poly_gcd([c % p for c in g], [c % p for c in dg], p)) == 1:
+            break
+    out = []
+    for x in range(p):
+        if _eval_univariate(g, x) % p:
+            continue
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            x = (x - _eval_univariate(g, x) * pow(_eval_univariate(dg, x), -1, m)) % m
+        r = x if x <= m // 2 else x - m
+        if abs(r) <= bound:
+            out.append(r)
+    return sorted(out)
+
+
+def _primes():
+    p = 2
+    while True:
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
 
 
 def _ceil_root(num: int, den: int, k: int) -> int:

@@ -11,15 +11,19 @@ row with the fewest of them (Markowitz).  The reduced row echelon form is
 unique, so the answer does not depend on the pivot order.  Symbolic solving
 runs over the fraction field with explicit numerator/denominator tracking and
 a final ring-membership (exact division) check.  Characteristic polynomials
-use Faddeev-LeVerrier, which needs only ring arithmetic plus division by
-integers, valid over Q-algebras.
+use Berkowitz's division-free algorithm (Berkowitz 1984) on the matrix
+times one common denominator, so on integral input the whole computation,
+and the synthetic division that certifies eigenvalues, runs on int
+coefficients in term dicts.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -68,10 +72,6 @@ class RingMatrix:
             out.entries[i][i] = ring.one()
         return out
 
-    @staticmethod
-    def from_rows(ring, entries) -> "RingMatrix":
-        return RingMatrix(ring, entries)
-
     # -- protocol ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -88,8 +88,7 @@ class RingMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        zero = self.ring.zero()
-        return all(e == zero for row in self.entries for e in row)
+        return not any(any(row) for row in self.entries)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -138,7 +137,7 @@ class RingMatrix:
                 acc = zero
                 for k in range(self.cols):
                     a = self.entries[i][k]
-                    if a == zero:
+                    if not a:
                         continue
                     acc = acc + a * other.entries[k][j]
                 row.append(acc)
@@ -161,18 +160,6 @@ class RingMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
         return f"RingMatrix({self.rows}x{self.cols}: {body})"
-
-
-def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    return a * b
-
-
-def mat_add(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    return a + b
-
-
-def mat_scale(a: RingMatrix, c) -> RingMatrix:
-    return a.scale(c)
 
 
 def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatrix:
@@ -615,6 +602,54 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
 
 
 # -- characteristic polynomial ----------------------------------------------
+#
+# Term dicts map an exponent tuple to a nonzero coefficient; over Q the only
+# exponent is ().  Both kernels below clear one common denominator first, so
+# on integral input every coefficient they touch is an int.
+
+
+def _terms(c) -> dict:
+    """The term dict of a Poly or a rational."""
+    if isinstance(c, Poly):
+        return c.terms
+    return {(): Fraction(c)} if c else {}
+
+
+def _from_terms(ring, terms: dict, den: int):
+    """The ring element sum(terms) / den."""
+    if isinstance(ring, PolyRing):
+        return Poly(ring, {e: Fraction(c, den) for e, c in terms.items()})
+    return Fraction(terms.get((), 0), den)
+
+
+def _cleared(dicts: list[dict]) -> tuple[list[dict], int]:
+    """(d * each dict, d) for the least d making every coefficient integral."""
+    d = math.lcm(*(c.denominator for t in dicts for c in t.values()))
+    return [{e: c.numerator * (d // c.denominator) for e, c in t.items()}
+            for t in dicts], d
+
+
+def _addmul(acc: dict, p: dict, q: dict, sign: int) -> None:
+    """acc += sign * p * q in place.  No zero coefficient is stored, so a
+    sum that cancels was already present and is deleted."""
+    for e1, c1 in p.items():
+        c1 *= sign
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            c = acc.get(e, 0) + c1 * c2
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+
+
+def _dot(pairs: list[tuple[int, dict]], v: list[dict]) -> dict:
+    """The sum of x * v[j] over the (j, x) pairs."""
+    acc: dict = {}
+    for j, x in pairs:
+        if v[j]:
+            _addmul(acc, x, v[j], 1)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -645,45 +680,72 @@ class CharPoly:
         return acc
 
     def divide_linear(self, root) -> "CharPoly | None":
-        """Exact quotient by (z - root); None if the division has remainder."""
-        coeffs = list(self.coeffs)
+        """Exact quotient by (z - root); None if the division has remainder.
+
+        Synthetic division on the coefficients times their common
+        denominator d, so an integral root keeps every step in ints."""
+        coeffs, d = _cleared([_terms(c) for c in self.coeffs])
+        r = {e: c.numerator if c.denominator == 1 else c for e, c in _terms(root).items()}
         out = []
         carry = coeffs[-1]
-        for i in range(len(coeffs) - 2, -1, -1):
+        for c in reversed(coeffs[:-1]):
             out.append(carry)
-            carry = coeffs[i] + root * carry
-        if not _is_zero_coeff(carry):
+            nxt = dict(c)
+            _addmul(nxt, r, carry, 1)
+            carry = nxt
+        if carry:
             return None
-        return CharPoly(self.ring, tuple(reversed(out)))
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, Poly):
-        return c.is_zero()
-    return c == 0
+        return CharPoly(self.ring, tuple(_from_terms(self.ring, t, d) for t in reversed(out)))
 
 
 def char_poly(m: RingMatrix) -> CharPoly:
-    """Faddeev-LeVerrier: division-free except by integers, so valid over
-    Q, Q[y], and Q[x^{+-1}]."""
+    """det(zI - M) by Berkowitz's division-free algorithm (S. J. Berkowitz,
+    Inf. Process. Lett. 18 (1984)), over Q, Q[y] or Q[x^{+-1}].
+
+    M = A / d with A integral, and A's polynomial is built up over its
+    leading principal submatrices: adding row and column r (row part R,
+    column part C, corner a) multiplies the coefficient vector, highest
+    power first, by the Toeplitz matrix with first column
+    [1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C].  Only matrix-vector
+    products occur, all over int term dicts; coefficient i of M's
+    polynomial is then coefficient i of A's over d^(n-i).
+    """
     if m.rows != m.cols:
         raise ShapeMismatch("char_poly of non-square matrix")
-    n = m.rows
     ring = m.ring
-    if n == 0:
-        return CharPoly(ring, (ring.one(),))
-    coeffs = [ring.zero() for _ in range(n + 1)]
-    coeffs[n] = ring.one()
-    nk = RingMatrix.zero(ring, n, n)
-    for k in range(1, n + 1):
-        # N_k = M * (N_{k-1} + c_{n-k+1} * I);  c_{n-k} = -tr(N_k) / k
-        for i in range(n):
-            nk.entries[i][i] = nk.entries[i][i] + coeffs[n - k + 1]
-        nk = m * nk
-        tr = nk.trace()
-        coeffs[n - k] = -(tr.scale(Fraction(1, k)) if isinstance(tr, Poly)
-                          else tr * Fraction(1, k))
-    return CharPoly(ring, tuple(coeffs))
+    if not isinstance(ring, (RationalField, PolyRing)):
+        raise ValueError("char_poly needs a matrix over Q or a (Laurent) polynomial ring")
+    n = m.rows
+    flat, d = _cleared([_terms(e) for row in m.entries for e in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    unit = () if isinstance(ring, RationalField) else (0,) * ring.nvars
+    poly = [{unit: 1}]
+    nonzeros: list[list[tuple[int, dict]]] = []  # row i of A_r: (j, A[i][j]) with j < r
+    for r in range(n):
+        row = [(j, a[r][j]) for j in range(r) if a[r][j]]
+        toeplitz = [a[r][r]]
+        v = [a[i][r] for i in range(r)]
+        for k in range(r if row else 0):
+            if k:
+                v = [_dot(nz, v) for nz in nonzeros]
+                if not any(v):
+                    break
+            toeplitz.append(_dot(row, v))
+        new = []
+        for i in range(r + 2):
+            acc = dict(poly[i]) if i <= r else {}
+            for j in range(max(0, i - len(toeplitz)), i):
+                t = toeplitz[i - j - 1]
+                if t and poly[j]:
+                    _addmul(acc, t, poly[j], -1)
+            new.append(acc)
+        poly = new
+        for i in range(r):
+            if a[i][r]:
+                nonzeros[i].append((r, a[i][r]))
+        nonzeros.append(row + ([(r, a[r][r])] if a[r][r] else []))
+    return CharPoly(ring, tuple(_from_terms(ring, poly[n - i], d ** (n - i))
+                                for i in range(n + 1)))
 
 
 # -- truncated matrix exponential ---------------------------------------------

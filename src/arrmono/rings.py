@@ -400,6 +400,9 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.ring, self.parts))
 
+    def __bool__(self) -> bool:
+        return any(self.parts)
+
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
 

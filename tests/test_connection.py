@@ -1,7 +1,9 @@
 """Formal connections, exp/log checks, certified spectra, induced maps,
 cohomology actions, and weight classification."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,6 +183,70 @@ def test_integer_roots_with_multiplicity():
     # z^2 - 3/2 z + 1/2 = (z - 1)(z - 1/2) has the single integer root 1.
     assert _integer_roots([Fraction(1, 2), Fraction(-3, 2), Fraction(1)]) == {1: 1}
     assert _integer_roots([Fraction(2), Fraction(0), Fraction(1)]) == {}
+
+
+def _expand(factors):
+    """Coefficients, lowest degree first, of a product of monic factors
+    given lowest degree first."""
+    poly = [Fraction(1)]
+    for f in factors:
+        out = [Fraction(0)] * (len(poly) + len(f) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        poly = out
+    return poly
+
+
+def test_integer_roots_cost_follows_bit_size():
+    # A divisor scan up to the root bound would try about 10^12 candidates.
+    from arrmono.connection import _integer_roots
+    big = 10 ** 12 + 39
+    start = time.perf_counter()
+    roots = _integer_roots(_expand([[-big, 1], [3, 1], [3, 1]]))
+    assert time.perf_counter() - start < 1.0
+    assert roots == {big: 1, -3: 2}
+
+
+def divisor_scan_roots(coeffs):
+    """Integer roots by trial of the divisors of c0 up to Fujiwara's bound."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    work = [int(c * den) for c in coeffs]
+    roots = {}
+    while len(work) > 1 and work[0] == 0:
+        work.pop(0)
+        roots[0] = roots.get(0, 0) + 1
+    degree = len(work) - 1
+    if degree == 0:
+        return roots
+    bound = 2 * max(math.ceil(Fraction(abs(work[degree - k]), den) ** (1 / k))
+                    for k in range(1, degree + 1)) + 2
+    c0 = abs(work[0])
+    for cand in range(1, bound + 1):
+        if c0 % cand:
+            continue
+        for r in (cand, -cand):
+            while len(work) > 1:
+                out, carry = [], 0
+                for c in reversed(work):
+                    carry = carry * r + c
+                    out.append(carry)
+                if out.pop() != 0:
+                    break
+                work = out[::-1]
+                roots[r] = roots.get(r, 0) + 1
+    return roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=8),
+       st.lists(st.sampled_from([(Fraction(-1, 2), 1), (Fraction(2, 3), 1), (1, 0, 1),
+                                 (-2, 0, 1), (1, 1, 1), (Fraction(-9, 4), 0, 1)]),
+                max_size=3))
+def test_integer_roots_match_divisor_scan(int_roots, others):
+    from arrmono.connection import _integer_roots
+    coeffs = _expand([[-r, 1] for r in int_roots] + [[Fraction(c) for c in f] for f in others])
+    assert _integer_roots(coeffs) == divisor_scan_roots(coeffs)
 
 
 def test_exp_relation_negative_gauge_verdict():
