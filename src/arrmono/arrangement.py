@@ -9,10 +9,19 @@ two classes, which is what makes the affine (non-central) case work:
   * empty_min: minimal index sets with empty intersection (monomials on
     these sets are annihilated outright).
 
+Both classes come from two ranks per index set: of its normals and of its
+rows [normal | -offset].  Each row is scaled to integers once (scaling a row
+changes no rank), and one fraction-free elimination per subset, columns left
+to right, gives both ranks from its pivot columns.  The ranks of the subsets
+one size smaller are kept while the scan runs, so the minimality checks look
+them up instead of eliminating again.
+
 Broken circuits delete the least element of a circuit; nbc sets avoid both
 broken circuits and empty_min members, and index the monomial basis of the
-quotient algebra degree by degree.  The hyperplane input order 1 < 2 < ... < n
-is the nbc order.
+quotient algebra degree by degree.  Subsets of nbc sets are nbc, so degree
+q + 1 comes from extending each nbc q-set by a larger index j, testing only
+the forbidden sets whose largest element is j.  The hyperplane input order
+1 < 2 < ... < n is the nbc order.
 """
 
 from __future__ import annotations
@@ -20,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .linalg import QQ, RingMatrix, rational_rank
+from .linalg import QQ, RingMatrix, bareiss_pivots_int, clear_row_denominators, rational_rank
 from .rings import parse_fraction
 
 
@@ -50,36 +58,13 @@ class Arrangement:
         for h in self.hyperplanes:
             if len(h.normal) != self.dim:
                 raise ValueError("normal length must equal the ambient dimension")
-        if self.n and _rank_of_normals(self, range(self.n)) != self.dim:
+        normals = [list(h.normal) for h in self.hyperplanes]
+        if normals and rational_rank(RingMatrix(QQ, normals)) != self.dim:
             raise ValueError(f"arrangement must contain {self.dim} independent hyperplanes")
 
     @property
     def n(self) -> int:
         return len(self.hyperplanes)
-
-
-def _rank_of_normals(arr: Arrangement, idx: Iterable[int]) -> int:
-    rows = [list(arr.hyperplanes[i].normal) for i in idx]
-    if not rows:
-        return 0
-    return rational_rank(RingMatrix(QQ, rows))
-
-
-def _rank_augmented(arr: Arrangement, idx: Iterable[int]) -> int:
-    rows = [list(arr.hyperplanes[i].normal) + [-arr.hyperplanes[i].offset] for i in idx]
-    if not rows:
-        return 0
-    return rational_rank(RingMatrix(QQ, rows))
-
-
-def has_nonempty_intersection(arr: Arrangement, subset: Sequence[int]) -> bool:
-    """The hyperplanes indexed by subset (0-based) share a point iff the
-    linear system normal . u = -offset is consistent."""
-    return _rank_of_normals(arr, subset) == _rank_augmented(arr, subset)
-
-
-def is_independent(arr: Arrangement, subset: Sequence[int]) -> bool:
-    return _rank_of_normals(arr, subset) == len(subset)
 
 
 @dataclass(frozen=True)
@@ -96,20 +81,22 @@ class DependencyData:
 def compute_dependencies(arr: Arrangement) -> DependencyData:
     """Scan subsets of size <= dim + 1; larger sets cannot be minimal in
     either class, by the rank bound."""
+    rows = [clear_row_denominators([*h.normal, -h.offset]) for h in arr.hyperplanes]
+    # (rank of the normals, rank of the rows) per subset; a normal is nonzero.
+    ranks = {(i,): (1, 1) for i in range(arr.n)}
     circuits: list[tuple[int, ...]] = []
     empty_min: list[tuple[int, ...]] = []
     for size in range(2, arr.dim + 2):
         for subset in combinations(range(arr.n), size):
-            nonempty = has_nonempty_intersection(arr, subset)
-            if nonempty:
-                if not is_independent(arr, subset):
-                    if all(is_independent(arr, [i for i in subset if i != drop])
-                           for drop in subset):
-                        circuits.append(subset)
-            else:
-                if all(has_nonempty_intersection(arr, [i for i in subset if i != drop])
-                       for drop in subset):
-                    empty_min.append(subset)
+            pivots = bareiss_pivots_int([rows[i][:] for i in subset])
+            rank_normals = sum(1 for c in pivots if c < arr.dim)
+            ranks[subset] = rank_normals, len(pivots)
+            faces = (ranks[subset[:k] + subset[k + 1:]] for k in range(size))
+            if rank_normals == len(pivots):
+                if rank_normals < size and all(rn == size - 1 for rn, _ in faces):
+                    circuits.append(subset)
+            elif all(rn == ra for rn, ra in faces):
+                empty_min.append(subset)
     broken = {}
     for c in circuits:
         b = c[1:]
@@ -140,20 +127,23 @@ class NbcBasis:
         return self.by_degree[q].index(subset)
 
 
-def is_nbc(dep: DependencyData, subset: tuple[int, ...]) -> bool:
-    sset = set(subset)
-    if any(set(e) <= sset for e in dep.empty_min):
-        return False
-    return not any(set(b) <= sset for b in dep.broken_circuits)
-
-
 def nbc_basis(arr: Arrangement, dep: DependencyData | None = None) -> NbcBasis:
     if dep is None:
         dep = compute_dependencies(arr)
-    by_degree = []
-    for q in range(arr.dim + 1):
-        sets = [s for s in combinations(range(arr.n), q) if is_nbc(dep, s)]
-        by_degree.append(tuple(sorted(sets)))
+    # Forbidden sets by their largest element, without it.
+    forbidden: list[list[frozenset[int]]] = [[] for _ in range(arr.n)]
+    for f in (*dep.empty_min, *dep.broken_circuits):
+        forbidden[f[-1]].append(frozenset(f[:-1]))
+    by_degree = [((),)]
+    for _ in range(arr.dim):
+        sets = []
+        for s in by_degree[-1]:
+            sset = set(s)
+            for j in range(s[-1] + 1 if s else 0, arr.n):
+                if not any(f <= sset for f in forbidden[j]):
+                    sets.append(s + (j,))
+        # Extending sorted sets by increasing j keeps the order sorted.
+        by_degree.append(tuple(sets))
     return NbcBasis(tuple(by_degree))
 
 
@@ -176,6 +166,8 @@ def parse_arrangement(text: str) -> Arrangement:
         dim = int(head[1])
     except ValueError:
         raise ParseError(f"bad dimension {head[1]!r}") from None
+    if dim < 0:
+        raise ParseError(f"negative dimension {dim}")
     hyperplanes = []
     try:
         for ln in lines[1:]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     AbelianizationNotPreserved,
@@ -220,10 +220,6 @@ def load_presentation(path) -> Presentation:
 # -- Fox calculus -------------------------------------------------------------------
 
 
-def monomial_of(ring: PolyRing, exps: Sequence[int], coeff: int = 1) -> Poly:
-    return ring.monomial(tuple(exps), coeff)
-
-
 def fox_derivative(w: Word, j: int, ring: PolyRing | None = None) -> Poly:
     """Abelianized Fox derivative dw/dg_j as a Laurent polynomial."""
     if ring is None:
@@ -233,17 +229,17 @@ def fox_derivative(w: Word, j: int, ring: PolyRing | None = None) -> Poly:
     for g, e in w.letters:
         if e == 1:
             if g == j:
-                out = out + monomial_of(ring, prefix)
+                out = out + ring.monomial(prefix)
             prefix[g - 1] += 1
         else:
             prefix[g - 1] -= 1
             if g == j:
-                out = out - monomial_of(ring, prefix)
+                out = out - ring.monomial(prefix)
     return out
 
 
 def abelianized(w: Word, ring: PolyRing) -> Poly:
-    return monomial_of(ring, w.abelianization())
+    return ring.monomial(w.abelianization())
 
 
 def universal_complex(pres: Presentation, require_complex: bool = True) -> RingComplex:

@@ -194,24 +194,19 @@ def series_matrix(m: RingMatrix, cap: int, target: PolyRing | None = None) -> Ri
 # -- rational elimination ------------------------------------------------------
 
 
-def _clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for v in row:
-        lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-    return [int(v * lcm) for v in row]
+def clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
+    """The row times the least common multiple of its denominators."""
+    lcm = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (lcm // v.denominator) for v in row]
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _bareiss_rank_int(grid: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination; all interior divisions are exact."""
+def bareiss_pivots_int(grid: list[list[int]]) -> list[int]:
+    """Fraction-free Bareiss elimination in place, columns left to right; all
+    interior divisions are exact.  Returns the pivot columns, so the rank is
+    their number and the rank of the first k columns is the number below k."""
     rows = len(grid)
     cols = len(grid[0]) if rows else 0
-    rank = 0
+    pivots: list[int] = []
     prev = 1
     r = 0
     for c in range(cols):
@@ -225,11 +220,11 @@ def _bareiss_rank_int(grid: list[list[int]]) -> int:
             for j in range(c, cols):
                 grid[i][j] = (grid[i][j] * pivot - fi * grid[r][j]) // prev
         prev = pivot
-        rank += 1
+        pivots.append(c)
         r += 1
         if r == rows:
             break
-    return rank
+    return pivots
 
 
 def rational_rank(m: RingMatrix) -> int:
@@ -237,8 +232,8 @@ def rational_rank(m: RingMatrix) -> int:
         raise ValueError("rational_rank needs a matrix over Q")
     if m.rows == 0 or m.cols == 0:
         return 0
-    grid = [_clear_row_denominators(row) for row in m.entries]
-    return _bareiss_rank_int(grid)
+    grid = [clear_row_denominators(row) for row in m.entries]
+    return len(bareiss_pivots_int(grid))
 
 
 def rational_det(m: RingMatrix) -> Fraction:

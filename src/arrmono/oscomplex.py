@@ -80,6 +80,9 @@ class NbcRewriter:
     def __init__(self, dep: DependencyData):
         self.dep = dep
         self.cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        self.empty_min = [frozenset(e) for e in dep.empty_min]
+        # Sorted, so the last broken circuit inside a set is the largest.
+        self.broken = [(frozenset(b), b) for b in sorted(dep.broken_circuits)]
 
     def rewrite(self, subset: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Expansion of a_subset (strictly increasing indices) over nbc sets,
@@ -87,16 +90,16 @@ class NbcRewriter:
         if subset in self.cache:
             return self.cache[subset]
         sset = set(subset)
-        if any(set(e) <= sset for e in self.dep.empty_min):
+        if any(e <= sset for e in self.empty_min):
             self.cache[subset] = {}
             return {}
-        inside = [b for b in self.dep.broken_circuits if set(b) <= sset]
-        if not inside:
+        inside = next(((bset, b) for bset, b in reversed(self.broken) if bset <= sset), None)
+        if inside is None:
             self.cache[subset] = {subset: 1}
             return {subset: 1}
-        broken = max(inside)
+        bset, broken = inside
         circuit = self.dep.circuit_of_broken[broken]
-        rest = tuple(i for i in subset if i not in set(broken))
+        rest = tuple(i for i in subset if i not in bset)
         outer = merge_sign(broken, rest)
         assert outer is not None
         result: dict[tuple[int, ...], int] = {}

@@ -527,10 +527,6 @@ def evaluate(p: Poly, point: Sequence[Fraction | int]) -> Fraction:
 # -- parsing and formatting ---------------------------------------------------
 
 
-def format_fraction(c: Fraction) -> str:
-    return str(c)
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -670,7 +666,7 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
 
 def poly_to_pairs(p: Poly) -> list[list]:
     """Canonical [[coeff, [exponents...]], ...] pairs, leading term first."""
-    return [[format_fraction(c), list(e)] for e, c in p.sorted_terms()]
+    return [[str(c), list(e)] for e, c in p.sorted_terms()]
 
 
 def poly_from_pairs(pairs: Iterable, ring: PolyRing) -> Poly:

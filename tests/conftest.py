@@ -39,6 +39,7 @@ from arrmono import (
     poly_ring,
     universal_complex,
 )
+from arrmono.linalg import rational_rref
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,6 +215,49 @@ def random_arrangement(rng: random.Random, dim: int = 2, max_n: int = 6) -> Arra
             continue
 
 
+def _rank(rows) -> int:
+    """Rank over Q by Gauss-Jordan, a kernel apart from the Bareiss
+    elimination the package uses for ranks."""
+    return len(rational_rref([list(r) for r in rows])[1])
+
+
+def has_nonempty_intersection(arr, subset) -> bool:
+    """The hyperplanes indexed by subset (0-based) share a point iff the
+    linear system normal . u = -offset is consistent."""
+    hps = [arr.hyperplanes[i] for i in subset]
+    return (_rank([h.normal for h in hps])
+            == _rank([[*h.normal, -h.offset] for h in hps]))
+
+
+def is_independent(arr, subset) -> bool:
+    return _rank([arr.hyperplanes[i].normal for i in subset]) == len(subset)
+
+
+def is_nbc(dep, subset) -> bool:
+    sset = set(subset)
+    if any(set(e) <= sset for e in dep.empty_min):
+        return False
+    return not any(set(b) <= sset for b in dep.broken_circuits)
+
+
+def dependencies_oracle(arr):
+    """(circuits, empty_min) by the rank definition: every subset of size
+    2..dim+1 and each of its drop-one faces eliminated anew."""
+    from itertools import combinations
+
+    circuits, empty_min = [], []
+    for size in range(2, arr.dim + 2):
+        for subset in combinations(range(arr.n), size):
+            faces = [subset[:k] + subset[k + 1:] for k in range(size)]
+            if has_nonempty_intersection(arr, subset):
+                if (not is_independent(arr, subset)
+                        and all(is_independent(arr, f) for f in faces)):
+                    circuits.append(subset)
+            elif all(has_nonempty_intersection(arr, f) for f in faces):
+                empty_min.append(subset)
+    return tuple(sorted(circuits)), tuple(sorted(empty_min))
+
+
 def betti_oracle(arr):
     """Independent count of the quotient-algebra dimensions: in each degree,
     the rank of the ideal component spanned by boundary expansions of all
@@ -221,8 +265,6 @@ def betti_oracle(arr):
     inside the full exterior degree.  Uses none of the nbc machinery."""
     from itertools import combinations
 
-    from arrmono import QQ, RingMatrix, rational_rank
-    from arrmono.arrangement import has_nonempty_intersection, is_independent
     from arrmono.oscomplex import wedge_sort
 
     n = arr.n
@@ -254,6 +296,5 @@ def betti_oracle(arr):
                             coeffs[merged] = coeffs.get(merged, 0) + (-1) ** k * sign
                         if any(coeffs.values()):
                             add_row(coeffs)
-        rank = rational_rank(RingMatrix(QQ, rows)) if rows else 0
-        out.append(len(basis) - rank)
+        out.append(len(basis) - _rank(rows))
     return out

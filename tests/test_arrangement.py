@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrmono import (
@@ -15,8 +16,57 @@ from arrmono import (
     nbc_basis,
     parse_arrangement,
 )
-from arrmono.arrangement import format_arrangement, is_independent
-from conftest import betti_oracle, random_arrangement
+from arrmono.arrangement import format_arrangement
+from conftest import (
+    betti_oracle,
+    dependencies_oracle,
+    is_independent,
+    is_nbc,
+    random_arrangement,
+)
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _arrangements(draw):
+    """Arrangements in dimension 1-3 with rational coefficients, plus
+    combinations a*h + b*h' of drawn hyperplanes, possibly shifted: repeated
+    (b = 0), parallel (b = 0, shifted) or through the meet of h and h'
+    (unshifted), in a shuffled order."""
+    dim = draw(st.integers(1, 3))
+    hps = []
+    for _ in range(draw(st.integers(dim, dim + 3))):
+        normal = draw(st.lists(_COEFF, min_size=dim, max_size=dim))
+        if not any(normal):
+            normal[0] = Fraction(1)
+        hps.append((tuple(normal), draw(_COEFF)))
+    for _ in range(draw(st.integers(0, 3))):
+        (n1, o1), (n2, o2) = draw(st.sampled_from(hps)), draw(st.sampled_from(hps))
+        a = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+        b = draw(st.sampled_from([0, 1, -1]))
+        normal = tuple(a * c1 + b * c2 for c1, c2 in zip(n1, n2))
+        if any(normal):
+            hps.append((normal, a * o1 + b * o2 + draw(st.sampled_from([0, 1]))))
+    hps = draw(st.permutations(hps))
+    try:
+        return Arrangement(dim=dim, hyperplanes=tuple(
+            Hyperplane(normal=normal, offset=offset) for normal, offset in hps))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_arrangements())
+def test_dependencies_and_nbc_match_rank_definition(arr):
+    dep = compute_dependencies(arr)
+    assert (dep.circuits, dep.empty_min) == dependencies_oracle(arr)
+    assert dep.broken_circuits == tuple(sorted({c[1:] for c in dep.circuits}))
+    basis = nbc_basis(arr, dep)
+    assert basis.by_degree == tuple(
+        tuple(s for s in combinations(range(arr.n), q) if is_nbc(dep, s))
+        for q in range(arr.dim + 1))
 
 
 def test_pencil_dependencies(pencil):

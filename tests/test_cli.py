@@ -180,6 +180,18 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("subcommand", ["info", "aomoto"])
+def test_negative_dimension_is_a_parse_error(tmp_path, subcommand):
+    bad = tmp_path / "neg.arr"
+    bad.write_text("dim -1\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(subcommand, "-a", str(bad))
+    assert code == 2
+    assert err.getvalue().startswith("parse error") and "dimension" in err.getvalue()
+    assert "betti" not in out
+
+
 @pytest.mark.parametrize("kind,text", [
     ("pres", "generators x\n[g1,g2]\n"),
     ("cert", "relator x\n( 1 , 1 , +1 )\n"),
