@@ -34,7 +34,6 @@ from .connection import (
     load_projection,
     parse_projection,
     spectra_correspond,
-    verify_chain_map,
     verify_exp_relation,
     verify_projection,
 )
@@ -89,11 +88,11 @@ from .linalg import (
     linearize_matrix,
     mat_exp_truncated,
     rank_at,
-    rational_det,
     rational_rank,
     series_matrix,
     solve_right,
     symbolic_det,
+    verify_chain_map,
 )
 from .oscomplex import (
     AomotoComplex,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ParseError
-from .linalg import QQ, RingMatrix, bareiss_pivots_int, clear_row_denominators, rational_rank
+from .linalg import QQ, RingMatrix, bareiss, clear_row_denominators, rational_rank
 from .rings import parse_fraction
 
 
@@ -88,7 +88,7 @@ def compute_dependencies(arr: Arrangement) -> DependencyData:
     empty_min: list[tuple[int, ...]] = []
     for size in range(2, arr.dim + 2):
         for subset in combinations(range(arr.n), size):
-            pivots = bareiss_pivots_int([rows[i][:] for i in subset])
+            _, pivots = bareiss([rows[i][:] for i in subset])
             rank_normals = sum(1 for c in pivots if c < arr.dim)
             ranks[subset] = rank_normals, len(pivots)
             faces = (ranks[subset[:k] + subset[k + 1:]] for k in range(size))

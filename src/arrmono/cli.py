@@ -22,7 +22,6 @@ from .connection import (
     induced_map,
     load_projection,
     spectra_correspond,
-    verify_chain_map,
     verify_exp_relation,
     verify_projection,
 )
@@ -36,7 +35,7 @@ from .fox import (
     phi2_solve_fallback,
     universal_complex,
 )
-from .linalg import RingMatrix, evaluate_matrix, linearize_matrix
+from .linalg import RingMatrix, evaluate_matrix, linearize_matrix, verify_chain_map
 from .oscomplex import aomoto_boundary
 from .rings import parse_point, poly_ring
 from .serialize import ReportWriter

@@ -42,6 +42,7 @@ from .linalg import (
     rational_row_space,
     series_matrix,
     solve_right,
+    verify_chain_map,
 )
 from .rings import Poly, PolyRing, laurent_ring, poly_ring
 
@@ -203,20 +204,6 @@ def verify_exp_relation(phi: RingMatrix, omega: RingMatrix) -> ExpRelationReport
                              gauge_degree2=gauge,
                              entrywise_degree2=entrywise,
                              mismatch=mismatch)
-
-
-def verify_chain_map(boundaries: list[RingMatrix], maps: dict[int, RingMatrix]) -> None:
-    """Check D^q * F^{q+1} = F^q * D^q for all consecutive degrees present."""
-    for q, bq in enumerate(boundaries):
-        if q in maps and (q + 1) in maps:
-            lhs = bq * maps[q + 1]
-            rhs = maps[q] * bq
-            for i in range(lhs.rows):
-                for j in range(lhs.cols):
-                    if lhs.entries[i][j] != rhs.entries[i][j]:
-                        raise ChainIdentityFailed(
-                            f"chain identity fails in degree {q} at entry "
-                            f"({i + 1}, {j + 1})", entry=(i, j))
 
 
 # -- eigenvalue factorization ---------------------------------------------------------

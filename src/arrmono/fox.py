@@ -25,11 +25,10 @@ from typing import Iterable
 from .errors import (
     AbelianizationNotPreserved,
     CertificateInvalid,
-    ChainIdentityFailed,
     FundamentalIdentityFailed,
     ParseError,
 )
-from .linalg import RingComplex, RingMatrix
+from .linalg import RingComplex, RingMatrix, verify_chain_map
 from .rings import Poly, PolyRing, laurent_ring
 
 Letter = tuple[int, int]
@@ -242,6 +241,14 @@ def abelianized(w: Word, ring: PolyRing) -> Poly:
     return ring.monomial(w.abelianization())
 
 
+def _boundaries(pres: Presentation, ring: PolyRing) -> list[RingMatrix]:
+    """[D0, D1] over ring: the row of (x_j - 1) and the Fox matrix."""
+    gens = range(1, pres.ngens + 1)
+    return [RingMatrix(ring, [[ring.variable(j) - 1 for j in gens]]),
+            RingMatrix(ring, [[fox_derivative(r, i, ring) for r in pres.relators]
+                              for i in gens])]
+
+
 def universal_complex(pres: Presentation, require_complex: bool = True) -> RingComplex:
     """Degrees 0..2 from the presentation: D0 = row of (x_j - 1); D1 has the
     Fox derivatives of the relators, rows by generator, columns by relator.
@@ -250,11 +257,8 @@ def universal_complex(pres: Presentation, require_complex: bool = True) -> RingC
     trivially (fundamental identity of Fox calculus); require_complex=False
     skips that check for degenerate presentations."""
     ring = pres.ring()
-    n, m = pres.ngens, pres.nrels
-    d0 = RingMatrix(ring, [[ring.variable(j) - 1 for j in range(1, n + 1)]])
-    d1 = RingMatrix(ring, [[fox_derivative(r, i, ring) for r in pres.relators]
-                           for i in range(1, n + 1)])
-    cx = RingComplex(ring, [1, n, m], [d0, d1])
+    d0, d1 = _boundaries(pres, ring)
+    cx = RingComplex(ring, [1, pres.ngens, pres.nrels], [d0, d1])
     if require_complex and not (d0 * d1).is_zero():
         raise FundamentalIdentityFailed("a relator does not abelianize to zero")
     return cx
@@ -364,10 +368,10 @@ class RelatorCertificate:
 
 def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
                           cert: RelatorCertificate,
-                          ring: PolyRing | None = None,
-                          check_chain: bool = True) -> RingMatrix:
+                          ring: PolyRing | None = None) -> RingMatrix:
     """Degree-2 action matrix: entry [k][l] sums e * x^{ab(w)} over the
-    certificate terms of relator l that target relator k."""
+    certificate terms of relator l that target relator k.  Raises
+    ChainIdentityFailed unless D1 * Phi2 = Phi1 * D1."""
     cert.validate(pres, endo)
     if ring is None:
         ring = pres.ring()
@@ -376,25 +380,8 @@ def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
     for l, terms in enumerate(cert.terms):
         for w, k, e in terms:
             out.entries[k - 1][l] = out.entries[k - 1][l] + abelianized(w, ring).scale(e)
-    if check_chain:
-        d1 = RingMatrix(ring, [[fox_derivative(r, i, ring) for r in pres.relators]
-                               for i in range(1, pres.ngens + 1)])
-        p1 = phi1(endo, ring)
-        check_chain_identity(d1, out, p1)
+    verify_chain_map(_boundaries(pres, ring), {1: phi1(endo, ring), 2: out})
     return out
-
-
-def check_chain_identity(boundary: RingMatrix, higher: RingMatrix,
-                         lower: RingMatrix) -> None:
-    """Assert boundary * higher == lower * boundary, naming the first bad entry."""
-    lhs = boundary * higher
-    rhs = lower * boundary
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            if lhs.entries[i][j] != rhs.entries[i][j]:
-                raise ChainIdentityFailed(
-                    f"chain identity fails at entry ({i + 1}, {j + 1}): "
-                    f"{lhs.entries[i][j]} != {rhs.entries[i][j]}", entry=(i, j))
 
 
 def phi2_solve_fallback(d1: RingMatrix, p1: RingMatrix):

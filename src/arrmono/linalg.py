@@ -4,13 +4,17 @@ Convention used throughout the package: row vectors act on the left,
 v -> v * M, so a chain map F between complexes with boundaries D satisfies
 the literal matrix identity D^q * F^{q+1} = F^q * D^q.
 
-Rational ranks use fraction-free Bareiss elimination after clearing row
-denominators.  Solving over Q and the rational reduced row echelon form share
-one sparse Gauss-Jordan: rows hold only their nonzeros, and the pivot is the
-row with the fewest of them (Markowitz).  The reduced row echelon form is
-unique, so the answer does not depend on the pivot order.  Symbolic solving
-runs over the fraction field with explicit numerator/denominator tracking and
-a final ring-membership (exact division) check.  Characteristic polynomials
+One fraction-free Bareiss elimination, parametrized by the ring's exact
+division, gives every rank and determinant: rational ranks on rows cleared
+to integers (//), determinants over Q (/) and over Q[y] and the Laurent
+ring (Poly.exact_div), and the pivot rows and columns of symbolic solving.
+Solving over Q and the rational reduced row echelon form share one sparse
+Gauss-Jordan: rows hold only their nonzeros, and the pivot is the row with
+the fewest of them (Markowitz).  The reduced row echelon form is unique, so
+the answer does not depend on the pivot order.  Symbolic solving applies
+Cramer's rule to the pivot minor (its determinant is the last pivot, its
+adjugate comes from cofactor determinants) with one explicit denominator
+and a final ring-membership (exact division) check.  Characteristic polynomials
 use Berkowitz's division-free algorithm (Berkowitz 1984) on the matrix
 times one common denominator, so on integral input the whole computation,
 and the synthetic division that certifies eigenvalues, runs on int
@@ -23,10 +27,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, floordiv, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    ChainIdentityFailed,
     NoSolution,
     NonzeroConstantTerm,
     NotAComplex,
@@ -191,7 +196,7 @@ def series_matrix(m: RingMatrix, cap: int, target: PolyRing | None = None) -> Ri
     return m.map_entries(lambda p: exp_substitute(p, cap, target), ring=sring)
 
 
-# -- rational elimination ------------------------------------------------------
+# -- elimination ----------------------------------------------------------------
 
 
 def clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
@@ -200,66 +205,50 @@ def clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
     return [v.numerator * (lcm // v.denominator) for v in row]
 
 
-def bareiss_pivots_int(grid: list[list[int]]) -> list[int]:
-    """Fraction-free Bareiss elimination in place, columns left to right; all
-    interior divisions are exact.  Returns the pivot columns, so the rank is
-    their number and the rank of the first k columns is the number below k."""
+def bareiss(grid: list[list], div: Callable = floordiv) -> tuple[list[int], list[int]]:
+    """Fraction-free elimination (Bareiss 1968) in place, columns left to right.
+
+    div is the exact division of the entry ring: // for ints, / for
+    Fractions, Poly.exact_div for Q[y] and the Laurent ring.  Every division
+    is exact by Sylvester's identity.  Returns the pivot rows, as input
+    indices in pivot order, and the pivot columns.  Row k of grid then holds
+    from column c_k on the fraction-free echelon row of the k-th pivot, and
+    its pivot grid[k][c_k] is the minor on the first k + 1 pivot rows (in
+    pivot order) and columns; entries left of c_k are not cleared.
+    """
     rows = len(grid)
     cols = len(grid[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
+    order = list(range(rows))
+    pivot_cols: list[int] = []
+    prev = None
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if grid[i][c] != 0), None)
-        if pivot_row is None:
+        for p in range(r, rows):
+            if grid[p][c]:
+                break
+        else:
             continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        pivot = grid[r][c]
-        for i in range(r + 1, rows):
-            fi = grid[i][c]
-            for j in range(c, cols):
-                grid[i][j] = (grid[i][j] * pivot - fi * grid[r][j]) // prev
+        grid[r], grid[p] = grid[p], grid[r]
+        order[r], order[p] = order[p], order[r]
+        top = grid[r]
+        pivot = top[c]
+        for row in grid[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, cols):
+                v = row[j] * pivot - f * top[j]
+                row[j] = v if prev is None else div(v, prev)
         prev = pivot
-        pivots.append(c)
+        pivot_cols.append(c)
         r += 1
         if r == rows:
             break
-    return pivots
+    return order[:r], pivot_cols
 
 
 def rational_rank(m: RingMatrix) -> int:
     if not isinstance(m.ring, RationalField):
         raise ValueError("rational_rank needs a matrix over Q")
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    grid = [clear_row_denominators(row) for row in m.entries]
-    return len(bareiss_pivots_int(grid))
-
-
-def rational_det(m: RingMatrix) -> Fraction:
-    """Determinant of a square rational matrix via Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ShapeMismatch("det of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    grid = [[Fraction(v) for v in row] for row in m.entries]
-    sign = 1
-    prev = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if grid[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            grid[c], grid[pivot_row] = grid[pivot_row], grid[c]
-            sign = -sign
-        pivot = grid[c][c]
-        for i in range(c + 1, n):
-            fi = grid[i][c]
-            for j in range(c, n):
-                grid[i][j] = (grid[i][j] * pivot - fi * grid[c][j]) / prev
-        prev = pivot
-    return sign * grid[n - 1][n - 1]
+    return len(bareiss([clear_row_denominators(row) for row in m.entries])[1])
 
 
 def rank_at(m: RingMatrix, point: Sequence[Fraction | int]) -> int:
@@ -386,68 +375,28 @@ def generic_rank(m: RingMatrix, seed: int = 0) -> int:
     return _symbolic_rank(m)
 
 
-def _bareiss_echelon_info(m: RingMatrix) -> tuple[int, list[int], list[int]]:
-    """Fraction-free Bareiss over the polynomial ring itself.
-
-    Returns (rank, pivot row indices in the original matrix, pivot columns).
-    All interior divisions are exact by the Bareiss identity.
-    """
-    grid = [list(row) for row in m.entries]
-    perm = list(range(m.rows))
-    rows, cols = m.rows, m.cols
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    prev = m.ring.one()
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not grid[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        perm[r], perm[pivot_row] = perm[pivot_row], perm[r]
-        pivot = grid[r][c]
-        for i in range(r + 1, rows):
-            fi = grid[i][c]
-            for j in range(c, cols):
-                grid[i][j] = (grid[i][j] * pivot - fi * grid[r][j]).exact_div(prev)
-        prev = pivot
-        pivot_rows.append(perm[r])
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return len(pivot_cols), pivot_rows, pivot_cols
-
-
 def _symbolic_rank(m: RingMatrix) -> int:
-    return _bareiss_echelon_info(m)[0]
+    return len(bareiss([list(row) for row in m.entries], Poly.exact_div)[1])
 
 
 def symbolic_det(m: RingMatrix):
-    """Determinant over the entry ring by fraction-free Bareiss elimination."""
+    """Determinant over Q or a (Laurent) polynomial ring: the last pivot of
+    the fraction-free elimination, signed by the parity of the pivot rows."""
     if m.rows != m.cols:
         raise ShapeMismatch("det of non-square matrix")
     n = m.rows
     if n == 0:
         return m.ring.one()
-    grid = [list(row) for row in m.entries]
-    sign = 1
-    prev = m.ring.one()
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not grid[i][c].is_zero()), None)
-        if pivot_row is None:
-            return m.ring.zero()
-        if pivot_row != c:
-            grid[c], grid[pivot_row] = grid[pivot_row], grid[c]
-            sign = -sign
-        pivot = grid[c][c]
-        for i in range(c + 1, n):
-            fi = grid[i][c]
-            for j in range(c, n):
-                grid[i][j] = (grid[i][j] * pivot - fi * grid[c][j]).exact_div(prev)
-        prev = pivot
+    if isinstance(m.ring, RationalField):
+        grid, div = [[Fraction(v) for v in row] for row in m.entries], truediv
+    else:
+        grid, div = [list(row) for row in m.entries], Poly.exact_div
+    order, _ = bareiss(grid, div)
+    if len(order) < n:
+        return m.ring.zero()
+    inversions = sum(order[j] > order[i] for i in range(n) for j in range(i))
     d = grid[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return -d if inversions % 2 else d
 
 
 def _adjugate(m: RingMatrix) -> RingMatrix:
@@ -541,9 +490,10 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
 
     ring: PolyRing = a.ring
     n, k = a.cols, b.cols
-    rank, piv_rows, piv_cols = _bareiss_echelon_info(a)
+    grid = [list(row) for row in a.entries]
+    piv_rows, piv_cols = bareiss(grid, Poly.exact_div)
 
-    if rank == 0:
+    if not piv_cols:
         if not b.is_zero():
             raise NoSolution("zero matrix cannot reach nonzero right side")
         kernel = [[ring.one() if i == f else ring.zero() for i in range(n)]
@@ -553,9 +503,10 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
                            kernel=kernel, in_ring=True, cleared=zero)
 
     # Square nonsingular pivot minor S = A[piv_rows, piv_cols]; Cramer gives
-    # x_P = adj(S) * rhs / det(S) with free coordinates set to zero.
+    # x_P = adj(S) * rhs / det(S) with free coordinates set to zero.  The
+    # last pivot of the elimination is det(S), rows in pivot order.
     sub = RingMatrix(ring, [[a.entries[i][j] for j in piv_cols] for i in piv_rows])
-    det = symbolic_det(sub)
+    det = grid[len(piv_rows) - 1][piv_cols[-1]]
     adj = _adjugate(sub)
 
     numerator = RingMatrix.zero(ring, n, k)
@@ -824,3 +775,17 @@ class RingComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * b for q, b in enumerate(self.ranks))
+
+
+def verify_chain_map(boundaries: list[RingMatrix], maps: dict[int, RingMatrix]) -> None:
+    """Check D^q * F^{q+1} = F^q * D^q for all consecutive degrees present."""
+    for q, bq in enumerate(boundaries):
+        if q in maps and (q + 1) in maps:
+            lhs = bq * maps[q + 1]
+            rhs = maps[q] * bq
+            for i in range(lhs.rows):
+                for j in range(lhs.cols):
+                    if lhs.entries[i][j] != rhs.entries[i][j]:
+                        raise ChainIdentityFailed(
+                            f"chain identity fails in degree {q} at entry "
+                            f"({i + 1}, {j + 1})", entry=(i, j))

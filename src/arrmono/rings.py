@@ -337,11 +337,10 @@ class Poly:
         return quotient
 
     def _monomial_shift(self) -> Exponent:
-        mins = [0] * self.ring.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                mins[i] = min(mins[i], k)
-        return tuple(mins)
+        """The least exponent of each variable over the terms.  Shifting by
+        it removes every monomial factor, so a Laurent quotient of two
+        shifted operands is already a polynomial."""
+        return tuple(min(e[i] for e in self.terms) for i in range(self.ring.nvars))
 
     # -- display -------------------------------------------------------------
 

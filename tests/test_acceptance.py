@@ -46,7 +46,6 @@ from arrmono import (
     verify_exp_relation,
     verify_projection,
 )
-from arrmono.fox import check_chain_identity
 from conftest import (
     DELTA0,
     DELTA1,
@@ -244,5 +243,5 @@ def test_criterion_9_negative_tests(pencil):
         corrupt = RingMatrix(L, [list(row) for row in pencil["phis"][2].entries])
         corrupt.entries[2][3] = corrupt.entries[2][3] + L.variable(1)
         with pytest.raises(ChainIdentityFailed) as err:
-            check_chain_identity(pencil["cx"].boundaries[1], corrupt, pencil["phis"][1])
+            verify_chain_map(pencil["cx"].boundaries, {1: pencil["phis"][1], 2: corrupt})
         assert err.value.entry is not None

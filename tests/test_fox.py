@@ -28,8 +28,9 @@ from arrmono import (
     phi2_from_certificate,
     phi2_solve_fallback,
     universal_complex,
+    verify_chain_map,
 )
-from arrmono.fox import check_chain_identity, format_certificate, format_word
+from arrmono.fox import format_certificate, format_word
 from conftest import DELTA0, DELTA1, PHI1, PHI2, mat, random_certified_endo
 
 L = laurent_ring(4, var="x")
@@ -183,7 +184,7 @@ def test_corrupted_phi2_chain_identity_failure(pencil):
     corrupt = RingMatrix(L, [list(row) for row in phis[2].entries])
     corrupt.entries[0][0] = corrupt.entries[0][0] + L.one()
     with pytest.raises(ChainIdentityFailed) as err:
-        check_chain_identity(cx.boundaries[1], corrupt, phis[1])
+        verify_chain_map(cx.boundaries, {1: phis[1], 2: corrupt})
     assert err.value.entry is not None
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrmono import (
@@ -139,6 +139,20 @@ def test_exact_division():
     assert p.exact_div(parse_poly("x1*x2 - 1", L)) == parse_poly("x3 - x2*x3", L)
     m = L.monomial({1: -2}) * (X[1] - 1)
     assert m.exact_div(L.monomial({1: -1})) == L.monomial({1: -1}) * (X[1] - 1)
+
+
+def test_exact_division_by_laurent_divisor_with_monomial_content():
+    # x1*x2 - x1 = x1 * (x2 - 1): the quotient is a unit with a negative power.
+    p = parse_poly("x2 - 1", L)
+    assert p.exact_div(parse_poly("x1*x2 - x1", L)) == L.monomial({1: -1})
+    assert parse_poly("x1^2*x3 + x1^2", L).exact_div(parse_poly("x1*x3 + x1", L)) == X[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(L, -2), poly_strategy(L, -2))
+def test_exact_division_inverts_multiplication(p, q):
+    assume(not q.is_zero())
+    assert (p * q).exact_div(q) == p
 
 
 def test_substitute_locus_relations():
