@@ -27,9 +27,7 @@ from .connection import (
     cohomology_action,
     eigen_linear_forms,
     eigen_monomials,
-    exponent_log_bookkeeping,
     formal_connection,
-    gauss_manin_matrix,
     induced_map,
     load_projection,
     parse_projection,
@@ -87,7 +85,6 @@ from .linalg import (
     generic_rank,
     linearize_matrix,
     mat_exp_truncated,
-    rank_at,
     rational_rank,
     series_matrix,
     solve_right,
@@ -98,19 +95,13 @@ from .oscomplex import (
     AomotoComplex,
     OSElement,
     aomoto_boundary,
-    cohomology_betti,
     reduce_to_nbc,
-    specialize_complex,
 )
 from .rings import (
     Poly,
     PolyRing,
-    TruncatedSeries,
-    evaluate,
-    exp_substitute,
+    exp_jet,
     laurent_ring,
-    linear_part,
-    linearize,
     parse_point,
     parse_poly,
     poly_ring,

@@ -85,11 +85,6 @@ def formal_connection(phis: dict[int, RingMatrix],
     return FormalConnection(ring=ring, matrices=omegas)
 
 
-def gauss_manin_matrix(omega: RingMatrix, weights: Sequence[Fraction | int]) -> RingMatrix:
-    """Specialize a formal connection matrix at rational weights."""
-    return evaluate_matrix(omega, weights)
-
-
 # -- exp/log verification ------------------------------------------------------------
 
 
@@ -181,20 +176,17 @@ def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
 def verify_exp_relation(phi: RingMatrix, omega: RingMatrix) -> ExpRelationReport:
     """Compare the representation matrix with the exponential of its formal
     connection at truncation order 2."""
-    const, lin = linearize_matrix(phi, omega.ring)
-    identity_at_one = const.is_identity()
-    linear_match = lin == omega
+    jet = series_matrix(phi, omega.ring)
+    identity_at_one = jet[0].is_identity()
+    linear_match = jet[1] == omega
     mismatch = ""
     gauge = False
     entrywise = False
     if identity_at_one and linear_match:
-        left = series_matrix(phi, 2, omega.ring)
-        right = mat_exp_truncated(omega, 2)
-        entrywise = left == right
+        exp_omega = mat_exp_truncated(omega)
+        entrywise = jet == exp_omega
         # Degree-2 parts: Phi_2 vs Omega^2/2; gauge freedom is ad_Omega.
-        phi2 = left.map_entries(lambda s: s.parts[2], ring=omega.ring)
-        om2 = (omega * omega).map_entries(lambda p: p.scale(Fraction(1, 2)))
-        gauge = entrywise or _commutator_image_solve(omega, phi2 - om2)
+        gauge = entrywise or _commutator_image_solve(omega, jet[2] - exp_omega[2])
         if not gauge:
             mismatch = "degree-2 terms are not gauge conjugate"
     else:
@@ -615,7 +607,7 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData,
 
 def parse_projection(text: str) -> ProjectionData:
     from .errors import ParseError
-    from .rings import linear_part, parse_poly
+    from .rings import exp_jet, parse_poly
 
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -637,12 +629,18 @@ def parse_projection(text: str) -> ProjectionData:
             raise ParseError(f"projection file missing '{key}'")
     if header["ring"] != "x":
         raise ParseError("projection matrices live over the x-ring")
-    rows = int(header["rows"])
-    cols = int(header["cols"])
+
+    def count(text: str, what: str) -> int:
+        if not text.isdecimal():
+            raise ParseError(f"bad {what} {text!r}: expected a non-negative integer")
+        return int(text)
+
+    rows = count(header["rows"], "row count")
+    cols = count(header["cols"], "column count")
     nvars_line = header.get("nvars") or header.get("n")
     if nvars_line is None:
         raise ParseError("projection file missing 'nvars'")
-    n = int(nvars_line)
+    n = count(nvars_line, "variable count")
     xring = laurent_ring(n, var="x")
     yring = poly_ring(n, var="y")
 
@@ -666,7 +664,7 @@ def parse_projection(text: str) -> ProjectionData:
     if idx != len(lines):
         raise ParseError("trailing lines in projection file")
     if upsilon is None:
-        upsilon = xi.map_entries(lambda p: linear_part(p, yring), ring=yring)
+        upsilon = linearize_matrix(xi, yring)[1]
 
     locus = None
     if locus_lines:
@@ -678,13 +676,15 @@ def parse_projection(text: str) -> ProjectionData:
             lhs, rhs = (s.strip() for s in ln.split("=", 1))
             if not lhs.startswith("x"):
                 raise ParseError("locus substitutions target x-variables")
-            j = int(lhs[1:])
+            j = count(lhs[1:], "locus variable index")
+            if not 1 <= j <= n:
+                raise ParseError(f"locus variable {lhs} out of range x1..x{n}")
             rep = parse_poly(rhs, xring)
             mono = rep.as_monomial()
             if mono is None or mono[1] != 1:
                 raise ParseError("locus right side must be a unit monomial")
             x_subs[j] = rep
-            y_subs[j] = linear_part(rep, yring)
+            y_subs[j] = exp_jet(rep, 1, yring)[1]
         locus = LocusSpec(x_subs=x_subs, y_subs=y_subs)
     return ProjectionData(xi=xi, upsilon=upsilon, locus=locus)
 
@@ -801,10 +801,3 @@ def classify_weights(cx: RingComplex, point: Sequence[Fraction | int]) -> Weight
         top_matches_euler=(betti[top] == abs(euler)),
     )
 
-
-def exponent_log_bookkeeping(monomial_exponents: Sequence[int],
-                             form_coefficients: Sequence[int]) -> bool:
-    """Formal exp/log correspondence at the level of bookkeeping: the
-    monomial x^m corresponds to the linear form m . y, coefficient by
-    coefficient (so exp(-2 pi i sum m_j lambda_j) = prod t_j^{m_j})."""
-    return tuple(monomial_exponents) == tuple(form_coefficients)

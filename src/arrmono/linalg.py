@@ -18,7 +18,10 @@ and a final ring-membership (exact division) check.  Characteristic polynomials
 use Berkowitz's division-free algorithm (Berkowitz 1984) on the matrix
 times one common denominator, so on integral input the whole computation,
 and the synthetic division that certifies eigenvalues, runs on int
-coefficients in term dicts.
+coefficients in term dicts.  The substitution x_j = exp(y_j) is needed only
+to order 2: a Laurent matrix maps entry by entry through the closed-form
+2-jet of rings.exp_jet, and exp of a connection matrix Omega without
+constant terms is I + Omega + Omega^2/2.
 """
 
 from __future__ import annotations
@@ -39,19 +42,10 @@ from .errors import (
     ShapeMismatch,
     ZeroAtPole,
 )
-from .rings import (
-    QQ,
-    Poly,
-    PolyRing,
-    RationalField,
-    SeriesRing,
-    exp_substitute,
-    linearize,
-    poly_ring,
-)
+from .rings import QQ, Poly, PolyRing, RationalField, exp_jet, poly_ring
 
 class RingMatrix:
-    """Dense matrix with entries in one ring (Fraction, Poly, or series)."""
+    """Dense matrix with entries in one ring (Fraction or Poly)."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -174,26 +168,24 @@ def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatri
     return m.map_entries(lambda p: p.evaluate(point), ring=QQ)
 
 
+def _jet_matrices(m: RingMatrix, order: int, target: PolyRing | None) -> tuple[RingMatrix, ...]:
+    if target is None:
+        target = poly_ring(m.ring.nvars, var="y")
+    jets = [[exp_jet(p, order, target) for p in row] for row in m.entries]
+    return tuple(RingMatrix(QQ if k == 0 else target, [[jet[k] for jet in row] for row in jets])
+                 for k in range(order + 1))
+
+
 def linearize_matrix(m: RingMatrix, target: PolyRing | None = None) -> tuple[RingMatrix, RingMatrix]:
-    """(value at x = 1, entrywise linear part) for a Laurent matrix."""
-    if target is None:
-        target = poly_ring(m.ring.nvars, var="y")
-    const = RingMatrix.zero(QQ, m.rows, m.cols)
-    lin = RingMatrix.zero(target, m.rows, m.cols)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            c0, l = linearize(m.entries[i][j], target)
-            const.entries[i][j] = c0
-            lin.entries[i][j] = l
-    return const, lin
+    """(value at x = 1 over Q, entrywise linear part) of a Laurent matrix
+    under x_j = exp(y_j)."""
+    return _jet_matrices(m, 1, target)
 
 
-def series_matrix(m: RingMatrix, cap: int, target: PolyRing | None = None) -> RingMatrix:
-    """exp-substitute each Laurent entry, x_j = exp(y_j), truncated at cap."""
-    if target is None:
-        target = poly_ring(m.ring.nvars, var="y")
-    sring = SeriesRing(target, cap)
-    return m.map_entries(lambda p: exp_substitute(p, cap, target), ring=sring)
+def series_matrix(m: RingMatrix, target: PolyRing | None = None) -> tuple[RingMatrix, ...]:
+    """The parts of degree 0 (over Q), 1 and 2 of a Laurent matrix under
+    x_j = exp(y_j), entry by entry."""
+    return _jet_matrices(m, 2, target)
 
 
 # -- elimination ----------------------------------------------------------------
@@ -249,11 +241,6 @@ def rational_rank(m: RingMatrix) -> int:
     if not isinstance(m.ring, RationalField):
         raise ValueError("rational_rank needs a matrix over Q")
     return len(bareiss([clear_row_denominators(row) for row in m.entries])[1])
-
-
-def rank_at(m: RingMatrix, point: Sequence[Fraction | int]) -> int:
-    """Rank of the matrix after exact evaluation at a rational point."""
-    return rational_rank(evaluate_matrix(m, point))
 
 
 def _sparse_rows(entries: Iterable[Sequence]) -> list[dict[int, Fraction]]:
@@ -368,7 +355,7 @@ def generic_rank(m: RingMatrix, seed: int = 0) -> int:
         return 0
     for point in _seeded_points(m.ring.nvars, seed):
         try:
-            if rank_at(m, point) == full:
+            if rational_rank(evaluate_matrix(m, point)) == full:
                 return full
         except ZeroAtPole:
             pass
@@ -697,9 +684,10 @@ def char_poly(m: RingMatrix) -> CharPoly:
 # -- truncated matrix exponential ---------------------------------------------
 
 
-def mat_exp_truncated(m: RingMatrix, cap: int) -> RingMatrix:
-    """I + M + M^2/2! + ... over the truncated series ring.  Entries must
-    have zero constant term, so the degree grading makes the sum finite."""
+def mat_exp_truncated(m: RingMatrix) -> tuple[RingMatrix, RingMatrix, RingMatrix]:
+    """The parts of degree 0 (over Q), 1 and 2 of exp(M) = I + M + M^2/2 + ...
+    Entries must have zero constant term, so the degree grading makes the
+    parts finite."""
     if m.rows != m.cols:
         raise ShapeMismatch("matrix exponential of non-square matrix")
     if not isinstance(m.ring, PolyRing) or m.ring.laurent:
@@ -708,16 +696,7 @@ def mat_exp_truncated(m: RingMatrix, cap: int) -> RingMatrix:
         for e in row:
             if e.constant_term() != 0:
                 raise NonzeroConstantTerm(str(e))
-    sring = SeriesRing(m.ring, cap)
-    ms = m.map_entries(sring.from_poly, ring=sring)
-    acc = RingMatrix.identity(sring, m.rows)
-    power = RingMatrix.identity(sring, m.rows)
-    fact = 1
-    for k in range(1, cap + 1):
-        power = power * ms
-        fact *= k
-        acc = acc + power.map_entries(lambda e: e.scale(Fraction(1, fact)))
-    return acc
+    return RingMatrix.identity(QQ, m.rows), m, (m * m).scale(Fraction(1, 2))
 
 
 # -- cochain complexes ---------------------------------------------------------

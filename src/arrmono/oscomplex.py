@@ -184,14 +184,3 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
     cx.check_complex()
     return AomotoComplex(ring=ring, nbc=basis, complex=cx)
 
-
-def specialize_complex(cx: RingComplex | AomotoComplex, point) -> RingComplex:
-    """Entrywise evaluation with the complex property re-verified."""
-    if isinstance(cx, AomotoComplex):
-        cx = cx.complex
-    return cx.specialize(point)
-
-
-def cohomology_betti(cx: RingComplex) -> list[int]:
-    """Exact cohomology ranks of a specialized (rational) complex."""
-    return cx.betti()

@@ -1,5 +1,5 @@
-"""Exact coefficient rings: rationals, polynomials, Laurent polynomials, and
-degree-truncated power series under the substitution x_j = exp(y_j).
+"""Exact coefficient rings: rationals, polynomials and Laurent polynomials,
+and the 2-jet of a Laurent polynomial under the substitution x_j = exp(y_j).
 
 A polynomial is a sparse dict mapping exponent tuples to Fraction
 coefficients, with zero coefficients never stored:
@@ -16,7 +16,6 @@ exponent tuple), descending, so serialization is deterministic.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,20 +222,11 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
-    def total_degree(self) -> int:
-        """Max total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def as_monomial(self) -> tuple[Exponent, Fraction] | None:
         if len(self.terms) != 1:
             return None
         ((e, c),) = self.terms.items()
         return e, c
-
-    def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def is_linear_integer_form(self) -> bool:
         """Homogeneous of degree <= 1 with integer coefficients and no constant."""
@@ -244,14 +234,6 @@ class Poly:
             if sum(e) != 1 or min(e) < 0 or c.denominator != 1:
                 return False
         return True
-
-    def linear_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficient of each variable's degree-1 term."""
-        out = [Fraction(0)] * self.ring.nvars
-        for e, c in self.terms.items():
-            if sum(e) == 1 and max(e) == 1:
-                out[e.index(1)] = c
-        return tuple(out)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -351,176 +333,51 @@ class Poly:
         return f"Poly({self.ring.var}:{format_poly(self)})"
 
 
-@dataclass(frozen=True)
-class SeriesRing:
-    """Truncated power series ring over a polynomial base, cap inclusive."""
-
-    base: PolyRing
-    cap: int
-
-    @property
-    def tag(self) -> str:
-        return "series"
-
-    @property
-    def nvars(self) -> int:
-        return self.base.nvars
-
-    def zero(self) -> TruncatedSeries:
-        return TruncatedSeries(self, ((self.base.zero(),) * (self.cap + 1)))
-
-    def one(self) -> TruncatedSeries:
-        parts = [self.base.zero()] * (self.cap + 1)
-        parts[0] = self.base.one()
-        return TruncatedSeries(self, tuple(parts))
-
-    def from_poly(self, p: Poly) -> TruncatedSeries:
-        if p.ring != self.base:
-            raise ValueError("series base ring mismatch")
-        return TruncatedSeries(self, tuple(p.homogeneous_part(d) for d in range(self.cap + 1)))
-
-
-class TruncatedSeries:
-    """Power series truncated beyond a total-degree cap; parts homogeneous."""
-
-    __slots__ = ("ring", "parts")
-
-    def __init__(self, ring: SeriesRing, parts: tuple[Poly, ...]):
-        if len(parts) != ring.cap + 1:
-            raise ValueError("parts length must be cap + 1")
-        self.ring = ring
-        self.parts = parts
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.ring == other.ring and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.ring, self.parts))
-
-    def __bool__(self) -> bool:
-        return any(self.parts)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.parts)
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            if other.ring != self.ring:
-                raise ValueError("series ring mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            parts = [self.ring.base.zero()] * (self.ring.cap + 1)
-            parts[0] = self.ring.base.const(other)
-            return TruncatedSeries(self.ring, tuple(parts))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return TruncatedSeries(self.ring, tuple(a + b for a, b in zip(self.parts, other.parts)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, tuple(-p for p in self.parts))
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        cap = self.ring.cap
-        parts = [self.ring.base.zero() for _ in range(cap + 1)]
-        for i, a in enumerate(self.parts):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.parts):
-                if i + j > cap:
-                    break
-                if b.is_zero():
-                    continue
-                parts[i + j] = parts[i + j] + a * b
-        return TruncatedSeries(self.ring, tuple(parts))
-
-    __rmul__ = __mul__
-
-    def scale(self, c: int | Fraction) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, tuple(p.scale(c) for p in self.parts))
-
-    def __str__(self) -> str:
-        chunks = [format_poly(p) for p in self.parts if not p.is_zero()]
-        return " + ".join(chunks) if chunks else "0"
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(cap={self.ring.cap}, {self})"
-
-
 # -- exp substitution ---------------------------------------------------------
 
 
-def _exp_power_series(m: int, ring: PolyRing, j: int, cap: int) -> list[Poly]:
-    """Homogeneous parts of exp(m * v_j) up to the cap."""
-    parts = []
-    fact = 1
-    for k in range(cap + 1):
-        if k > 0:
-            fact *= k
-        parts.append(ring.monomial({j: k} if k else {}, Fraction(m ** k, fact)))
-    return parts
+def exp_jet(p: Poly, order: int,
+            target: PolyRing) -> tuple[Fraction, Poly] | tuple[Fraction, Poly, Poly]:
+    """The homogeneous parts of p(exp(y)) up to total degree order (1 or 2).
 
-
-def exp_substitute(p: Poly, cap: int, target: PolyRing | None = None) -> TruncatedSeries:
-    """Substitute x_j = exp(y_j) into a Laurent polynomial, truncating beyond
-    total degree cap.  Negative powers use exp(-y_j) = 1 - y_j + y_j^2/2 - ...
+    Under x_j = exp(y_j) a term c*x^e becomes c*exp(e.y), whose parts of
+    degree 0, 1 and 2 are c, c*(e.y) and c*(e.y)^2/2, negative exponents
+    included.  One pass over the terms accumulates them; part 0 is the
+    value p(1, ..., 1) in Q and parts 1 and 2 are polynomials over target.
     """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    if target is None:
-        target = poly_ring(p.ring.nvars, var="y")
-    sring = SeriesRing(target, cap)
-    total = sring.zero()
+    if order not in (1, 2):
+        raise ValueError("exp_jet computes order 1 or 2")
+    n = target.nvars
+    if p.ring.nvars != n:
+        raise ValueError("exp_jet target ring has a different variable count")
+    value = Fraction(0)
+    # Keyed by the variable indices of the monomial: (i,) or (i, j), i <= j.
+    linear: dict[tuple[int, ...], Fraction] = {}
+    quadratic: dict[tuple[int, ...], Fraction] = {}
     for e, c in p.terms.items():
-        # exp(sum m_j y_j) expands as a single exponential of the linear form.
-        term_parts = [target.zero() for _ in range(cap + 1)]
-        linear = target.zero()
-        for j, m in enumerate(e, start=1):
-            if m:
-                linear = linear + target.variable(j).scale(m)
-        power = target.one()
-        fact = 1
-        for k in range(cap + 1):
-            if k > 0:
-                fact *= k
-                power = power * linear
-            term_parts[k] = power.scale(Fraction(c, fact))
-        total = total + TruncatedSeries(sring, tuple(term_parts))
-    return total
+        value += c
+        support = [(j, m) for j, m in enumerate(e) if m]
+        for a, (i, mi) in enumerate(support):
+            cm = c * mi
+            linear[i,] = linear.get((i,), 0) + cm
+            if order == 2:
+                quadratic[i, i] = quadratic.get((i, i), 0) + cm * mi / 2
+                for j, mj in support[a + 1:]:
+                    quadratic[i, j] = quadratic.get((i, j), 0) + cm * mj
 
+    def poly(coeffs: dict[tuple[int, ...], Fraction]) -> Poly:
+        terms = {}
+        for idx, c in coeffs.items():
+            if c:
+                e = [0] * n
+                for i in idx:
+                    e[i] += 1
+                terms[tuple(e)] = c
+        return Poly(target, terms)
 
-def linearize(p: Poly, target: PolyRing | None = None) -> tuple[Fraction, Poly]:
-    """Value at the identity (all x_j = 1) and the linear term of p(exp(y))."""
-    series = exp_substitute(p, 1, target)
-    return series.parts[0].constant_term(), series.parts[1]
-
-
-def linear_part(p: Poly, target: PolyRing | None = None) -> Poly:
-    """Degree-1 homogeneous part of p under x_j = exp(y_j)."""
-    return linearize(p, target)[1]
-
-
-def evaluate(p: Poly, point: Sequence[Fraction | int]) -> Fraction:
-    return p.evaluate(point)
+    if order == 1:
+        return value, poly(linear)
+    return value, poly(linear), poly(quadratic)
 
 
 # -- parsing and formatting ---------------------------------------------------
@@ -678,10 +535,6 @@ def poly_from_pairs(pairs: Iterable, ring: PolyRing) -> Poly:
         if c:
             terms[e] = terms.get(e, Fraction(0)) + c
     return Poly(ring, {e: c for e, c in terms.items() if c})
-
-
-def poly_to_json(p: Poly) -> str:
-    return json.dumps(poly_to_pairs(p), separators=(",", ":"))
 
 
 def parse_point(text: str, nvars: int) -> tuple[Fraction, ...]:

@@ -20,7 +20,6 @@ from arrmono import (
     aomoto_boundary,
     char_poly,
     cohomology_action,
-    cohomology_betti,
     classify_weights,
     eigen_linear_forms,
     eigen_monomials,
@@ -40,7 +39,6 @@ from arrmono import (
     phi2_from_certificate,
     poly_ring,
     spectra_correspond,
-    specialize_complex,
     universal_complex,
     verify_chain_map,
     verify_exp_relation,
@@ -175,7 +173,7 @@ def test_criterion_7_specialization_cohomology(pencil):
         assert cls.top_matches_euler and abs(cls.euler) == 2
 
         t_res = [Fraction(2), Fraction(3), Fraction(1, 6), Fraction(1)]
-        assert cohomology_betti(specialize_complex(cx, t_res)) == [0, 1, 3]
+        assert cx.specialize(t_res).betti() == [0, 1, 3]
 
         maps_res = {q: evaluate_matrix(m, t_res) for q, m in pencil["phis"].items()}
         act = cohomology_action(cx.specialize(t_res), maps_res)
@@ -199,10 +197,10 @@ def test_criterion_8_property_suite(pencil, certified_generators):
             # nbc counts against the independent exterior-ideal oracle,
             # degree by degree (implies alternating-sum consistency)
             assert betti == betti_oracle(arr)
-            h0 = cohomology_betti(specialize_complex(ac.complex, [0] * arr.n))
+            h0 = ac.complex.specialize([0] * arr.n).betti()
             assert h0 == betti
             point = [Fraction(rng.randint(-2, 2)) for _ in range(arr.n)]
-            h = cohomology_betti(specialize_complex(ac.complex, point))
+            h = ac.complex.specialize(point).betti()
             assert sum((-1) ** q * v for q, v in enumerate(h)) == \
                 sum((-1) ** q * b for q, b in enumerate(betti))
 

@@ -215,6 +215,26 @@ def test_malformed_input_is_a_parse_error(tmp_path, kind, text):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("old,new", [
+    ("rows 5", "rows abc"),
+    ("locus x3 =", "locus xq ="),
+    ("locus x3 =", "locus x9 ="),
+    ("locus x3 =", "locus x0 ="),
+])
+def test_malformed_projection_is_a_parse_error(tmp_path, old, new):
+    text = (FIXTURES / "pencil4_proj_res.txt").read_text()
+    assert old in text
+    path = tmp_path / "bad_proj.txt"
+    path.write_text(text.replace(old, new, 1))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("induced", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"],
+                          "-c", ARGS["-c"], "--xi", str(path))
+    assert code == 2
+    assert err.getvalue().startswith("parse error")
+    assert "Traceback" not in err.getvalue()
+
+
 def test_monodromy_without_certificate():
     code, out = run_cli("monodromy", "-p", ARGS["-p"], "-e", ARGS["-e"])
     assert code == 0 and "Phi1" in out and "Phi2" not in out

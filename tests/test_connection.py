@@ -20,9 +20,7 @@ from arrmono import (
     eigen_linear_forms,
     eigen_monomials,
     evaluate_matrix,
-    exponent_log_bookkeeping,
     formal_connection,
-    gauss_manin_matrix,
     induced_map,
     laurent_ring,
     phi1,
@@ -113,12 +111,12 @@ def test_chain_identities_in_both_rings(pencil):
 def test_gauss_manin_values(pencil):
     lam = [Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), Fraction(1, 2)]
     ombar = mat(R, OMEGABAR_NONRES)
-    gm = gauss_manin_matrix(ombar, lam)
+    gm = evaluate_matrix(ombar, lam)
     assert gm.entries[0][0] == Fraction(8, 15)
     assert gm.entries[1][0] == Fraction(1, 5)
     assert gm.entries[0][1] == 0 and gm.entries[1][1] == 0
-    assert gauss_manin_matrix(pencil["fc"].degree(1), [0, 0, 0, 0]).is_zero()
-    res = gauss_manin_matrix(mat(R, [["y1+y2"]]), lam)
+    assert evaluate_matrix(pencil["fc"].degree(1), [0, 0, 0, 0]).is_zero()
+    res = evaluate_matrix(mat(R, [["y1+y2"]]), lam)
     assert res.entries[0][0] == Fraction(8, 15)
 
 
@@ -310,7 +308,7 @@ def test_linear_form_factors_hit_gauss_manin_eigenvalues(pencil):
     lam = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7), Fraction(3)]
     for q in (1, 2):
         om = pencil["fc"].degree(q)
-        gm = gauss_manin_matrix(om, lam)
+        gm = evaluate_matrix(om, lam)
         cp = char_poly(gm)
         for f in eigen_linear_forms(om).factors:
             value = sum(Fraction(c) * l for c, l in zip(f.data, lam))
@@ -322,7 +320,7 @@ def test_exponent_log_bookkeeping_one_by_one(pencil):
     substitution x = exp(-2 pi i lambda) sends one factor to the other."""
     er = eigen_monomials(mat(L, [["x1*x2"]]))
     eo = eigen_linear_forms(mat(R, [["y1+y2"]]))
-    assert exponent_log_bookkeeping(er.factors[0].data, eo.factors[0].data)
+    assert er.factors[0].data == eo.factors[0].data
 
 
 # -- induced maps -----------------------------------------------------------------------

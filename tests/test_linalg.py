@@ -17,13 +17,13 @@ from arrmono import (
     RingMatrix,
     ShapeMismatch,
     char_poly,
-    exp_substitute,
+    evaluate_matrix,
+    exp_jet,
     generic_rank,
     laurent_ring,
     mat_exp_truncated,
     parse_poly,
     poly_ring,
-    rank_at,
     rational_rank,
     solve_right,
     symbolic_det,
@@ -63,13 +63,13 @@ def test_shape_mismatch():
 
 def test_rank_at_points(displayed):
     d1 = displayed["d1"]
-    assert rank_at(d1, [2, 2, 2, 2]) == 3
-    assert rank_at(d1, [1, 1, 1, 1]) == 0
-    assert rank_at(d1, [2, 3, Fraction(1, 6), 1]) == 2
-    assert rank_at(displayed["d0"], [2, 2, 2, 2]) == 1
+    assert rational_rank(evaluate_matrix(d1, [2, 2, 2, 2])) == 3
+    assert rational_rank(evaluate_matrix(d1, [1, 1, 1, 1])) == 0
+    assert rational_rank(evaluate_matrix(d1, [2, 3, Fraction(1, 6), 1])) == 2
+    assert rational_rank(evaluate_matrix(displayed["d0"], [2, 2, 2, 2])) == 1
     xi = mat(L, [["x4-1", "0"], ["0", "x4-1"], ["x3-x2*x3", "1-x3"],
                  ["x1*x3-1", "x1-x1*x3"], ["1-x2", "x1*x2-1"]])
-    assert rank_at(xi, [2, 2, 2, 2]) == 2
+    assert rational_rank(evaluate_matrix(xi, [2, 2, 2, 2])) == 2
 
 
 def test_generic_rank_with_symbolic_fallback(displayed):
@@ -82,7 +82,7 @@ def test_generic_rank_ignores_agreeing_rank_drops():
     # (x1-2)(x1-15) vanishes at both seed-0 evaluation points x1 = 2 and 15.
     ring = poly_ring(1, var="x")
     m = mat(ring, [["(x1-2)*(x1-15)"]])
-    assert rank_at(m, [2]) == rank_at(m, [15]) == 0
+    assert rational_rank(evaluate_matrix(m, [2])) == rational_rank(evaluate_matrix(m, [15])) == 0
     assert generic_rank(m, seed=0) == 1
 
 
@@ -185,15 +185,16 @@ def test_symbolic_det_matches_char_poly(displayed):
 
 
 def test_mat_exp_zero_and_scalar():
-    assert mat_exp_truncated(RingMatrix.zero(R, 3, 3), 2).is_identity()
+    const, lin, quad = mat_exp_truncated(RingMatrix.zero(R, 3, 3))
+    assert const.is_identity() and lin.is_zero() and quad.is_zero()
     one = RingMatrix(R, [[parse_poly("y1+y2", R)]])
-    e = mat_exp_truncated(one, 2)
-    assert e.entries[0][0] == exp_substitute(parse_poly("x1*x2", L), 2)
+    e = mat_exp_truncated(one)
+    assert tuple(part.entries[0][0] for part in e) == exp_jet(parse_poly("x1*x2", L), 2, R)
 
 
 def test_mat_exp_rejects_constant_terms():
     with pytest.raises(NonzeroConstantTerm):
-        mat_exp_truncated(RingMatrix(R, [[R.one()]]), 2)
+        mat_exp_truncated(RingMatrix(R, [[R.one()]]))
 
 
 def test_complex_specialization_and_betti(displayed):

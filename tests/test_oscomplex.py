@@ -13,10 +13,8 @@ from arrmono import (
     RingComplex,
     RingMatrix,
     aomoto_boundary,
-    cohomology_betti,
     parse_arrangement,
     reduce_to_nbc,
-    specialize_complex,
 )
 from conftest import MU0, MU1, mat, random_arrangement
 
@@ -71,16 +69,16 @@ def test_boolean_two_arrangement_boundary():
 
 
 def test_specialize_at_zero_gives_betti(pencil):
-    sp = specialize_complex(pencil["aomoto"].complex, [0, 0, 0, 0])
+    sp = pencil["aomoto"].complex.specialize([0, 0, 0, 0])
     assert all(b.is_zero() for b in sp.boundaries)
-    assert cohomology_betti(sp) == [1, 4, 5]
+    assert sp.betti() == [1, 4, 5]
 
 
 def test_universal_complex_specializations(pencil):
     cx = pencil["cx"]
-    assert cohomology_betti(cx.specialize([2, 2, 2, 2])) == [0, 0, 2]
-    assert cohomology_betti(cx.specialize([2, 3, Fraction(1, 6), 1])) == [0, 1, 3]
-    assert cohomology_betti(cx.specialize([1, 1, 1, 1])) == [1, 4, 5]
+    assert cx.specialize([2, 2, 2, 2]).betti() == [0, 0, 2]
+    assert cx.specialize([2, 3, Fraction(1, 6), 1]).betti() == [0, 1, 3]
+    assert cx.specialize([1, 1, 1, 1]).betti() == [1, 4, 5]
 
 
 def test_betti_requires_a_complex():
@@ -112,8 +110,8 @@ def test_random_arrangements_mu_mu_is_zero(seed):
 def test_random_specialization_at_zero_recovers_betti(seed):
     arr = random_arrangement(random.Random(seed))
     ac = aomoto_boundary(arr)
-    sp = specialize_complex(ac.complex, [0] * arr.n)
-    assert cohomology_betti(sp) == ac.betti
+    sp = ac.complex.specialize([0] * arr.n)
+    assert sp.betti() == ac.betti
 
 
 @settings(max_examples=25, deadline=None)
@@ -123,6 +121,6 @@ def test_random_euler_alternating_sum(seed):
     arr = random_arrangement(rng)
     ac = aomoto_boundary(arr)
     point = [Fraction(rng.randint(-3, 3)) for _ in range(arr.n)]
-    h = cohomology_betti(specialize_complex(ac.complex, point))
+    h = ac.complex.specialize(point).betti()
     assert sum((-1) ** q * v for q, v in enumerate(h)) == \
         sum((-1) ** q * b for q, b in enumerate(ac.betti))

@@ -1,4 +1,4 @@
-"""Ring kernel: exact arithmetic, exp substitution, linear parts, parsing."""
+"""Ring kernel: exact arithmetic, the exp 2-jet, linear parts, parsing."""
 
 from fractions import Fraction
 
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from arrmono import (
     ZeroAtPole,
-    exp_substitute,
+    exp_jet,
     laurent_ring,
-    linear_part,
-    linearize,
     parse_poly,
     poly_ring,
 )
@@ -24,23 +22,29 @@ Y = [R.variable(j) for j in range(1, 5)]
 
 
 def test_exp_substitute_single_variable():
-    s = exp_substitute(X[0], 2)
-    assert s.parts[0] == R.one()
-    assert s.parts[1] == Y[0]
-    assert s.parts[2] == (Y[0] * Y[0]).scale(Fraction(1, 2))
+    s = exp_jet(X[0], 2, R)
+    assert s[0] == 1
+    assert s[1] == Y[0]
+    assert s[2] == (Y[0] * Y[0]).scale(Fraction(1, 2))
 
 
 def test_exp_substitute_cancels_constants():
-    s = exp_substitute(X[0] - 1, 1)
-    assert s.parts[0].is_zero()
-    assert s.parts[1] == Y[0]
+    s = exp_jet(X[0] - 1, 1, R)
+    assert s[0] == 0
+    assert s[1] == Y[0]
 
 
 def test_exp_substitute_product_monomial():
-    s = exp_substitute(X[0] * X[1], 2)
-    assert s.parts[1] == Y[0] + Y[1]
+    s = exp_jet(X[0] * X[1], 2, R)
+    assert s[1] == Y[0] + Y[1]
     expected = (Y[0] * Y[0] + (Y[0] * Y[1]).scale(2) + Y[1] * Y[1]).scale(Fraction(1, 2))
-    assert s.parts[2] == expected
+    assert s[2] == expected
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_exp_jet_rejects_other_orders(order):
+    with pytest.raises(ValueError):
+        exp_jet(X[0], order, R)
 
 
 @pytest.mark.parametrize("expr,expected", [
@@ -49,16 +53,16 @@ def test_exp_substitute_product_monomial():
     ("1", "0"),
 ])
 def test_linear_part_examples(expr, expected):
-    assert linear_part(parse_poly(expr, L)) == parse_poly(expected, R)
+    assert exp_jet(parse_poly(expr, L), 1, R)[1] == parse_poly(expected, R)
 
 
 def test_linear_part_of_powers():
     for m in range(-4, 5):
-        assert linear_part(L.monomial({2: m})) == Y[1].scale(m)
+        assert exp_jet(L.monomial({2: m}), 1, R)[1] == Y[1].scale(m)
 
 
 def test_linearize_reports_value_at_one():
-    c0, lin = linearize(parse_poly("x1*x2 - x3", L))
+    c0, lin = exp_jet(parse_poly("x1*x2 - x3", L), 1, R)
     assert c0 == 0
     assert lin == Y[0] + Y[1] - Y[2]
 
@@ -90,11 +94,18 @@ def test_ring_distributivity(p, q, r):
     assert (p + q) * r == p * r + q * r
 
 
+def _jet_product(a, b):
+    """Parts 0..2 of the product of two 2-jets, truncated beyond degree 2;
+    part 0 is a rational, parts 1 and 2 are polynomials."""
+    return (a[0] * b[0],
+            a[1].scale(b[0]) + b[1].scale(a[0]),
+            a[2].scale(b[0]) + a[1] * b[1] + b[2].scale(a[0]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(poly_strategy(L, -1), poly_strategy(L, -1))
 def test_exp_substitute_is_multiplicative_up_to_truncation(p, q):
-    cap = 2
-    assert exp_substitute(p * q, cap) == exp_substitute(p, cap) * exp_substitute(q, cap)
+    assert exp_jet(p * q, 2, R) == _jet_product(exp_jet(p, 2, R), exp_jet(q, 2, R))
 
 
 def _series_oracle(p, point, cap):
@@ -114,10 +125,11 @@ def _series_oracle(p, point, cap):
        st.tuples(*[st.fractions(min_value=-2, max_value=2).filter(lambda v: v != 0)] * 4))
 def test_exp_substitute_matches_taylor_oracle(p, point):
     cap = 2
-    series = exp_substitute(p, cap)
+    jet = exp_jet(p, cap, R)
     oracle = _series_oracle(p, point, cap)
-    for k in range(cap + 1):
-        assert series.parts[k].evaluate(point) == oracle[k]
+    assert jet[0] == oracle[0]
+    for k in range(1, cap + 1):
+        assert jet[k].evaluate(point) == oracle[k]
 
 
 @settings(max_examples=40, deadline=None)
