@@ -3,17 +3,17 @@ matrices, Gauss-Manin specializations, certified eigenvalue factorizations,
 induced maps on cohomology, and weight classification.
 
 Eigenvalue extraction never touches floating point.  Candidates are read off
-exactly (trace terms for unit-monomial eigenvalues, unit-vector probes plus
-a seeded generic point for integer linear forms), pre-filtered by exact
-evaluation at probe points, and certified by exact polynomial division of
-the characteristic polynomial.  Certification turns the candidate search
-into a proof: a wrong candidate simply fails to divide.
+exactly (trace terms for unit-monomial eigenvalues, the integer roots at one
+Kronecker point for integral linear forms) and certified by exact polynomial
+division of the characteristic polynomial.  Certification turns the
+candidate search into a proof: a wrong candidate simply fails to divide.
+A matrix of integral linear forms is handled as its integer coefficient
+matrices, M = sum_j y_j M_j (linear_coefficients).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,6 +33,7 @@ from .linalg import (
     RingMatrix,
     char_poly,
     coordinates_in_span,
+    divide_linear_terms,
     evaluate_matrix,
     generic_rank,
     linearize_matrix,
@@ -110,19 +111,37 @@ class ExpRelationReport:
         return self.identity_at_one and self.linear_part_matches and self.gauge_degree2
 
 
-def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
-    """Does G1 * Omega - Omega * G1 = rhs admit a matrix of linear forms G1?
+def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
+    """The integer matrices M_1, ..., M_n with M = sum_j y_j * M_j, for a
+    matrix whose entries are integral linear forms in n variables.  Row i
+    of M_j is a dict from column to its nonzero int entries."""
+    out: list[list[dict[int, int]]] = [[{} for _ in range(m.rows)]
+                                       for _ in range(m.ring.nvars)]
+    for i, row in enumerate(m.entries):
+        for k, e in enumerate(row):
+            if not e.is_linear_integer_form():
+                raise ValueError(f"entry {e} is not an integral linear form")
+            for exps, c in e.terms.items():
+                out[exps.index(1)][i][k] = c.numerator
+    return out
+
+
+def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[list[list], list[Fraction]]:
+    """The linear system of G1 * Omega - Omega * G1 = rhs over Q.
 
     Unknowns: n * s^2 rational coefficients of G1; equations: coefficients of
-    the quadratic monomials of every entry."""
-    ring: PolyRing = omega.ring
+    the quadratic monomials of every entry.  The matrix is built in ints from
+    the coefficient matrices Omega_u; the right side is rational."""
+    parts = linear_coefficients(omega)
     s = omega.rows
-    n = ring.nvars
+    n = omega.ring.nvars
     monomials = [(i, j) for i in range(n) for j in range(i, n)]
     mono_index = {m: idx for idx, m in enumerate(monomials)}
+    # mono[u][v]: index of the monomial y_u * y_v.
+    mono = [[mono_index[(min(u, v), max(u, v))] for v in range(n)] for u in range(n)]
     rows = s * s * len(monomials)
     cols = s * s * n
-    system = [[Fraction(0)] * cols for _ in range(rows)]
+    system = [[0] * cols for _ in range(rows)]
     rhs_vec = [Fraction(0)] * rows
 
     def quad_coeffs(p: Poly) -> dict[tuple[int, int], Fraction]:
@@ -145,27 +164,26 @@ def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
     def cidx(a: int, b: int, v: int) -> int:
         return (a * s + b) * n + v
 
+    for u, part in enumerate(parts):
+        for i, row in enumerate(part):
+            for j, c in row.items():
+                # Omega[i][j] has the term c * y_u.  In (G1 * Omega)[a][j]
+                # it meets G1[a][i]; in -(Omega * G1)[i][b] it meets G1[j][b].
+                for v in range(n):
+                    m = mono[u][v]
+                    for a in range(s):
+                        system[ridx(a, j, m)][cidx(a, i, v)] += c
+                        system[ridx(i, a, m)][cidx(j, a, v)] -= c
     for a in range(s):
         for b in range(s):
-            # (G1 * Omega)[a][b] = sum_k G1[a][k] * Omega[k][b]
-            for k in range(s):
-                om = omega.entries[k][b]
-                for e, c in om.terms.items():
-                    u = e.index(1)
-                    for v in range(n):
-                        i, j = min(u, v), max(u, v)
-                        system[ridx(a, b, mono_index[(i, j)])][cidx(a, k, v)] += c
-            # -(Omega * G1)[a][b] = -sum_k Omega[a][k] * G1[k][b]
-            for k in range(s):
-                om = omega.entries[a][k]
-                for e, c in om.terms.items():
-                    u = e.index(1)
-                    for v in range(n):
-                        i, j = min(u, v), max(u, v)
-                        system[ridx(a, b, mono_index[(i, j)])][cidx(k, b, v)] -= c
             for m, c in quad_coeffs(rhs.entries[a][b]).items():
                 rhs_vec[ridx(a, b, mono_index[m])] = c
+    return system, rhs_vec
 
+
+def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
+    """Does G1 * Omega - Omega * G1 = rhs admit a matrix of linear forms G1?"""
+    system, rhs_vec = _gauge_system(omega, rhs)
     try:
         solve_right(RingMatrix(QQ, system), RingMatrix(QQ, [[v] for v in rhs_vec]))
         return True
@@ -242,18 +260,21 @@ def _linear_form(ring: PolyRing, coeffs: tuple[int, ...]) -> Poly:
     return out
 
 
-def _divide_out(cp: CharPoly, root: Poly) -> tuple[CharPoly, int]:
-    """Divide by (z - root) as many times as the division stays exact."""
+def _divide_out(coeffs: list[dict], root: dict,
+                limit: int | None = None) -> tuple[list[dict], int]:
+    """Divide the cleared coefficients (CharPoly.cleared) by (z - root), a
+    term dict, as many times as the division stays exact, at most limit."""
     mult = 0
-    while True:
-        nxt = cp.divide_linear(root)
+    while mult != limit:
+        nxt = divide_linear_terms(coeffs, root)
         if nxt is None:
-            return cp, mult
-        cp = nxt
+            break
+        coeffs = nxt
         mult += 1
+    return coeffs, mult
 
 
-def eigen_monomials(phi: RingMatrix, seed: int = 0) -> EigenReport:
+def eigen_monomials(phi: RingMatrix) -> EigenReport:
     """Certify char(Phi) = prod (z - x^{m_i})^{k_i} with integer exponents.
 
     Candidate exponent vectors come from the terms of the trace (for a
@@ -274,24 +295,24 @@ def eigen_monomials(phi: RingMatrix, seed: int = 0) -> EigenReport:
     trace = phi.trace()
     candidates = sorted(trace.terms.keys())
     factors: list[EigenFactor] = []
-    remaining = cp
+    remaining, d = cp.cleared()
     for exps in candidates:
         value = phi.ring.monomial(exps)
         # Pre-filter: x^m evaluated at the prime vector must be a root.
         val = value.evaluate(probe)
         if _eval_univariate(cp_probe, val) != 0:
             continue
-        remaining, mult = _divide_out(remaining, value)
+        remaining, mult = _divide_out(remaining, {exps: 1})
         if mult:
             factors.append(EigenFactor("monomial", tuple(exps), mult))
-    if remaining.degree > 0:
-        probe_rest = remaining.evaluate_coeffs(probe)
-        const = probe_rest[0]
+    if len(remaining) > 1:
+        rest = CharPoly.from_cleared(cp.ring, remaining, d)
+        const = rest.evaluate_coeffs(probe)[0]
         if not _factors_over_primes(const, n):
             raise NonIntegerRootAtProbe(
                 f"probe constant term {const} is not a unit monomial value")
         raise FactorizationFailed(
-            f"{remaining.degree} eigenvalues are not unit monomials")
+            f"{rest.degree} eigenvalues are not unit monomials")
     return EigenReport(kind="monomial", size=size, factors=tuple(factors))
 
 
@@ -314,7 +335,7 @@ def _factors_over_primes(value: Fraction, n: int) -> bool:
     return True
 
 
-def _integer_roots(coeffs: list[Fraction]) -> dict[int, int]:
+def _integer_roots(coeffs: list[Fraction | int]) -> dict[int, int]:
     """Integer roots with multiplicity of a monic polynomial over Q.
 
     After clearing denominators and stripping roots at zero, every integer
@@ -458,60 +479,69 @@ def _divide_root(work: list[int], r: int) -> list[int] | None:
     return out[::-1]
 
 
-def eigen_linear_forms(omega: RingMatrix, seed: int = 0) -> EigenReport:
+def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
     """Certify char(Omega) = prod (z - l_i(y))^{k_i} with l_i integral
     linear forms.
 
-    Probes: each unit vector e_j gives the integer candidate j-th
-    coefficients (integer roots of an integer characteristic polynomial); a
-    seeded generic rational point resolves the matching between coordinates.
-    Exact division certifies every assembled candidate.
+    Bound: write Omega = sum_j y_j * Omega_j with integer Omega_j.  The j-th
+    coefficient of an eigen-form is an eigenvalue of Omega(e_j) = Omega_j,
+    so by Gershgorin every coefficient lies in [-K, K] with
+    K = max(1, max_j ||Omega_j||_inf) (largest absolute row sum).
+    Probe: at the Kronecker point y_j = B^(j-1), B = 2K + 1, each eigen-form
+    takes an integer value whose balanced base-B digits are its
+    coefficients, and distinct forms take distinct values.  So the integer
+    roots of the evaluated characteristic polynomial decode into the only
+    possible candidates (a root that does not decode to n digits is
+    dropped), and a root's multiplicity is the most its form can have.
+    Certification: exact division of char(Omega), on its int term dicts,
+    by (z - l) for every candidate l, up to that multiplicity, must leave 1.
+    If char(Omega) splits into integral linear forms the factorization is
+    unique and is found; otherwise a remainder is left and
+    FactorizationFailed is raised.
     """
-    ring: PolyRing = omega.ring
-    n = ring.nvars
-    for row in omega.entries:
-        for e in row:
-            if not e.is_linear_integer_form():
-                raise ValueError(f"entry {e} is not an integral linear form")
+    n = omega.ring.nvars
+    parts = linear_coefficients(omega)
     size = omega.rows
     if size == 0:
         return EigenReport(kind="linear_form", size=0, factors=())
     cp = char_poly(omega)
+    coeffs, _ = cp.cleared()
 
-    per_axis: list[list[int]] = []
-    for j in range(n):
-        point = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        coeffs = cp.evaluate_coeffs(point)
-        roots = _integer_roots(coeffs)
-        if sum(roots.values()) != size:
-            raise FactorizationFailed(
-                f"axis probe {j + 1} has non-integer eigenvalues")
-        per_axis.append(sorted(roots))
+    bound = max([1] + [sum(map(abs, row.values())) for part in parts for row in part])
+    base = 2 * bound + 1
+    powers = [base ** k for k in range(size * max(n - 1, 0) + 1)]
+    at_probe = [sum(c * powers[sum(j * k for j, k in enumerate(e))] for e, c in t.items())
+                for t in coeffs]
+    candidates = {}
+    for root, mult in _integer_roots(at_probe).items():
+        digits = _balanced_digits(root, base, n)
+        if digits is not None:
+            candidates[digits] = mult
 
-    rng = random.Random(seed)
-    generic = [Fraction(rng.randint(2, 97), rng.randint(1, 9)) for _ in range(n)]
-    cp_generic = cp.evaluate_coeffs(generic)
-
-    candidates: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [()]
-    for axis in per_axis:
-        stack = [t + (r,) for t in stack for r in axis]
-    for cand in sorted(stack):
-        value = sum(Fraction(c) * g for c, g in zip(cand, generic))
-        if _eval_univariate(cp_generic, value) == 0:
-            candidates.append(cand)
-
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     factors: list[EigenFactor] = []
-    remaining = cp
-    for cand in candidates:
-        form = _linear_form(ring, cand)
-        remaining, mult = _divide_out(remaining, form)
+    remaining = coeffs
+    for cand in sorted(candidates):
+        form = {units[j]: c for j, c in enumerate(cand) if c}
+        remaining, mult = _divide_out(remaining, form, candidates[cand])
         if mult:
             factors.append(EigenFactor("linear_form", cand, mult))
-    if remaining.degree > 0:
+    if len(remaining) > 1:
         raise FactorizationFailed(
-            f"{remaining.degree} eigenvalues are not integral linear forms")
+            f"{len(remaining) - 1} eigenvalues are not integral linear forms")
     return EigenReport(kind="linear_form", size=size, factors=tuple(factors))
+
+
+def _balanced_digits(value: int, base: int, count: int) -> tuple[int, ...] | None:
+    """The count lowest digits of value in balanced base `base` (odd), each
+    in [-(base - 1) / 2, (base - 1) / 2]; None if value needs more digits."""
+    half = base // 2
+    digits = []
+    for _ in range(count):
+        digit = (value + half) % base - half
+        digits.append(digit)
+        value = (value - digit) // base
+    return tuple(digits) if value == 0 else None
 
 
 def spectra_correspond(phi_report: EigenReport, omega_report: EigenReport) -> bool:

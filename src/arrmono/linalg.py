@@ -612,23 +612,38 @@ class CharPoly:
             power = power * m
         return acc
 
+    def cleared(self) -> tuple[list[dict], int]:
+        """(d * the term dict of each coefficient, d) for the least common
+        denominator d; on an integral polynomial d = 1 and every
+        coefficient is an int."""
+        return _cleared([_terms(c) for c in self.coeffs])
+
+    @classmethod
+    def from_cleared(cls, ring, coeffs: list[dict], d: int) -> "CharPoly":
+        """The inverse of cleared."""
+        return cls(ring, tuple(_from_terms(ring, t, d) for t in coeffs))
+
     def divide_linear(self, root) -> "CharPoly | None":
         """Exact quotient by (z - root); None if the division has remainder.
-
-        Synthetic division on the coefficients times their common
-        denominator d, so an integral root keeps every step in ints."""
-        coeffs, d = _cleared([_terms(c) for c in self.coeffs])
+        The division runs on the cleared coefficients, so an integral root
+        keeps every step in ints."""
+        coeffs, d = self.cleared()
         r = {e: c.numerator if c.denominator == 1 else c for e, c in _terms(root).items()}
-        out = []
-        carry = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            out.append(carry)
-            nxt = dict(c)
-            _addmul(nxt, r, carry, 1)
-            carry = nxt
-        if carry:
-            return None
-        return CharPoly(self.ring, tuple(_from_terms(self.ring, t, d) for t in reversed(out)))
+        out = divide_linear_terms(coeffs, r)
+        return None if out is None else CharPoly.from_cleared(self.ring, out, d)
+
+
+def divide_linear_terms(coeffs: list[dict], root: dict) -> list[dict] | None:
+    """Synthetic division of sum coeffs[i] z^i by (z - root), over term
+    dicts; None if the division has remainder."""
+    out = []
+    carry = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out.append(carry)
+        nxt = dict(c)
+        _addmul(nxt, root, carry, 1)
+        carry = nxt
+    return None if carry else out[::-1]
 
 
 def char_poly(m: RingMatrix) -> CharPoly:

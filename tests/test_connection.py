@@ -276,6 +276,215 @@ def test_eigen_linear_forms_failure():
         eigen_linear_forms(m)
 
 
+# -- Kronecker probe against the axis-probe search ----------------------------------
+
+
+def axis_probe_linear_forms(omega):
+    """The former candidate search, kept as an oracle: integer roots at every
+    unit vector, their cartesian product filtered at a seeded generic point,
+    and exact division on CharPoly.  The multiset of certified factors, or
+    FactorizationFailed."""
+    from arrmono.connection import _eval_univariate, _integer_roots, _linear_form
+    ring, n, size = omega.ring, omega.ring.nvars, omega.rows
+    cp = char_poly(omega)
+    per_axis = []
+    for j in range(n):
+        roots = _integer_roots(cp.evaluate_coeffs([int(i == j) for i in range(n)]))
+        if sum(roots.values()) != size:
+            raise FactorizationFailed(f"axis probe {j + 1} has non-integer eigenvalues")
+        per_axis.append(sorted(roots))
+    rng = random.Random(0)
+    generic = [Fraction(rng.randint(2, 97), rng.randint(1, 9)) for _ in range(n)]
+    cp_generic = cp.evaluate_coeffs(generic)
+    stack = [()]
+    for axis in per_axis:
+        stack = [t + (r,) for t in stack for r in axis]
+    out = {}
+    for cand in sorted(stack):
+        value = sum(Fraction(c) * g for c, g in zip(cand, generic))
+        if _eval_univariate(cp_generic, value) != 0:
+            continue
+        root = _linear_form(ring, cand)
+        while (nxt := cp.divide_linear(root)) is not None:
+            cp = nxt
+            out[cand] = out.get(cand, 0) + 1
+    if cp.degree > 0:
+        raise FactorizationFailed(f"{cp.degree} eigenvalues are not integral linear forms")
+    return out
+
+
+@st.composite
+def conjugated_triangular(draw):
+    """(U * T * U^-1, diagonal of T) for an upper-triangular T of integral
+    linear forms and a unimodular integer U, a product of elementary
+    matrices."""
+    from arrmono.connection import _linear_form
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 4))
+    ring = poly_ring(n, var="y")
+    coeffs = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    diag = [tuple(draw(coeffs)) for _ in range(size)]
+    t = RingMatrix.zero(ring, size, size)
+    for i in range(size):
+        t.entries[i][i] = _linear_form(ring, diag[i])
+        for j in range(i + 1, size):
+            t.entries[i][j] = _linear_form(ring, draw(coeffs))
+    u, u_inv = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
+    if size > 1:
+        pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
+                          st.integers(-2, 2)).filter(lambda p: p[0] != p[1])
+        for i, j, c in draw(st.lists(pairs, max_size=4)):
+            e, e_inv = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
+            e.entries[i][j] = ring.const(c)
+            e_inv.entries[i][j] = ring.const(-c)
+            u, u_inv = u * e, e_inv * u_inv
+    assert (u * u_inv).is_identity()
+    multiset = {}
+    for d in diag:
+        multiset[d] = multiset.get(d, 0) + 1
+    return u * t * u_inv, multiset
+
+
+@settings(max_examples=100, deadline=None)
+@given(conjugated_triangular())
+def test_kronecker_probe_matches_axis_probe_search(case):
+    omega, diagonal = case
+    got = eigen_linear_forms(omega)
+    assert got.multiset() == axis_probe_linear_forms(omega) == diagonal
+    assert [f.data for f in got.factors] == sorted(diagonal)
+
+
+def test_kronecker_bound_is_the_largest_row_sum():
+    # y1 times the 3 x 3 all-ones matrix has the eigen-form 3 y1, beyond every
+    # entry; the Gershgorin bound K = 3 (not the largest entry, 1) keeps its
+    # coefficient a single digit.
+    omega = mat(R, [["y1", "y1", "y1"]] * 3)
+    want = {(3, 0, 0, 0): 1, (0, 0, 0, 0): 2}
+    assert eigen_linear_forms(omega).multiset() == axis_probe_linear_forms(omega) == want
+
+
+def test_spurious_kronecker_root_is_rejected():
+    from arrmono.connection import _balanced_digits, _integer_roots
+    # char = z^2 - 4 y1 y2.  K = 4, so the probe is (y1, y2) = (1, 9), where
+    # z^2 - 36 has the integer roots +-6; they decode to the forms
+    # -+(3 y1 - y2), which do not divide.
+    r2 = poly_ring(2, var="y")
+    assert _integer_roots([-36, 0, 1]) == {-6: 1, 6: 1}
+    assert _balanced_digits(6, 9, 2) == (-3, 1)
+    with pytest.raises(FactorizationFailed):
+        eigen_linear_forms(mat(r2, [["0", "4*y1"], ["y2", "0"]]))
+
+
+def test_kronecker_probe_on_wide_diagonal():
+    # A 10 x 10 diagonal of forms in 8 variables with coefficients in
+    # [-2, 2]: the axis-probe search filtered up to 5^8 candidate tuples
+    # here.  Its duration shows in pytest --durations; no time is asserted.
+    from arrmono.connection import _linear_form
+    rng = random.Random(8)
+    r8 = poly_ring(8, var="y")
+    forms = [tuple(rng.randint(-2, 2) for _ in range(8)) for _ in range(10)]
+    omega = RingMatrix.zero(r8, 10, 10)
+    for i, f in enumerate(forms):
+        omega.entries[i][i] = _linear_form(r8, f)
+    want = {}
+    for f in forms:
+        want[f] = want.get(f, 0) + 1
+    assert eigen_linear_forms(omega).multiset() == want
+
+
+def test_linear_coefficients_rebuild_the_matrix(pencil):
+    from arrmono.connection import linear_coefficients
+    for q in (1, 2):
+        om = pencil["fc"].degree(q)
+        parts = linear_coefficients(om)
+        assert len(parts) == R.nvars
+        rebuilt = RingMatrix.zero(R, om.rows, om.cols)
+        for j, part in enumerate(parts, start=1):
+            for i, row in enumerate(part):
+                for k, c in row.items():
+                    assert type(c) is int and c
+                    rebuilt.entries[i][k] = rebuilt.entries[i][k] + R.variable(j).scale(c)
+        assert rebuilt == om
+    with pytest.raises(ValueError):
+        linear_coefficients(RingMatrix(R, [[R.variable(1).scale(Fraction(1, 2))]]))
+    with pytest.raises(ValueError):
+        linear_coefficients(mat(R, [["y1*y2"]]))
+
+
+# -- the degree-2 gauge system against the dense Fraction builder ---------------------
+
+
+def dense_gauge_system(omega, rhs):
+    """The former dense builder, kept as an oracle: a Fraction grid filled
+    entry by entry from the Poly terms of Omega."""
+    ring, s = omega.ring, omega.rows
+    n = ring.nvars
+    monomials = [(i, j) for i in range(n) for j in range(i, n)]
+    mono_index = {m: idx for idx, m in enumerate(monomials)}
+    rows, cols = s * s * len(monomials), s * s * n
+    system = [[Fraction(0)] * cols for _ in range(rows)]
+    rhs_vec = [Fraction(0)] * rows
+
+    def ridx(a, b, m):
+        return (a * s + b) * len(monomials) + m
+
+    def cidx(a, b, v):
+        return (a * s + b) * n + v
+
+    for a in range(s):
+        for b in range(s):
+            for k in range(s):
+                for e, c in omega.entries[k][b].terms.items():
+                    u = e.index(1)
+                    for v in range(n):
+                        system[ridx(a, b, mono_index[(min(u, v), max(u, v))])][cidx(a, k, v)] += c
+            for k in range(s):
+                for e, c in omega.entries[a][k].terms.items():
+                    u = e.index(1)
+                    for v in range(n):
+                        system[ridx(a, b, mono_index[(min(u, v), max(u, v))])][cidx(k, b, v)] -= c
+            for e, c in rhs.entries[a][b].terms.items():
+                support = [i for i, k in enumerate(e) if k]
+                m = (support[0], support[-1])
+                rhs_vec[ridx(a, b, mono_index[m])] = c
+    return system, rhs_vec
+
+
+def _boolean_inner_loop():
+    """Degree 1 of an inner loop on Z^6 with support 3, as in the
+    benchmark's boolean-inner workload."""
+    from itertools import combinations
+    from arrmono import Endomorphism, Word, inner_certificate, parse_presentation
+    n = 6
+    pres = parse_presentation(f"generators {n}\n" + "\n".join(
+        f"[g{i}, g{j}]" for i, j in combinations(range(1, n + 1), 2)))
+    w = Word.from_letters(n, [(4, 1), (1, -1), (6, 1)])
+    endo = Endomorphism.inner(n, w)
+    xr, yr = pres.ring(), poly_ring(n, var="y")
+    phis = {0: RingMatrix.identity(xr, 1), 1: phi1(endo, xr),
+            2: phi2_from_certificate(pres, endo, inner_certificate(pres, w), xr)}
+    return phis[1], formal_connection(phis, yr).degree(1)
+
+
+def test_gauge_grid_matches_dense_fraction_builder(pencil):
+    from arrmono.connection import _gauge_system
+    from arrmono.linalg import mat_exp_truncated, series_matrix
+    cases = [(pencil["phis"][q], pencil["fc"].degree(q)) for q in (1, 2)]
+    cases.append(_boolean_inner_loop())
+    for phi, omega in cases:
+        rhs = series_matrix(phi, omega.ring)[2] - mat_exp_truncated(omega)[2]
+        assert not rhs.is_zero()
+        grid, rhs_vec = _gauge_system(omega, rhs)
+        want, want_rhs = dense_gauge_system(omega, rhs)
+        assert (len(grid), len(grid[0])) == (len(want), len(want[0]))
+        assert grid == want  # equal as rationals, entry by entry
+        assert sum(1 for row in grid for v in row if v) == \
+            sum(1 for row in want for v in row if v) > 0
+        assert all(type(v) is int for row in grid for v in row)
+        assert rhs_vec == want_rhs
+        assert verify_exp_relation(phi, omega).gauge_degree2
+
+
 def test_spectra_correspondence(pencil):
     for q in (1, 2):
         er = eigen_monomials(pencil["phis"][q])
