@@ -62,8 +62,9 @@ def main():
 
     ring = pres.ring()
     yring = poly_ring(pres.ngens, var="y")
-    phis = {0: RingMatrix.identity(ring, 1), 1: phi1(endo, ring),
-            2: phi2_from_certificate(pres, endo, cert, ring)}
+    p1 = phi1(endo, ring)
+    phis = {0: RingMatrix.identity(ring, 1), 1: p1,
+            2: phi2_from_certificate(pres, endo, cert, ring, cx=cx, p1=p1)}
     fc = formal_connection(phis, yring)
     show("Phi1", phis[1])
     show("Phi2", phis[2])

@@ -75,7 +75,7 @@ def _phi_matrices(job: JobSpec):
     p0 = RingMatrix.identity(ring, 1)
     p1 = phi1(endo, ring)
     cert = load_certificate(job.certificate, pres)
-    p2 = phi2_from_certificate(pres, endo, cert, ring)
+    p2 = phi2_from_certificate(pres, endo, cert, ring, cx=cx, p1=p1)
     return pres, endo, cx, {0: p0, 1: p1, 2: p2}
 
 
@@ -136,7 +136,7 @@ def cmd_monodromy(job: JobSpec, report: ReportWriter) -> None:
     report.check("monodromy.phi1_chain", cx.boundaries[0] * p1 == cx.boundaries[0])
     if job.certificate:
         cert = load_certificate(job.certificate, pres)
-        p2 = phi2_from_certificate(pres, endo, cert, ring)  # validates cert
+        p2 = phi2_from_certificate(pres, endo, cert, ring, cx=cx, p1=p1)  # validates cert
         report.check("certificate.valid", True)
         report.matrix("Phi2", p2)
         report.check("monodromy.phi2_identity_at_one",
@@ -264,8 +264,9 @@ def cmd_verify(job: JobSpec, report: ReportWriter) -> None:
     report.check("endo.abelianization", endo.preserves_abelianization())
     cert = load_certificate(job.certificate, pres)
     ring = pres.ring()
-    phis = {0: RingMatrix.identity(ring, 1), 1: phi1(endo, ring),
-            2: phi2_from_certificate(pres, endo, cert, ring)}  # validates cert
+    p1 = phi1(endo, ring)
+    phis = {0: RingMatrix.identity(ring, 1), 1: p1,
+            2: phi2_from_certificate(pres, endo, cert, ring, cx=cx, p1=p1)}  # validates cert
     report.check("certificate.valid", True)
     for q in (1, 2):
         report.check(f"monodromy.identity_at_one_deg{q}",

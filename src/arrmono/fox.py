@@ -368,10 +368,16 @@ class RelatorCertificate:
 
 def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
                           cert: RelatorCertificate,
-                          ring: PolyRing | None = None) -> RingMatrix:
+                          ring: PolyRing | None = None, *,
+                          cx: RingComplex | None = None,
+                          p1: RingMatrix | None = None) -> RingMatrix:
     """Degree-2 action matrix: entry [k][l] sums e * x^{ab(w)} over the
     certificate terms of relator l that target relator k.  Raises
-    ChainIdentityFailed unless D1 * Phi2 = Phi1 * D1."""
+    ChainIdentityFailed unless D1 * Phi2 = Phi1 * D1.
+
+    A caller that already holds the universal complex of pres and Phi1 of
+    endo over ring passes them as cx and p1, so neither is built twice;
+    otherwise they are built here."""
     cert.validate(pres, endo)
     if ring is None:
         ring = pres.ring()
@@ -380,7 +386,8 @@ def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
     for l, terms in enumerate(cert.terms):
         for w, k, e in terms:
             out.entries[k - 1][l] = out.entries[k - 1][l] + abelianized(w, ring).scale(e)
-    verify_chain_map(_boundaries(pres, ring), {1: phi1(endo, ring), 2: out})
+    boundaries = cx.boundaries if cx is not None else _boundaries(pres, ring)
+    verify_chain_map(boundaries, {1: p1 if p1 is not None else phi1(endo, ring), 2: out})
     return out
 
 

@@ -42,7 +42,18 @@ from .errors import (
     ShapeMismatch,
     ZeroAtPole,
 )
-from .rings import QQ, Poly, PolyRing, RationalField, exp_jet, poly_ring
+from .rings import (
+    QQ,
+    Coeff,
+    Poly,
+    PolyRing,
+    RationalField,
+    canonical,
+    canonical_terms,
+    coeff_div,
+    exp_jet,
+    poly_ring,
+)
 
 class RingMatrix:
     """Dense matrix with entries in one ring (Fraction or Poly)."""
@@ -62,7 +73,10 @@ class RingMatrix:
 
     @staticmethod
     def zero(ring, rows: int, cols: int) -> "RingMatrix":
-        return RingMatrix(ring, [[ring.zero() for _ in range(cols)] for _ in range(rows)])
+        # Entries are immutable and replaced, never changed in place, so one
+        # zero serves every cell; a sparse Aomoto matrix then costs little.
+        zero = ring.zero()
+        return RingMatrix(ring, [[zero] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(ring, size: int) -> "RingMatrix":
@@ -129,16 +143,27 @@ class RingMatrix:
         if self.cols != other.rows or self.ring != other.ring:
             raise ShapeMismatch(f"mul {self.shape()} by {other.shape()}")
         zero = self.ring.zero()
+        columns = list(zip(*other.entries))
         out = []
-        for i in range(self.rows):
+        if isinstance(self.ring, PolyRing):
+            # Accumulate each entry in one term dict, not a chain of Polys.
+            for arow in self.entries:
+                row = []
+                for col in columns:
+                    acc: dict = {}
+                    for a, b in zip(arow, col):
+                        if a:
+                            _addmul(acc, a.terms, b.terms, 1)
+                    row.append(Poly(self.ring, canonical_terms(acc)) if acc else zero)
+                out.append(row)
+            return RingMatrix(self.ring, out)
+        for arow in self.entries:
             row = []
-            for j in range(other.cols):
+            for col in columns:
                 acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if not a:
-                        continue
-                    acc = acc + a * other.entries[k][j]
+                for a, b in zip(arow, col):
+                    if a:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return RingMatrix(self.ring, out)
@@ -162,10 +187,14 @@ class RingMatrix:
 
 
 def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatrix:
-    """Entrywise evaluation of a polynomial matrix at a rational point."""
+    """Entrywise evaluation of a polynomial matrix at a rational point,
+    converted to canonical coefficients once for the whole matrix."""
     if isinstance(m.ring, RationalField):
         return m
-    return m.map_entries(lambda p: p.evaluate(point), ring=QQ)
+    if len(point) != m.ring.nvars:
+        raise ValueError("point length mismatch")
+    pt = [canonical(v) for v in point]
+    return m.map_entries(lambda p: p._evaluate(pt), ring=QQ)
 
 
 def _jet_matrices(m: RingMatrix, order: int, target: PolyRing | None) -> tuple[RingMatrix, ...]:
@@ -243,22 +272,26 @@ def rational_rank(m: RingMatrix) -> int:
     return len(bareiss([clear_row_denominators(row) for row in m.entries])[1])
 
 
-def _sparse_rows(entries: Iterable[Sequence]) -> list[dict[int, Fraction]]:
-    """Each row as a dict from column to its nonzero Fraction entries."""
-    return [{j: v if type(v) is Fraction else Fraction(v)
-             for j, v in enumerate(row) if v} for row in entries]
+def _sparse_rows(entries: Iterable[Sequence]) -> list[dict[int, Coeff]]:
+    """Each row as a dict from column to its nonzero entries, as canonical
+    coefficients (rings.canonical): ints stay ints, and an integral
+    Fraction becomes its int."""
+    return [{j: canonical(v) for j, v in enumerate(row) if v} for row in entries]
 
 
-def _gauss_jordan(rows: list[dict[int, Fraction]], stop: int) -> list[tuple[int, int]]:
+def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:
     """Sparse Gauss-Jordan over Q on columns 0..stop-1, in place.
 
-    rows holds only nonzeros, so entries that cancel are deleted.  Columns
-    are taken left to right; the pivot is the unused row with the fewest
-    nonzeros (ties to the lowest index), and only rows with a nonzero in the
-    pivot column are updated.  Returns (column, row index) per pivot, by
-    column.  Pivot rows end normalized and reduced, i.e. they are the rows
-    of the unique reduced row echelon form; every other row is zero on
-    columns below stop.
+    rows holds only nonzeros, as canonical coefficients, so entries that
+    cancel are deleted.  Columns are taken left to right; the pivot is the
+    unused row with the fewest nonzeros (ties to the lowest index), and
+    only rows with a nonzero in the pivot column are updated.  Pivot rows
+    are normalized by the exact rings.coeff_div and every update is
+    re-canonicalized, so an entry that is integral stays an int and integer
+    input with unit pivots never touches Fraction.  Returns (column, row
+    index) per pivot, by column.  Pivot rows end normalized and reduced,
+    i.e. they are the rows of the unique reduced row echelon form; every
+    other row is zero on columns below stop.
     """
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -276,23 +309,21 @@ def _gauss_jordan(rows: list[dict[int, Fraction]], stop: int) -> list[tuple[int,
         prow = rows[p]
         pv = prow[c]
         if pv != 1:
-            for j in prow:
-                prow[j] /= pv
+            for j, v in prow.items():
+                prow[j] = coeff_div(v, pv)
         for i in [i for i in holders if i != p]:
             row = rows[i]
             f = row[c]
             for j, v in prow.items():
                 old = row.get(j)
-                if old is None:
-                    row[j] = -f * v
-                    col_rows[j].add(i)
+                new = -f * v if old is None else old - f * v
+                if new:
+                    row[j] = canonical(new)
+                    if old is None:
+                        col_rows[j].add(i)
                 else:
-                    new = old - f * v
-                    if new:
-                        row[j] = new
-                    else:
-                        del row[j]
-                        col_rows[j].discard(i)
+                    del row[j]
+                    col_rows[j].discard(i)
         pivots.append((c, p))
     return pivots
 
@@ -303,7 +334,7 @@ def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     sparse = _sparse_rows(rows)
     pivots = _gauss_jordan(sparse, ncols)
     zero = Fraction(0)
-    out = [[sparse[p].get(j, zero) for j in range(ncols)] for _, p in pivots]
+    out = [[Fraction(sparse[p].get(j, 0)) for j in range(ncols)] for _, p in pivots]
     out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
     return out, [c for c, _ in pivots]
 
@@ -441,21 +472,20 @@ def _solve_right_rational(a: RingMatrix, b: RingMatrix) -> SolveResult:
     for i, row in enumerate(rows):
         if row and i not in pivot_rows:
             raise NoSolution(f"inconsistent row {i}")
+    pivot_cols = {c for c, _ in pivots}
+    free = {fc: t for t, fc in enumerate(c for c in range(n) if c not in pivot_cols)}
+    kernel = [[QQ.zero()] * n for _ in free]
+    for fc, t in free.items():
+        kernel[t][fc] = QQ.one()
+    # One pass over the reduced pivot rows fills X and the kernel basis,
+    # both as Fractions.
     cleared = RingMatrix.zero(QQ, n, k)
     for c, p in pivots:
         for j, v in rows[p].items():
             if j >= n:
-                cleared.entries[c][j - n] = v
-    pivot_cols = {c for c, _ in pivots}
-    kernel = []
-    for fc in (c for c in range(n) if c not in pivot_cols):
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for c, p in pivots:
-            v = rows[p].get(fc)
-            if v is not None:
-                vec[c] = -v
-        kernel.append(vec)
+                cleared.entries[c][j - n] = Fraction(v)
+            elif j in free:
+                kernel[free[j]][c] = Fraction(-v)
     return SolveResult(ring=QQ, numerator=cleared, denominator=Fraction(1),
                        kernel=kernel, in_ring=True, cleared=cleared)
 
@@ -542,16 +572,18 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
 
 
 def _terms(c) -> dict:
-    """The term dict of a Poly or a rational."""
+    """The term dict of a Poly or a rational, canonical coefficients."""
     if isinstance(c, Poly):
         return c.terms
-    return {(): Fraction(c)} if c else {}
+    return {(): canonical(c)} if c else {}
 
 
 def _from_terms(ring, terms: dict, den: int):
-    """The ring element sum(terms) / den."""
+    """The ring element sum(terms) / den.  A Poly gets canonical
+    coefficients, so on den = 1 int coefficients stay ints; a rational is
+    always a Fraction."""
     if isinstance(ring, PolyRing):
-        return Poly(ring, {e: Fraction(c, den) for e, c in terms.items()})
+        return Poly(ring, {e: coeff_div(c, den) for e, c in terms.items()})
     return Fraction(terms.get((), 0), den)
 
 
@@ -628,8 +660,7 @@ class CharPoly:
         The division runs on the cleared coefficients, so an integral root
         keeps every step in ints."""
         coeffs, d = self.cleared()
-        r = {e: c.numerator if c.denominator == 1 else c for e, c in _terms(root).items()}
-        out = divide_linear_terms(coeffs, r)
+        out = divide_linear_terms(coeffs, _terms(root))
         return None if out is None else CharPoly.from_cleared(self.ring, out, d)
 
 

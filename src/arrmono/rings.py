@@ -1,10 +1,19 @@
 """Exact coefficient rings: rationals, polynomials and Laurent polynomials,
 and the 2-jet of a Laurent polynomial under the substitution x_j = exp(y_j).
 
-A polynomial is a sparse dict mapping exponent tuples to Fraction
-coefficients, with zero coefficients never stored:
+A polynomial is a sparse dict mapping exponent tuples to nonzero rational
+coefficients in canonical form: an int when the value is integral, and
+otherwise a Fraction whose denominator exceeds 1, never a float.
 
-    x1*x2 - 1   ->   {(1, 1, 0, 0): Fraction(1), (0, 0, 0, 0): Fraction(-1)}
+    x1*x2 - 1   ->   {(1, 1, 0, 0): 1, (0, 0, 0, 0): -1}
+    1/2*y1      ->   {(1, 0): Fraction(1, 2)}
+
+Almost every coefficient of the pipeline is integral (Fox derivatives,
+certificates, connection and Aomoto matrices), so ints keep the arithmetic
+off Fraction.  Every quotient of coefficients goes through coeff_div, so a
+negative power or an exact division never leaks a float, and an integral
+quotient comes back as an int.  str of an int equals str of the integral
+Fraction, so the printed form does not depend on the representation.
 
 The ambient ring fixes the variable count, the variable stem used for
 display ("x" or "y"), and whether negative exponents are allowed (Laurent).
@@ -19,11 +28,42 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ZeroAtPole
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def canonical(c) -> Coeff:
+    """The canonical coefficient of an exact rational value: an int when it
+    is integral, otherwise a Fraction in lowest terms."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def coeff_div(a: Coeff, b: Coeff) -> Coeff:
+    """The exact quotient a / b of two coefficients, canonical.  Raises
+    ZeroDivisionError when b is 0."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return canonical((a if type(a) is Fraction else Fraction(a)) / b)
+
+
+def canonical_terms(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
+    """terms with every integral Fraction replaced by its int, in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
 
 
 @dataclass(frozen=True)
@@ -34,10 +74,10 @@ class RationalField:
     nvars: int = 0
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
 
 QQ = RationalField()
@@ -61,8 +101,8 @@ class PolyRing:
     def one(self) -> Poly:
         return self.const(1)
 
-    def const(self, c: int | Fraction) -> Poly:
-        c = Fraction(c)
+    def const(self, c: Coeff) -> Poly:
+        c = canonical(c)
         if c == 0:
             return Poly(self, {})
         return Poly(self, {(0,) * self.nvars: c})
@@ -71,7 +111,7 @@ class PolyRing:
         """The variable v_j, 1-based."""
         return self.monomial({j: 1})
 
-    def monomial(self, exps: dict[int, int] | Sequence[int], coeff: int | Fraction = 1) -> Poly:
+    def monomial(self, exps: dict[int, int] | Sequence[int], coeff: Coeff = 1) -> Poly:
         """Monomial from a 1-based {index: exponent} dict or a full exponent tuple."""
         if isinstance(exps, dict):
             vec = [0] * self.nvars
@@ -84,7 +124,7 @@ class PolyRing:
             key = tuple(exps)
             if len(key) != self.nvars:
                 raise ValueError("exponent tuple length mismatch")
-        c = Fraction(coeff)
+        c = canonical(coeff)
         if c == 0:
             return Poly(self, {})
         if not self.laurent and any(e < 0 for e in key):
@@ -105,11 +145,15 @@ def _term_key(exps: Exponent) -> tuple[int, Exponent]:
 
 
 class Poly:
-    """Sparse exact multivariate (Laurent) polynomial over Q."""
+    """Sparse exact multivariate (Laurent) polynomial over Q.
+
+    terms maps exponent tuples to nonzero canonical coefficients (see
+    canonical); the constructor trusts its caller to keep that invariant,
+    and every operation here does."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[Exponent, Fraction]):
+    def __init__(self, ring: PolyRing, terms: dict[Exponent, Coeff]):
         self.ring = ring
         self.terms = terms
 
@@ -117,7 +161,7 @@ class Poly:
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -146,11 +190,15 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            old = terms.get(e)
+            if old is None:
+                terms[e] = c
+                continue
+            s = old + c
             if s:
-                terms[e] = s
+                terms[e] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
-                terms.pop(e, None)
+                del terms[e]
         return Poly(self.ring, terms)
 
     __radd__ = __add__
@@ -171,16 +219,16 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return Poly(self.ring, canonical_terms(terms))
 
     __rmul__ = __mul__
 
@@ -191,7 +239,7 @@ class Poly:
             if mono is None or not self.ring.laurent:
                 raise ValueError("negative power of a non-unit")
             e, c = mono
-            return Poly(self.ring, {tuple(k * n for k in e): c ** n})
+            return Poly(self.ring, {tuple(k * n for k in e): coeff_div(1, c ** -n)})
         out = self.ring.one()
         base = self
         while n:
@@ -201,28 +249,28 @@ class Poly:
             n >>= 1
         return out
 
-    def scale(self, c: int | Fraction) -> "Poly":
-        c = Fraction(c)
+    def scale(self, c: Coeff) -> "Poly":
+        c = canonical(c)
         if c == 0:
             return self.ring.zero()
-        return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
+        return Poly(self.ring, canonical_terms({e: c * v for e, v in self.terms.items()}))
 
     # -- structural queries ------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in canonical (descending graded-lex) order."""
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
 
-    def leading(self) -> tuple[Exponent, Fraction]:
+    def leading(self) -> tuple[Exponent, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_term_key)
         return e, self.terms[e]
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get((0,) * self.ring.nvars, 0)
 
-    def as_monomial(self) -> tuple[Exponent, Fraction] | None:
+    def as_monomial(self) -> tuple[Exponent, Coeff] | None:
         if len(self.terms) != 1:
             return None
         ((e, c),) = self.terms.items()
@@ -240,8 +288,14 @@ class Poly:
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         if len(point) != self.ring.nvars:
             raise ValueError("point length mismatch")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
+        return self._evaluate([canonical(v) for v in point])
+
+    def _evaluate(self, pt: list[Coeff]) -> Fraction:
+        """The value at a point of canonical coefficients, already checked
+        for length, so a matrix converts its point once
+        (linalg.evaluate_matrix).  An integral point keeps the arithmetic in
+        ints; a negative power divides exactly."""
+        total = 0
         for e, c in self.terms.items():
             val = c
             for v, k in zip(pt, e):
@@ -250,11 +304,13 @@ class Poly:
                 if v == 0:
                     if k < 0:
                         raise ZeroAtPole(f"exponent {k} at zero coordinate")
-                    val = Fraction(0)
+                    val = 0
                     break
-                val *= v ** k
+                val = val * v ** k if k > 0 else coeff_div(val, v ** -k)
             total += val
-        return total
+        if type(total) is Fraction:
+            return total
+        return Fraction(total) if total else _ZERO
 
     def substitute(self, j: int, replacement: "Poly") -> "Poly":
         """Replace variable v_j (1-based).  If any exponent of v_j is negative,
@@ -278,7 +334,7 @@ class Poly:
                 mono = replacement.as_monomial()
                 assert mono is not None
                 me, mc = mono
-                inv = Poly(self.ring, {tuple(-a for a in me): 1 / mc})
+                inv = Poly(self.ring, {tuple(-a for a in me): coeff_div(1, mc)})
                 out = out + base * inv ** (-k)
         return out
 
@@ -313,7 +369,7 @@ class Poly:
             qe = tuple(a - b for a, b in zip(re_, de))
             if any(k < 0 for k in qe):
                 raise NotInRing("leading term not divisible")
-            t = Poly(self.ring, {qe: rc / dc})
+            t = Poly(self.ring, {qe: coeff_div(rc, dc)})
             quotient = quotient + t
             rem = rem - t * divisor
         return quotient
@@ -350,10 +406,12 @@ def exp_jet(p: Poly, order: int,
     n = target.nvars
     if p.ring.nvars != n:
         raise ValueError("exp_jet target ring has a different variable count")
-    value = Fraction(0)
+    value = 0
     # Keyed by the variable indices of the monomial: (i,) or (i, j), i <= j.
-    linear: dict[tuple[int, ...], Fraction] = {}
-    quadratic: dict[tuple[int, ...], Fraction] = {}
+    # twice_quadratic holds 2 * part 2, so it is integral when p is, and
+    # one exact halving per monomial ends the pass.
+    linear: dict[tuple[int, ...], Coeff] = {}
+    twice_quadratic: dict[tuple[int, ...], Coeff] = {}
     for e, c in p.terms.items():
         value += c
         support = [(j, m) for j, m in enumerate(e) if m]
@@ -361,23 +419,24 @@ def exp_jet(p: Poly, order: int,
             cm = c * mi
             linear[i,] = linear.get((i,), 0) + cm
             if order == 2:
-                quadratic[i, i] = quadratic.get((i, i), 0) + cm * mi / 2
+                twice_quadratic[i, i] = twice_quadratic.get((i, i), 0) + cm * mi
                 for j, mj in support[a + 1:]:
-                    quadratic[i, j] = quadratic.get((i, j), 0) + cm * mj
+                    twice_quadratic[i, j] = twice_quadratic.get((i, j), 0) + 2 * cm * mj
 
-    def poly(coeffs: dict[tuple[int, ...], Fraction]) -> Poly:
+    def poly(coeffs: dict[tuple[int, ...], Coeff], den: int) -> Poly:
         terms = {}
         for idx, c in coeffs.items():
             if c:
                 e = [0] * n
                 for i in idx:
                     e[i] += 1
-                terms[tuple(e)] = c
+                terms[tuple(e)] = coeff_div(c, den)
         return Poly(target, terms)
 
+    value = Fraction(value)
     if order == 1:
-        return value, poly(linear)
-    return value, poly(linear), poly(quadratic)
+        return value, poly(linear, 1)
+    return value, poly(linear, 1), poly(twice_quadratic, 2)
 
 
 # -- parsing and formatting ---------------------------------------------------
@@ -490,7 +549,7 @@ class _PolyParser:
             if self.peek() == "/":
                 self.take()
                 den = self.take()
-                if not den.isdigit():
+                if not den.isdigit() or int(den) == 0:
                     raise ParseError(f"bad denominator {den!r}")
                 return self.ring.const(Fraction(num, int(den)))
             return self.ring.const(num)
@@ -533,8 +592,8 @@ def poly_from_pairs(pairs: Iterable, ring: PolyRing) -> Poly:
             raise ParseError("exponent vector length mismatch")
         c = parse_fraction(str(coeff))
         if c:
-            terms[e] = terms.get(e, Fraction(0)) + c
-    return Poly(ring, {e: c for e, c in terms.items() if c})
+            terms[e] = terms.get(e, _ZERO) + c
+    return Poly(ring, {e: canonical(c) for e, c in terms.items() if c})
 
 
 def parse_point(text: str, nvars: int) -> tuple[Fraction, ...]:

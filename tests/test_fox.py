@@ -188,6 +188,53 @@ def test_corrupted_phi2_chain_identity_failure(pencil):
     assert err.value.entry is not None
 
 
+def test_phi2_reuses_the_callers_complex_and_phi1(pencil, monkeypatch):
+    """Given cx and p1, phi2_from_certificate builds neither again, and its
+    chain check runs on the matrices it was given."""
+    import arrmono.fox as fox
+
+    def unexpected(*args):
+        raise AssertionError("built a second time")
+
+    monkeypatch.setattr(fox, "_boundaries", unexpected)
+    monkeypatch.setattr(fox, "phi1", unexpected)
+    pres, endo, cert, cx, phis = (pencil[k] for k in ("pres", "endo", "cert", "cx", "phis"))
+    assert phi2_from_certificate(pres, endo, cert, L, cx=cx, p1=phis[1]) == phis[2]
+    corrupt = RingMatrix(L, [list(row) for row in phis[1].entries])
+    corrupt.entries[0][0] = corrupt.entries[0][0] + L.one()
+    with pytest.raises(ChainIdentityFailed):
+        phi2_from_certificate(pres, endo, cert, L, cx=cx, p1=corrupt)
+
+
+def test_golden_verify_builds_d1_and_phi1_once(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    import arrmono.cli as cli
+    import arrmono.fox as fox
+    from conftest import FIXTURES
+
+    calls = {"_boundaries": 0, "phi1": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fox, "_boundaries")
+    counted(cli, "phi1")
+    monkeypatch.setattr(fox, "phi1", cli.phi1)  # one counter for both names
+    argv = ["verify", "-a", FIXTURES / "pencil4.arr", "-p", FIXTURES / "pencil4.pres",
+            "-e", FIXTURES / "pencil4_twist12.endo", "-c", FIXTURES / "pencil4_twist12.cert",
+            "--xi", FIXTURES / "pencil4_proj_nonres.txt", "--format", "structured"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in argv]) == 0
+    assert calls == {"_boundaries": 1, "phi1": 1}
+
+
 def test_phi2_fallback_solver(pencil):
     cx, phis = pencil["cx"], pencil["phis"]
     res = phi2_solve_fallback(cx.boundaries[1], phis[1])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrmono import QQ, NoSolution, RingMatrix, solve_right
-from arrmono.linalg import rational_rref
+from arrmono.linalg import _gauss_jordan, _sparse_rows, rational_rref
 
 
 def dense_rref(rows):
@@ -147,3 +147,45 @@ def test_integer_entries_and_zero_rows():
     assert res.kernel == [[-2, 1, 0]]
     with pytest.raises(NoSolution):
         solve_right(a, RingMatrix(QQ, [[1], [2], [0], [4]]))
+
+
+# -- canonical coefficients ---------------------------------------------------
+#
+# _gauss_jordan keeps every entry an int when it is integral and a Fraction
+# with denominator > 1 otherwise; a float would compare equal to the oracle
+# and slip through, so the types are checked as well as the values.
+
+
+def _canonical(v) -> bool:
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+def _reduced_pivot_rows(rows):
+    ncols = len(rows[0])
+    sparse = _sparse_rows(rows)
+    pivots = _gauss_jordan(sparse, ncols)
+    for row in sparse:
+        assert all(_canonical(v) for v in row.values()), row
+    return [[sparse[p].get(j, 0) for j in range(ncols)] for _, p in pivots]
+
+
+def test_gauss_jordan_on_int_rows_with_pivot_two():
+    # Equal row lengths, so the first pivot is row 0 with pivot 2.
+    rows = [[2, 4, 1], [6, 1, 2]]
+    got = _reduced_pivot_rows(rows)
+    expected, _ = dense_rref(rows)
+    assert got == expected[:len(got)]
+    assert got[0][:2] == [1, 0] and type(got[0][0]) is int
+    assert all(type(v) is Fraction for row in rational_rref(rows)[0] for v in row)
+
+
+INT_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_gauss_jordan_on_int_rows_matches_dense_reference(m, n, data):
+    rows = [[data.draw(INT_ENTRY) for _ in range(n)] for _ in range(m)]
+    got = _reduced_pivot_rows(rows)
+    expected, pivots = dense_rref(rows)
+    assert got == expected[:len(pivots)]
