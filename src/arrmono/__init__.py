@@ -43,7 +43,6 @@ from .errors import (
     FactorizationFailed,
     FundamentalIdentityFailed,
     NoSolution,
-    NonIntegerRootAtProbe,
     NonzeroConstantTerm,
     NotAComplex,
     NotIdentityAtOne,

@@ -22,13 +22,11 @@ from .errors import (
     ChainIdentityFailed,
     FactorizationFailed,
     NoSolution,
-    NonIntegerRootAtProbe,
     NotIdentityAtOne,
     NotInRing,
 )
 from .linalg import (
     QQ,
-    CharPoly,
     RingComplex,
     RingMatrix,
     char_poly,
@@ -46,9 +44,6 @@ from .linalg import (
     verify_chain_map,
 )
 from .rings import Poly, PolyRing, laurent_ring, poly_ring
-
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-
 
 # -- formal connection -------------------------------------------------------------
 
@@ -277,10 +272,10 @@ def _divide_out(coeffs: list[dict], root: dict,
 def eigen_monomials(phi: RingMatrix) -> EigenReport:
     """Certify char(Phi) = prod (z - x^{m_i})^{k_i} with integer exponents.
 
-    Candidate exponent vectors come from the terms of the trace (for a
-    genuine factorization the trace is exactly sum k_i x^{m_i}, and distinct
-    monomials cannot cancel), pre-filtered by exact evaluation at a vector of
-    distinct primes; each candidate is certified by exact division.
+    Candidate exponent vectors are the terms of the trace: for a genuine
+    factorization the trace is exactly sum k_i x^{m_i}, and distinct
+    monomials cannot cancel.  Each candidate is certified by exact division
+    of the cleared characteristic polynomial, and the divisions must leave 1.
     """
     n = phi.ring.nvars
     if not evaluate_matrix(phi, [1] * n).is_identity():
@@ -289,30 +284,15 @@ def eigen_monomials(phi: RingMatrix) -> EigenReport:
     cp = char_poly(phi)
     if size == 0:
         return EigenReport(kind="monomial", size=0, factors=())
-    probe = [Fraction(p) for p in PRIMES[:n]]
-    cp_probe = cp.evaluate_coeffs(probe)
-
-    trace = phi.trace()
-    candidates = sorted(trace.terms.keys())
     factors: list[EigenFactor] = []
-    remaining, d = cp.cleared()
-    for exps in candidates:
-        value = phi.ring.monomial(exps)
-        # Pre-filter: x^m evaluated at the prime vector must be a root.
-        val = value.evaluate(probe)
-        if _eval_univariate(cp_probe, val) != 0:
-            continue
+    remaining, _ = cp.cleared()
+    for exps in sorted(phi.trace().terms):
         remaining, mult = _divide_out(remaining, {exps: 1})
         if mult:
             factors.append(EigenFactor("monomial", tuple(exps), mult))
     if len(remaining) > 1:
-        rest = CharPoly.from_cleared(cp.ring, remaining, d)
-        const = rest.evaluate_coeffs(probe)[0]
-        if not _factors_over_primes(const, n):
-            raise NonIntegerRootAtProbe(
-                f"probe constant term {const} is not a unit monomial value")
         raise FactorizationFailed(
-            f"{rest.degree} eigenvalues are not unit monomials")
+            f"{len(remaining) - 1} eigenvalues are not unit monomials")
     return EigenReport(kind="monomial", size=size, factors=tuple(factors))
 
 
@@ -321,18 +301,6 @@ def _eval_univariate(coeffs: Sequence, z):
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
-
-
-def _factors_over_primes(value: Fraction, n: int) -> bool:
-    if value == 0 or value < 0:
-        return False
-    for part in (value.numerator, value.denominator):
-        for p in PRIMES[:n]:
-            while part % p == 0:
-                part //= p
-        if part != 1:
-            return False
-    return True
 
 
 def _integer_roots(coeffs: list[Fraction | int]) -> dict[int, int]:
@@ -591,8 +559,7 @@ class ProjectionData:
         return self.xi.cols
 
 
-def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData,
-                      seed: int = 0) -> None:
+def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -> None:
     """Check D1 * Xi = 0 and mu1 * Upsilon = 0 (on the locus, if any),
     Upsilon = linear part of Xi, and generic rank Xi = number of columns."""
     from .errors import VerificationFailed
@@ -619,7 +586,7 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData,
     if lin != proj.upsilon:
         raise VerificationFailed("projection.linearization",
                                  "Upsilon is not the linear part of Xi")
-    if generic_rank(proj.xi, seed=seed) != proj.xi.cols:
+    if generic_rank(proj.xi) != proj.xi.cols:
         raise VerificationFailed("projection.rank",
                                  "Xi does not have full column rank")
 

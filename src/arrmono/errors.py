@@ -65,10 +65,6 @@ class FactorizationFailed(ArrmonoError):
     """Characteristic polynomial did not split into the certified factors."""
 
 
-class NonIntegerRootAtProbe(ArrmonoError):
-    """A probe evaluation produced an eigenvalue that is not a unit monomial value."""
-
-
 class VerificationFailed(ArrmonoError):
     """An identity in the verification suite failed; carries its name."""
 

@@ -69,6 +69,69 @@ def test_golden_outputs_byte_for_byte(name, argv):
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
+_PEC = ("-p", ARGS["-p"], "-e", ARGS["-e"], "-c", ARGS["-c"])
+_XI = ("--xi", ARGS["xi1"], "--xi", ARGS["xi2"])
+BATTERY = {
+    "info": ("info", "-a", ARGS["-a"]),
+    "aomoto": ("aomoto", "-a", ARGS["-a"]),
+    "fox": ("fox", "-p", ARGS["-p"]),
+    "monodromy": ("monodromy",) + _PEC,
+    "connection": ("connection", "-a", ARGS["-a"]) + _PEC,
+    "connection-at": ("connection", "-a", ARGS["-a"]) + _PEC
+    + ("--at", "2,3,1/6,1", "--ring", "x"),
+    "specialize-x": ("specialize", "-p", ARGS["-p"], "--ring", "x", "--at", "2,2,2,2"),
+    "specialize-y": ("specialize", "-a", ARGS["-a"], "--ring", "y", "--at", "0,0,0,0"),
+    "induced": ("induced", "-a", ARGS["-a"]) + _PEC + _XI,
+    "verify": ("verify", "-a", ARGS["-a"]) + _PEC + _XI,
+}
+STAGES = ("load_arrangement", "load_presentation", "load_endomorphism", "load_certificate",
+          "load_projection", "compute_dependencies", "nbc_basis", "aomoto_boundary",
+          "universal_complex", "phi1", "phi2_from_certificate", "formal_connection")
+
+
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_golden_battery_runs_each_stage_once(name, monkeypatch):
+    """Each stage of a job runs at most once (load_projection once per
+    --xi), under the name cli calls or the same name in the module that
+    would otherwise build it, and D1 is built once if at all."""
+    import arrmono.cli as cli
+    import arrmono.fox as fox
+    import arrmono.oscomplex as oscomplex
+
+    calls = dict.fromkeys(STAGES + ("_boundaries",), 0)
+
+    def counted(stage, orig):
+        def wrapper(*args, **kwargs):
+            calls[stage] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for stage in STAGES:
+        wrapper = counted(stage, getattr(cli, stage))
+        for module in (cli, fox, oscomplex):
+            if hasattr(module, stage):
+                monkeypatch.setattr(module, stage, wrapper)
+    monkeypatch.setattr(fox, "_boundaries", counted("_boundaries", fox._boundaries))
+    argv = BATTERY[name]
+    code, _ = structured(*argv)
+    assert code == 0
+    assert calls.pop("load_projection") == argv.count("--xi")
+    assert calls.pop("_boundaries") == ("-p" in argv)
+    assert all(n <= 1 for n in calls.values()), calls
+
+
+def test_repeated_main_calls_share_no_state():
+    """The parser is built once per process; a second job sees only its own
+    arguments."""
+    from arrmono.cli import build_parser
+    assert build_parser() is build_parser()
+    code, first = structured(*BATTERY["verify"])
+    assert code == 0 and "projection1.verified" in first
+    code, second = structured(*BATTERY["verify"][:-2])
+    assert code == 0 and "projection0.verified" in second
+    assert "projection1" not in second
+
+
 def test_golden_matrices_carry_the_displayed_values():
     """The goldens are not self-fulfilling: parse them back and compare with
     matrices keyed in directly from the published displays."""

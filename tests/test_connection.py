@@ -153,13 +153,21 @@ def test_eigen_monomials_requires_identity_at_one():
 
 
 def test_eigen_monomials_factorization_failure():
-    from arrmono import NonIntegerRootAtProbe
     # Identity at 1, but the eigenvalues 1 +- sqrt((x1-1)(x2-1)) are not
     # Laurent monomials.
     m = mat(L, [["1", "x1 - 1"], ["x2 - 1", "1"]])
     assert evaluate_matrix(m, [1, 1, 1, 1]).is_identity()
-    with pytest.raises((FactorizationFailed, NonIntegerRootAtProbe)):
+    with pytest.raises(FactorizationFailed):
         eigen_monomials(m)
+
+
+def test_eigen_monomials_beyond_sixteen_variables():
+    # More variables than the sixteen primes of the old probe point.
+    l17 = laurent_ring(17, var="x")
+    assert eigen_monomials(RingMatrix.identity(l17, 1)).multiset() == {(0,) * 17: 1}
+    m = mat(l17, [["x1*x17", "0"], ["x2 - 1", "x17^-1"]])
+    assert eigen_monomials(m).multiset() == {
+        (1,) + (0,) * 15 + (1,): 1, (0,) * 16 + (-1,): 1}
 
 
 def test_eigen_linear_forms_large_constant_term():

@@ -206,35 +206,6 @@ def test_phi2_reuses_the_callers_complex_and_phi1(pencil, monkeypatch):
         phi2_from_certificate(pres, endo, cert, L, cx=cx, p1=corrupt)
 
 
-def test_golden_verify_builds_d1_and_phi1_once(monkeypatch):
-    import io
-    from contextlib import redirect_stdout
-
-    import arrmono.cli as cli
-    import arrmono.fox as fox
-    from conftest import FIXTURES
-
-    calls = {"_boundaries": 0, "phi1": 0}
-
-    def counted(module, name):
-        orig = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return orig(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(fox, "_boundaries")
-    counted(cli, "phi1")
-    monkeypatch.setattr(fox, "phi1", cli.phi1)  # one counter for both names
-    argv = ["verify", "-a", FIXTURES / "pencil4.arr", "-p", FIXTURES / "pencil4.pres",
-            "-e", FIXTURES / "pencil4_twist12.endo", "-c", FIXTURES / "pencil4_twist12.cert",
-            "--xi", FIXTURES / "pencil4_proj_nonres.txt", "--format", "structured"]
-    with redirect_stdout(io.StringIO()):
-        assert cli.main([str(a) for a in argv]) == 0
-    assert calls == {"_boundaries": 1, "phi1": 1}
-
-
 def test_phi2_fallback_solver(pencil):
     cx, phis = pencil["cx"], pencil["phis"]
     res = phi2_solve_fallback(cx.boundaries[1], phis[1])
