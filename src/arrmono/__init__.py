@@ -90,12 +90,7 @@ from .linalg import (
     symbolic_det,
     verify_chain_map,
 )
-from .oscomplex import (
-    AomotoComplex,
-    OSElement,
-    aomoto_boundary,
-    reduce_to_nbc,
-)
+from .oscomplex import AomotoComplex, aomoto_boundary
 from .rings import (
     Poly,
     PolyRing,

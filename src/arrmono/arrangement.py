@@ -123,9 +123,6 @@ class NbcBasis:
     def betti(self) -> list[int]:
         return [len(sets) for sets in self.by_degree]
 
-    def index(self, q: int, subset: tuple[int, ...]) -> int:
-        return self.by_degree[q].index(subset)
-
 
 def nbc_basis(arr: Arrangement, dep: DependencyData | None = None) -> NbcBasis:
     if dep is None:

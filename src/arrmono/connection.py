@@ -29,15 +29,15 @@ from .linalg import (
     QQ,
     RingComplex,
     RingMatrix,
+    bareiss,
     char_poly,
-    coordinates_in_span,
+    clear_row_denominators,
     divide_linear_terms,
     evaluate_matrix,
     generic_rank,
     linearize_matrix,
     mat_exp_truncated,
     rational_left_kernel,
-    rational_rank,
     rational_row_space,
     series_matrix,
     solve_right,
@@ -241,7 +241,6 @@ class EigenReport:
     kind: str
     size: int
     factors: tuple[EigenFactor, ...]
-    certified: bool = True
 
     def multiset(self) -> dict[tuple[int, ...], int]:
         return {f.data: f.multiplicity for f in self.factors}
@@ -534,16 +533,6 @@ class LocusSpec:
     x_subs: dict[int, Poly]
     y_subs: dict[int, Poly]
 
-    def reduce_x(self, p: Poly) -> Poly:
-        for j, rep in sorted(self.x_subs.items()):
-            p = p.substitute(j, rep)
-        return p
-
-    def reduce_y(self, p: Poly) -> Poly:
-        for j, rep in sorted(self.y_subs.items()):
-            p = p.substitute(j, rep)
-        return p
-
 
 @dataclass
 class ProjectionData:
@@ -564,24 +553,17 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -
     Upsilon = linear part of Xi, and generic rank Xi = number of columns."""
     from .errors import VerificationFailed
 
-    prod = delta * proj.xi
-    for i in range(prod.rows):
-        for j in range(prod.cols):
-            e = prod.entries[i][j]
-            if proj.locus is not None:
-                e = proj.locus.reduce_x(e)
-            if not e.is_zero():
-                raise VerificationFailed("projection.delta_xi",
-                                         f"(D1 * Xi)[{i + 1}][{j + 1}] = {e} != 0")
-    prod = mu * proj.upsilon
-    for i in range(prod.rows):
-        for j in range(prod.cols):
-            e = prod.entries[i][j]
-            if proj.locus is not None:
-                e = proj.locus.reduce_y(e)
-            if not e.is_zero():
-                raise VerificationFailed("projection.mu_upsilon",
-                                         f"(mu1 * Upsilon)[{i + 1}][{j + 1}] = {e} != 0")
+    def require_zero(prod: RingMatrix, subs: dict[int, Poly], check: str, label: str) -> None:
+        for i, row in enumerate(prod.entries):
+            for j, e in enumerate(row):
+                for v, rep in sorted(subs.items()):
+                    e = e.substitute(v, rep)
+                if not e.is_zero():
+                    raise VerificationFailed(check, f"({label})[{i + 1}][{j + 1}] = {e} != 0")
+
+    locus = proj.locus or LocusSpec({}, {})
+    require_zero(delta * proj.xi, locus.x_subs, "projection.delta_xi", "D1 * Xi")
+    require_zero(mu * proj.upsilon, locus.y_subs, "projection.mu_upsilon", "mu1 * Upsilon")
     _, lin = linearize_matrix(proj.xi, proj.upsilon.ring)
     if lin != proj.upsilon:
         raise VerificationFailed("projection.linearization",
@@ -718,9 +700,17 @@ class CohomologyAction:
 def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> CohomologyAction:
     """Induced action on cohomology of a rational specialized complex.
 
-    Bases: the row space of the incoming boundary is completed to a basis of
-    the kernel of the outgoing boundary; the action of each representative is
-    reduced modulo the boundary part.  The chain identity is verified first.
+    Per degree, one elimination completes a basis of the image of the
+    incoming boundary to a basis of the kernel of the outgoing one.  Its
+    columns are the image basis, then the kernel basis, each vector scaled
+    to integers; Bareiss takes a column as a pivot exactly when it is
+    independent of the columns before it, so every image column is a pivot
+    and the kernel pivots are the greedy completion.  Those kernel vectors
+    represent the cohomology classes.  One solve, with one right-hand column
+    per representative, writes the images of all representatives in the
+    basis image + representatives; the action matrix holds their
+    coordinates on the representatives.  The chain identity is verified
+    first.
     """
     cx.check_complex()
     verify_chain_map(cx.boundaries, maps)
@@ -737,27 +727,21 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
             kernel = [[Fraction(1) if i == j else Fraction(0) for i in range(bq)]
                       for j in range(bq)]
         image = rational_row_space(cx.boundaries[q - 1]) if q > 0 else []
-        # Complete the image basis to a kernel basis; the complement
-        # represents cohomology classes.
-        stack = [list(v) for v in image]
-        chosen: list[list[Fraction]] = []
-        base_rank = len(image)
-        for v in kernel:
-            trial = stack + [list(v)]
-            if rational_rank(RingMatrix(QQ, trial)) > len(stack):
-                stack.append(list(v))
-                chosen.append(list(v))
+        columns = [clear_row_denominators(v) for v in image + kernel]
+        _, pivots = bareiss([list(row) for row in zip(*columns)])
+        chosen = [kernel[c - len(image)] for c in pivots[len(image):]]
         assert len(chosen) == betti[q], "quotient dimension mismatch"
         reps[q] = chosen
-        span = image + chosen
-        rows = []
-        for v in chosen:
-            w = [sum(v[k] * maps[q].entries[k][j] for k in range(bq)) for j in range(bq)]
-            coords = coordinates_in_span(span, w)
-            if coords is None:
-                raise ChainIdentityFailed(f"image of a degree-{q} cocycle left the kernel")
-            rows.append(coords[base_rank:])
-        matrices[q] = RingMatrix(QQ, rows) if chosen else RingMatrix.zero(QQ, 0, 0)
+        if not chosen:
+            matrices[q] = RingMatrix.zero(QQ, 0, 0)
+            continue
+        span = RingMatrix(QQ, image + chosen).transpose()
+        images = (RingMatrix(QQ, chosen) * maps[q]).transpose()
+        try:
+            coords = solve_right(span, images).cleared
+        except NoSolution:
+            raise ChainIdentityFailed(f"image of a degree-{q} cocycle left the kernel") from None
+        matrices[q] = RingMatrix(QQ, [list(col[len(image):]) for col in zip(*coords.entries)])
     return CohomologyAction(betti=betti, matrices=matrices, representatives=reps)
 
 

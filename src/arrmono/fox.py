@@ -153,11 +153,9 @@ def parse_word(text: str, ngens: int) -> Word:
                 i += 1
                 if power < 0:
                     factor = factor.inverse()
-                    power = -power
-                w = Word.identity(ngens)
-                for _ in range(power):
-                    w = w * factor
-                factor = w
+                # Free reduction is confluent: reducing the k-fold letters
+                # once gives the k-fold product, in linear time.
+                factor = Word.from_letters(ngens, factor.letters * abs(power))
             acc = acc * factor
         return acc, i
 
@@ -165,10 +163,6 @@ def parse_word(text: str, ngens: int) -> Word:
     if i != len(toks):
         raise ParseError("trailing tokens in word")
     return word
-
-
-def format_word(w: Word) -> str:
-    return str(w)
 
 
 # -- presentation ------------------------------------------------------------------
@@ -204,6 +198,8 @@ def parse_presentation(text: str) -> Presentation:
         ngens = int(head[1])
     except ValueError:
         raise ParseError(f"bad generator count {head[1]!r}") from None
+    if ngens < 0:
+        raise ParseError(f"negative generator count {ngens}")
     relators = tuple(parse_word(ln, ngens) for ln in lines[1:])
     try:
         return Presentation(ngens=ngens, relators=relators)
@@ -237,10 +233,6 @@ def fox_derivative(w: Word, j: int, ring: PolyRing | None = None) -> Poly:
     return out
 
 
-def abelianized(w: Word, ring: PolyRing) -> Poly:
-    return ring.monomial(w.abelianization())
-
-
 def _boundaries(pres: Presentation, ring: PolyRing) -> list[RingMatrix]:
     """[D0, D1] over ring: the row of (x_j - 1) and the Fox matrix."""
     gens = range(1, pres.ngens + 1)
@@ -249,17 +241,17 @@ def _boundaries(pres: Presentation, ring: PolyRing) -> list[RingMatrix]:
                               for i in gens])]
 
 
-def universal_complex(pres: Presentation, require_complex: bool = True) -> RingComplex:
+def universal_complex(pres: Presentation) -> RingComplex:
     """Degrees 0..2 from the presentation: D0 = row of (x_j - 1); D1 has the
     Fox derivatives of the relators, rows by generator, columns by relator.
 
     The composite D0 * D1 vanishes exactly when every relator abelianizes
-    trivially (fundamental identity of Fox calculus); require_complex=False
-    skips that check for degenerate presentations."""
+    trivially (fundamental identity of Fox calculus); otherwise
+    FundamentalIdentityFailed is raised."""
     ring = pres.ring()
     d0, d1 = _boundaries(pres, ring)
     cx = RingComplex(ring, [1, pres.ngens, pres.nrels], [d0, d1])
-    if require_complex and not (d0 * d1).is_zero():
+    if not (d0 * d1).is_zero():
         raise FundamentalIdentityFailed("a relator does not abelianize to zero")
     return cx
 
@@ -385,7 +377,7 @@ def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
     out = RingMatrix.zero(ring, m, m)
     for l, terms in enumerate(cert.terms):
         for w, k, e in terms:
-            out.entries[k - 1][l] = out.entries[k - 1][l] + abelianized(w, ring).scale(e)
+            out.entries[k - 1][l] = out.entries[k - 1][l] + ring.monomial(w.abelianization(), e)
     boundaries = cx.boundaries if cx is not None else _boundaries(pres, ring)
     verify_chain_map(boundaries, {1: p1 if p1 is not None else phi1(endo, ring), 2: out})
     return out

@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, floordiv, truediv
+from operator import floordiv, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -48,6 +48,7 @@ from .rings import (
     Poly,
     PolyRing,
     RationalField,
+    _addmul,
     canonical,
     canonical_terms,
     coeff_div,
@@ -107,12 +108,6 @@ class RingMatrix:
         if self.rows != self.cols:
             return False
         return self == RingMatrix.identity(self.ring, self.rows)
-
-    def row(self, i: int) -> list:
-        return list(self.entries[i])
-
-    def col(self, j: int) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(self.ring, [[self.entries[i][j] for i in range(self.rows)]
@@ -353,29 +348,7 @@ def rational_row_space(m: RingMatrix) -> list[list[Fraction]]:
     return rref[:len(pivots)]
 
 
-def coordinates_in_span(basis: list[list[Fraction]], vector: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients expressing vector over the given row basis, or None."""
-    if not basis:
-        return [] if all(v == 0 for v in vector) else None
-    mat = RingMatrix(QQ, [[basis[i][j] for i in range(len(basis))]
-                          for j in range(len(vector))])
-    rhs = RingMatrix(QQ, [[v] for v in vector])
-    try:
-        res = solve_right(mat, rhs)
-    except NoSolution:
-        return None
-    return [res.cleared.entries[i][0] for i in range(len(basis))]
-
-
-def _seeded_points(nvars: int, seed: int, count: int = 2) -> list[tuple[Fraction, ...]]:
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        pts.append(tuple(Fraction(rng.randint(2, 19), rng.randint(1, 7)) for _ in range(nvars)))
-    return pts
-
-
-def generic_rank(m: RingMatrix, seed: int = 0) -> int:
+def generic_rank(m: RingMatrix) -> int:
     """Rank over the fraction field.  An evaluation never exceeds the generic
     rank, so two seeded random evaluations may only prove full rank; any
     lower rank comes from exact symbolic elimination."""
@@ -384,7 +357,9 @@ def generic_rank(m: RingMatrix, seed: int = 0) -> int:
     full = min(m.rows, m.cols)
     if full == 0:
         return 0
-    for point in _seeded_points(m.ring.nvars, seed):
+    rng = random.Random(0)
+    for _ in range(2):
+        point = [Fraction(rng.randint(2, 19), rng.randint(1, 7)) for _ in range(m.ring.nvars)]
         try:
             if rational_rank(evaluate_matrix(m, point)) == full:
                 return full
@@ -594,20 +569,6 @@ def _cleared(dicts: list[dict]) -> tuple[list[dict], int]:
             for t in dicts], d
 
 
-def _addmul(acc: dict, p: dict, q: dict, sign: int) -> None:
-    """acc += sign * p * q in place.  No zero coefficient is stored, so a
-    sum that cancels was already present and is deleted."""
-    for e1, c1 in p.items():
-        c1 *= sign
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            c = acc.get(e, 0) + c1 * c2
-            if c:
-                acc[e] = c
-            else:
-                del acc[e]
-
-
 def _dot(pairs: list[tuple[int, dict]], v: list[dict]) -> dict:
     """The sum of x * v[j] over the (j, x) pairs."""
     acc: dict = {}
@@ -628,40 +589,11 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate_coeffs(self, point: Sequence[Fraction | int]) -> list[Fraction]:
-        out = []
-        for c in self.coeffs:
-            out.append(c.evaluate(point) if isinstance(c, Poly) else Fraction(c))
-        return out
-
-    def at_matrix(self, m: RingMatrix) -> RingMatrix:
-        """Evaluate at z := M (for Cayley-Hamilton checks)."""
-        size = m.rows
-        acc = RingMatrix.zero(m.ring, size, size)
-        power = RingMatrix.identity(m.ring, size)
-        for c in self.coeffs:
-            acc = acc + power.map_entries(lambda e, c=c: e * c)
-            power = power * m
-        return acc
-
     def cleared(self) -> tuple[list[dict], int]:
         """(d * the term dict of each coefficient, d) for the least common
         denominator d; on an integral polynomial d = 1 and every
         coefficient is an int."""
         return _cleared([_terms(c) for c in self.coeffs])
-
-    @classmethod
-    def from_cleared(cls, ring, coeffs: list[dict], d: int) -> "CharPoly":
-        """The inverse of cleared."""
-        return cls(ring, tuple(_from_terms(ring, t, d) for t in coeffs))
-
-    def divide_linear(self, root) -> "CharPoly | None":
-        """Exact quotient by (z - root); None if the division has remainder.
-        The division runs on the cleared coefficients, so an integral root
-        keeps every step in ints."""
-        coeffs, d = self.cleared()
-        out = divide_linear_terms(coeffs, _terms(root))
-        return None if out is None else CharPoly.from_cleared(self.ring, out, d)
 
 
 def divide_linear_terms(coeffs: list[dict], root: dict) -> list[dict] | None:
@@ -767,10 +699,6 @@ class RingComplex:
             if b.shape() != (self.ranks[q], self.ranks[q + 1]):
                 raise ShapeMismatch(f"boundary {q} has shape {b.shape()}, "
                                     f"expected {(self.ranks[q], self.ranks[q + 1])}")
-
-    @property
-    def length(self) -> int:
-        return len(self.ranks) - 1
 
     def check_complex(self) -> None:
         """Raise NotAComplex unless consecutive boundaries compose to zero."""

@@ -15,7 +15,6 @@ index sets strictly decreases lexicographically and the rewriting terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import Arrangement, DependencyData, NbcBasis, compute_dependencies, nbc_basis
@@ -44,34 +43,6 @@ def merge_sign(left: Sequence[int], right: Sequence[int]) -> int | None:
     """Sign of sorting the concatenation left + right, each already sorted."""
     res = wedge_sort(tuple(left) + tuple(right))
     return None if res is None else res[1]
-
-
-@dataclass
-class OSElement:
-    """A class of the quotient algebra written on nbc sets of one degree."""
-
-    degree: int
-    coeffs: dict[tuple[int, ...], Fraction]
-
-    def __add__(self, other: "OSElement") -> "OSElement":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return OSElement(self.degree, out)
-
-    def scale(self, c: Fraction) -> "OSElement":
-        if c == 0:
-            return OSElement(self.degree, {})
-        return OSElement(self.degree, {k: c * v for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 class NbcRewriter:
@@ -119,15 +90,6 @@ class NbcRewriter:
                     result.pop(k, None)
         self.cache[subset] = result
         return result
-
-
-def reduce_to_nbc(dep: DependencyData, subset: Sequence[int]) -> OSElement:
-    """Public wrapper: the class of a_subset expressed in the nbc basis."""
-    s = tuple(subset)
-    if any(a >= b for a, b in zip(s, s[1:])):
-        raise ValueError("subset must be strictly increasing")
-    expansion = NbcRewriter(dep).rewrite(s)
-    return OSElement(len(s), {k: Fraction(v) for k, v in expansion.items()})
 
 
 @dataclass

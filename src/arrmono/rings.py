@@ -58,6 +58,20 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return canonical((a if type(a) is Fraction else Fraction(a)) / b)
 
 
+def _addmul(acc: dict, p: dict, q: dict, sign: int) -> None:
+    """acc += sign * p * q in place, on term dicts.  No zero coefficient is
+    stored, so a sum that cancels was already present and is deleted."""
+    for e1, c1 in p.items():
+        c1 *= sign
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            c = acc.get(e, 0) + c1 * c2
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+
+
 def canonical_terms(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
     """terms with every integral Fraction replaced by its int, in place."""
     for e, c in terms.items():
@@ -220,14 +234,7 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         terms: dict[Exponent, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+        _addmul(terms, self.terms, other.terms, 1)
         return Poly(self.ring, canonical_terms(terms))
 
     __rmul__ = __mul__

@@ -14,6 +14,7 @@ Rational matrices use ring=rational and plain coefficient strings per entry.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from .errors import ParseError
 from .linalg import QQ, RingMatrix
@@ -63,18 +64,11 @@ def parse_matrix_block(lines: list[str]) -> tuple[str, RingMatrix]:
     if len(body) != rows:
         raise ParseError(f"expected {rows} row lines, got {len(body)}")
     if opts["ring"] == "rational":
-        ring = QQ
-        entries = []
-        for ln in body:
-            if not ln.startswith("row "):
-                raise ParseError(f"bad row line {ln!r}")
-            payload = json.loads(ln[4:])
-            if len(payload) != cols:
-                raise ParseError("row width mismatch")
-            entries.append([parse_fraction(s) for s in payload])
-        return name, RingMatrix(QQ, entries)
-    ring = PolyRing(nvars=int(opts["nvars"]), laurent=(opts["ring"] == "laurent"),
-                    var=opts["var"])
+        ring, parse = QQ, parse_fraction
+    else:
+        ring = PolyRing(nvars=int(opts["nvars"]), laurent=(opts["ring"] == "laurent"),
+                        var=opts["var"])
+        parse = partial(poly_from_pairs, ring=ring)
     entries = []
     for ln in body:
         if not ln.startswith("row "):
@@ -82,7 +76,7 @@ def parse_matrix_block(lines: list[str]) -> tuple[str, RingMatrix]:
         payload = json.loads(ln[4:])
         if len(payload) != cols:
             raise ParseError("row width mismatch")
-        entries.append([poly_from_pairs(pairs, ring) for pairs in payload])
+        entries.append([parse(cell) for cell in payload])
     return name, RingMatrix(ring, entries)
 
 

@@ -255,6 +255,35 @@ def test_negative_dimension_is_a_parse_error(tmp_path, subcommand):
     assert "betti" not in out
 
 
+def test_negative_generator_count_is_a_parse_error(tmp_path):
+    bad = tmp_path / "neg.pres"
+    bad.write_text("generators -1\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("fox", "-p", str(bad))
+    assert code == 2
+    assert err.getvalue().startswith("parse error") and "generator count" in err.getvalue()
+    assert "Delta0" not in out
+
+
+@pytest.mark.parametrize("subcommand", ["connection", "verify", "induced"])
+@pytest.mark.parametrize("arrangement,ranks", [
+    ("dim 2\n0 1 0\n0 0 1\n-1 1 1\n", "[1, 3, 3]"),
+    ("dim 2\n0 1 0\n1 1 0\n0 0 1\n1 0 1\n", "[1, 4, 4]"),
+])
+def test_rank_mismatch_with_the_presentation_is_a_parse_error(tmp_path, subcommand,
+                                                              arrangement, ranks):
+    path = tmp_path / "other.arr"
+    path.write_text(arrangement)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(subcommand, "-a", str(path), "-p", ARGS["-p"], "-e", ARGS["-e"],
+                            "-c", ARGS["-c"], "--xi", ARGS["xi1"])
+    assert code == 2 and out == ""
+    message = err.getvalue()
+    assert message.startswith("parse error") and ranks in message and "[1, 4, 5]" in message
+
+
 @pytest.mark.parametrize("kind,text", [
     ("pres", "generators x\n[g1,g2]\n"),
     ("cert", "relator x\n( 1 , 1 , +1 )\n"),

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrmono import (
+    QQ,
+    ChainIdentityFailed,
     FactorizationFailed,
+    NoSolution,
     NotIdentityAtOne,
     RingMatrix,
     char_poly,
@@ -26,6 +29,8 @@ from arrmono import (
     phi1,
     phi2_from_certificate,
     poly_ring,
+    rational_rank,
+    solve_right,
     spectra_correspond,
     verify_chain_map,
     verify_exp_relation,
@@ -290,20 +295,22 @@ def test_eigen_linear_forms_failure():
 def axis_probe_linear_forms(omega):
     """The former candidate search, kept as an oracle: integer roots at every
     unit vector, their cartesian product filtered at a seeded generic point,
-    and exact division on CharPoly.  The multiset of certified factors, or
-    FactorizationFailed."""
+    and exact division of the cleared characteristic polynomial.  The
+    multiset of certified factors, or FactorizationFailed."""
     from arrmono.connection import _eval_univariate, _integer_roots, _linear_form
+    from arrmono.linalg import divide_linear_terms
     ring, n, size = omega.ring, omega.ring.nvars, omega.rows
     cp = char_poly(omega)
     per_axis = []
     for j in range(n):
-        roots = _integer_roots(cp.evaluate_coeffs([int(i == j) for i in range(n)]))
+        roots = _integer_roots([c.evaluate([int(i == j) for i in range(n)]) for c in cp.coeffs])
         if sum(roots.values()) != size:
             raise FactorizationFailed(f"axis probe {j + 1} has non-integer eigenvalues")
         per_axis.append(sorted(roots))
     rng = random.Random(0)
     generic = [Fraction(rng.randint(2, 97), rng.randint(1, 9)) for _ in range(n)]
-    cp_generic = cp.evaluate_coeffs(generic)
+    cp_generic = [c.evaluate(generic) for c in cp.coeffs]
+    cleared, _ = cp.cleared()
     stack = [()]
     for axis in per_axis:
         stack = [t + (r,) for t in stack for r in axis]
@@ -312,12 +319,12 @@ def axis_probe_linear_forms(omega):
         value = sum(Fraction(c) * g for c, g in zip(cand, generic))
         if _eval_univariate(cp_generic, value) != 0:
             continue
-        root = _linear_form(ring, cand)
-        while (nxt := cp.divide_linear(root)) is not None:
-            cp = nxt
+        root = _linear_form(ring, cand).terms
+        while (nxt := divide_linear_terms(cleared, root)) is not None:
+            cleared = nxt
             out[cand] = out.get(cand, 0) + 1
-    if cp.degree > 0:
-        raise FactorizationFailed(f"{cp.degree} eigenvalues are not integral linear forms")
+    if len(cleared) > 1:
+        raise FactorizationFailed(f"{len(cleared) - 1} eigenvalues are not integral linear forms")
     return out
 
 
@@ -611,7 +618,6 @@ def test_cohomology_action_resonant(pencil):
 
 
 def test_cohomology_action_identity_maps(pencil):
-    from arrmono import QQ
     t = [Fraction(2)] * 4
     cx = pencil["cx"].specialize(t)
     maps = {q: RingMatrix.identity(QQ, r) for q, r in enumerate(cx.ranks)}
@@ -656,6 +662,59 @@ def _deflate(coeffs, v):
         carry = coeffs[i] + v * carry
     assert carry == 0
     return list(reversed(out))
+
+
+def per_vector_cohomology_action(cx, maps):
+    """The former algorithm, kept as an oracle: complete the image basis to
+    a kernel basis one kernel vector at a time, keeping a vector when it
+    raises the rank of the stack, and solve for the coordinates of each
+    representative's image separately.  (betti, matrices, representatives)."""
+    from arrmono.linalg import rational_left_kernel, rational_row_space
+    betti = cx.betti()
+    matrices, reps = {}, {}
+    for q in sorted(maps):
+        bq = cx.ranks[q]
+        if q < len(cx.boundaries):
+            kernel = rational_left_kernel(cx.boundaries[q])
+        else:
+            kernel = [[Fraction(int(i == j)) for i in range(bq)] for j in range(bq)]
+        image = rational_row_space(cx.boundaries[q - 1]) if q > 0 else []
+        stack, chosen = list(image), []
+        for v in kernel:
+            if rational_rank(RingMatrix(QQ, stack + [v])) > len(stack):
+                stack.append(v)
+                chosen.append(v)
+        reps[q] = chosen
+        rows = []
+        for v in chosen:
+            w = [sum(v[k] * maps[q].entries[k][j] for k in range(bq)) for j in range(bq)]
+            span = RingMatrix(QQ, [[u[j] for u in stack] for j in range(bq)])
+            try:
+                res = solve_right(span, RingMatrix(QQ, [[x] for x in w]))
+            except NoSolution:
+                raise ChainIdentityFailed(f"image of a degree-{q} cocycle left the kernel")
+            rows.append([res.cleared.entries[i][0] for i in range(len(image), len(stack))])
+        matrices[q] = RingMatrix(QQ, rows) if chosen else RingMatrix.zero(QQ, 0, 0)
+    return betti, matrices, reps
+
+
+weights = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(weights, min_size=4, max_size=4))
+def test_cohomology_action_matches_per_vector_oracle(pencil, t):
+    """One elimination per degree picks the same representatives and gives
+    the same matrices as the per-vector completion, resonant weights
+    included."""
+    act = _action_at(pencil, t)
+    maps = {q: evaluate_matrix(m, t) for q, m in pencil["phis"].items()}
+    betti, matrices, reps = per_vector_cohomology_action(pencil["cx"].specialize(t), maps)
+    assert act.betti == betti
+    assert act.representatives == reps
+    assert act.matrices == matrices
 
 
 # -- classification -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fox calculus, presentations, endomorphisms, and certificates."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from arrmono import (
     universal_complex,
     verify_chain_map,
 )
-from arrmono.fox import format_certificate, format_word
+from arrmono.fox import _boundaries, format_certificate
 from conftest import DELTA0, DELTA1, PHI1, PHI2, mat, random_certified_endo
 
 L = laurent_ring(4, var="x")
@@ -41,13 +42,38 @@ L = laurent_ring(4, var="x")
 
 def test_parse_word_commutator():
     w = parse_word("[g3 g1, g2]", 4)
-    assert format_word(w) == "g3 g1 g2 g1^-1 g3^-1 g2^-1"
+    assert str(w) == "g3 g1 g2 g1^-1 g3^-1 g2^-1"
 
 
 def test_word_reduction_and_inverse():
     w = parse_word("g1 g2 g2^-1 g1^-1 g3", 4)
     assert w == Word.gen(4, 3)
     assert (w * w.inverse()).is_identity()
+
+
+def _power_by_products(word, k):
+    """w^k for k >= 0 as k products, each freely reducing the whole word."""
+    out = Word.identity(word.ngens)
+    for _ in range(k):
+        out = out * word
+    return out
+
+
+@pytest.mark.parametrize("factor", ["g1", "g3", "[g1,g2]", "[g1 g3, g2^-1]", "[[g1,g2],g3]"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, -1, -3])
+def test_word_powers_match_repeated_products(factor, k):
+    base = parse_word(factor, 3)
+    want = _power_by_products(base if k >= 0 else base.inverse(), abs(k))
+    assert parse_word(f"{factor}^{k}", 3) == want
+    assert parse_word(f"{factor}^{k} g2 {factor}^{-k} g2^-1", 3) == \
+        want * Word.gen(3, 2) * want.inverse() * Word.gen(3, 2, -1)
+
+
+def test_word_powers_parse_in_linear_time():
+    start = time.perf_counter()
+    w = parse_word("g1^20000 g2 g1^-20000 g2^-1", 2)
+    assert time.perf_counter() - start < 1.0
+    assert len(w) == 40002
 
 
 def test_word_powers():
@@ -107,12 +133,14 @@ def test_universal_complex_rejects_bad_relator():
         universal_complex(pres)
 
 
-def test_degenerate_presentation_opt_out():
+def test_degenerate_presentation_boundaries():
     pres = parse_presentation("generators 1\ng1\n")
-    cx = universal_complex(pres, require_complex=False)
     L1 = pres.ring()
-    assert cx.boundaries[0] == RingMatrix(L1, [[parse_poly("x1-1", L1)]])
-    assert cx.boundaries[1] == RingMatrix(L1, [[parse_poly("1", L1)]])
+    d0, d1 = _boundaries(pres, L1)
+    assert d0 == RingMatrix(L1, [[parse_poly("x1-1", L1)]])
+    assert d1 == RingMatrix(L1, [[parse_poly("1", L1)]])
+    with pytest.raises(FundamentalIdentityFailed):
+        universal_complex(pres)
 
 
 # -- phi1 -------------------------------------------------------------------------

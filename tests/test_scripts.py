@@ -10,11 +10,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["run_pipeline.py", "make_certificate.py"])
-def test_script_runs_cleanly(script):
+def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("script", ["run_pipeline.py", "make_certificate.py"])
+def test_script_runs_cleanly(script):
+    proc = _run(script)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_run_pipeline_matches_golden():
+    """The pipeline demo, cohomology actions included, prints exactly the
+    committed golden output."""
+    proc = _run("run_pipeline.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "golden" / "run_pipeline.txt").read_text(encoding="utf-8")

@@ -143,7 +143,7 @@ def test_integer_entries_and_zero_rows():
     a = RingMatrix(QQ, [[0, 0, 0], [2, 4, 0], [0, 0, 0], [1, 2, 3]])
     b = RingMatrix(QQ, [[0], [2], [0], [4]])
     res = solve_right(a, b)
-    assert res.cleared.col(0) == [1, 0, 1]
+    assert [row[0] for row in res.cleared.entries] == [1, 0, 1]
     assert res.kernel == [[-2, 1, 0]]
     with pytest.raises(NoSolution):
         solve_right(a, RingMatrix(QQ, [[1], [2], [0], [4]]))
