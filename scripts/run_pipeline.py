@@ -34,11 +34,11 @@ def main():
         "--xi", str(FIXTURES / "pencil4_proj_res.txt")]))
     cx, ac, phis, fc = job.cx, job.aomoto, job.phis, job.omega
     print(f"arrangement: {job.arr.n} hyperplanes in dimension {job.arr.dim}, "
-          f"betti {ac.betti}, euler {cx.euler_characteristic()}\n")
+          f"betti {ac.ranks}, euler {cx.euler_characteristic()}\n")
     show("Delta0", cx.boundaries[0])
     show("Delta1", cx.boundaries[1])
-    show("mu0", ac.boundary(0))
-    show("mu1", ac.boundary(1))
+    show("mu0", ac.boundaries[0])
+    show("mu1", ac.boundaries[1])
     show("Phi1", phis[1])
     show("Phi2", phis[2])
     show("Omega1", fc.degree(1))

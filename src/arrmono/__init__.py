@@ -90,7 +90,7 @@ from .linalg import (
     symbolic_det,
     verify_chain_map,
 )
-from .oscomplex import AomotoComplex, aomoto_boundary
+from .oscomplex import aomoto_boundary
 from .rings import (
     Poly,
     PolyRing,

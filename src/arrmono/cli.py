@@ -53,10 +53,10 @@ class Job:
 
     Stages call the names this module imports.  A stage that proves an
     identity raises when it fails, so a check read off it passed:
-    aomoto_boundary (mu is a complex), universal_complex (D0 * D1 = 0),
-    phi2_from_certificate (the certificate is valid and
-    D1 * Phi2 = Phi1 * D1), eigen_* (the spectrum splits as certified),
-    verify_chain_map and verify_projection."""
+    aomoto_boundary and universal_complex (mu and Delta are complexes,
+    proved when each RingComplex is constructed), phi2_from_certificate
+    (the certificate is valid and D1 * Phi2 = Phi1 * D1), eigen_* (the
+    spectrum splits as certified), verify_chain_map and verify_projection."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -94,9 +94,9 @@ class Job:
         """mu's boundaries, for the stages that read them next to Delta and
         Omega: raises ParseError unless the arrangement's ranks in degrees
         0..2 are those of the presentation's complex."""
-        betti, ranks = self.aomoto.betti, self.cx.ranks
-        if betti[:len(ranks)] != ranks:
-            raise ParseError(f"arrangement ranks {betti} and presentation ranks {ranks} "
+        arr_ranks, ranks = self.aomoto.ranks, self.cx.ranks
+        if arr_ranks[:len(ranks)] != ranks:
+            raise ParseError(f"arrangement ranks {arr_ranks} and presentation ranks {ranks} "
                              "differ in degrees 0..2")
         return self.aomoto.boundaries
 
@@ -157,13 +157,13 @@ def cmd_info(job: Job, report: ReportWriter) -> None:
 def cmd_aomoto(job: Job, report: ReportWriter) -> None:
     ac = job.aomoto
     report.section("aomoto")
-    report.kv("betti", ",".join(str(b) for b in ac.betti))
+    report.kv("betti", ",".join(str(b) for b in ac.ranks))
     for q, mat in enumerate(ac.boundaries):
         report.kv(f"rows[mu{q}]", " ".join(_label(s) for s in job.basis.degree(q)))
         report.kv(f"cols[mu{q}]", " ".join(_label(s) for s in job.basis.degree(q + 1)))
         report.matrix(f"mu{q}", mat)
     report.check("aomoto.linear_forms", job.mu_linear)
-    report.check("aomoto.complex", True)  # aomoto_boundary raised otherwise
+    report.check("aomoto.complex", True)  # RingComplex construction raised otherwise
 
 
 def cmd_fox(job: Job, report: ReportWriter) -> None:
@@ -233,7 +233,7 @@ def cmd_specialize(job: Job, report: ReportWriter) -> None:
     if job.args.ring == "x":
         cx, n = job.cx, job.pres.ngens
     else:
-        cx, n = job.aomoto.complex, job.arr.n
+        cx, n = job.aomoto, job.arr.n
     point = parse_point(job.args.at, n)
     cls = classify_weights(cx, point)
     report.kv("ring", job.args.ring)
@@ -261,7 +261,7 @@ def cmd_verify(job: Job, report: ReportWriter) -> None:
     """Full identity suite over the supplied inputs."""
     report.section("verify")
     linear = job.mu_linear
-    report.check("aomoto.complex", True)  # aomoto_boundary raised otherwise
+    report.check("aomoto.complex", True)  # RingComplex construction raised otherwise
     report.check("aomoto.linear_forms", linear)
     ngens = job.cx.ranks[1]
     report.check("fox.complex", True)  # universal_complex raised otherwise

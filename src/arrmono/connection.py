@@ -573,8 +573,9 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -
                                  "Xi does not have full column rank")
 
 
-# Projection file format:
-#   ring x 4
+# Projection file format (each header line exactly once):
+#   ring x
+#   nvars 4
 #   rows 5
 #   cols 2
 #   locus x3 = x1^-1*x2^-1     (zero or more; right side a unit monomial)
@@ -599,11 +600,13 @@ def parse_projection(text: str) -> ProjectionData:
             locus_lines.append(ln[len("locus "):])
         else:
             parts = ln.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or parts[0] not in ("ring", "nvars", "rows", "cols"):
                 raise ParseError(f"bad projection header line {ln!r}")
+            if parts[0] in header:
+                raise ParseError(f"repeated projection header '{parts[0]}'")
             header[parts[0]] = parts[1]
         idx += 1
-    for key in ("ring", "rows", "cols"):
+    for key in ("ring", "nvars", "rows", "cols"):
         if key not in header:
             raise ParseError(f"projection file missing '{key}'")
     if header["ring"] != "x":
@@ -616,10 +619,7 @@ def parse_projection(text: str) -> ProjectionData:
 
     rows = count(header["rows"], "row count")
     cols = count(header["cols"], "column count")
-    nvars_line = header.get("nvars") or header.get("n")
-    if nvars_line is None:
-        raise ParseError("projection file missing 'nvars'")
-    n = count(nvars_line, "variable count")
+    n = count(header["nvars"], "variable count")
     xring = laurent_ring(n, var="x")
     yring = poly_ring(n, var="y")
 
@@ -712,7 +712,6 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
     coordinates on the representatives.  The chain identity is verified
     first.
     """
-    cx.check_complex()
     verify_chain_map(cx.boundaries, maps)
     betti = cx.betti()
     matrices: dict[int, RingMatrix] = {}

@@ -26,6 +26,7 @@ from .errors import (
     AbelianizationNotPreserved,
     CertificateInvalid,
     FundamentalIdentityFailed,
+    NotAComplex,
     ParseError,
 )
 from .linalg import RingComplex, RingMatrix, verify_chain_map
@@ -69,20 +70,31 @@ class Word:
     def gen(ngens: int, j: int, e: int = 1) -> "Word":
         return Word.from_letters(ngens, [(j, 1 if e > 0 else -1)] * abs(e))
 
+    @staticmethod
+    def product(ngens: int, factors: Iterable["Word"]) -> "Word":
+        """The product of the factors in order.  Free reduction is
+        confluent, so reducing their letters in one pass as they stream in
+        gives the same word as multiplying factor by factor, in linear time
+        and with only the reduced prefix held."""
+        def letters() -> Iterable[Letter]:
+            for w in factors:
+                if w.ngens != ngens:
+                    raise ValueError("mixing free groups of different rank")
+                yield from w.letters
+        return Word(ngens, _reduce_letters(letters()))
+
     def __mul__(self, other: "Word") -> "Word":
-        if self.ngens != other.ngens:
-            raise ValueError("mixing free groups of different rank")
-        return Word(self.ngens, _reduce_letters(self.letters + other.letters))
+        return Word.product(self.ngens, (self, other))
 
     def inverse(self) -> "Word":
         return Word(self.ngens, tuple((g, -e) for g, e in reversed(self.letters)))
 
     def conjugate(self, by: "Word") -> "Word":
         """by * self * by^{-1}."""
-        return by * self * by.inverse()
+        return Word.product(self.ngens, (by, self, by.inverse()))
 
     def commutator(self, other: "Word") -> "Word":
-        return self * other * self.inverse() * other.inverse()
+        return Word.product(self.ngens, (self, other, self.inverse(), other.inverse()))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -125,7 +137,7 @@ def parse_word(text: str, ngens: int) -> Word:
         pos = m.end()
 
     def parse_seq(i: int, stop: set[str]) -> tuple[Word, int]:
-        acc = Word.identity(ngens)
+        factors: list[Word] = []
         while i < len(toks) and toks[i] not in stop:
             tok = toks[i]
             if tok == "[":
@@ -148,16 +160,12 @@ def parse_word(text: str, ngens: int) -> Word:
                 i += 1
             else:
                 raise ParseError(f"unexpected token {tok!r}")
+            power = 1
             if i < len(toks) and toks[i].startswith("^"):
                 power = int(toks[i][1:])
                 i += 1
-                if power < 0:
-                    factor = factor.inverse()
-                # Free reduction is confluent: reducing the k-fold letters
-                # once gives the k-fold product, in linear time.
-                factor = Word.from_letters(ngens, factor.letters * abs(power))
-            acc = acc * factor
-        return acc, i
+            factors += [factor if power > 0 else factor.inverse()] * abs(power)
+        return Word.product(ngens, factors), i
 
     word, i = parse_seq(0, set())
     if i != len(toks):
@@ -249,11 +257,10 @@ def universal_complex(pres: Presentation) -> RingComplex:
     trivially (fundamental identity of Fox calculus); otherwise
     FundamentalIdentityFailed is raised."""
     ring = pres.ring()
-    d0, d1 = _boundaries(pres, ring)
-    cx = RingComplex(ring, [1, pres.ngens, pres.nrels], [d0, d1])
-    if not (d0 * d1).is_zero():
-        raise FundamentalIdentityFailed("a relator does not abelianize to zero")
-    return cx
+    try:
+        return RingComplex(ring, [1, pres.ngens, pres.nrels], _boundaries(pres, ring))
+    except NotAComplex:
+        raise FundamentalIdentityFailed("a relator does not abelianize to zero") from None
 
 
 # -- endomorphisms ------------------------------------------------------------------
@@ -281,11 +288,8 @@ class Endomorphism:
                                          for j in range(1, ngens + 1)))
 
     def apply(self, w: Word) -> Word:
-        out = Word.identity(self.ngens)
-        for g, e in w.letters:
-            img = self.images[g - 1]
-            out = out * (img if e == 1 else img.inverse())
-        return out
+        images = {1: self.images, -1: [img.inverse() for img in self.images]}
+        return Word.product(self.ngens, (images[e][g - 1] for g, e in w.letters))
 
     def after(self, other: "Endomorphism") -> "Endomorphism":
         """self o other: apply other first, then self."""
@@ -343,16 +347,16 @@ class RelatorCertificate:
         if len(self.terms) != pres.nrels:
             raise CertificateInvalid(
                 f"certificate covers {len(self.terms)} relators, presentation has {pres.nrels}")
+        rels = pres.relators
         for l, terms in enumerate(self.terms):
-            prod = Word.identity(pres.ngens)
-            for w, k, e in terms:
+            for _, k, e in terms:
                 if not 1 <= k <= pres.nrels:
                     raise CertificateInvalid(f"relator index {k} out of range")
                 if e not in (1, -1):
                     raise CertificateInvalid(f"sign must be +-1, got {e}")
-                rk = pres.relators[k - 1]
-                prod = prod * (rk if e == 1 else rk.inverse()).conjugate(w)
-            target = endo.apply(pres.relators[l])
+            prod = Word.product(pres.ngens, ((rels[k - 1] if e == 1 else rels[k - 1].inverse())
+                                             .conjugate(w) for w, k, e in terms))
+            target = endo.apply(rels[l])
             if prod != target:
                 raise CertificateInvalid(
                     f"relator {l + 1}: product reduces to '{prod}', image is '{target}'")

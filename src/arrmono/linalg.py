@@ -21,7 +21,9 @@ and the synthetic division that certifies eigenvalues, runs on int
 coefficients in term dicts.  The substitution x_j = exp(y_j) is needed only
 to order 2: a Laurent matrix maps entry by entry through the closed-form
 2-jet of rings.exp_jet, and exp of a connection matrix Omega without
-constant terms is I + Omega + Omega^2/2.
+constant terms is I + Omega + Omega^2/2.  A RingComplex proves
+d_q * d_{q+1} = 0 once, when it is constructed, so no later stage checks it
+again.
 """
 
 from __future__ import annotations
@@ -685,7 +687,9 @@ class RingComplex:
     """Finite cochain complex of free modules, given by boundary matrices.
 
     boundaries[q] is the b_q x b_{q+1} matrix of the map from degree q to
-    degree q+1 in the row-vector convention.
+    degree q+1 in the row-vector convention.  Construction multiplies out
+    each d_q * d_{q+1} once and raises NotAComplex unless it is zero, so
+    every RingComplex is a complex.
     """
 
     ring: object
@@ -699,25 +703,18 @@ class RingComplex:
             if b.shape() != (self.ranks[q], self.ranks[q + 1]):
                 raise ShapeMismatch(f"boundary {q} has shape {b.shape()}, "
                                     f"expected {(self.ranks[q], self.ranks[q + 1])}")
-
-    def check_complex(self) -> None:
-        """Raise NotAComplex unless consecutive boundaries compose to zero."""
         for q in range(len(self.boundaries) - 1):
-            prod = self.boundaries[q] * self.boundaries[q + 1]
-            if not prod.is_zero():
+            if not (self.boundaries[q] * self.boundaries[q + 1]).is_zero():
                 raise NotAComplex(f"composition at degree {q} is nonzero")
 
     def specialize(self, point: Sequence[Fraction | int]) -> "RingComplex":
-        specialized = RingComplex(QQ, list(self.ranks),
-                                  [evaluate_matrix(b, point) for b in self.boundaries])
-        specialized.check_complex()
-        return specialized
+        return RingComplex(QQ, list(self.ranks),
+                           [evaluate_matrix(b, point) for b in self.boundaries])
 
     def betti(self) -> list[int]:
         """h^q = dim ker(d^q) - rank(d^{q-1}) by exact rank computation."""
         if not isinstance(self.ring, RationalField):
             raise ValueError("betti needs a specialized (rational) complex")
-        self.check_complex()
         ranks_of_maps = [rational_rank(b) for b in self.boundaries]
         out = []
         for q, bq in enumerate(self.ranks):

@@ -1,5 +1,7 @@
 """The graded quotient algebra on the nbc basis and its universal cochain
 complex over Q[y1..yn], with boundary = left wedge by sum_j y_j a_j.
+aomoto_boundary returns that complex as a linalg.RingComplex, whose ranks
+are the nbc counts and whose construction proves mu * mu = 0.
 
 Rewriting into the nbc basis: a monomial a_S is zero when S contains a
 minimal empty-intersection set; otherwise the lexicographically largest
@@ -14,12 +16,11 @@ index sets strictly decreases lexicographically and the rewriting terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .arrangement import Arrangement, DependencyData, NbcBasis, compute_dependencies, nbc_basis
 from .linalg import RingComplex, RingMatrix
-from .rings import PolyRing, poly_ring
+from .rings import poly_ring
 
 
 def wedge_sort(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -92,31 +93,12 @@ class NbcRewriter:
         return result
 
 
-@dataclass
-class AomotoComplex:
-    """Boundaries mu_q over Q[y], rows indexed by nbc q-sets, columns by
-    nbc (q+1)-sets; every entry an integral linear form."""
-
-    ring: PolyRing
-    nbc: NbcBasis
-    complex: RingComplex
-
-    @property
-    def betti(self) -> list[int]:
-        return list(self.complex.ranks)
-
-    @property
-    def boundaries(self) -> list[RingMatrix]:
-        return self.complex.boundaries
-
-    def boundary(self, q: int) -> RingMatrix:
-        return self.complex.boundaries[q]
-
-
 def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
-                    basis: NbcBasis | None = None) -> AomotoComplex:
-    """Assemble the boundary matrices of left-multiplication by
-    sum_j y_j a_j on the nbc basis."""
+                    basis: NbcBasis | None = None) -> RingComplex:
+    """The Aomoto complex: the boundaries mu_q of left-multiplication by
+    sum_j y_j a_j on the nbc basis, rows indexed by nbc q-sets and columns
+    by nbc (q+1)-sets, every entry an integral linear form.  Its ranks are
+    the nbc counts; constructing it checks mu * mu = 0."""
     if dep is None:
         dep = compute_dependencies(arr)
     if basis is None:
@@ -142,7 +124,5 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
                         continue
                     mat.entries[r][c] = mat.entries[r][c] + ring.monomial({j + 1: 1}, sign * coeff)
         boundaries.append(mat)
-    cx = RingComplex(ring, basis.betti(), boundaries)
-    cx.check_complex()
-    return AomotoComplex(ring=ring, nbc=basis, complex=cx)
+    return RingComplex(ring, basis.betti(), boundaries)
 

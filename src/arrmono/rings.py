@@ -604,8 +604,11 @@ def poly_from_pairs(pairs: Iterable, ring: PolyRing) -> Poly:
 
 
 def parse_point(text: str, nvars: int) -> tuple[Fraction, ...]:
-    """Comma-separated rational coordinates, e.g. '2,3,1/6,1'."""
-    parts = [s for s in text.split(",") if s.strip()]
+    """Comma-separated rational coordinates, e.g. '2,3,1/6,1'.  Every field
+    holds one coordinate; the point with no coordinates is written ','."""
+    parts = [] if text.strip() == "," else text.split(",")
+    if any(not s.strip() for s in parts):
+        raise ParseError(f"empty coordinate in point {text!r}")
     if len(parts) != nvars:
         raise ParseError(f"expected {nvars} coordinates, got {len(parts)}")
     return tuple(parse_fraction(s) for s in parts)

@@ -120,6 +120,34 @@ def test_golden_battery_runs_each_stage_once(name, monkeypatch):
     assert all(n <= 1 for n in calls.values()), calls
 
 
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_golden_battery_multiplies_each_complex_out_once(name, monkeypatch):
+    """d_q * d_{q+1} is multiplied out exactly once for every complex a job
+    builds, whether over Q[y], the Laurent ring or Q at a point."""
+    from arrmono import RingComplex, RingMatrix
+
+    built, products = [], {}
+    post_init, mul = RingComplex.__post_init__, RingMatrix.__mul__
+
+    def recording_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_mul(self, other):
+        key = (id(self), id(other))
+        products[key] = products.get(key, 0) + 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RingComplex, "__post_init__", recording_post_init)
+    monkeypatch.setattr(RingMatrix, "__mul__", counting_mul)
+    code, _ = structured(*BATTERY[name])
+    assert code == 0
+    assert built or name == "info"
+    counts = [products.get((id(d), id(e)), 0)
+              for cx in built for d, e in zip(cx.boundaries, cx.boundaries[1:])]
+    assert counts == [1] * len(counts), counts
+
+
 def test_repeated_main_calls_share_no_state():
     """The parser is built once per process; a second job sees only its own
     arguments."""
@@ -211,6 +239,27 @@ def test_specialize_aomoto_side():
     code, out = run_cli("specialize", "-a", ARGS["-a"], "--ring", "y", "--at", "0,0,0,0")
     assert code == 0
     assert "betti: 1,4,5" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("specialize", "-p", ARGS["-p"], "--ring", "x"),
+    ("specialize", "-a", ARGS["-a"], "--ring", "y"),
+    ("connection",) + _PEC + ("--ring", "x"),
+])
+@pytest.mark.parametrize("at", ["2,,2,2,2", "2,2,2,2,", ",2,2,2,2", "2, ,2,2,2", ",,,,"])
+def test_point_with_an_empty_coordinate_is_a_parse_error(argv, at):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv, f"--at={at}")
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("parse error: empty coordinate")
+
+
+def test_point_without_coordinates_is_a_comma(tmp_path):
+    path = tmp_path / "free0.pres"
+    path.write_text("generators 0\n")
+    code, out = run_cli("specialize", "-p", str(path), "--ring", "x", "--at=,")
+    assert code == 0 and "betti: 1,0,0" in out
 
 
 def test_verify_exit_zero_and_all_pass():
@@ -312,6 +361,12 @@ def test_malformed_input_is_a_parse_error(tmp_path, kind, text):
     ("locus x3 =", "locus xq ="),
     ("locus x3 =", "locus x9 ="),
     ("locus x3 =", "locus x0 ="),
+    ("nvars 4", "n 4"),
+    ("nvars 4", "nvars 4\nnvars 4"),
+    ("rows 5", "rows 5\nrows 5"),
+    ("ring x", "ring x\nring x"),
+    ("cols 3", "cols 3\ncolumns 3"),
+    ("nvars 4\n", ""),
 ])
 def test_malformed_projection_is_a_parse_error(tmp_path, old, new):
     text = (FIXTURES / "pencil4_proj_res.txt").read_text()

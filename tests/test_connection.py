@@ -552,7 +552,7 @@ def test_exponent_log_bookkeeping_one_by_one(pencil):
 
 def test_nonresonant_projection_and_induced(pencil):
     proj = pencil["proj_nonres"]
-    verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundary(1), proj)
+    verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundaries[1], proj)
     phibar = induced_map(proj.xi, pencil["phis"][2])
     ombar = induced_map(proj.upsilon, pencil["fc"].degree(2))
     assert phibar == mat(L, PHIBAR_NONRES)
@@ -562,7 +562,7 @@ def test_nonresonant_projection_and_induced(pencil):
 def test_resonant_projection_and_induced(pencil):
     proj = pencil["proj_res"]
     assert proj.locus is not None
-    verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundary(1), proj)
+    verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundaries[1], proj)
     phibar = induced_map(proj.xi, pencil["phis"][2])
     ombar = induced_map(proj.upsilon, pencil["fc"].degree(2))
     assert phibar == mat(L, PHIBAR_RES)
@@ -574,7 +574,7 @@ def test_resonant_projection_fails_without_locus(pencil):
     proj = pencil["proj_res"]
     bare = ProjectionData(xi=proj.xi, upsilon=proj.upsilon, locus=None)
     with pytest.raises(VerificationFailed):
-        verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundary(1), bare)
+        verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundaries[1], bare)
 
 
 def test_induced_map_identity_projection(pencil):

@@ -1,6 +1,7 @@
 """Fox calculus, presentations, endomorphisms, and certificates."""
 
 import random
+import re
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from arrmono import (
     ChainIdentityFailed,
     Endomorphism,
     FundamentalIdentityFailed,
+    RelatorCertificate,
     RingMatrix,
     Word,
     evaluate_matrix,
@@ -81,6 +83,32 @@ def test_word_powers():
     assert parse_word("[g1, g2]^-1", 2) == parse_word("g2 g1 g2^-1 g1^-1", 2)
 
 
+def _product_by_factors(ngens, factors):
+    """The product loop that parse_word, Endomorphism.apply and certificate
+    validation ran before: re-reduce the whole prefix at every factor."""
+    acc = Word.identity(ngens)
+    for f in factors:
+        acc = Word.from_letters(ngens, acc.letters + f.letters)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(["g1", "g2^-1", "g3^2", "1", "[g1,g2]", "[g2 g3, g1^-1]^-2",
+                                 "g1^-1", "g2"]), max_size=12))
+def test_parse_word_matches_the_product_loop(tokens):
+    want = _product_by_factors(3, [parse_word(t, 3) for t in tokens])
+    assert parse_word(" ".join(tokens), 3) == want
+
+
+def test_long_words_parse_and_apply_in_linear_time():
+    start = time.perf_counter()
+    w = parse_word("g1 g2 " * 8000, 2)
+    image = Endomorphism(2, (parse_word("g2 g1 g2^-1", 2), Word.gen(2, 2))).apply(w)
+    assert time.perf_counter() - start < 1.0
+    assert len(w) == 16000
+    assert image == parse_word("g2 g1 " * 8000, 2)
+
+
 # -- Fox derivatives ------------------------------------------------------------
 
 
@@ -114,6 +142,33 @@ def test_fox_product_rule(u, v):
         lhs = fox_derivative(u * v, j, L)
         rhs = fox_derivative(u, j, L) + L.monomial(u.abelianization()) * fox_derivative(v, j, L)
         assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(words, min_size=4, max_size=4), words)
+def test_apply_matches_the_product_loop(images, w):
+    want = _product_by_factors(4, [images[g - 1] if e == 1 else images[g - 1].inverse()
+                                   for g, e in w.letters])
+    assert Endomorphism(4, tuple(images)).apply(w) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(words, st.integers(1, 5), st.sampled_from((1, -1))), max_size=4))
+def test_certificate_product_matches_the_product_loop(pencil, terms):
+    """Relator 1 gets the random terms, the others their identity terms;
+    validation against the identity passes exactly when the product loop
+    gives relator 1, and otherwise names the product."""
+    pres = pencil["pres"]
+    rels = pres.relators
+    cert = RelatorCertificate((tuple(terms),) + identity_certificate(pres).terms[1:])
+    want = _product_by_factors(4, [
+        _product_by_factors(4, [w, rels[k - 1] if e == 1 else rels[k - 1].inverse(),
+                                w.inverse()]) for w, k, e in terms])
+    if want == rels[0]:
+        cert.validate(pres, Endomorphism.identity(4))
+    else:
+        with pytest.raises(CertificateInvalid, match=re.escape(f"reduces to '{want}'")):
+            cert.validate(pres, Endomorphism.identity(4))
 
 
 # -- universal complex -----------------------------------------------------------

@@ -208,8 +208,7 @@ def test_mat_exp_rejects_constant_terms():
 
 
 def test_complex_specialization_and_betti(displayed):
-    k = RingComplex(L, [1, 4, 5], [displayed["d0"], displayed["d1"]])
-    k.check_complex()
+    k = RingComplex(L, [1, 4, 5], [displayed["d0"], displayed["d1"]])  # a complex, or raises
     assert k.specialize([2, 2, 2, 2]).betti() == [0, 0, 2]
     assert k.specialize([2, 3, Fraction(1, 6), 1]).betti() == [0, 1, 3]
     assert k.specialize([1, 1, 1, 1]).betti() == [1, 4, 5]
@@ -217,10 +216,8 @@ def test_complex_specialization_and_betti(displayed):
 
 
 def test_not_a_complex():
-    bad = RingComplex(L, [1, 1, 1],
-                      [mat(L, [["x1"]]), mat(L, [["x1"]])])
     with pytest.raises(NotAComplex):
-        bad.check_complex()
+        RingComplex(L, [1, 1, 1], [mat(L, [["x1"]]), mat(L, [["x1"]])])
 
 
 @settings(max_examples=10, deadline=None)

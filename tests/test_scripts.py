@@ -24,6 +24,18 @@ def test_script_runs_cleanly(script):
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
+def test_readme_library_example_runs():
+    """The python block of README's Library section runs from the
+    repository root."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_pipeline_matches_golden():
     """The pipeline demo, cohomology actions included, prints exactly the
     committed golden output."""
