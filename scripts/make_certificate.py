@@ -25,7 +25,9 @@ from arrmono import (
     Word,
     load_endomorphism,
     load_presentation,
+    phi1,
     phi2_from_certificate,
+    universal_complex,
 )
 from arrmono.fox import format_certificate
 
@@ -82,7 +84,7 @@ def main():
     cert = RelatorCertificate((rel1, rel2, rel3, rel4, rel5))
     cert.validate(pres, endo)  # free-reduction proof of every identity
     print("derived certificate validates; induced degree-2 matrix:")
-    p2 = phi2_from_certificate(pres, endo, cert)
+    p2 = phi2_from_certificate(pres, endo, cert, universal_complex(pres), phi1(endo))
     for row in p2.entries:
         print("   [ " + "  ".join(str(e) for e in row) + " ]")
     text = format_certificate(cert)

@@ -32,7 +32,7 @@ def main():
         "-c", str(FIXTURES / "pencil4_twist12.cert"),
         "--xi", str(FIXTURES / "pencil4_proj_nonres.txt"),
         "--xi", str(FIXTURES / "pencil4_proj_res.txt")]))
-    cx, ac, phis, fc = job.cx, job.aomoto, job.phis, job.omega
+    cx, ac, phis, omega = job.cx, job.aomoto, job.phis, job.omega
     print(f"arrangement: {job.arr.n} hyperplanes in dimension {job.arr.dim}, "
           f"betti {ac.ranks}, euler {cx.euler_characteristic()}\n")
     show("Delta0", cx.boundaries[0])
@@ -41,14 +41,14 @@ def main():
     show("mu1", ac.boundaries[1])
     show("Phi1", phis[1])
     show("Phi2", phis[2])
-    show("Omega1", fc.degree(1))
-    show("Omega2", fc.degree(2))
+    show("Omega1", omega[1])
+    show("Omega2", omega[2])
 
     for q, (er, eo) in job.spectra.items():
         for f in er.factors:
-            print(f"  eigen Phi{q}: {f.describe('x')}")
+            print(f"  eigen Phi{q}: {f.describe()}")
         for f in eo.factors:
-            print(f"  eigen Omega{q}: {f.describe('y')}")
+            print(f"  eigen Omega{q}: {f.describe()}")
     print()
 
     for tag, (phibar, ombar, _, _) in zip(("non-resonant", "resonant"), job.projections()):

@@ -20,7 +20,6 @@ from .arrangement import (
 from .connection import (
     EigenFactor,
     EigenReport,
-    FormalConnection,
     LocusSpec,
     ProjectionData,
     classify_weights,

@@ -44,10 +44,6 @@ class Hyperplane:
         if all(c == 0 for c in self.normal):
             raise ValueError("hyperplane normal must be nonzero")
 
-    def __str__(self) -> str:
-        return f"{self.offset} + " + " + ".join(
-            f"{c}*u{i}" for i, c in enumerate(self.normal, start=1) if c != 0) + " = 0"
-
 
 @dataclass(frozen=True)
 class Arrangement:
@@ -59,7 +55,7 @@ class Arrangement:
             if len(h.normal) != self.dim:
                 raise ValueError("normal length must equal the ambient dimension")
         normals = [list(h.normal) for h in self.hyperplanes]
-        if normals and rational_rank(RingMatrix(QQ, normals)) != self.dim:
+        if rational_rank(RingMatrix(QQ, normals)) != self.dim:
             raise ValueError(f"arrangement must contain {self.dim} independent hyperplanes")
 
     @property
@@ -124,9 +120,7 @@ class NbcBasis:
         return [len(sets) for sets in self.by_degree]
 
 
-def nbc_basis(arr: Arrangement, dep: DependencyData | None = None) -> NbcBasis:
-    if dep is None:
-        dep = compute_dependencies(arr)
+def nbc_basis(arr: Arrangement, dep: DependencyData) -> NbcBasis:
     # Forbidden sets by their largest element, without it.
     forbidden: list[list[frozenset[int]]] = [[] for _ in range(arr.n)]
     for f in (*dep.empty_min, *dep.broken_circuits):

@@ -43,33 +43,18 @@ from .linalg import (
     solve_right,
     verify_chain_map,
 )
-from .rings import Poly, PolyRing, laurent_ring, poly_ring
+from .rings import MAX_VARIABLES, Poly, PolyRing, format_poly, laurent_ring, poly_ring
 
 # -- formal connection -------------------------------------------------------------
 
 
-@dataclass
-class FormalConnection:
-    """Per-degree linear-term matrices of the representation under
-    x_j = exp(y_j); entries are integral linear forms."""
-
-    ring: PolyRing
-    matrices: dict[int, RingMatrix]
-
-    def degree(self, q: int) -> RingMatrix:
-        return self.matrices[q]
-
-
-def formal_connection(phis: dict[int, RingMatrix],
-                      target: PolyRing | None = None) -> FormalConnection:
-    """Entrywise linear part of each representation matrix.  Requires the
-    value at x = 1 to be the identity in every degree."""
+def formal_connection(phis: dict[int, RingMatrix]) -> dict[int, RingMatrix]:
+    """Omega per degree: the entrywise linear part of each representation
+    matrix under x_j = exp(y_j), whose entries are integral linear forms.
+    Requires the value at x = 1 to be the identity in every degree."""
     omegas = {}
-    ring = target
     for q, phi in sorted(phis.items()):
-        const, lin = linearize_matrix(phi, ring)
-        if ring is None:
-            ring = lin.ring
+        const, lin = linearize_matrix(phi)
         if not const.is_identity():
             raise NotIdentityAtOne(f"degree {q} matrix is not the identity at x = 1")
         for row in lin.entries:
@@ -78,7 +63,7 @@ def formal_connection(phis: dict[int, RingMatrix],
                     raise FactorizationFailed(
                         f"degree {q} linear part has a non-integral entry {e}")
         omegas[q] = lin
-    return FormalConnection(ring=ring, matrices=omegas)
+    return omegas
 
 
 # -- exp/log verification ------------------------------------------------------------
@@ -189,7 +174,7 @@ def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
 def verify_exp_relation(phi: RingMatrix, omega: RingMatrix) -> ExpRelationReport:
     """Compare the representation matrix with the exponential of its formal
     connection at truncation order 2."""
-    jet = series_matrix(phi, omega.ring)
+    jet = series_matrix(phi)
     identity_at_one = jet[0].is_identity()
     linear_match = jet[1] == omega
     mismatch = ""
@@ -225,20 +210,19 @@ class EigenFactor:
     data: tuple[int, ...]
     multiplicity: int
 
-    def describe(self, var: str) -> str:
-        from .rings import format_poly, laurent_ring, poly_ring
-
+    def describe(self) -> str:
+        """The factor as text: the eigenvalue, a monomial in x or a linear
+        form in y, and its multiplicity."""
         n = len(self.data)
         if self.kind == "monomial":
-            body = format_poly(laurent_ring(n, var=var).monomial(self.data))
+            body = format_poly(laurent_ring(n).monomial(self.data))
         else:
-            body = format_poly(_linear_form(poly_ring(n, var=var), self.data))
+            body = format_poly(_linear_form(poly_ring(n), self.data))
         return f"{body} (multiplicity {self.multiplicity})"
 
 
 @dataclass
 class EigenReport:
-    kind: str
     size: int
     factors: tuple[EigenFactor, ...]
 
@@ -282,7 +266,7 @@ def eigen_monomials(phi: RingMatrix) -> EigenReport:
     size = phi.rows
     cp = char_poly(phi)
     if size == 0:
-        return EigenReport(kind="monomial", size=0, factors=())
+        return EigenReport(size=0, factors=())
     factors: list[EigenFactor] = []
     remaining, _ = cp.cleared()
     for exps in sorted(phi.trace().terms):
@@ -292,7 +276,7 @@ def eigen_monomials(phi: RingMatrix) -> EigenReport:
     if len(remaining) > 1:
         raise FactorizationFailed(
             f"{len(remaining) - 1} eigenvalues are not unit monomials")
-    return EigenReport(kind="monomial", size=size, factors=tuple(factors))
+    return EigenReport(size=size, factors=tuple(factors))
 
 
 def _eval_univariate(coeffs: Sequence, z):
@@ -470,7 +454,7 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
     parts = linear_coefficients(omega)
     size = omega.rows
     if size == 0:
-        return EigenReport(kind="linear_form", size=0, factors=())
+        return EigenReport(size=0, factors=())
     cp = char_poly(omega)
     coeffs, _ = cp.cleared()
 
@@ -496,7 +480,7 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
     if len(remaining) > 1:
         raise FactorizationFailed(
             f"{len(remaining) - 1} eigenvalues are not integral linear forms")
-    return EigenReport(kind="linear_form", size=size, factors=tuple(factors))
+    return EigenReport(size=size, factors=tuple(factors))
 
 
 def _balanced_digits(value: int, base: int, count: int) -> tuple[int, ...] | None:
@@ -543,10 +527,6 @@ class ProjectionData:
     upsilon: RingMatrix
     locus: LocusSpec | None = None
 
-    @property
-    def target_rank(self) -> int:
-        return self.xi.cols
-
 
 def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -> None:
     """Check D1 * Xi = 0 and mu1 * Upsilon = 0 (on the locus, if any),
@@ -564,7 +544,7 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -
     locus = proj.locus or LocusSpec({}, {})
     require_zero(delta * proj.xi, locus.x_subs, "projection.delta_xi", "D1 * Xi")
     require_zero(mu * proj.upsilon, locus.y_subs, "projection.mu_upsilon", "mu1 * Upsilon")
-    _, lin = linearize_matrix(proj.xi, proj.upsilon.ring)
+    _, lin = linearize_matrix(proj.xi)
     if lin != proj.upsilon:
         raise VerificationFailed("projection.linearization",
                                  "Upsilon is not the linear part of Xi")
@@ -615,13 +595,17 @@ def parse_projection(text: str) -> ProjectionData:
     def count(text: str, what: str) -> int:
         if not text.isdecimal():
             raise ParseError(f"bad {what} {text!r}: expected a non-negative integer")
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{what} has {len(text)} digits") from None
 
     rows = count(header["rows"], "row count")
     cols = count(header["cols"], "column count")
     n = count(header["nvars"], "variable count")
-    xring = laurent_ring(n, var="x")
-    yring = poly_ring(n, var="y")
+    if n > MAX_VARIABLES:
+        raise ParseError(f"variable count {n} exceeds {MAX_VARIABLES}")
+    xring, yring = laurent_ring(n), poly_ring(n)
 
     def read_matrix(ring, start: int) -> tuple[RingMatrix, int]:
         entries = []
@@ -643,7 +627,7 @@ def parse_projection(text: str) -> ProjectionData:
     if idx != len(lines):
         raise ParseError("trailing lines in projection file")
     if upsilon is None:
-        upsilon = linearize_matrix(xi, yring)[1]
+        upsilon = linearize_matrix(xi)[1]
 
     locus = None
     if locus_lines:
@@ -663,7 +647,7 @@ def parse_projection(text: str) -> ProjectionData:
             if mono is None or mono[1] != 1:
                 raise ParseError("locus right side must be a unit monomial")
             x_subs[j] = rep
-            y_subs[j] = exp_jet(rep, 1, yring)[1]
+            y_subs[j] = exp_jet(rep, 1)[1]
         locus = LocusSpec(x_subs=x_subs, y_subs=y_subs)
     return ProjectionData(xi=xi, upsilon=upsilon, locus=locus)
 

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import RingComplex, RingMatrix, verify_chain_map
-from .rings import Poly, PolyRing, laurent_ring
+from .rings import MAX_VARIABLES, Poly, PolyRing, laurent_ring
 
 Letter = tuple[int, int]
 
@@ -67,8 +67,8 @@ class Word:
         return Word(ngens, ())
 
     @staticmethod
-    def gen(ngens: int, j: int, e: int = 1) -> "Word":
-        return Word.from_letters(ngens, [(j, 1 if e > 0 else -1)] * abs(e))
+    def gen(ngens: int, j: int) -> "Word":
+        return Word.from_letters(ngens, [(j, 1)])
 
     @staticmethod
     def product(ngens: int, factors: Iterable["Word"]) -> "Word":
@@ -191,7 +191,7 @@ class Presentation:
         return len(self.relators)
 
     def ring(self) -> PolyRing:
-        return laurent_ring(self.ngens, var="x")
+        return laurent_ring(self.ngens)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -206,8 +206,8 @@ def parse_presentation(text: str) -> Presentation:
         ngens = int(head[1])
     except ValueError:
         raise ParseError(f"bad generator count {head[1]!r}") from None
-    if ngens < 0:
-        raise ParseError(f"negative generator count {ngens}")
+    if not 0 <= ngens <= MAX_VARIABLES:
+        raise ParseError(f"generator count {ngens} outside 0..{MAX_VARIABLES}")
     relators = tuple(parse_word(ln, ngens) for ln in lines[1:])
     try:
         return Presentation(ngens=ngens, relators=relators)
@@ -223,10 +223,9 @@ def load_presentation(path) -> Presentation:
 # -- Fox calculus -------------------------------------------------------------------
 
 
-def fox_derivative(w: Word, j: int, ring: PolyRing | None = None) -> Poly:
+def fox_derivative(w: Word, j: int) -> Poly:
     """Abelianized Fox derivative dw/dg_j as a Laurent polynomial."""
-    if ring is None:
-        ring = laurent_ring(w.ngens, var="x")
+    ring = laurent_ring(w.ngens)
     prefix = [0] * w.ngens
     out = ring.zero()
     for g, e in w.letters:
@@ -241,11 +240,13 @@ def fox_derivative(w: Word, j: int, ring: PolyRing | None = None) -> Poly:
     return out
 
 
-def _boundaries(pres: Presentation, ring: PolyRing) -> list[RingMatrix]:
-    """[D0, D1] over ring: the row of (x_j - 1) and the Fox matrix."""
+def _boundaries(pres: Presentation) -> list[RingMatrix]:
+    """[D0, D1] over the Laurent ring of pres: the row of (x_j - 1) and the
+    Fox matrix."""
+    ring = pres.ring()
     gens = range(1, pres.ngens + 1)
     return [RingMatrix(ring, [[ring.variable(j) - 1 for j in gens]]),
-            RingMatrix(ring, [[fox_derivative(r, i, ring) for r in pres.relators]
+            RingMatrix(ring, [[fox_derivative(r, i) for r in pres.relators]
                               for i in gens])]
 
 
@@ -256,9 +257,8 @@ def universal_complex(pres: Presentation) -> RingComplex:
     The composite D0 * D1 vanishes exactly when every relator abelianizes
     trivially (fundamental identity of Fox calculus); otherwise
     FundamentalIdentityFailed is raised."""
-    ring = pres.ring()
     try:
-        return RingComplex(ring, [1, pres.ngens, pres.nrels], _boundaries(pres, ring))
+        return RingComplex(pres.ring(), [1, pres.ngens, pres.nrels], _boundaries(pres))
     except NotAComplex:
         raise FundamentalIdentityFailed("a relator does not abelianize to zero") from None
 
@@ -316,18 +316,16 @@ def load_endomorphism(path, ngens: int) -> Endomorphism:
         return parse_endomorphism(fh.read(), ngens)
 
 
-def phi1(endo: Endomorphism, ring: PolyRing | None = None) -> RingMatrix:
+def phi1(endo: Endomorphism) -> RingMatrix:
     """Degree-1 action matrix: entry [i][j] = d f(g_j) / d g_i.
 
     Requires f(g_j) to abelianize to x_j; under the row-vector convention the
     result satisfies D0 * Phi1 = D0."""
     if not endo.preserves_abelianization():
         raise AbelianizationNotPreserved("generator images must abelianize to themselves")
-    if ring is None:
-        ring = laurent_ring(endo.ngens, var="x")
     n = endo.ngens
-    return RingMatrix(ring, [[fox_derivative(endo.images[j - 1], i, ring)
-                              for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return RingMatrix(laurent_ring(n), [[fox_derivative(endo.images[j - 1], i)
+                                         for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
 # -- certificates -------------------------------------------------------------------
@@ -363,27 +361,20 @@ class RelatorCertificate:
 
 
 def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
-                          cert: RelatorCertificate,
-                          ring: PolyRing | None = None, *,
-                          cx: RingComplex | None = None,
-                          p1: RingMatrix | None = None) -> RingMatrix:
+                          cert: RelatorCertificate, cx: RingComplex,
+                          p1: RingMatrix) -> RingMatrix:
     """Degree-2 action matrix: entry [k][l] sums e * x^{ab(w)} over the
-    certificate terms of relator l that target relator k.  Raises
-    ChainIdentityFailed unless D1 * Phi2 = Phi1 * D1.
-
-    A caller that already holds the universal complex of pres and Phi1 of
-    endo over ring passes them as cx and p1, so neither is built twice;
-    otherwise they are built here."""
+    certificate terms of relator l that target relator k.  cx is the
+    universal complex of pres and p1 is phi1(endo), which the caller
+    already holds.  Raises ChainIdentityFailed unless D1 * Phi2 = Phi1 * D1."""
     cert.validate(pres, endo)
-    if ring is None:
-        ring = pres.ring()
+    ring = pres.ring()
     m = pres.nrels
     out = RingMatrix.zero(ring, m, m)
     for l, terms in enumerate(cert.terms):
         for w, k, e in terms:
             out.entries[k - 1][l] = out.entries[k - 1][l] + ring.monomial(w.abelianization(), e)
-    boundaries = cx.boundaries if cx is not None else _boundaries(pres, ring)
-    verify_chain_map(boundaries, {1: p1 if p1 is not None else phi1(endo, ring), 2: out})
+    verify_chain_map(cx.boundaries, {1: p1, 2: out})
     return out
 
 

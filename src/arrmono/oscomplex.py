@@ -103,7 +103,7 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
         dep = compute_dependencies(arr)
     if basis is None:
         basis = nbc_basis(arr, dep)
-    ring = poly_ring(arr.n, var="y")
+    ring = poly_ring(arr.n)
     rewriter = NbcRewriter(dep)
     boundaries = []
     for q in range(arr.dim):

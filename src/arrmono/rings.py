@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add
 from typing import Iterable, Sequence
 
@@ -35,6 +36,10 @@ from .errors import ParseError, ZeroAtPole
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
+# The most variables a ring may have, and so the largest generator count of a
+# presentation and variable count of a projection file.  Every monomial holds
+# an exponent per variable, so a count read from a file allocates with it.
+MAX_VARIABLES = 1024
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -146,12 +151,18 @@ class PolyRing:
         return Poly(self, {key: c})
 
 
-def poly_ring(nvars: int, var: str = "y") -> PolyRing:
-    return PolyRing(nvars, laurent=False, var=var)
+@cache
+def poly_ring(nvars: int) -> PolyRing:
+    """Q[y1..yn], the ring of the weights y_j = log x_j.  One object per n,
+    so Poly._coerce meets equal rings by identity."""
+    return PolyRing(nvars, laurent=False, var="y")
 
 
-def laurent_ring(nvars: int, var: str = "x") -> PolyRing:
-    return PolyRing(nvars, laurent=True, var=var)
+@cache
+def laurent_ring(nvars: int) -> PolyRing:
+    """Q[x1^{+-1}..xn^{+-1}], the ring of the monodromy variables x_j.  One
+    object per n, like poly_ring."""
+    return PolyRing(nvars, laurent=True, var="x")
 
 
 def _term_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -399,20 +410,19 @@ class Poly:
 # -- exp substitution ---------------------------------------------------------
 
 
-def exp_jet(p: Poly, order: int,
-            target: PolyRing) -> tuple[Fraction, Poly] | tuple[Fraction, Poly, Poly]:
+def exp_jet(p: Poly, order: int) -> tuple[Fraction, Poly] | tuple[Fraction, Poly, Poly]:
     """The homogeneous parts of p(exp(y)) up to total degree order (1 or 2).
 
     Under x_j = exp(y_j) a term c*x^e becomes c*exp(e.y), whose parts of
     degree 0, 1 and 2 are c, c*(e.y) and c*(e.y)^2/2, negative exponents
     included.  One pass over the terms accumulates them; part 0 is the
-    value p(1, ..., 1) in Q and parts 1 and 2 are polynomials over target.
+    value p(1, ..., 1) in Q and parts 1 and 2 are polynomials over
+    poly_ring(n), n the variable count of p.
     """
     if order not in (1, 2):
         raise ValueError("exp_jet computes order 1 or 2")
-    n = target.nvars
-    if p.ring.nvars != n:
-        raise ValueError("exp_jet target ring has a different variable count")
+    n = p.ring.nvars
+    target = poly_ring(n)
     value = 0
     # Keyed by the variable indices of the monomial: (i,) or (i, j), i <= j.
     # twice_quadratic holds 2 * part 2, so it is integral when p is, and

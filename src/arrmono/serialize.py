@@ -52,9 +52,19 @@ def matrix_lines(name: str, m: RingMatrix) -> list[str]:
 
 
 def parse_matrix_block(lines: list[str]) -> tuple[str, RingMatrix]:
-    """Parse back the output of matrix_lines; returns (name, matrix)."""
+    """Parse back the output of matrix_lines; returns (name, matrix).  Any
+    malformed block raises ParseError."""
     if not lines or not lines[0].startswith("matrix ") or lines[-1] != "endmatrix":
         raise ParseError("malformed matrix block")
+    try:
+        return _parse_matrix_block(lines)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        # A missing header field, a non-integer count, a field without '='
+        # and a row that is not a JSON list of entries all land here.
+        raise ParseError(f"malformed matrix block: {type(exc).__name__}: {exc}") from None
+
+
+def _parse_matrix_block(lines: list[str]) -> tuple[str, RingMatrix]:
     head = lines[0].split()
     name = head[1]
     opts = dict(part.split("=", 1) for part in head[2:])

@@ -51,12 +51,12 @@ def mat(ring, rows):
 
 @pytest.fixture(scope="session")
 def xring():
-    return laurent_ring(4, var="x")
+    return laurent_ring(4)
 
 
 @pytest.fixture(scope="session")
 def yring():
-    return poly_ring(4, var="y")
+    return poly_ring(4)
 
 
 @pytest.fixture(scope="session")
@@ -71,13 +71,14 @@ def pencil():
     cert = load_certificate(FIXTURES / "pencil4_twist12.cert", pres)
     cx = universal_complex(pres)
     xr = pres.ring()
-    yr = poly_ring(pres.ngens, var="y")
+    yr = poly_ring(pres.ngens)
+    p1 = phi1(endo)
     phis = {
         0: RingMatrix.identity(xr, 1),
-        1: phi1(endo, xr),
-        2: phi2_from_certificate(pres, endo, cert, xr),
+        1: p1,
+        2: phi2_from_certificate(pres, endo, cert, cx, p1),
     }
-    fc = formal_connection(phis, yr)
+    fc = formal_connection(phis)
     return {
         "arr": arr, "dep": dep, "basis": basis, "aomoto": aomoto,
         "pres": pres, "endo": endo, "cert": cert, "cx": cx,

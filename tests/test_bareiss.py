@@ -26,8 +26,8 @@ from arrmono import (
 from arrmono.linalg import _symbolic_rank, bareiss
 from conftest import mat
 
-L2 = laurent_ring(2, var="x")
-R2 = poly_ring(2, var="y")
+L2 = laurent_ring(2)
+R2 = poly_ring(2)
 
 
 # -- the replaced loops, kept as oracles ----------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from arrmono import QQ, CharPoly, RingMatrix, char_poly, laurent_ring, poly_ring
 from arrmono.linalg import _from_terms, _terms, divide_linear_terms
 
-Y = poly_ring(3, var="y")
-X = laurent_ring(2, var="x")
+Y = poly_ring(3)
+X = laurent_ring(2)
 
 
 def faddeev_leverrier(m):

@@ -2,6 +2,10 @@
 round-trips, and failure exit codes."""
 
 import io
+import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -28,8 +32,8 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-L = laurent_ring(4, var="x")
-R = poly_ring(4, var="y")
+L = laurent_ring(4)
+R = poly_ring(4)
 
 ARGS = {
     "-a": str(FIXTURES / "pencil4.arr"),
@@ -255,6 +259,26 @@ def test_point_with_an_empty_coordinate_is_a_parse_error(argv, at):
     assert err.getvalue().startswith("parse error: empty coordinate")
 
 
+@pytest.mark.parametrize("argv", [
+    ("connection", "-a", ARGS["-a"]) + _PEC + ("--at=2,,2,2,2",),
+    ("specialize", "-p", ARGS["-p"], "--at", "2,,2,2,2"),
+    ("specialize", "-a", ARGS["-a"], "--ring", "y", "--at", "2,,2"),
+])
+def test_malformed_point_fails_before_any_complex_is_built(argv, monkeypatch):
+    import arrmono.cli as cli
+
+    def unexpected(*args):
+        raise AssertionError("built before --at was parsed")
+
+    for name in ("universal_complex", "aomoto_boundary", "phi2_from_certificate"):
+        monkeypatch.setattr(cli, name, unexpected)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("parse error: empty coordinate")
+
+
 def test_point_without_coordinates_is_a_comma(tmp_path):
     path = tmp_path / "free0.pres"
     path.write_text("generators 0\n")
@@ -315,6 +339,63 @@ def test_negative_generator_count_is_a_parse_error(tmp_path):
     assert "Delta0" not in out
 
 
+def _run_bounded(*argv) -> tuple[int, str, float]:
+    """main in a child process with 1 GiB of address space and a 10 s
+    timeout, so an input that a size limit misses cannot exhaust the
+    machine: (exit code, stderr, seconds spent in main)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = ("import sys, time; from arrmono.cli import main; t = time.perf_counter(); "
+            "c = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(c)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=10, preexec_fn=limit)
+    return proc.returncode, proc.stderr, float(proc.stdout.split()[-1])
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("generators 100000000\n", ("fox", "-p")),
+    ((FIXTURES / "pencil4_proj_res.txt").read_text().replace("nvars 4", "nvars 100000000"),
+     ("induced", "-a", ARGS["-a"]) + _PEC + ("--xi",)),
+    ("dim 100000000\n", ("info", "-a")),
+], ids=["generators", "nvars", "dim"])
+def test_oversized_header_counts_are_parse_errors(tmp_path, text, argv):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code, err, seconds = _run_bounded(*argv, str(path))
+    assert code == 2 and err.startswith("parse error") and "Traceback" not in err
+    assert seconds < 1
+
+
+def test_the_largest_allowed_generator_count_runs(tmp_path):
+    from arrmono.rings import MAX_VARIABLES
+
+    path = tmp_path / "free.pres"
+    path.write_text(f"generators {MAX_VARIABLES}\n")
+    code, out = run_cli("fox", "-p", str(path))
+    assert code == 0 and f"generators: {MAX_VARIABLES}" in out
+    path.write_text(f"generators {MAX_VARIABLES + 1}\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli("fox", "-p", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("block", [
+    ["matrix M ring=rational cols=1", 'row ["1"]', "endmatrix"],
+    ["matrix M ring=poly var=y rows=1 cols=1", 'row [[["1",[0]]]]', "endmatrix"],
+    ["matrix M ring=rational rows=x cols=1", 'row ["1"]', "endmatrix"],
+    ["matrix M ring=rational rows=1 cols=1 wide", 'row ["1"]', "endmatrix"],
+    ["matrix M ring=rational rows=1 cols=1", 'row ["1"', "endmatrix"],
+])
+def test_malformed_matrix_block_is_a_parse_error(block):
+    from arrmono import ParseError
+    from arrmono.serialize import parse_matrix_block
+
+    with pytest.raises(ParseError):
+        parse_matrix_block(block)
+
+
 @pytest.mark.parametrize("subcommand", ["connection", "verify", "induced"])
 @pytest.mark.parametrize("arrangement,ranks", [
     ("dim 2\n0 1 0\n0 0 1\n-1 1 1\n", "[1, 3, 3]"),
@@ -358,6 +439,7 @@ def test_malformed_input_is_a_parse_error(tmp_path, kind, text):
 
 @pytest.mark.parametrize("old,new", [
     ("rows 5", "rows abc"),
+    ("rows 5", "rows " + "1" * 5000),
     ("locus x3 =", "locus xq ="),
     ("locus x3 =", "locus x9 ="),
     ("locus x3 =", "locus x0 ="),

@@ -47,8 +47,8 @@ from conftest import (
     random_certified_endo,
 )
 
-L = laurent_ring(4, var="x")
-R = poly_ring(4, var="y")
+L = laurent_ring(4)
+R = poly_ring(4)
 
 
 # -- formal connection ----------------------------------------------------------
@@ -56,22 +56,22 @@ R = poly_ring(4, var="y")
 
 def test_formal_connection_matches_display(pencil):
     fc = pencil["fc"]
-    assert fc.degree(1) == mat(R, OMEGA1)
-    assert fc.degree(2) == mat(R, OMEGA2)
-    assert fc.degree(0).is_zero()
+    assert fc[1] == mat(R, OMEGA1)
+    assert fc[2] == mat(R, OMEGA2)
+    assert fc[0].is_zero()
 
 
 def test_formal_connection_of_identity():
     phis = {1: RingMatrix.identity(L, 3)}
-    fc = formal_connection(phis, R)
-    assert fc.degree(1).is_zero()
+    fc = formal_connection(phis)
+    assert fc[1].is_zero()
 
 
 def test_formal_connection_rejects_non_identity_at_one(pencil):
     bad = mat(L, [["x1", "0"], ["0", "1"]])  # value at 1 is I, but shift it
     bad = mat(L, [["x1 + 1", "0"], ["0", "1"]])
     with pytest.raises(NotIdentityAtOne):
-        formal_connection({1: bad}, R)
+        formal_connection({1: bad})
 
 
 # -- exp relation ------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_formal_connection_rejects_non_identity_at_one(pencil):
 
 def test_exp_relation_passes_on_twist_matrices(pencil):
     for q in (1, 2):
-        rep = verify_exp_relation(pencil["phis"][q], pencil["fc"].degree(q))
+        rep = verify_exp_relation(pencil["phis"][q], pencil["fc"][q])
         assert rep.identity_at_one and rep.linear_part_matches
         assert rep.gauge_degree2 and rep.passed
         # The two sides are gauge conjugate but NOT equal entry by entry:
@@ -100,13 +100,13 @@ def test_exp_relation_scalar_case():
 
 
 def test_exp_relation_detects_wrong_linear_part(pencil):
-    rep = verify_exp_relation(pencil["phis"][1], pencil["fc"].degree(1).scale(2))
+    rep = verify_exp_relation(pencil["phis"][1], pencil["fc"][1].scale(2))
     assert not rep.linear_part_matches and not rep.passed
 
 
 def test_chain_identities_in_both_rings(pencil):
     verify_chain_map(pencil["cx"].boundaries, pencil["phis"])
-    omegas = {q: pencil["fc"].degree(q) for q in (0, 1, 2)}
+    omegas = {q: pencil["fc"][q] for q in (0, 1, 2)}
     verify_chain_map(pencil["aomoto"].boundaries, omegas)
 
 
@@ -120,7 +120,7 @@ def test_gauss_manin_values(pencil):
     assert gm.entries[0][0] == Fraction(8, 15)
     assert gm.entries[1][0] == Fraction(1, 5)
     assert gm.entries[0][1] == 0 and gm.entries[1][1] == 0
-    assert evaluate_matrix(pencil["fc"].degree(1), [0, 0, 0, 0]).is_zero()
+    assert evaluate_matrix(pencil["fc"][1], [0, 0, 0, 0]).is_zero()
     res = evaluate_matrix(mat(R, [["y1+y2"]]), lam)
     assert res.entries[0][0] == Fraction(8, 15)
 
@@ -136,9 +136,9 @@ def test_eigen_monomials_twist(pencil):
 
 
 def test_eigen_linear_forms_twist(pencil):
-    assert eigen_linear_forms(pencil["fc"].degree(1)).multiset() == {
+    assert eigen_linear_forms(pencil["fc"][1]).multiset() == {
         (0, 0, 0, 0): 3, (1, 1, 0, 0): 1}
-    assert eigen_linear_forms(pencil["fc"].degree(2)).multiset() == {
+    assert eigen_linear_forms(pencil["fc"][2]).multiset() == {
         (0, 0, 0, 0): 3, (1, 1, 0, 0): 2}
 
 
@@ -168,7 +168,7 @@ def test_eigen_monomials_factorization_failure():
 
 def test_eigen_monomials_beyond_sixteen_variables():
     # More variables than the sixteen primes of the old probe point.
-    l17 = laurent_ring(17, var="x")
+    l17 = laurent_ring(17)
     assert eigen_monomials(RingMatrix.identity(l17, 1)).multiset() == {(0,) * 17: 1}
     m = mat(l17, [["x1*x17", "0"], ["x2 - 1", "x17^-1"]])
     assert eigen_monomials(m).multiset() == {
@@ -264,12 +264,12 @@ def test_exp_relation_negative_gauge_verdict():
     # exp-substituted, x1^2 - x1 + 1 has degree-2 part 3/2 y1^2 against
     # Omega^2 / 2 = y1^2 / 2, and a diagonal Omega leaves no gauge room on
     # the diagonal.
-    l1, r1 = laurent_ring(1, var="x"), poly_ring(1, var="y")
+    l1, r1 = laurent_ring(1), poly_ring(1)
     report = verify_exp_relation(mat(l1, [["x1^2 - x1 + 1"]]), mat(r1, [["y1"]]))
     assert report.identity_at_one and report.linear_part_matches
     assert report.gauge_degree2 is False and not report.passed
     assert report.mismatch == "degree-2 terms are not gauge conjugate"
-    l2, r2 = laurent_ring(2, var="x"), poly_ring(2, var="y")
+    l2, r2 = laurent_ring(2), poly_ring(2)
     report = verify_exp_relation(mat(l2, [["x1^2 - x1 + 1", "0"], ["0", "x2"]]),
                                  mat(r2, [["y1", "0"], ["0", "y2"]]))
     assert report.identity_at_one and report.linear_part_matches
@@ -336,7 +336,7 @@ def conjugated_triangular(draw):
     from arrmono.connection import _linear_form
     n = draw(st.integers(1, 3))
     size = draw(st.integers(1, 4))
-    ring = poly_ring(n, var="y")
+    ring = poly_ring(n)
     coeffs = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     diag = [tuple(draw(coeffs)) for _ in range(size)]
     t = RingMatrix.zero(ring, size, size)
@@ -383,7 +383,7 @@ def test_spurious_kronecker_root_is_rejected():
     # char = z^2 - 4 y1 y2.  K = 4, so the probe is (y1, y2) = (1, 9), where
     # z^2 - 36 has the integer roots +-6; they decode to the forms
     # -+(3 y1 - y2), which do not divide.
-    r2 = poly_ring(2, var="y")
+    r2 = poly_ring(2)
     assert _integer_roots([-36, 0, 1]) == {-6: 1, 6: 1}
     assert _balanced_digits(6, 9, 2) == (-3, 1)
     with pytest.raises(FactorizationFailed):
@@ -396,7 +396,7 @@ def test_kronecker_probe_on_wide_diagonal():
     # here.  Its duration shows in pytest --durations; no time is asserted.
     from arrmono.connection import _linear_form
     rng = random.Random(8)
-    r8 = poly_ring(8, var="y")
+    r8 = poly_ring(8)
     forms = [tuple(rng.randint(-2, 2) for _ in range(8)) for _ in range(10)]
     omega = RingMatrix.zero(r8, 10, 10)
     for i, f in enumerate(forms):
@@ -410,7 +410,7 @@ def test_kronecker_probe_on_wide_diagonal():
 def test_linear_coefficients_rebuild_the_matrix(pencil):
     from arrmono.connection import linear_coefficients
     for q in (1, 2):
-        om = pencil["fc"].degree(q)
+        om = pencil["fc"][q]
         parts = linear_coefficients(om)
         assert len(parts) == R.nvars
         rebuilt = RingMatrix.zero(R, om.rows, om.cols)
@@ -469,25 +469,27 @@ def _boolean_inner_loop():
     """Degree 1 of an inner loop on Z^6 with support 3, as in the
     benchmark's boolean-inner workload."""
     from itertools import combinations
-    from arrmono import Endomorphism, Word, inner_certificate, parse_presentation
+    from arrmono import (Endomorphism, Word, inner_certificate, parse_presentation,
+                         universal_complex)
     n = 6
     pres = parse_presentation(f"generators {n}\n" + "\n".join(
         f"[g{i}, g{j}]" for i, j in combinations(range(1, n + 1), 2)))
     w = Word.from_letters(n, [(4, 1), (1, -1), (6, 1)])
     endo = Endomorphism.inner(n, w)
-    xr, yr = pres.ring(), poly_ring(n, var="y")
-    phis = {0: RingMatrix.identity(xr, 1), 1: phi1(endo, xr),
-            2: phi2_from_certificate(pres, endo, inner_certificate(pres, w), xr)}
-    return phis[1], formal_connection(phis, yr).degree(1)
+    p1 = phi1(endo)
+    phis = {0: RingMatrix.identity(pres.ring(), 1), 1: p1,
+            2: phi2_from_certificate(pres, endo, inner_certificate(pres, w),
+                                     universal_complex(pres), p1)}
+    return phis[1], formal_connection(phis)[1]
 
 
 def test_gauge_grid_matches_dense_fraction_builder(pencil):
     from arrmono.connection import _gauge_system
     from arrmono.linalg import mat_exp_truncated, series_matrix
-    cases = [(pencil["phis"][q], pencil["fc"].degree(q)) for q in (1, 2)]
+    cases = [(pencil["phis"][q], pencil["fc"][q]) for q in (1, 2)]
     cases.append(_boolean_inner_loop())
     for phi, omega in cases:
-        rhs = series_matrix(phi, omega.ring)[2] - mat_exp_truncated(omega)[2]
+        rhs = series_matrix(phi)[2] - mat_exp_truncated(omega)[2]
         assert not rhs.is_zero()
         grid, rhs_vec = _gauge_system(omega, rhs)
         want, want_rhs = dense_gauge_system(omega, rhs)
@@ -503,7 +505,7 @@ def test_gauge_grid_matches_dense_fraction_builder(pencil):
 def test_spectra_correspondence(pencil):
     for q in (1, 2):
         er = eigen_monomials(pencil["phis"][q])
-        eo = eigen_linear_forms(pencil["fc"].degree(q))
+        eo = eigen_linear_forms(pencil["fc"][q])
         assert spectra_correspond(er, eo)
 
 
@@ -531,7 +533,7 @@ def test_linear_form_factors_hit_gauss_manin_eigenvalues(pencil):
     an eigenvalue of the specialized connection matrix."""
     lam = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7), Fraction(3)]
     for q in (1, 2):
-        om = pencil["fc"].degree(q)
+        om = pencil["fc"][q]
         gm = evaluate_matrix(om, lam)
         cp = char_poly(gm)
         for f in eigen_linear_forms(om).factors:
@@ -554,7 +556,7 @@ def test_nonresonant_projection_and_induced(pencil):
     proj = pencil["proj_nonres"]
     verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundaries[1], proj)
     phibar = induced_map(proj.xi, pencil["phis"][2])
-    ombar = induced_map(proj.upsilon, pencil["fc"].degree(2))
+    ombar = induced_map(proj.upsilon, pencil["fc"][2])
     assert phibar == mat(L, PHIBAR_NONRES)
     assert ombar == mat(R, OMEGABAR_NONRES)
 
@@ -564,7 +566,7 @@ def test_resonant_projection_and_induced(pencil):
     assert proj.locus is not None
     verify_projection(pencil["cx"].boundaries[1], pencil["aomoto"].boundaries[1], proj)
     phibar = induced_map(proj.xi, pencil["phis"][2])
-    ombar = induced_map(proj.upsilon, pencil["fc"].degree(2))
+    ombar = induced_map(proj.upsilon, pencil["fc"][2])
     assert phibar == mat(L, PHIBAR_RES)
     assert ombar == mat(R, OMEGABAR_RES)
 
@@ -740,15 +742,15 @@ def test_random_certified_loops_full_pipeline(pencil, certified_generators, seed
     rng = random.Random(seed)
     pres, cx = pencil["pres"], pencil["cx"]
     endo, cert = random_certified_endo(rng, pres, certified_generators)
-    p1 = phi1(endo, L)
-    p2 = phi2_from_certificate(pres, endo, cert, L)
+    p1 = phi1(endo)
+    p2 = phi2_from_certificate(pres, endo, cert, cx, p1)
     phis = {0: RingMatrix.identity(L, 1), 1: p1, 2: p2}
-    fc = formal_connection(phis, R)
+    fc = formal_connection(phis)
     verify_chain_map(cx.boundaries, phis)
     verify_chain_map(pencil["aomoto"].boundaries,
-                     {q: fc.degree(q) for q in (0, 1, 2)})
+                     {q: fc[q] for q in (0, 1, 2)})
     for q in (1, 2):
         er = eigen_monomials(phis[q])
-        eo = eigen_linear_forms(fc.degree(q))
+        eo = eigen_linear_forms(fc[q])
         assert spectra_correspond(er, eo)
         assert er.multiset() == {f.data: f.multiplicity for f in eo.factors}

@@ -78,7 +78,7 @@ def test_universal_complex_specializations(pencil):
 
 def test_betti_requires_a_complex():
     from arrmono import laurent_ring, parse_poly
-    L1 = laurent_ring(1, var="x")
+    L1 = laurent_ring(1)
     bad = RingComplex(L1, [1, 1],
                       [RingMatrix(L1, [[parse_poly("x1", L1)]])])
     cx = bad.specialize([2])

@@ -16,27 +16,35 @@ from arrmono import (
 )
 from arrmono.rings import Poly, poly_from_pairs, poly_to_pairs
 
-L = laurent_ring(4, var="x")
-R = poly_ring(4, var="y")
+L = laurent_ring(4)
+R = poly_ring(4)
 X = [L.variable(j) for j in range(1, 5)]
 Y = [R.variable(j) for j in range(1, 5)]
 
 
+def test_each_ring_is_one_object_per_variable_count():
+    """poly_ring is the y ring and laurent_ring the x ring, one object per
+    variable count, and the exp jet lands in that same y ring."""
+    assert poly_ring(4) is R and laurent_ring(4) is L
+    assert (R.var, R.laurent, L.var, L.laurent) == ("y", False, "x", True)
+    assert exp_jet(X[0], 2)[2].ring is R
+
+
 def test_exp_substitute_single_variable():
-    s = exp_jet(X[0], 2, R)
+    s = exp_jet(X[0], 2)
     assert s[0] == 1
     assert s[1] == Y[0]
     assert s[2] == (Y[0] * Y[0]).scale(Fraction(1, 2))
 
 
 def test_exp_substitute_cancels_constants():
-    s = exp_jet(X[0] - 1, 1, R)
+    s = exp_jet(X[0] - 1, 1)
     assert s[0] == 0
     assert s[1] == Y[0]
 
 
 def test_exp_substitute_product_monomial():
-    s = exp_jet(X[0] * X[1], 2, R)
+    s = exp_jet(X[0] * X[1], 2)
     assert s[1] == Y[0] + Y[1]
     expected = (Y[0] * Y[0] + (Y[0] * Y[1]).scale(2) + Y[1] * Y[1]).scale(Fraction(1, 2))
     assert s[2] == expected
@@ -45,7 +53,7 @@ def test_exp_substitute_product_monomial():
 @pytest.mark.parametrize("order", [0, 3])
 def test_exp_jet_rejects_other_orders(order):
     with pytest.raises(ValueError):
-        exp_jet(X[0], order, R)
+        exp_jet(X[0], order)
 
 
 @pytest.mark.parametrize("expr,expected", [
@@ -54,16 +62,16 @@ def test_exp_jet_rejects_other_orders(order):
     ("1", "0"),
 ])
 def test_linear_part_examples(expr, expected):
-    assert exp_jet(parse_poly(expr, L), 1, R)[1] == parse_poly(expected, R)
+    assert exp_jet(parse_poly(expr, L), 1)[1] == parse_poly(expected, R)
 
 
 def test_linear_part_of_powers():
     for m in range(-4, 5):
-        assert exp_jet(L.monomial({2: m}), 1, R)[1] == Y[1].scale(m)
+        assert exp_jet(L.monomial({2: m}), 1)[1] == Y[1].scale(m)
 
 
 def test_linearize_reports_value_at_one():
-    c0, lin = exp_jet(parse_poly("x1*x2 - x3", L), 1, R)
+    c0, lin = exp_jet(parse_poly("x1*x2 - x3", L), 1)
     assert c0 == 0
     assert lin == Y[0] + Y[1] - Y[2]
 
@@ -106,7 +114,7 @@ def _jet_product(a, b):
 @settings(max_examples=25, deadline=None)
 @given(poly_strategy(L, -1), poly_strategy(L, -1))
 def test_exp_substitute_is_multiplicative_up_to_truncation(p, q):
-    assert exp_jet(p * q, 2, R) == _jet_product(exp_jet(p, 2, R), exp_jet(q, 2, R))
+    assert exp_jet(p * q, 2) == _jet_product(exp_jet(p, 2), exp_jet(q, 2))
 
 
 def _series_oracle(p, point, cap):
@@ -126,7 +134,7 @@ def _series_oracle(p, point, cap):
        st.tuples(*[st.fractions(min_value=-2, max_value=2).filter(lambda v: v != 0)] * 4))
 def test_exp_substitute_matches_taylor_oracle(p, point):
     cap = 2
-    jet = exp_jet(p, cap, R)
+    jet = exp_jet(p, cap)
     oracle = _series_oracle(p, point, cap)
     assert jet[0] == oracle[0]
     for k in range(1, cap + 1):
@@ -310,7 +318,7 @@ def test_substitute_keeps_canonical_coefficients(a, j, mono):
 @given(oracle_strategy(-2))
 def test_exp_jet_keeps_canonical_coefficients(a):
     p, op = a
-    value, linear, quadratic = exp_jet(p, 2, R)
+    value, linear, quadratic = exp_jet(p, 2)
     o_value, o_linear, o_quadratic = _o_exp_jet(op)
     assert type(value) is Fraction and value == o_value
     assert _canonical(linear) and linear.terms == o_linear

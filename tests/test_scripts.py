@@ -42,3 +42,14 @@ def test_run_pipeline_matches_golden():
     proc = _run("run_pipeline.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "golden" / "run_pipeline.txt").read_text(encoding="utf-8")
+
+
+def test_make_certificate_reproduces_the_fixture():
+    """The certificate that make_certificate.py derives and prints, after
+    the degree-2 matrix and a blank line, is the committed fixture without
+    its comment header."""
+    proc = _run("make_certificate.py")
+    assert proc.returncode == 0, proc.stderr
+    fixture = (ROOT / "fixtures" / "pencil4_twist12.cert").read_text(encoding="utf-8")
+    want = "".join(ln for ln in fixture.splitlines(keepends=True) if not ln.startswith("#"))
+    assert proc.stdout.split("\n\n", 1)[1] == want + "\n"
