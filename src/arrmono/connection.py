@@ -440,40 +440,53 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
     K = max(1, max_j ||Omega_j||_inf) (largest absolute row sum).
     Probe: at the Kronecker point y_j = B^(j-1), B = 2K + 1, each eigen-form
     takes an integer value whose balanced base-B digits are its
-    coefficients, and distinct forms take distinct values.  So the integer
-    roots of the evaluated characteristic polynomial decode into the only
-    possible candidates (a root that does not decode to n digits is
-    dropped), and a root's multiplicity is the most its form can have.
-    Certification: exact division of char(Omega), on its int term dicts,
-    by (z - l) for every candidate l, up to that multiplicity, must leave 1.
-    If char(Omega) splits into integral linear forms the factorization is
-    unique and is found; otherwise a remainder is left and
-    FactorizationFailed is raised.
+    coefficients, and distinct forms take distinct values.  Evaluation is a
+    ring homomorphism, so the characteristic polynomial of the integer
+    matrix Omega(probe) = sum_j B^(j-1) * Omega_j is char(Omega) evaluated
+    there.  Its integer roots decode into the only possible candidates (a
+    root that does not decode to n digits is dropped), and a root's
+    multiplicity is the most its form can have.
+    Shift: l* is the candidate of highest probe multiplicity (the first in
+    sorted order on a tie; the zero form if there is none).  Since
+    char(Omega)(z) = char(Omega - l* I)(z - l*), char(Omega) has the factor
+    (z - l)^k exactly when char(Omega - l* I) has (z - (l - l*))^k, and the
+    shifted polynomial stays small however often l* repeats: on
+    Omega = l* I it is z^s.
+    Certification: exact division of char(Omega - l* I), on its int term
+    dicts, by (z - (l - l*)) for every candidate l, up to its probe
+    multiplicity, must leave 1.  If char(Omega) splits into integral linear
+    forms the factorization is unique and is found; otherwise a remainder
+    is left and FactorizationFailed is raised.
     """
     n = omega.ring.nvars
     parts = linear_coefficients(omega)
     size = omega.rows
     if size == 0:
         return EigenReport(size=0, factors=())
-    cp = char_poly(omega)
-    coeffs, _ = cp.cleared()
 
     bound = max([1] + [sum(map(abs, row.values())) for part in parts for row in part])
     base = 2 * bound + 1
-    powers = [base ** k for k in range(size * max(n - 1, 0) + 1)]
-    at_probe = [sum(c * powers[sum(j * k for j, k in enumerate(e))] for e, c in t.items())
-                for t in coeffs]
+    probe = [[0] * size for _ in range(size)]
+    for j, part in enumerate(parts):
+        weight = base ** j
+        for i, row in enumerate(part):
+            for k, c in row.items():
+                probe[i][k] += c * weight
     candidates = {}
-    for root, mult in _integer_roots(at_probe).items():
+    for root, mult in _integer_roots(list(char_poly(RingMatrix(QQ, probe)).coeffs)).items():
         digits = _balanced_digits(root, base, n)
         if digits is not None:
             candidates[digits] = mult
 
+    star = max(sorted(candidates), key=candidates.get, default=(0,) * n)
+    shift = _linear_form(omega.ring, star)
+    shifted = RingMatrix(omega.ring, [[e - shift if i == k else e for k, e in enumerate(row)]
+                                      for i, row in enumerate(omega.entries)])
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     factors: list[EigenFactor] = []
-    remaining = coeffs
+    remaining, _ = char_poly(shifted).cleared()
     for cand in sorted(candidates):
-        form = {units[j]: c for j, c in enumerate(cand) if c}
+        form = {units[j]: c - s for j, (c, s) in enumerate(zip(cand, star)) if c != s}
         remaining, mult = _divide_out(remaining, form, candidates[cand])
         if mult:
             factors.append(EigenFactor("linear_form", cand, mult))

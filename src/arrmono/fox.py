@@ -124,6 +124,27 @@ class Word:
 
 _WORD_TOKEN = re.compile(r"\s*(\[|\]|,|\^-?\d+|g\d+|1)")
 
+# The most letters one written word may stand for before free reduction:
+# every power expanded, a commutator [a, b] counted as a b a^-1 b^-1 and a
+# written 1 as one letter.  It also bounds every exponent.  Parsing builds
+# and reduces that expansion, so a short power such as g1^1000000000 would
+# otherwise allocate with its exponent.
+MAX_WORD_LETTERS = 1_000_000
+
+
+def _bounded_int(text: str, low: int, high: int, what: str) -> int:
+    """The integer that text spells in decimal, with an optional sign;
+    ParseError unless it is one in low..high.  The digits are counted before
+    int() reads them, so a long digit string is rejected in time linear in
+    its length."""
+    m = re.fullmatch(r"([+-]?)0*(\d+)", text)
+    if m is not None and len(m.group(2)) <= len(str(max(-low, high))):
+        value = int(m.group(1) + m.group(2))
+        if low <= value <= high:
+            return value
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    raise ParseError(f"{what} {shown!r} is not an integer in {low}..{high}")
+
 
 def parse_word(text: str, ngens: int) -> Word:
     toks: list[str] = []
@@ -136,38 +157,41 @@ def parse_word(text: str, ngens: int) -> Word:
         toks.append(m.group(1))
         pos = m.end()
 
-    def parse_seq(i: int, stop: set[str]) -> tuple[Word, int]:
+    def parse_seq(i: int, stop: set[str]) -> tuple[Word, int, int]:
+        """(the word, the next token, its letters before reduction)."""
         factors: list[Word] = []
+        letters = 0
         while i < len(toks) and toks[i] not in stop:
             tok = toks[i]
             if tok == "[":
-                left, i = parse_seq(i + 1, {","})
+                left, i, left_letters = parse_seq(i + 1, {","})
                 if i >= len(toks) or toks[i] != ",":
                     raise ParseError("commutator missing ','")
-                right, i = parse_seq(i + 1, {"]"})
+                right, i, right_letters = parse_seq(i + 1, {"]"})
                 if i >= len(toks) or toks[i] != "]":
                     raise ParseError("commutator missing ']'")
                 i += 1
-                factor = left.commutator(right)
+                factor, size = left.commutator(right), 2 * (left_letters + right_letters)
             elif tok == "1":
-                factor = Word.identity(ngens)
+                factor, size = Word.identity(ngens), 1
                 i += 1
             elif tok.startswith("g"):
-                j = int(tok[1:])
-                if not 1 <= j <= ngens:
-                    raise ParseError(f"generator {tok} out of range 1..{ngens}")
-                factor = Word.gen(ngens, j)
+                factor, size = Word.gen(ngens, _bounded_int(tok[1:], 1, ngens, "generator")), 1
                 i += 1
             else:
                 raise ParseError(f"unexpected token {tok!r}")
             power = 1
             if i < len(toks) and toks[i].startswith("^"):
-                power = int(toks[i][1:])
+                power = _bounded_int(toks[i][1:], -MAX_WORD_LETTERS, MAX_WORD_LETTERS,
+                                     "exponent")
                 i += 1
+            letters += size * abs(power)
+            if letters > MAX_WORD_LETTERS:
+                raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
             factors += [factor if power > 0 else factor.inverse()] * abs(power)
-        return Word.product(ngens, factors), i
+        return Word.product(ngens, factors), i, letters
 
-    word, i = parse_seq(0, set())
+    word, i, _ = parse_seq(0, set())
     if i != len(toks):
         raise ParseError("trailing tokens in word")
     return word
@@ -450,12 +474,7 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError(f"bad relator header {ln!r}")
-            try:
-                current = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad relator index {parts[1]!r}") from None
-            if not 1 <= current <= pres.nrels:
-                raise ParseError(f"relator index {current} out of range")
+            current = _bounded_int(parts[1], 1, pres.nrels, "relator index")
             terms.setdefault(current, [])
             continue
         if current is None:
@@ -464,7 +483,7 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
         if not m:
             raise ParseError(f"bad certificate term {ln!r}")
         word = parse_word(m.group(1), pres.ngens)
-        k = int(m.group(2))
+        k = _bounded_int(m.group(2), 1, pres.nrels, "relator index")
         sign = 1 if m.group(3) in ("+", "+1", "1") else -1
         terms[current].append((word, k, sign))
     if sorted(terms) != list(range(1, pres.nrels + 1)):

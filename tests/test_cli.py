@@ -368,6 +368,28 @@ def test_oversized_header_counts_are_parse_errors(tmp_path, text, argv):
     assert seconds < 1
 
 
+_CERT = (FIXTURES / "pencil4_twist12.cert").read_text()
+
+
+@pytest.mark.parametrize("name,text", [
+    ("big.pres", "generators 2\ng" + "1" * 5000 + "\n"),
+    ("big.pres", "generators 2\ng1^" + "7" * 5000 + "\n"),
+    ("big.pres", "generators 2\ng1^1000000000\n"),
+    ("big.cert", _CERT.replace("relator 1", "relator " + "1" * 5000, 1)),
+    ("big.cert", _CERT.replace(", 2 ,", ", " + "2" * 5000 + " ,", 1)),
+], ids=["generator-index", "exponent-digits", "exponent", "relator-header", "relator-term"])
+def test_oversized_word_and_certificate_integers_are_parse_errors(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    if name.endswith(".pres"):
+        argv = ("fox", "-p", str(path))
+    else:
+        argv = ("verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"], "-c", str(path))
+    code, err, seconds = _run_bounded(*argv)
+    assert code == 2 and err.startswith("parse error") and "Traceback" not in err
+    assert seconds < 1
+
+
 def test_the_largest_allowed_generator_count_runs(tmp_path):
     from arrmono.rings import MAX_VARIABLES
 

@@ -14,6 +14,7 @@ from arrmono import (
     ChainIdentityFailed,
     Endomorphism,
     FundamentalIdentityFailed,
+    ParseError,
     RelatorCertificate,
     RingMatrix,
     Word,
@@ -81,6 +82,21 @@ def test_word_powers_parse_in_linear_time():
 def test_word_powers():
     assert parse_word("g1^3", 2) == Word.from_letters(2, [(1, 1)] * 3)
     assert parse_word("[g1, g2]^-1", 2) == parse_word("g2 g1 g2^-1 g1^-1", 2)
+
+
+def test_word_letter_limit_counts_the_expansion_before_reduction():
+    from arrmono.fox import MAX_WORD_LETTERS as m
+    # A written 1 counts as a letter and [a, b] as a b a^-1 b^-1, so both
+    # words reduce to the identity but stand for m letters.
+    assert parse_word(f"1^{m}", 1).is_identity()
+    assert parse_word(f"[1^{m // 4}, 1^{m // 4}]", 1).is_identity()
+    with pytest.raises(ParseError, match="expands to more than"):
+        parse_word(f"1^{m} 1", 1)
+    with pytest.raises(ParseError, match="expands to more than"):
+        parse_word(f"[1^{m // 4}, 1^{m // 4}] g1", 1)
+    for exponent in (m + 1, -m - 1, 10 ** 9, "7" * 5000):
+        with pytest.raises(ParseError, match="exponent"):
+            parse_word(f"g1^{exponent}", 1)
 
 
 def _product_by_factors(ngens, factors):
