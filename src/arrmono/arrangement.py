@@ -32,7 +32,7 @@ from itertools import combinations
 
 from .errors import ParseError
 from .linalg import QQ, RingMatrix, bareiss, clear_row_denominators, rational_rank
-from .rings import parse_fraction
+from .rings import MAX_VARIABLES, content_lines, parse_fraction, parse_int
 
 
 @dataclass(frozen=True)
@@ -143,22 +143,21 @@ def nbc_basis(arr: Arrangement, dep: DependencyData) -> NbcBasis:
 # Line 1:    dim L
 # Then one hyperplane per line as L+1 rationals:  offset a1 ... aL
 # meaning offset + sum a_i u_i = 0.  Blank lines and '#' comments ignored.
+# At most MAX_VARIABLES hyperplanes.
 
 
 def parse_arrangement(text: str) -> Arrangement:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty arrangement file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "dim":
         raise ParseError(f"expected 'dim L' header, got {lines[0]!r}")
-    try:
-        dim = int(head[1])
-    except ValueError:
-        raise ParseError(f"bad dimension {head[1]!r}") from None
-    if dim < 0:
-        raise ParseError(f"negative dimension {dim}")
+    # Each hyperplane is a variable of the Aomoto ring, and L of them must be
+    # independent, so L <= n <= MAX_VARIABLES.
+    dim = parse_int(head[1], 0, MAX_VARIABLES, "dimension")
+    if len(lines) - 1 > MAX_VARIABLES:
+        raise ParseError(f"{len(lines) - 1} hyperplanes exceed {MAX_VARIABLES}")
     hyperplanes = []
     try:
         for ln in lines[1:]:

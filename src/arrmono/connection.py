@@ -580,10 +580,9 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -
 
 def parse_projection(text: str) -> ProjectionData:
     from .errors import ParseError
-    from .rings import exp_jet, parse_poly
+    from .rings import content_lines, exp_jet, parse_int, parse_poly
 
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     header: dict[str, str] = {}
     locus_lines: list[str] = []
     idx = 0
@@ -604,20 +603,11 @@ def parse_projection(text: str) -> ProjectionData:
             raise ParseError(f"projection file missing '{key}'")
     if header["ring"] != "x":
         raise ParseError("projection matrices live over the x-ring")
-
-    def count(text: str, what: str) -> int:
-        if not text.isdecimal():
-            raise ParseError(f"bad {what} {text!r}: expected a non-negative integer")
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"{what} has {len(text)} digits") from None
-
-    rows = count(header["rows"], "row count")
-    cols = count(header["cols"], "column count")
-    n = count(header["nvars"], "variable count")
-    if n > MAX_VARIABLES:
-        raise ParseError(f"variable count {n} exceeds {MAX_VARIABLES}")
+    # A row is a line and an entry a field of it, so a count is bounded by
+    # the size of the text.
+    rows = parse_int(header["rows"], 0, len(lines), "row count")
+    cols = parse_int(header["cols"], 0, len(text), "column count")
+    n = parse_int(header["nvars"], 0, MAX_VARIABLES, "variable count")
     xring, yring = laurent_ring(n), poly_ring(n)
 
     def read_matrix(ring, start: int) -> tuple[RingMatrix, int]:
@@ -652,9 +642,7 @@ def parse_projection(text: str) -> ProjectionData:
             lhs, rhs = (s.strip() for s in ln.split("=", 1))
             if not lhs.startswith("x"):
                 raise ParseError("locus substitutions target x-variables")
-            j = count(lhs[1:], "locus variable index")
-            if not 1 <= j <= n:
-                raise ParseError(f"locus variable {lhs} out of range x1..x{n}")
+            j = parse_int(lhs[1:], 1, n, "locus variable index")
             rep = parse_poly(rhs, xring)
             mono = rep.as_monomial()
             if mono is None or mono[1] != 1:

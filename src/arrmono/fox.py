@@ -30,7 +30,17 @@ from .errors import (
     ParseError,
 )
 from .linalg import RingComplex, RingMatrix, verify_chain_map
-from .rings import MAX_VARIABLES, Poly, PolyRing, laurent_ring
+from .rings import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_VARIABLES,
+    Poly,
+    PolyRing,
+    content_lines,
+    laurent_ring,
+    parse_int,
+    tokenize,
+)
 
 Letter = tuple[int, int]
 
@@ -122,52 +132,31 @@ class Word:
 #   generator  :=  g<k>
 
 
-_WORD_TOKEN = re.compile(r"\s*(\[|\]|,|\^-?\d+|g\d+|1)")
+_WORD_TOKEN = re.compile(r"\s*(\[|\]|,|\^-?[0-9]+|g[0-9]+|1)")
 
 # The most letters one written word may stand for before free reduction:
 # every power expanded, a commutator [a, b] counted as a b a^-1 b^-1 and a
-# written 1 as one letter.  It also bounds every exponent.  Parsing builds
-# and reduces that expansion, so a short power such as g1^1000000000 would
-# otherwise allocate with its exponent.
+# written 1 as one letter.  Parsing builds and reduces that expansion, so a
+# short power such as g1^1000000 would otherwise allocate with its exponent.
 MAX_WORD_LETTERS = 1_000_000
 
 
-def _bounded_int(text: str, low: int, high: int, what: str) -> int:
-    """The integer that text spells in decimal, with an optional sign;
-    ParseError unless it is one in low..high.  The digits are counted before
-    int() reads them, so a long digit string is rejected in time linear in
-    its length."""
-    m = re.fullmatch(r"([+-]?)0*(\d+)", text)
-    if m is not None and len(m.group(2)) <= len(str(max(-low, high))):
-        value = int(m.group(1) + m.group(2))
-        if low <= value <= high:
-            return value
-    shown = text if len(text) <= 40 else text[:40] + "..."
-    raise ParseError(f"{what} {shown!r} is not an integer in {low}..{high}")
-
-
 def parse_word(text: str, ngens: int) -> Word:
-    toks: list[str] = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        m = _WORD_TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"bad word syntax at {text[pos:]!r}")
-        toks.append(m.group(1))
-        pos = m.end()
+    toks = tokenize(text, _WORD_TOKEN)
 
-    def parse_seq(i: int, stop: set[str]) -> tuple[Word, int, int]:
+    def parse_seq(i: int, stop: str, depth: int) -> tuple[Word, int, int]:
         """(the word, the next token, its letters before reduction)."""
         factors: list[Word] = []
         letters = 0
-        while i < len(toks) and toks[i] not in stop:
+        while i < len(toks) and toks[i] != stop:
             tok = toks[i]
             if tok == "[":
-                left, i, left_letters = parse_seq(i + 1, {","})
+                if depth == MAX_NESTING:
+                    raise ParseError(f"commutators nest deeper than {MAX_NESTING}")
+                left, i, left_letters = parse_seq(i + 1, ",", depth + 1)
                 if i >= len(toks) or toks[i] != ",":
                     raise ParseError("commutator missing ','")
-                right, i, right_letters = parse_seq(i + 1, {"]"})
+                right, i, right_letters = parse_seq(i + 1, "]", depth + 1)
                 if i >= len(toks) or toks[i] != "]":
                     raise ParseError("commutator missing ']'")
                 i += 1
@@ -176,14 +165,13 @@ def parse_word(text: str, ngens: int) -> Word:
                 factor, size = Word.identity(ngens), 1
                 i += 1
             elif tok.startswith("g"):
-                factor, size = Word.gen(ngens, _bounded_int(tok[1:], 1, ngens, "generator")), 1
+                factor, size = Word.gen(ngens, parse_int(tok[1:], 1, ngens, "generator")), 1
                 i += 1
             else:
                 raise ParseError(f"unexpected token {tok!r}")
             power = 1
             if i < len(toks) and toks[i].startswith("^"):
-                power = _bounded_int(toks[i][1:], -MAX_WORD_LETTERS, MAX_WORD_LETTERS,
-                                     "exponent")
+                power = parse_int(toks[i][1:], -MAX_EXPONENT, MAX_EXPONENT, "exponent")
                 i += 1
             letters += size * abs(power)
             if letters > MAX_WORD_LETTERS:
@@ -191,7 +179,7 @@ def parse_word(text: str, ngens: int) -> Word:
             factors += [factor if power > 0 else factor.inverse()] * abs(power)
         return Word.product(ngens, factors), i, letters
 
-    word, i, _ = parse_seq(0, set())
+    word, i, _ = parse_seq(0, "", 0)
     if i != len(toks):
         raise ParseError("trailing tokens in word")
     return word
@@ -219,19 +207,13 @@ class Presentation:
 
 
 def parse_presentation(text: str) -> Presentation:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty presentation file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "generators":
         raise ParseError(f"expected 'generators N' header, got {lines[0]!r}")
-    try:
-        ngens = int(head[1])
-    except ValueError:
-        raise ParseError(f"bad generator count {head[1]!r}") from None
-    if not 0 <= ngens <= MAX_VARIABLES:
-        raise ParseError(f"generator count {ngens} outside 0..{MAX_VARIABLES}")
+    ngens = parse_int(head[1], 0, MAX_VARIABLES, "generator count")
     relators = tuple(parse_word(ln, ngens) for ln in lines[1:])
     try:
         return Presentation(ngens=ngens, relators=relators)
@@ -328,8 +310,7 @@ class Endomorphism:
 
 
 def parse_endomorphism(text: str, ngens: int) -> Endomorphism:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if len(lines) != ngens:
         raise ParseError(f"expected {ngens} image words, got {len(lines)}")
     return Endomorphism(ngens, tuple(parse_word(ln, ngens) for ln in lines))
@@ -463,28 +444,29 @@ def compose_certificates(pres: Presentation,
 # One 'relator L' header per relator, then one '(word, index, sign)' triple
 # per line, in product order.
 
+_SIGNS = {"+1": 1, "+": 1, "1": 1, "-1": -1, "-": -1}
+
 
 def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     terms: dict[int, list[CertTerm]] = {}
     current: int | None = None
-    for ln in lines:
+    for ln in content_lines(text):
         if ln.startswith("relator"):
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError(f"bad relator header {ln!r}")
-            current = _bounded_int(parts[1], 1, pres.nrels, "relator index")
+            current = parse_int(parts[1], 1, pres.nrels, "relator index")
             terms.setdefault(current, [])
             continue
         if current is None:
             raise ParseError("certificate term before any 'relator' header")
-        m = re.fullmatch(r"\(\s*(.*?)\s*,\s*(\d+)\s*,\s*([+-]?1|[+-])\s*\)", ln)
-        if not m:
+        # The word may hold commas of its own; the last two end it.
+        parts = ln[1:-1].rsplit(",", 2) if ln.startswith("(") and ln.endswith(")") else []
+        sign = _SIGNS.get(parts[-1].strip()) if len(parts) == 3 else None
+        if sign is None:
             raise ParseError(f"bad certificate term {ln!r}")
-        word = parse_word(m.group(1), pres.ngens)
-        k = _bounded_int(m.group(2), 1, pres.nrels, "relator index")
-        sign = 1 if m.group(3) in ("+", "+1", "1") else -1
+        word = parse_word(parts[0], pres.ngens)
+        k = parse_int(parts[1].strip(), 1, pres.nrels, "relator index")
         terms[current].append((word, k, sign))
     if sorted(terms) != list(range(1, pres.nrels + 1)):
         raise ParseError("certificate must list every relator exactly once")

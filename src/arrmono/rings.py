@@ -21,6 +21,10 @@ All values are immutable after construction; operations are pure.
 
 Canonical term order is graded lexicographic (total degree first, then the
 exponent tuple), descending, so serialization is deterministic.
+
+Every input syntax (the file formats, the polynomial and word grammars and
+the --at point) reads its lines, tokens and numbers through the lexical
+layer below: content_lines, tokenize, parse_int and parse_fraction.
 """
 
 from __future__ import annotations
@@ -456,14 +460,75 @@ def exp_jet(p: Poly, order: int) -> tuple[Fraction, Poly] | tuple[Fraction, Poly
     return value, poly(linear, 1), poly(twice_quadratic, 2)
 
 
-# -- parsing and formatting ---------------------------------------------------
+# -- the lexical layer of every input syntax ----------------------------------
+#
+# Every file format and flag reads its lines, tokens, integers and rationals
+# through the four readers below, so what counts as a number is decided once:
+# ASCII decimal digits, signed where negatives are allowed, and for a
+# rational an optional '/denominator', the form str(Fraction) writes.
+# Decimals, exponent notation, '_' separators and non-ASCII digits are parse
+# errors.
+
+# The deepest nesting of commutator brackets in a word and of parentheses in
+# a polynomial.  Both parsers descend recursively, so deeper input would end
+# in RecursionError.
+MAX_NESTING = 100
+# The largest absolute exponent of a word or a polynomial.
+MAX_EXPONENT = 1_000_000
+_INTEGER = re.compile(r"([+-]?)0*([0-9]+)")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _shown(text: str) -> str:
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of text, without blank lines and '#' comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def tokenize(text: str, token: re.Pattern) -> list[str]:
+    """text cut into tokens: the pattern token, which skips whitespace
+    before a token, is matched at each position and its group 1 is the
+    token.  ParseError at the first character that starts no token."""
+    toks = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = token.match(text, pos)
+        if m is None:
+            raise ParseError(f"bad token at {_shown(text[pos:end].lstrip())}")
+        toks.append(m.group(1))
+        pos = m.end()
+    return toks
+
+
+def parse_int(text: str, low: int, high: int, what: str) -> int:
+    """The integer that text spells in decimal, signed only when low < 0;
+    ParseError unless it is one in low..high.  The digits are counted before
+    int() reads them, so a long digit string is rejected in time linear in
+    its length."""
+    m = _INTEGER.fullmatch(text)
+    if (m is not None and (low < 0 or not m.group(1))
+            and len(m.group(2)) <= len(str(max(-low, high)))):
+        value = int(m.group(1) + m.group(2))
+        if low <= value <= high:
+            return value
+    raise ParseError(f"{what} {_shown(text)} is not an integer in {low}..{high}")
 
 
 def parse_fraction(text: str) -> Fraction:
+    """The rational that text spells as [+-]digits[/digits], surrounding
+    whitespace allowed.  ParseError on any other form, on a zero denominator
+    and on more digits than int() converts."""
+    m = _RATIONAL.fullmatch(text.strip())
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+        if m is not None:
+            return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"bad rational {_shown(text)}: expected [+-]digits[/digits] with a "
+                     "nonzero denominator, within int()'s digit limit")
 
 
 def format_poly(p: Poly) -> str:
@@ -492,30 +557,17 @@ def format_poly(p: Poly) -> str:
     return out
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z]\w*|\d+|\^|\*|\+|\-|/|\(|\))")
+_POLY_TOKEN = re.compile(r"\s*([A-Za-z]\w*|[0-9]+|\^|\*|\+|\-|/|\(|\))")
 
 
 class _PolyParser:
     """Recursive-descent parser for expressions like 'x1*x2 - 1' or '-y2'."""
 
     def __init__(self, text: str, ring: PolyRing):
-        self.toks = self._tokenize(text)
+        self.toks = tokenize(text, _POLY_TOKEN)
         self.pos = 0
+        self.depth = 0
         self.ring = ring
-
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ParseError(f"bad token at {text[pos:]!r}")
-                break
-            toks.append(m.group(1))
-            pos = m.end()
-        return toks
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -530,14 +582,19 @@ class _PolyParser:
     def parse(self) -> Poly:
         p = self.expr()
         if self.peek() is not None:
-            raise ParseError(f"trailing tokens from {self.toks[self.pos:]}")
+            raise ParseError(f"trailing tokens from {self.toks[self.pos:self.pos + 5]}")
         return p
 
-    def expr(self) -> Poly:
+    def signs(self, ops: tuple[str, ...]) -> int:
+        """The sign of a run of the tokens ops ('+' or '-'), read in a loop."""
         sign = 1
-        while self.peek() in ("+", "-"):
+        while self.peek() in ops:
             if self.take() == "-":
                 sign = -sign
+        return sign
+
+    def expr(self) -> Poly:
+        sign = self.signs(("+", "-"))
         p = self.term().scale(sign)
         while self.peek() in ("+", "-"):
             op = self.take()
@@ -553,40 +610,34 @@ class _PolyParser:
         return p
 
     def atom(self) -> Poly:
+        if self.peek() == "-":
+            # The whole run of signs is read here, so this recursion is one deep.
+            return -self.atom() if self.signs(("-",)) < 0 else self.atom()
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}")
             p = self.expr()
             if self.take() != ")":
                 raise ParseError("missing closing parenthesis")
+            self.depth -= 1
             return p
-        if tok == "-":
-            return -self.atom()
-        if tok.isdigit():
-            num = int(tok)
+        if tok[0].isdigit():
             if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit() or int(den) == 0:
-                    raise ParseError(f"bad denominator {den!r}")
-                return self.ring.const(Fraction(num, int(den)))
-            return self.ring.const(num)
-        m = re.fullmatch(rf"{self.ring.var}(\d+)", tok)
-        if not m:
-            raise ParseError(f"unknown symbol {tok!r} in {self.ring.var}-ring")
-        j = int(m.group(1))
-        if not 1 <= j <= self.ring.nvars:
-            raise ParseError(f"variable index {j} out of range 1..{self.ring.nvars}")
+                tok += self.take() + self.take()
+            return self.ring.const(parse_fraction(tok))
+        var = self.ring.var
+        if not tok.startswith(var):
+            raise ParseError(f"unknown symbol {tok!r} in {var}-ring")
+        j = parse_int(tok[len(var):], 1, self.ring.nvars, f"{var}-variable index")
         exp = 1
         if self.peek() == "^":
             self.take()
-            neg = False
             t = self.take()
             if t == "-":
-                neg = True
-                t = self.take()
-            if not t.isdigit():
-                raise ParseError(f"bad exponent {t!r}")
-            exp = -int(t) if neg else int(t)
+                t += self.take()
+            exp = parse_int(t, -MAX_EXPONENT, MAX_EXPONENT, "exponent")
         if exp < 0 and not self.ring.laurent:
             raise ParseError("negative exponent in non-Laurent ring")
         return self.ring.monomial({j: exp})
@@ -604,7 +655,7 @@ def poly_to_pairs(p: Poly) -> list[list]:
 def poly_from_pairs(pairs: Iterable, ring: PolyRing) -> Poly:
     terms: dict[Exponent, Fraction] = {}
     for coeff, exps in pairs:
-        e = tuple(int(k) for k in exps)
+        e = tuple(parse_int(str(k), -MAX_EXPONENT, MAX_EXPONENT, "exponent") for k in exps)
         if len(e) != ring.nvars:
             raise ParseError("exponent vector length mismatch")
         c = parse_fraction(str(coeff))
@@ -618,7 +669,7 @@ def parse_point(text: str, nvars: int) -> tuple[Fraction, ...]:
     holds one coordinate; the point with no coordinates is written ','."""
     parts = [] if text.strip() == "," else text.split(",")
     if any(not s.strip() for s in parts):
-        raise ParseError(f"empty coordinate in point {text!r}")
+        raise ParseError(f"empty coordinate in point {_shown(text)}")
     if len(parts) != nvars:
         raise ParseError(f"expected {nvars} coordinates, got {len(parts)}")
     return tuple(parse_fraction(s) for s in parts)

@@ -19,9 +19,11 @@ from functools import partial
 from .errors import ParseError
 from .linalg import QQ, RingMatrix
 from .rings import (
+    MAX_VARIABLES,
     PolyRing,
     RationalField,
     parse_fraction,
+    parse_int,
     poly_from_pairs,
     poly_to_pairs,
 )
@@ -59,8 +61,8 @@ def parse_matrix_block(lines: list[str]) -> tuple[str, RingMatrix]:
     try:
         return _parse_matrix_block(lines)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
-        # A missing header field, a non-integer count, a field without '='
-        # and a row that is not a JSON list of entries all land here.
+        # A missing header field, a field without '=' and a row that is not
+        # a JSON list of entries all land here.
         raise ParseError(f"malformed matrix block: {type(exc).__name__}: {exc}") from None
 
 
@@ -68,16 +70,15 @@ def _parse_matrix_block(lines: list[str]) -> tuple[str, RingMatrix]:
     head = lines[0].split()
     name = head[1]
     opts = dict(part.split("=", 1) for part in head[2:])
-    rows = int(opts["rows"])
-    cols = int(opts["cols"])
     body = lines[1:-1]
-    if len(body) != rows:
-        raise ParseError(f"expected {rows} row lines, got {len(body)}")
+    # Each row is a line, and a row of cols entries is longer than cols.
+    parse_int(opts["rows"], len(body), len(body), "row count")
+    cols = parse_int(opts["cols"], 0, sum(map(len, body)), "column count")
     if opts["ring"] == "rational":
         ring, parse = QQ, parse_fraction
     else:
-        ring = PolyRing(nvars=int(opts["nvars"]), laurent=(opts["ring"] == "laurent"),
-                        var=opts["var"])
+        nvars = parse_int(opts["nvars"], 0, MAX_VARIABLES, "variable count")
+        ring = PolyRing(nvars=nvars, laurent=(opts["ring"] == "laurent"), var=opts["var"])
         parse = partial(poly_from_pairs, ring=ring)
     entries = []
     for ln in body:

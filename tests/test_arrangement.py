@@ -101,6 +101,15 @@ def test_normal_must_be_nonzero():
         Hyperplane(normal=(Fraction(0), Fraction(0)), offset=Fraction(1))
 
 
+def test_hyperplane_count_is_at_most_max_variables():
+    from arrmono.rings import MAX_VARIABLES
+
+    lines = [f"{k} 1\n" for k in range(MAX_VARIABLES + 1)]
+    assert parse_arrangement("dim 1\n" + "".join(lines[:-1])).n == MAX_VARIABLES
+    with pytest.raises(ParseError, match="hyperplanes exceed"):
+        parse_arrangement("dim 1\n" + "".join(lines))
+
+
 def test_independent_hyperplanes_required():
     with pytest.raises(ParseError):
         parse_arrangement("dim 2\n0 1 1\n0 2 2\n")  # parallel normals only

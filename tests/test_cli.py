@@ -354,12 +354,32 @@ def _run_bounded(*argv) -> tuple[int, str, float]:
     return proc.returncode, proc.stderr, float(proc.stdout.split()[-1])
 
 
+_PROJ = (FIXTURES / "pencil4_proj_res.txt").read_text()
+_INDUCED = ("induced", "-a", ARGS["-a"]) + _PEC + ("--xi",)
+
+
+# Every hostile input whose file is the last argument: oversized counts, an
+# exponent-notation number, too many hyperplanes, nesting past the recursion
+# limit, digit strings past int()'s limit and a line that a backtracking
+# regular expression would take quadratic time over.
 @pytest.mark.parametrize("text,argv", [
     ("generators 100000000\n", ("fox", "-p")),
-    ((FIXTURES / "pencil4_proj_res.txt").read_text().replace("nvars 4", "nvars 100000000"),
-     ("induced", "-a", ARGS["-a"]) + _PEC + ("--xi",)),
+    (_PROJ.replace("nvars 4", "nvars 100000000"), _INDUCED),
     ("dim 100000000\n", ("info", "-a")),
-], ids=["generators", "nvars", "dim"])
+    ("dim 2\n0 1 0\n0 0 1\n1e999999999 1 1\n", ("info", "-a")),
+    ((FIXTURES / "pencil4.pres").read_text(),
+     ("specialize", "--ring", "x", "--at=1e999999999,1,1,1", "-p")),
+    ("dim 1\n" + "".join(f"{k} 1\n" for k in range(1025)), ("info", "-a")),
+    ("generators 2\n" + "[" * 3000 + "g1, g2" + "]" * 3000 + "\n", ("fox", "-p")),
+    (_PROJ.replace("x1*x2 - 1,", "(" * 3000 + "x1*x2 - 1" + ")" * 3000 + ",", 1), _INDUCED),
+    (_PROJ.replace("x1*x2 - 1,", "x1*" + "-" * 3000 + ",", 1), _INDUCED),
+    (_PROJ.replace("x1*x2 - 1,", "x1*x2 - 1 + x1^" + "9" * 5000 + ",", 1), _INDUCED),
+    (_PROJ.replace("x1*x2 - 1,", "x1*x2 - " + "9" * 5000 + ",", 1), _INDUCED),
+    ("relator 1\n( g1" + " " * 100000 + "g2 )\n",
+     ("verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"], "-c")),
+], ids=["generators", "nvars", "dim", "exponent-notation-entry", "exponent-notation-point",
+        "hyperplanes", "nested-commutators", "nested-parentheses", "minus-signs",
+        "poly-exponent-digits", "poly-coefficient-digits", "certificate-term-spaces"])
 def test_oversized_header_counts_are_parse_errors(tmp_path, text, argv):
     path = tmp_path / "big.txt"
     path.write_text(text)

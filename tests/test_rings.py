@@ -14,7 +14,17 @@ from arrmono import (
     parse_poly,
     poly_ring,
 )
-from arrmono.rings import Poly, poly_from_pairs, poly_to_pairs
+from arrmono.fox import parse_word
+from arrmono.rings import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    Poly,
+    content_lines,
+    parse_fraction,
+    parse_int,
+    poly_from_pairs,
+    poly_to_pairs,
+)
 
 L = laurent_ring(4)
 R = poly_ring(4)
@@ -351,3 +361,60 @@ def test_negative_power_of_unit_monomial_stays_int():
 def test_zero_denominator_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_poly("1/0*x1", L)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("3", 3), (" -3/4 ", Fraction(-3, 4)), ("+7", 7), ("6/4", Fraction(3, 2)), ("007", 7),
+])
+def test_rational_reader_reads_the_form_str_fraction_writes(text, value):
+    assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e999999999", "0.5", ".5", "1_0", "\u0661", "3/-4", "1/0", "1 / 2", "", "+", "9" * 5000,
+])
+def test_rational_reader_rejects_every_other_form(text):
+    with pytest.raises(ParseError):
+        parse_fraction(text)
+
+
+def test_integer_reader_takes_a_sign_only_where_negatives_are_allowed():
+    assert parse_int("-7", -10, 10, "n") == -7 and parse_int("+7", -10, 10, "n") == 7
+    assert parse_int("0007", 0, 10, "n") == 7
+    for text in ("+7", "-0", "11", "7.0", "\u0667", "7" * 5000):
+        with pytest.raises(ParseError, match="^n "):
+            parse_int(text, 0, 10, "n")
+
+
+def test_content_lines_drop_blank_and_comment_lines():
+    assert content_lines("# head\n\n  a b  \n\t# note\nc\n") == ["a b", "c"]
+
+
+def test_nesting_limit_is_shared_by_both_grammars():
+    deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_poly(deep, L) == X[0]
+    with pytest.raises(ParseError, match="nest"):
+        parse_poly("(" + deep + ")", L)
+    word = "[" * MAX_NESTING + ",]" * MAX_NESTING
+    assert parse_word(word, 1).is_identity()
+    with pytest.raises(ParseError, match="nest"):
+        parse_word("[" + word + ",]", 1)
+
+
+@pytest.mark.parametrize("text", ["x0", "x5", "x", "x" + "1" * 5000, "x\u0661", "y1"])
+def test_polynomial_variable_index_is_range_checked(text):
+    with pytest.raises(ParseError):
+        parse_poly(text, L)
+
+
+def test_a_run_of_minus_signs_is_read_in_a_loop():
+    assert parse_poly("x1*" + "-" * 3001 + "x2", L) == -X[0] * X[1]
+
+
+def test_polynomial_exponents_share_the_word_exponent_range():
+    assert parse_poly(f"x1^-{MAX_EXPONENT}", L) == X[0] ** -MAX_EXPONENT
+    for exponent in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1, "7" * 5000):
+        with pytest.raises(ParseError, match="exponent"):
+            parse_poly(f"x1^{exponent}", L)
+        with pytest.raises(ParseError, match="exponent"):
+            parse_word(f"g1^{exponent}", 1)
