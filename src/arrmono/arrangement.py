@@ -32,7 +32,7 @@ from itertools import combinations
 
 from .errors import ParseError
 from .linalg import QQ, RingMatrix, bareiss, clear_row_denominators, rational_rank
-from .rings import MAX_VARIABLES, content_lines, parse_fraction, parse_int
+from .rings import MAX_VARIABLES, _shown, content_lines, parse_fraction, parse_int
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def parse_arrangement(text: str) -> Arrangement:
         raise ParseError("empty arrangement file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "dim":
-        raise ParseError(f"expected 'dim L' header, got {lines[0]!r}")
+        raise ParseError(f"expected 'dim L' header, got {_shown(lines[0])}")
     # Each hyperplane is a variable of the Aomoto ring, and L of them must be
     # independent, so L <= n <= MAX_VARIABLES.
     dim = parse_int(head[1], 0, MAX_VARIABLES, "dimension")
@@ -163,7 +163,7 @@ def parse_arrangement(text: str) -> Arrangement:
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != dim + 1:
-                raise ParseError(f"expected {dim + 1} rationals on line {ln!r}")
+                raise ParseError(f"expected {dim + 1} rationals on line {_shown(ln)}")
             vals = [parse_fraction(p) for p in parts]
             hyperplanes.append(Hyperplane(normal=tuple(vals[1:]), offset=vals[0]))
         return Arrangement(dim=dim, hyperplanes=tuple(hyperplanes))

@@ -14,6 +14,7 @@ matrices, M = sum_j y_j M_j (linear_coefficients).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -106,12 +107,15 @@ def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
     return out
 
 
-def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[list[list], list[Fraction]]:
-    """The linear system of G1 * Omega - Omega * G1 = rhs over Q.
+def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
+    """The linear system A * g = b of G1 * Omega - Omega * G1 = rhs over Q.
 
     Unknowns: n * s^2 rational coefficients of G1; equations: coefficients of
-    the quadratic monomials of every entry.  The matrix is built in ints from
-    the coefficient matrices Omega_u; the right side is rational."""
+    the quadratic monomials of every entry, in (entry, monomial) order.  Only
+    the equations that carry a nonzero are emitted; a row that no term
+    reaches, or whose terms cancel, with a zero right side (0 = 0) is not.
+    A holds ints built from the coefficient matrices Omega_u; the right
+    side b is rational."""
     parts = linear_coefficients(omega)
     s = omega.rows
     n = omega.ring.nvars
@@ -119,10 +123,10 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[list[list], list[
     mono_index = {m: idx for idx, m in enumerate(monomials)}
     # mono[u][v]: index of the monomial y_u * y_v.
     mono = [[mono_index[(min(u, v), max(u, v))] for v in range(n)] for u in range(n)]
-    rows = s * s * len(monomials)
     cols = s * s * n
-    system = [[0] * cols for _ in range(rows)]
-    rhs_vec = [Fraction(0)] * rows
+    # Equation rows by index, each allocated when it is first touched.
+    system: defaultdict[int, list[int]] = defaultdict(lambda: [0] * cols)
+    rhs_vec: dict[int, Fraction | int] = {}
 
     def quad_coeffs(p: Poly) -> dict[tuple[int, int], Fraction]:
         out: dict[tuple[int, int], Fraction] = {}
@@ -136,14 +140,10 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[list[list], list[
                 out[(support[0], support[1])] = c
         return out
 
-    # Row index for entry (a, b) and monomial m.
-    def ridx(a: int, b: int, m: int) -> int:
-        return (a * s + b) * len(monomials) + m
-
-    # Column index for unknown coefficient of y_v in G1[a][b].
-    def cidx(a: int, b: int, v: int) -> int:
-        return (a * s + b) * n + v
-
+    # Equation (a * s + b) * len(monomials) + m holds the coefficient of
+    # monomial m in entry (a, b); unknown (a * s + b) * n + v is the
+    # coefficient of y_v in G1[a][b].
+    nmono = len(monomials)
     for u, part in enumerate(parts):
         for i, row in enumerate(part):
             for j, c in row.items():
@@ -152,20 +152,22 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[list[list], list[
                 for v in range(n):
                     m = mono[u][v]
                     for a in range(s):
-                        system[ridx(a, j, m)][cidx(a, i, v)] += c
-                        system[ridx(i, a, m)][cidx(j, a, v)] -= c
+                        system[(a * s + j) * nmono + m][(a * s + i) * n + v] += c
+                        system[(i * s + a) * nmono + m][(j * s + a) * n + v] -= c
     for a in range(s):
         for b in range(s):
             for m, c in quad_coeffs(rhs.entries[a][b]).items():
-                rhs_vec[ridx(a, b, mono_index[m])] = c
-    return system, rhs_vec
+                rhs_vec[(a * s + b) * nmono + mono_index[m]] = c
+    keep = sorted(r for r in system.keys() | rhs_vec.keys()
+                  if r in rhs_vec or any(system[r]))
+    return (RingMatrix(QQ, [system[r] for r in keep]),
+            RingMatrix(QQ, [[rhs_vec.get(r, 0)] for r in keep]))
 
 
 def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
     """Does G1 * Omega - Omega * G1 = rhs admit a matrix of linear forms G1?"""
-    system, rhs_vec = _gauge_system(omega, rhs)
     try:
-        solve_right(RingMatrix(QQ, system), RingMatrix(QQ, [[v] for v in rhs_vec]))
+        solve_right(*_gauge_system(omega, rhs))
         return True
     except NoSolution:
         return False
@@ -580,7 +582,7 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -
 
 def parse_projection(text: str) -> ProjectionData:
     from .errors import ParseError
-    from .rings import content_lines, exp_jet, parse_int, parse_poly
+    from .rings import _shown, content_lines, exp_jet, parse_int, parse_poly
 
     lines = content_lines(text)
     header: dict[str, str] = {}
@@ -593,7 +595,7 @@ def parse_projection(text: str) -> ProjectionData:
         else:
             parts = ln.split()
             if len(parts) != 2 or parts[0] not in ("ring", "nvars", "rows", "cols"):
-                raise ParseError(f"bad projection header line {ln!r}")
+                raise ParseError(f"bad projection header line {_shown(ln)}")
             if parts[0] in header:
                 raise ParseError(f"repeated projection header '{parts[0]}'")
             header[parts[0]] = parts[1]
@@ -617,7 +619,7 @@ def parse_projection(text: str) -> ProjectionData:
                 raise ParseError("projection matrix is truncated")
             cells = lines[start + r].split(",")
             if len(cells) != cols:
-                raise ParseError(f"expected {cols} entries on line {lines[start + r]!r}")
+                raise ParseError(f"expected {cols} entries on line {_shown(lines[start + r])}")
             entries.append([parse_poly(c, ring) for c in cells])
         return RingMatrix(ring, entries), start + rows
 
@@ -638,7 +640,7 @@ def parse_projection(text: str) -> ProjectionData:
         y_subs: dict[int, Poly] = {}
         for ln in locus_lines:
             if "=" not in ln:
-                raise ParseError(f"bad locus line {ln!r}")
+                raise ParseError(f"bad locus line {_shown(ln)}")
             lhs, rhs = (s.strip() for s in ln.split("=", 1))
             if not lhs.startswith("x"):
                 raise ParseError("locus substitutions target x-variables")

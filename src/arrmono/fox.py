@@ -36,6 +36,7 @@ from .rings import (
     MAX_VARIABLES,
     Poly,
     PolyRing,
+    _shown,
     content_lines,
     laurent_ring,
     parse_int,
@@ -168,7 +169,7 @@ def parse_word(text: str, ngens: int) -> Word:
                 factor, size = Word.gen(ngens, parse_int(tok[1:], 1, ngens, "generator")), 1
                 i += 1
             else:
-                raise ParseError(f"unexpected token {tok!r}")
+                raise ParseError(f"unexpected token {_shown(tok)}")
             power = 1
             if i < len(toks) and toks[i].startswith("^"):
                 power = parse_int(toks[i][1:], -MAX_EXPONENT, MAX_EXPONENT, "exponent")
@@ -212,7 +213,7 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError("empty presentation file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "generators":
-        raise ParseError(f"expected 'generators N' header, got {lines[0]!r}")
+        raise ParseError(f"expected 'generators N' header, got {_shown(lines[0])}")
     ngens = parse_int(head[1], 0, MAX_VARIABLES, "generator count")
     relators = tuple(parse_word(ln, ngens) for ln in lines[1:])
     try:
@@ -230,20 +231,25 @@ def load_presentation(path) -> Presentation:
 
 
 def fox_derivative(w: Word, j: int) -> Poly:
-    """Abelianized Fox derivative dw/dg_j as a Laurent polynomial."""
-    ring = laurent_ring(w.ngens)
+    """Abelianized Fox derivative dw/dg_j as a Laurent polynomial.  Its
+    +-monomials are collected in one term dict, so the cost is linear in the
+    length of w."""
     prefix = [0] * w.ngens
-    out = ring.zero()
+    terms: dict[tuple[int, ...], int] = {}
     for g, e in w.letters:
-        if e == 1:
-            if g == j:
-                out = out + ring.monomial(prefix)
-            prefix[g - 1] += 1
-        else:
+        if e == -1:
             prefix[g - 1] -= 1
-            if g == j:
-                out = out - ring.monomial(prefix)
-    return out
+        if g == j:
+            # g_j adds the prefix before it, g_j^-1 minus the prefix through it.
+            key = tuple(prefix)
+            c = terms.get(key, 0) + e
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        if e == 1:
+            prefix[g - 1] += 1
+    return Poly(laurent_ring(w.ngens), terms)
 
 
 def _boundaries(pres: Presentation) -> list[RingMatrix]:
@@ -454,7 +460,7 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
         if ln.startswith("relator"):
             parts = ln.split()
             if len(parts) != 2:
-                raise ParseError(f"bad relator header {ln!r}")
+                raise ParseError(f"bad relator header {_shown(ln)}")
             current = parse_int(parts[1], 1, pres.nrels, "relator index")
             terms.setdefault(current, [])
             continue
@@ -464,7 +470,7 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
         parts = ln[1:-1].rsplit(",", 2) if ln.startswith("(") and ln.endswith(")") else []
         sign = _SIGNS.get(parts[-1].strip()) if len(parts) == 3 else None
         if sign is None:
-            raise ParseError(f"bad certificate term {ln!r}")
+            raise ParseError(f"bad certificate term {_shown(ln)}")
         word = parse_word(parts[0], pres.ngens)
         k = parse_int(parts[1].strip(), 1, pres.nrels, "relator index")
         terms[current].append((word, k, sign))

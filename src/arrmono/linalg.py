@@ -4,6 +4,20 @@ Convention used throughout the package: row vectors act on the left,
 v -> v * M, so a chain map F between complexes with boundaries D satisfies
 the literal matrix identity D^q * F^{q+1} = F^q * D^q.
 
+A product over Q[y] or the Laurent ring is built row by row (Gustavson,
+ACM TOMS 4(3), 1978): row i of A * B sums A[i][k] * (row k of B) over the
+nonzero A[i][k] and the nonzero entries of that row, each output entry in
+one term dict, so it costs its nonzero pairs rather than rows x columns x
+inner dimension.  The Aomoto and connection matrices are mostly zeros
+(about 94% of mu_2 on a dimension-3 arrangement).  The rational product
+keeps the dense loop: the row-sparse one took arrangement-resonance
+wall_s from 1.05 to 0.65 s but raised its peak_rss_mb 10-13%, which comes
+from the benchmark harness keeping every pass's reports (ROADMAP 3a).
+The degree-2 gauge system reaches solve_right holding only its nonzero
+equations (connection._gauge_system); a solve straight from its sparse
+rows waits for the in-package trace (ROADMAP 3c), since the benchmark
+reads the gauge's shape from that solve_right call.
+
 One fraction-free Bareiss elimination, parametrized by the ring's exact
 division, gives every rank and determinant: rational ranks on rows cleared
 to integers (//), determinants over Q (/) and over Q[y] and the Laurent
@@ -37,6 +51,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import floordiv, truediv
 from typing import Callable, Iterable, Sequence
 
@@ -145,20 +160,26 @@ class RingMatrix:
         if self.cols != other.rows or self.ring != other.ring:
             raise ShapeMismatch(f"mul {self.shape()} by {other.shape()}")
         zero = self.ring.zero()
-        columns = list(zip(*other.entries))
         out = []
         if isinstance(self.ring, PolyRing):
-            # Accumulate each entry in one term dict, not a chain of Polys.
+            # Row by row (Gustavson 1978): row i of A * B is the sum of
+            # A[i][k] * (row k of B) over the nonzero A[i][k], each entry
+            # accumulated in one term dict, so only nonzero pairs multiply.
+            brows = [[(j, b.terms) for j, b in enumerate(row) if b.terms]
+                     for row in other.entries]
             for arow in self.entries:
-                row = []
-                for col in columns:
-                    acc: dict = {}
-                    for a, b in zip(arow, col):
-                        if a:
-                            _addmul(acc, a.terms, b.terms, 1)
-                    row.append(Poly(self.ring, canonical_terms(acc)) if acc else zero)
+                accs: dict[int, dict] = {}
+                for a, brow in zip(arow, brows):
+                    if brow and a.terms:
+                        for j, b in brow:
+                            _addmul(accs.setdefault(j, {}), a.terms, b, 1)
+                row = [zero] * other.cols
+                for j, acc in accs.items():
+                    if acc:
+                        row[j] = Poly(self.ring, canonical_terms(acc))
                 out.append(row)
             return RingMatrix(self.ring, out)
+        columns = list(zip(*other.entries))
         for arow in self.entries:
             row = []
             for col in columns:
@@ -277,7 +298,7 @@ def _sparse_rows(entries: Iterable[Sequence]) -> list[dict[int, Coeff]]:
     """Each row as a dict from column to its nonzero entries, as canonical
     coefficients (rings.canonical): ints stay ints, and an integral
     Fraction becomes its int."""
-    return [{j: canonical(v) for j, v in enumerate(row) if v} for row in entries]
+    return [{j: canonical(row[j]) for j in compress(range(len(row)), row)} for row in entries]
 
 
 def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:

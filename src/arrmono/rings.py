@@ -629,7 +629,7 @@ class _PolyParser:
             return self.ring.const(parse_fraction(tok))
         var = self.ring.var
         if not tok.startswith(var):
-            raise ParseError(f"unknown symbol {tok!r} in {var}-ring")
+            raise ParseError(f"unknown symbol {_shown(tok)} in {var}-ring")
         j = parse_int(tok[len(var):], 1, self.ring.nvars, f"{var}-variable index")
         exp = 1
         if self.peek() == "^":

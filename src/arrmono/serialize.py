@@ -22,6 +22,7 @@ from .rings import (
     MAX_VARIABLES,
     PolyRing,
     RationalField,
+    _shown,
     parse_fraction,
     parse_int,
     poly_from_pairs,
@@ -83,7 +84,7 @@ def _parse_matrix_block(lines: list[str]) -> tuple[str, RingMatrix]:
     entries = []
     for ln in body:
         if not ln.startswith("row "):
-            raise ParseError(f"bad row line {ln!r}")
+            raise ParseError(f"bad row line {_shown(ln)}")
         payload = json.loads(ln[4:])
         if len(payload) != cols:
             raise ParseError("row width mismatch")

@@ -479,6 +479,41 @@ def test_malformed_input_is_a_parse_error(tmp_path, kind, text):
     assert "Traceback" not in err.getvalue()
 
 
+_MB = 1 << 20
+_VERIFY = ("verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"], "-c")
+
+
+# One malformed line of a megabyte at each site that quotes the offending text.
+@pytest.mark.parametrize("text,argv", [
+    ("dim 2\n" + "1 " * (_MB // 2) + "\n", ("info", "-a")),
+    ("dim 2 " + "x" * _MB + "\n", ("info", "-a")),
+    ("generators 2 " + "x" * _MB + "\n", ("fox", "-p")),
+    ("generators 2\n^" + "9" * _MB + "\n", ("fox", "-p")),
+    ("relator 1 " + "x" * _MB + "\n", _VERIFY),
+    ("relator 1\n" + "x" * _MB + "\n", _VERIFY),
+    (_PROJ.replace("ring x", "ring x " + "y" * _MB, 1), _INDUCED),
+    (_PROJ.replace("x1*x2 - 1,", "x1*x2 - 1," * (_MB // 10), 1), _INDUCED),
+    (_PROJ.replace("x1*x2 - 1,", "z" * _MB + ",", 1), _INDUCED),
+    (_PROJ.replace("locus x3 =", "locus x3 " + "y" * _MB, 1), _INDUCED),
+], ids=["arrangement-row", "arrangement-header", "presentation-header", "word-token",
+        "relator-header", "certificate-term", "projection-header", "projection-row",
+        "poly-symbol", "locus"])
+def test_a_megabyte_bad_line_gets_a_short_message(tmp_path, text, argv):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, err, _ = _run_bounded(*argv, str(path))
+    assert code == 2 and err.startswith("parse error") and "Traceback" not in err
+    assert len(err) < 200, err[:200]
+
+
+def test_a_megabyte_bad_matrix_row_gets_a_short_message():
+    from arrmono import ParseError
+    from arrmono.serialize import parse_matrix_block
+    with pytest.raises(ParseError) as exc:
+        parse_matrix_block(["matrix M ring=rational rows=1 cols=1", "x" * _MB, "endmatrix"])
+    assert len(str(exc.value)) < 200
+
+
 @pytest.mark.parametrize("old,new", [
     ("rows 5", "rows abc"),
     ("rows 5", "rows " + "1" * 5000),

@@ -510,23 +510,45 @@ def _boolean_inner_loop():
     return phis[1], formal_connection(phis)[1]
 
 
-def test_gauge_grid_matches_dense_fraction_builder(pencil):
+def emitted_matches_oracle(omega, rhs):
+    """The emitted system is the dense oracle's without its 0 = 0 rows: the
+    same rows in the same (entry, monomial) order, as ints, with the same
+    right sides, as rational matrices.  Returns (A, oracle rows kept, all
+    oracle rows)."""
     from arrmono.connection import _gauge_system
+    a, b = _gauge_system(omega, rhs)
+    want, want_rhs = dense_gauge_system(omega, rhs)
+    kept = [r for r, row in enumerate(want) if any(row) or want_rhs[r]]
+    assert a.ring == b.ring == QQ and b.cols == 1
+    assert a.shape() == (len(kept), len(want[0]))
+    assert a.entries == [want[r] for r in kept]  # equal as rationals, entry by entry
+    assert all(type(v) is int for row in a.entries for v in row)
+    assert [v for v, in b.entries] == [want_rhs[r] for r in kept]
+    return a, kept, want
+
+
+def test_gauge_grid_matches_dense_fraction_builder(pencil):
     from arrmono.linalg import mat_exp_truncated, series_matrix
     cases = [(pencil["phis"][q], pencil["fc"][q]) for q in (1, 2)]
     cases.append(_boolean_inner_loop())
     for phi, omega in cases:
         rhs = series_matrix(phi)[2] - mat_exp_truncated(omega)[2]
         assert not rhs.is_zero()
-        grid, rhs_vec = _gauge_system(omega, rhs)
-        want, want_rhs = dense_gauge_system(omega, rhs)
-        assert (len(grid), len(grid[0])) == (len(want), len(want[0]))
-        assert grid == want  # equal as rationals, entry by entry
-        assert sum(1 for row in grid for v in row if v) == \
-            sum(1 for row in want for v in row if v) > 0
-        assert all(type(v) is int for row in grid for v in row)
-        assert rhs_vec == want_rhs
+        _, kept, want = emitted_matches_oracle(omega, rhs)
+        assert 0 < len(kept) < len(want)
         assert verify_exp_relation(phi, omega).gauge_degree2
+
+
+def test_gauge_system_keeps_an_equation_with_zero_left_side():
+    """A right side on a monomial that no term of Omega reaches gives the
+    row 0 = c; it stays in the system, so the solve reports no gauge."""
+    from arrmono.connection import _commutator_image_solve
+    r2 = poly_ring(2)
+    omega = mat(r2, [["y1", "0"], ["0", "0"]])
+    rhs = mat(r2, [["0", "y2^2"], ["0", "0"]])
+    a, _, _ = emitted_matches_oracle(omega, rhs)
+    assert [0] * a.cols in a.entries
+    assert not _commutator_image_solve(omega, rhs)
 
 
 def test_spectra_correspondence(pencil):

@@ -138,6 +138,18 @@ def test_fox_derivative_examples(word, gen, expected):
     assert fox_derivative(w, gen) == parse_poly(expected, L)
 
 
+def test_fox_derivative_is_linear_in_the_word_length():
+    """d/dg1 of g1^k g2 g1^-k g2^-1 is (1 - x2) * sum_{i<k} x1^i."""
+    k = 20_000
+    w = parse_word(f"g1^{k} g2 g1^-{k} g2^-1", 2)
+    start = time.perf_counter()
+    d = fox_derivative(w, 1)
+    assert time.perf_counter() - start < 1.0
+    want = {(i, 0): 1 for i in range(k)}
+    want.update({(i, 1): -1 for i in range(k)})
+    assert d.ring == laurent_ring(2) and d.terms == want
+
+
 words = st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, -1))),
                  max_size=8).map(lambda ls: Word.from_letters(4, ls))
 

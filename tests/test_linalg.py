@@ -56,6 +56,79 @@ def test_identity_multiplication(displayed):
     assert eye * displayed["p1"] == displayed["p1"]
 
 
+def _entry_pool(ring):
+    """Entries for random products: zero more often than not, and pairs
+    such as y1 and -y1 whose products cancel in a sum."""
+    y1, y2 = ring.variable(1), ring.variable(2)
+    pool = [y1, -y1, y1 * y2, y2.scale(Fraction(1, 2)), ring.const(3), y1 - y2, y2 - y1]
+    if ring.laurent:
+        pool += [y1 ** -1, -(y1 ** -1) * y2]
+    return [ring.zero()] * 8 + pool
+
+
+@st.composite
+def product_pairs(draw, ring):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.sampled_from(_entry_pool(ring))
+    a = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        a[i] = [ring.zero()] * k
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for row in b:
+            row[j] = ring.zero()
+    return RingMatrix(ring, a), RingMatrix(ring, b)
+
+
+def _naive_product(a, b):
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = a.ring.zero()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return RingMatrix(a.ring, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([poly_ring(2), laurent_ring(2)]).flatmap(product_pairs))
+def test_product_matches_the_naive_sum(pair):
+    a, b = pair
+    got = a * b
+    assert got == _naive_product(a, b)
+    assert all(type(c) is int or c.denominator > 1
+               for row in got.entries for e in row for c in e.terms.values())
+
+
+@pytest.mark.parametrize("ring", [poly_ring(2), laurent_ring(2)])
+def test_product_multiplies_only_nonzero_pairs(ring, monkeypatch):
+    """One term-dict product per pair of nonzeros A[i][k], B[k][j]."""
+    import arrmono.linalg as linalg
+    calls = []
+    addmul = linalg._addmul
+
+    def counted(acc, p, q, sign):
+        calls.append((p, q))
+        return addmul(acc, p, q, sign)
+
+    monkeypatch.setattr(linalg, "_addmul", counted)
+    pool = _entry_pool(ring)
+    rng = random.Random(3)
+    a = RingMatrix(ring, [[rng.choice(pool) for _ in range(6)] for _ in range(5)])
+    b = RingMatrix(ring, [[rng.choice(pool) for _ in range(7)] for _ in range(6)])
+    a.entries[2] = [ring.zero()] * 6
+    for row in b.entries:
+        row[4] = ring.zero()
+    pairs = sum(1 for i in range(5) for k in range(6) for j in range(7) if a[i, k] and b[k, j])
+    assert 0 < pairs < 5 * 6 * 7
+    assert a * b == _naive_product(a, b)
+    assert len(calls) == pairs
+    assert all(p and q for p, q in calls)
+
+
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         RingMatrix.identity(QQ, 2) * RingMatrix.identity(QQ, 3)
