@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import ParseError
 from .linalg import QQ, RingMatrix, bareiss, clear_row_denominators, rational_rank
@@ -74,9 +75,19 @@ class DependencyData:
     circuit_of_broken: dict[tuple[int, ...], tuple[int, ...]] = field(hash=False, default_factory=dict)
 
 
+# The most subsets the dependency scan may eliminate.  Every nbc set of two or
+# more hyperplanes is one, so the nbc count, and mu's ranks, are at most
+# MAX_DEPENDENCY_SUBSETS + n + 1.  Boolean 17 is admitted, Boolean 18 is not.
+MAX_DEPENDENCY_SUBSETS = 2 ** 17
+
+
 def compute_dependencies(arr: Arrangement) -> DependencyData:
     """Scan subsets of size <= dim + 1; larger sets cannot be minimal in
-    either class, by the rank bound."""
+    either class, by the rank bound.  That is sum_{s=2}^{dim+1} C(n, s)
+    subsets; past MAX_DEPENDENCY_SUBSETS, ParseError before any of them."""
+    if sum(comb(arr.n, s) for s in range(2, arr.dim + 2)) > MAX_DEPENDENCY_SUBSETS:
+        raise ParseError(f"{arr.n} hyperplanes in dimension {arr.dim} need a dependency "
+                         f"scan of more than {MAX_DEPENDENCY_SUBSETS} subsets")
     rows = [clear_row_denominators([*h.normal, -h.offset]) for h in arr.hyperplanes]
     # (rank of the normals, rank of the rows) per subset; a normal is nonzero.
     ranks = {(i,): (1, 1) for i in range(arr.n)}

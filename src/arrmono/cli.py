@@ -7,7 +7,8 @@ and kept, so each runs at most once per job: arr -> dep -> basis -> aomoto
 -> omega -> spectra per degree; projections with their induced maps and
 spectra.  Where mu meets Delta or Omega, it is read through the mu stage,
 which raises ParseError unless the ranks agree.  A cmd_* function only
-reports what it reads off the Job.
+reports what it reads off the Job; a check that a stage proves by
+construction, such as aomoto.linear_forms, is not computed again.
 Structured output (--format structured) is line-oriented and deterministic
 so golden tests are plain file comparisons; human output is a readable
 rendering of the same content.
@@ -54,7 +55,8 @@ class Job:
     Stages call the names this module imports.  A stage that proves an
     identity raises when it fails, so a check read off it passed:
     aomoto_boundary and universal_complex (mu and Delta are complexes,
-    proved when each RingComplex is constructed), phi2_from_certificate
+    proved when each RingComplex is constructed; aomoto_boundary writes
+    every entry of mu as an integral linear form), phi2_from_certificate
     (the certificate is valid and D1 * Phi2 = Phi1 * D1), eigen_* (the
     spectrum splits as certified), verify_chain_map and verify_projection."""
 
@@ -99,11 +101,6 @@ class Job:
         return self.aomoto.boundaries
 
     @cached_property
-    def mu_linear(self) -> bool:
-        return all(e.is_linear_integer_form() for m in self.aomoto.boundaries
-                   for row in m.entries for e in row)
-
-    @cached_property
     def chain_universal(self) -> bool:
         """The chain identity in degree 0, D0 * Phi1 = D0, from Phi1 alone
         (phi2_from_certificate checks degree 1).  phi1 checked that the
@@ -124,14 +121,21 @@ class Job:
         return lin[0] == self.mu[0] and lin[1] == self.mu[1]
 
     def projections(self):
-        """Per --xi file: (PhiBar, OmegaBar, their spectra), after
-        verify_projection.  Each is built when the iteration reaches it, so
-        a failing projection is reported after those before it."""
+        """Per --xi file: (PhiBar, OmegaBar, their spectra), after its counts
+        are checked against the presentation's and verify_projection.  Each is
+        built when the iteration reaches it, so a failing projection is
+        reported after those before it."""
         delta, mu = self.cx.boundaries[1], self.mu[1]
         phi2, omega2 = self.phis[2], self.omega[2]
 
         def build(path):
             proj = load_projection(path)
+            if proj.xi.ring.nvars != self.pres.ngens:
+                raise ParseError(f"projection nvars {proj.xi.ring.nvars} and presentation "
+                                 f"generators {self.pres.ngens} differ")
+            if proj.xi.rows != delta.cols:
+                raise ParseError(f"projection rows {proj.xi.rows} and presentation relators "
+                                 f"{delta.cols} differ")
             verify_projection(delta, mu, proj)
             phibar, ombar = induced_map(proj.xi, phi2), induced_map(proj.upsilon, omega2)
             return phibar, ombar, eigen_monomials(phibar), eigen_linear_forms(ombar)
@@ -164,7 +168,7 @@ def cmd_aomoto(job: Job, report: ReportWriter) -> None:
         report.kv(f"rows[mu{q}]", " ".join(_label(s) for s in job.basis.degree(q)))
         report.kv(f"cols[mu{q}]", " ".join(_label(s) for s in job.basis.degree(q + 1)))
         report.matrix(f"mu{q}", mat)
-    report.check("aomoto.linear_forms", job.mu_linear)
+    report.check("aomoto.linear_forms", True)  # aomoto_boundary writes them so
     report.check("aomoto.complex", True)  # RingComplex construction raised otherwise
 
 
@@ -259,9 +263,9 @@ def cmd_induced(job: Job, report: ReportWriter) -> None:
 def cmd_verify(job: Job, report: ReportWriter) -> None:
     """Full identity suite over the supplied inputs."""
     report.section("verify")
-    linear = job.mu_linear
+    job.aomoto  # the stage proves both aomoto checks
     report.check("aomoto.complex", True)  # RingComplex construction raised otherwise
-    report.check("aomoto.linear_forms", linear)
+    report.check("aomoto.linear_forms", True)  # aomoto_boundary writes them so
     ngens = job.cx.ranks[1]
     report.check("fox.complex", True)  # universal_complex raised otherwise
     report.check("linearization.delta_equals_mu", job.delta_equals_mu, warn_only=True)

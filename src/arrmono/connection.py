@@ -44,7 +44,7 @@ from .linalg import (
     solve_right,
     verify_chain_map,
 )
-from .rings import MAX_VARIABLES, Poly, PolyRing, format_poly, laurent_ring, poly_ring
+from .rings import MAX_VARIABLES, Poly, format_poly, laurent_ring, poly_ring
 
 # -- formal connection -------------------------------------------------------------
 
@@ -58,11 +58,10 @@ def formal_connection(phis: dict[int, RingMatrix]) -> dict[int, RingMatrix]:
         const, lin = linearize_matrix(phi)
         if not const.is_identity():
             raise NotIdentityAtOne(f"degree {q} matrix is not the identity at x = 1")
-        for row in lin.entries:
-            for e in row:
-                if not e.is_linear_integer_form():
-                    raise FactorizationFailed(
-                        f"degree {q} linear part has a non-integral entry {e}")
+        try:
+            linear_coefficients(lin)
+        except ValueError as exc:
+            raise FactorizationFailed(f"degree {q} linear part: {exc}") from None
         omegas[q] = lin
     return omegas
 
@@ -95,15 +94,18 @@ class ExpRelationReport:
 def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
     """The integer matrices M_1, ..., M_n with M = sum_j y_j * M_j, for a
     matrix whose entries are integral linear forms in n variables.  Row i
-    of M_j is a dict from column to its nonzero int entries."""
+    of M_j is a dict from column to its nonzero int entries.  The package's
+    one test of an integral linear form: every term has exponent sum 1, no
+    negative exponent and an int coefficient; ValueError names an entry
+    that fails it.  PolyRing.linear_form writes such forms."""
     out: list[list[dict[int, int]]] = [[{} for _ in range(m.rows)]
                                        for _ in range(m.ring.nvars)]
     for i, row in enumerate(m.entries):
         for k, e in enumerate(row):
-            if not e.is_linear_integer_form():
-                raise ValueError(f"entry {e} is not an integral linear form")
             for exps, c in e.terms.items():
-                out[exps.index(1)][i][k] = c.numerator
+                if sum(exps) != 1 or min(exps) < 0 or type(c) is not int:
+                    raise ValueError(f"entry {e} is not an integral linear form")
+                out[exps.index(1)][i][k] = c
     return out
 
 
@@ -219,7 +221,7 @@ class EigenFactor:
         if self.kind == "monomial":
             body = format_poly(laurent_ring(n).monomial(self.data))
         else:
-            body = format_poly(_linear_form(poly_ring(n), self.data))
+            body = format_poly(poly_ring(n).linear_form(self.data))
         return f"{body} (multiplicity {self.multiplicity})"
 
 
@@ -230,14 +232,6 @@ class EigenReport:
 
     def multiset(self) -> dict[tuple[int, ...], int]:
         return {f.data: f.multiplicity for f in self.factors}
-
-
-def _linear_form(ring: PolyRing, coeffs: tuple[int, ...]) -> Poly:
-    out = ring.zero()
-    for j, c in enumerate(coeffs, start=1):
-        if c:
-            out = out + ring.variable(j).scale(c)
-    return out
 
 
 def _divide_out(coeffs: list[dict], root: dict,
@@ -481,15 +475,14 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
             candidates[digits] = mult
 
     star = max(sorted(candidates), key=candidates.get, default=(0,) * n)
-    shift = _linear_form(omega.ring, star)
+    shift = omega.ring.linear_form(star)
     shifted = RingMatrix(omega.ring, [[e - shift if i == k else e for k, e in enumerate(row)]
                                       for i, row in enumerate(omega.entries)])
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     factors: list[EigenFactor] = []
     remaining, _ = char_poly(shifted).cleared()
     for cand in sorted(candidates):
-        form = {units[j]: c - s for j, (c, s) in enumerate(zip(cand, star)) if c != s}
-        remaining, mult = _divide_out(remaining, form, candidates[cand])
+        form = omega.ring.linear_form([c - s for c, s in zip(cand, star)])
+        remaining, mult = _divide_out(remaining, form.terms, candidates[cand])
         if mult:
             factors.append(EigenFactor("linear_form", cand, mult))
     if len(remaining) > 1:

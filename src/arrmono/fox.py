@@ -462,7 +462,9 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
             if len(parts) != 2:
                 raise ParseError(f"bad relator header {_shown(ln)}")
             current = parse_int(parts[1], 1, pres.nrels, "relator index")
-            terms.setdefault(current, [])
+            if current in terms:
+                raise ParseError(f"repeated relator header {current}")
+            terms[current] = []
             continue
         if current is None:
             raise ParseError("certificate term before any 'relator' header")
@@ -474,7 +476,7 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
         word = parse_word(parts[0], pres.ngens)
         k = parse_int(parts[1].strip(), 1, pres.nrels, "relator index")
         terms[current].append((word, k, sign))
-    if sorted(terms) != list(range(1, pres.nrels + 1)):
+    if len(terms) != pres.nrels:
         raise ParseError("certificate must list every relator exactly once")
     return RelatorCertificate(tuple(tuple(terms[l]) for l in range(1, pres.nrels + 1)))
 

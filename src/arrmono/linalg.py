@@ -78,6 +78,12 @@ from .rings import (
     poly_ring,
 )
 
+
+def _mismatch(what: str, a: "RingMatrix", b: "RingMatrix") -> ShapeMismatch:
+    """The error of operands that do not conform, naming differing rings."""
+    return ShapeMismatch(what if a.ring == b.ring else f"{what} over {a.ring} and {b.ring}")
+
+
 class RingMatrix:
     """Dense matrix with entries in one ring (Fraction or Poly)."""
 
@@ -141,13 +147,13 @@ class RingMatrix:
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         if self.shape() != other.shape() or self.ring != other.ring:
-            raise ShapeMismatch(f"add {self.shape()} vs {other.shape()}")
+            raise _mismatch(f"add {self.shape()} vs {other.shape()}", self, other)
         return RingMatrix(self.ring, [[a + b for a, b in zip(r1, r2)]
                                       for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         if self.shape() != other.shape() or self.ring != other.ring:
-            raise ShapeMismatch(f"sub {self.shape()} vs {other.shape()}")
+            raise _mismatch(f"sub {self.shape()} vs {other.shape()}", self, other)
         return RingMatrix(self.ring, [[a - b for a, b in zip(r1, r2)]
                                       for r1, r2 in zip(self.entries, other.entries)])
 
@@ -158,7 +164,7 @@ class RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         if self.cols != other.rows or self.ring != other.ring:
-            raise ShapeMismatch(f"mul {self.shape()} by {other.shape()}")
+            raise _mismatch(f"mul {self.shape()} by {other.shape()}", self, other)
         zero = self.ring.zero()
         out = []
         if isinstance(self.ring, PolyRing):

@@ -1,7 +1,9 @@
 """The graded quotient algebra on the nbc basis and its universal cochain
 complex over Q[y1..yn], with boundary = left wedge by sum_j y_j a_j.
 aomoto_boundary returns that complex as a linalg.RingComplex, whose ranks
-are the nbc counts and whose construction proves mu * mu = 0.
+are the nbc counts and whose construction proves mu * mu = 0.  Each entry
+is written by PolyRing.linear_form from int coefficients, so every entry
+is an integral linear form by construction (aomoto.linear_forms).
 
 Rewriting into the nbc basis: a monomial a_S is zero when S contains a
 minimal empty-intersection set; otherwise the lexicographically largest
@@ -40,12 +42,6 @@ def wedge_sort(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     return tuple(arr), sign
 
 
-def merge_sign(left: Sequence[int], right: Sequence[int]) -> int | None:
-    """Sign of sorting the concatenation left + right, each already sorted."""
-    res = wedge_sort(tuple(left) + tuple(right))
-    return None if res is None else res[1]
-
-
 class NbcRewriter:
     """Memoized rewriting of arbitrary index sets into the nbc basis."""
 
@@ -72,8 +68,7 @@ class NbcRewriter:
         bset, broken = inside
         circuit = self.dep.circuit_of_broken[broken]
         rest = tuple(i for i in subset if i not in bset)
-        outer = merge_sign(broken, rest)
-        assert outer is not None
+        outer = wedge_sort(broken + rest)[1]
         result: dict[tuple[int, ...], int] = {}
         for i in range(1, len(circuit)):
             # a_{T} = sum (-1)^{i+1} a_{C \ C[i]} inside the wedge with rest.
@@ -97,8 +92,9 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
                     basis: NbcBasis | None = None) -> RingComplex:
     """The Aomoto complex: the boundaries mu_q of left-multiplication by
     sum_j y_j a_j on the nbc basis, rows indexed by nbc q-sets and columns
-    by nbc (q+1)-sets, every entry an integral linear form.  Its ranks are
-    the nbc counts; constructing it checks mu * mu = 0."""
+    by nbc (q+1)-sets, every entry sum_j c_j y_j with int c_j from the nbc
+    rewriting.  Its ranks are the nbc counts; constructing it checks
+    mu * mu = 0."""
     if dep is None:
         dep = compute_dependencies(arr)
     if basis is None:
@@ -112,17 +108,17 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
         col_index = {s: i for i, s in enumerate(cols_sets)}
         mat = RingMatrix.zero(ring, len(rows_sets), len(cols_sets))
         for r, s in enumerate(rows_sets):
+            coeffs: dict[int, list[int]] = {}  # column -> its c_j
             for j in range(arr.n):
                 if j in s:
                     continue
-                term = wedge_sort((j,) + s)
-                assert term is not None
-                sorted_set, sign = term
+                sorted_set, sign = wedge_sort((j,) + s)
                 for target, coeff in rewriter.rewrite(sorted_set).items():
                     c = col_index.get(target)
-                    if c is None:
-                        continue
-                    mat.entries[r][c] = mat.entries[r][c] + ring.monomial({j + 1: 1}, sign * coeff)
+                    if c is not None:
+                        coeffs.setdefault(c, [0] * arr.n)[j] += sign * coeff
+            for c, form in coeffs.items():
+                mat.entries[r][c] = ring.linear_form(form)
         boundaries.append(mat)
     return RingComplex(ring, basis.betti(), boundaries)
 

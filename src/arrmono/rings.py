@@ -154,6 +154,15 @@ class PolyRing:
             raise ValueError(f"negative exponent {key} in non-Laurent ring")
         return Poly(self, {key: c})
 
+    def linear_form(self, coeffs: Sequence[int]) -> Poly:
+        """sum_j coeffs[j - 1] * v_j, one int coefficient per variable: the
+        writer of integral linear forms (connection.linear_coefficients reads)."""
+        if len(coeffs) != self.nvars:
+            raise ValueError("coefficient tuple length mismatch")
+        zeros = (0,) * self.nvars
+        return Poly(self, {zeros[:j] + (1,) + zeros[j + 1:]: c
+                           for j, c in enumerate(coeffs) if c})
+
 
 @cache
 def poly_ring(nvars: int) -> PolyRing:
@@ -298,13 +307,6 @@ class Poly:
         ((e, c),) = self.terms.items()
         return e, c
 
-    def is_linear_integer_form(self) -> bool:
-        """Homogeneous of degree <= 1 with integer coefficients and no constant."""
-        for e, c in self.terms.items():
-            if sum(e) != 1 or min(e) < 0 or c.denominator != 1:
-                return False
-        return True
-
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
@@ -335,29 +337,14 @@ class Poly:
         return Fraction(total) if total else _ZERO
 
     def substitute(self, j: int, replacement: "Poly") -> "Poly":
-        """Replace variable v_j (1-based).  If any exponent of v_j is negative,
-        the replacement must be a unit monomial so the inverse exists."""
+        """Replace variable v_j (1-based).  A negative exponent of v_j needs a
+        unit monomial replacement, whose inverse exists (ValueError otherwise)."""
         if replacement.ring != self.ring:
             raise ValueError("replacement ring mismatch")
         i = j - 1
-        negative = any(e[i] < 0 for e in self.terms)
-        if negative and replacement.as_monomial() is None:
-            raise ValueError("negative exponents need a monomial replacement")
         out = self.ring.zero()
         for e, c in self.terms.items():
-            k = e[i]
-            base = Poly(self.ring, {e[:i] + (0,) + e[i + 1:]: c})
-            if k == 0:
-                out = out + base
-                continue
-            if k > 0:
-                out = out + base * replacement ** k
-            else:
-                mono = replacement.as_monomial()
-                assert mono is not None
-                me, mc = mono
-                inv = Poly(self.ring, {tuple(-a for a in me): coeff_div(1, mc)})
-                out = out + base * inv ** (-k)
+            out = out + Poly(self.ring, {e[:i] + (0,) + e[i + 1:]: c}) * replacement ** e[i]
         return out
 
     # -- exact division ------------------------------------------------------

@@ -39,6 +39,7 @@ from arrmono import (
     poly_ring,
     universal_complex,
 )
+from arrmono.connection import linear_coefficients
 from arrmono.linalg import rational_rref
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -47,6 +48,21 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def mat(ring, rows):
     """Matrix from rows of expression strings."""
     return RingMatrix(ring, [[parse_poly(e, ring) for e in row] for row in rows])
+
+
+def rebuild_from_linear_coefficients(m):
+    """sum_j y_j * M_j over the integer matrices M_j that
+    linear_coefficients reads off m, each coefficient checked to be a
+    nonzero int.  Equal to m exactly when every entry of m is an integral
+    linear form; linear_coefficients raises ValueError on any other."""
+    ring = m.ring
+    rebuilt = RingMatrix.zero(ring, m.rows, m.cols)
+    for j, part in enumerate(linear_coefficients(m), start=1):
+        for i, row in enumerate(part):
+            for k, c in row.items():
+                assert type(c) is int and c
+                rebuilt.entries[i][k] = rebuilt.entries[i][k] + ring.variable(j).scale(c)
+    return rebuilt
 
 
 @pytest.fixture(scope="session")

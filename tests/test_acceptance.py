@@ -63,6 +63,7 @@ from conftest import (
     mat,
     random_arrangement,
     random_certified_endo,
+    rebuild_from_linear_coefficients,
 )
 
 L = laurent_ring(4)
@@ -97,9 +98,7 @@ def test_criterion_2_aomoto_reconstruction(pencil):
         assert ac.boundaries[0] == mat(R, MU0)
         assert ac.boundaries[1] == mat(R, MU1)
         for b in ac.boundaries:
-            for row in b.entries:
-                for e in row:
-                    assert e.is_linear_integer_form()
+            assert rebuild_from_linear_coefficients(b) == b
         cx = pencil["cx"]
         for q in (0, 1):
             const, lin = linearize_matrix(cx.boundaries[q])

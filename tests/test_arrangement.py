@@ -110,6 +110,52 @@ def test_hyperplane_count_is_at_most_max_variables():
         parse_arrangement("dim 1\n" + "".join(lines))
 
 
+def _boolean_text(n: int) -> str:
+    return f"dim {n}\n" + "".join("0" + " 0" * k + " 1" + " 0" * (n - k - 1) + "\n"
+                                  for k in range(n))
+
+
+def _lines_text(n: int) -> str:
+    rng = random.Random(n)
+    return "dim 2\n" + "".join(f"{rng.randint(-9, 9)} {rng.randint(1, 9)} {rng.randint(-9, 9)}\n"
+                               for _ in range(n))
+
+
+class _ScanStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("text,size", [
+    (_boolean_text(16), 2 ** 16 - 1 - 16),
+    (_boolean_text(17), 2 ** 17 - 1 - 17),
+    (_boolean_text(18), 2 ** 18 - 1 - 18),
+    (_lines_text(92), 4186 + 125580),
+    (_lines_text(93), 4278 + 129766),
+], ids=["boolean-16", "boolean-17", "boolean-18", "lines-92", "lines-93"])
+def test_dependency_scan_limit_is_checked_before_the_scan(monkeypatch, text, size):
+    """The scan of sum_{s=2}^{L+1} C(n, s) subsets runs exactly when that
+    size is at most the limit, and the size is compared before the first
+    elimination: a stand-in for bareiss that raises shows that an admitted
+    arrangement reached the scan, so no scan runs here."""
+    import arrmono.arrangement as arrangement
+
+    def started(grid):
+        raise _ScanStarted
+
+    arr = parse_arrangement(text)
+    monkeypatch.setattr(arrangement, "bareiss", started)
+    with pytest.raises(_ScanStarted if size <= 2 ** 17 else ParseError):
+        compute_dependencies(arr)
+    # Exactly at the limit the scan starts; one subset past it, it does not.
+    monkeypatch.setattr(arrangement, "MAX_DEPENDENCY_SUBSETS", size)
+    with pytest.raises(_ScanStarted):
+        compute_dependencies(arr)
+    monkeypatch.setattr(arrangement, "MAX_DEPENDENCY_SUBSETS", size - 1)
+    with pytest.raises(ParseError, match=f"{arr.n} hyperplanes in dimension {arr.dim} need "
+                                         f"a dependency scan of more than {size - 1} subsets"):
+        compute_dependencies(arr)
+
+
 def test_independent_hyperplanes_required():
     with pytest.raises(ParseError):
         parse_arrangement("dim 2\n0 1 1\n0 2 2\n")  # parallel normals only

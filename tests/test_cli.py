@@ -3,6 +3,7 @@ round-trips, and failure exit codes."""
 
 import io
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -355,6 +356,13 @@ def _run_bounded(*argv) -> tuple[int, str, float]:
 
 
 _PROJ = (FIXTURES / "pencil4_proj_res.txt").read_text()
+# Past the dependency scan limit: C(24, 2) + ... + C(24, 24) and
+# C(1024, 2) + C(1024, 3) subsets.
+_BOOLEAN24 = "dim 24\n" + "".join("0" + " 0" * k + " 1" + " 0" * (23 - k) + "\n"
+                                  for k in range(24))
+_rng = random.Random(1024)
+_LINES1024 = "dim 2\n" + "".join(f"{_rng.randint(-99, 99)} {_rng.randint(1, 99)} "
+                                 f"{_rng.randint(-99, 99)}\n" for _ in range(1024))
 _INDUCED = ("induced", "-a", ARGS["-a"]) + _PEC + ("--xi",)
 
 
@@ -371,6 +379,8 @@ _INDUCED = ("induced", "-a", ARGS["-a"]) + _PEC + ("--xi",)
      ("specialize", "--ring", "x", "--at=1e999999999,1,1,1", "-p")),
     ("dim 1\n" + "".join(f"{k} 1\n" for k in range(1025)), ("info", "-a")),
     ("generators 2\n" + "[" * 3000 + "g1, g2" + "]" * 3000 + "\n", ("fox", "-p")),
+    (_BOOLEAN24, ("info", "-a")),
+    (_LINES1024, ("info", "-a")),
     (_PROJ.replace("x1*x2 - 1,", "(" * 3000 + "x1*x2 - 1" + ")" * 3000 + ",", 1), _INDUCED),
     (_PROJ.replace("x1*x2 - 1,", "x1*" + "-" * 3000 + ",", 1), _INDUCED),
     (_PROJ.replace("x1*x2 - 1,", "x1*x2 - 1 + x1^" + "9" * 5000 + ",", 1), _INDUCED),
@@ -378,8 +388,9 @@ _INDUCED = ("induced", "-a", ARGS["-a"]) + _PEC + ("--xi",)
     ("relator 1\n( g1" + " " * 100000 + "g2 )\n",
      ("verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"], "-c")),
 ], ids=["generators", "nvars", "dim", "exponent-notation-entry", "exponent-notation-point",
-        "hyperplanes", "nested-commutators", "nested-parentheses", "minus-signs",
-        "poly-exponent-digits", "poly-coefficient-digits", "certificate-term-spaces"])
+        "hyperplanes", "nested-commutators", "boolean-24", "lines-1024", "nested-parentheses",
+        "minus-signs", "poly-exponent-digits", "poly-coefficient-digits",
+        "certificate-term-spaces"])
 def test_oversized_header_counts_are_parse_errors(tmp_path, text, argv):
     path = tmp_path / "big.txt"
     path.write_text(text)
@@ -539,6 +550,33 @@ def test_malformed_projection_is_a_parse_error(tmp_path, old, new):
     assert code == 2
     assert err.getvalue().startswith("parse error")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("counts,rows,message", [
+    ("nvars 3\nrows 5", 5, "projection nvars 3 and presentation generators 4 differ"),
+    ("nvars 4\nrows 4", 4, "projection rows 4 and presentation relators 5 differ"),
+], ids=["nvars", "rows"])
+def test_projection_counts_must_match_the_presentation(tmp_path, counts, rows, message):
+    path = tmp_path / "proj.txt"
+    path.write_text(f"ring x\n{counts}\ncols 1\nxi\n" + "x1 - 1\n" * rows)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*_INDUCED, str(path))
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"parse error: {message}\n"
+
+
+def test_repeated_relator_header_is_a_parse_error(tmp_path):
+    # Merging the two headers would leave a valid certificate for Z^2.
+    pres, endo, cert = tmp_path / "z2.pres", tmp_path / "id.endo", tmp_path / "twice.cert"
+    pres.write_text("generators 2\n[g1, g2]\n")
+    endo.write_text("g1\ng2\n")
+    cert.write_text("relator 1\n( 1 , 1 , +1 )\nrelator 1\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("connection", "-p", str(pres), "-e", str(endo), "-c", str(cert))
+    assert code == 2 and out == ""
+    assert err.getvalue() == "parse error: repeated relator header 1\n"
 
 
 def test_monodromy_without_certificate():

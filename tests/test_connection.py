@@ -45,6 +45,7 @@ from conftest import (
     PHIBAR_RES,
     mat,
     random_certified_endo,
+    rebuild_from_linear_coefficients,
 )
 
 L = laurent_ring(4)
@@ -292,10 +293,9 @@ def test_eigen_linear_forms_failure():
 def test_eigen_linear_forms_cost_follows_spectrum_not_multiplicity():
     # char = (z - l)^28 in 8 variables has 237,336 terms expanded; shifted
     # by l it is z^28, so certifying the one factor is cheap.
-    from arrmono.connection import _linear_form
     r8 = poly_ring(8)
     form = (1, 0, 1, 0, -1, 1, 0, 1)
-    omega = RingMatrix.identity(r8, 28).map_entries(lambda e: e * _linear_form(r8, form))
+    omega = RingMatrix.identity(r8, 28).map_entries(lambda e: e * r8.linear_form(form))
     start = time.perf_counter()
     report = eigen_linear_forms(omega)
     assert time.perf_counter() - start < 2.0
@@ -322,7 +322,7 @@ def axis_probe_linear_forms(omega):
     unit vector, their cartesian product filtered at a seeded generic point,
     and exact division of the cleared characteristic polynomial.  The
     multiset of certified factors, or FactorizationFailed."""
-    from arrmono.connection import _eval_univariate, _integer_roots, _linear_form
+    from arrmono.connection import _eval_univariate, _integer_roots
     from arrmono.linalg import divide_linear_terms
     ring, n, size = omega.ring, omega.ring.nvars, omega.rows
     cp = char_poly(omega)
@@ -344,7 +344,7 @@ def axis_probe_linear_forms(omega):
         value = sum(Fraction(c) * g for c, g in zip(cand, generic))
         if _eval_univariate(cp_generic, value) != 0:
             continue
-        root = _linear_form(ring, cand).terms
+        root = ring.linear_form(cand).terms
         while (nxt := divide_linear_terms(cleared, root)) is not None:
             cleared = nxt
             out[cand] = out.get(cand, 0) + 1
@@ -359,7 +359,6 @@ def conjugated_triangular(draw):
     linear forms and a unimodular integer U, a product of elementary
     matrices.  The diagonal is drawn from a pool of at most size forms, so
     a form often repeats and the shifted certification is exercised."""
-    from arrmono.connection import _linear_form
     n = draw(st.integers(1, 3))
     size = draw(st.integers(1, 5))
     ring = poly_ring(n)
@@ -368,9 +367,9 @@ def conjugated_triangular(draw):
     diag = [draw(st.sampled_from(pool)) for _ in range(size)]
     t = RingMatrix.zero(ring, size, size)
     for i in range(size):
-        t.entries[i][i] = _linear_form(ring, diag[i])
+        t.entries[i][i] = ring.linear_form(diag[i])
         for j in range(i + 1, size):
-            t.entries[i][j] = _linear_form(ring, draw(coeffs))
+            t.entries[i][j] = ring.linear_form(draw(coeffs))
     u, u_inv = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
     if size > 1:
         pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
@@ -421,13 +420,12 @@ def test_kronecker_probe_on_wide_diagonal():
     # A 10 x 10 diagonal of forms in 8 variables with coefficients in
     # [-2, 2]: the axis-probe search filtered up to 5^8 candidate tuples
     # here.  Its duration shows in pytest --durations; no time is asserted.
-    from arrmono.connection import _linear_form
     rng = random.Random(8)
     r8 = poly_ring(8)
     forms = [tuple(rng.randint(-2, 2) for _ in range(8)) for _ in range(10)]
     omega = RingMatrix.zero(r8, 10, 10)
     for i, f in enumerate(forms):
-        omega.entries[i][i] = _linear_form(r8, f)
+        omega.entries[i][i] = r8.linear_form(f)
     want = {}
     for f in forms:
         want[f] = want.get(f, 0) + 1
@@ -438,19 +436,35 @@ def test_linear_coefficients_rebuild_the_matrix(pencil):
     from arrmono.connection import linear_coefficients
     for q in (1, 2):
         om = pencil["fc"][q]
-        parts = linear_coefficients(om)
-        assert len(parts) == R.nvars
-        rebuilt = RingMatrix.zero(R, om.rows, om.cols)
-        for j, part in enumerate(parts, start=1):
-            for i, row in enumerate(part):
-                for k, c in row.items():
-                    assert type(c) is int and c
-                    rebuilt.entries[i][k] = rebuilt.entries[i][k] + R.variable(j).scale(c)
-        assert rebuilt == om
-    with pytest.raises(ValueError):
-        linear_coefficients(RingMatrix(R, [[R.variable(1).scale(Fraction(1, 2))]]))
-    with pytest.raises(ValueError):
-        linear_coefficients(mat(R, [["y1*y2"]]))
+        assert len(linear_coefficients(om)) == R.nvars
+        assert rebuild_from_linear_coefficients(om) == om
+    for bad in ("1/2*y1", "y1*y2", "y1 + 1", "y1^2", "-3/4*y2 + y3"):
+        with pytest.raises(ValueError, match="not an integral linear form"):
+            linear_coefficients(mat(R, [["0", bad]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(-10 ** 12, 10 ** 12) | st.just(0),
+                       min_size=n, max_size=n).map(tuple)))
+def test_linear_form_and_linear_coefficients_round_trip(coeffs):
+    from arrmono.connection import linear_coefficients
+    ring = poly_ring(len(coeffs))
+    form = ring.linear_form(coeffs)
+    assert form.is_zero() == (not any(coeffs))
+    assert form == sum((ring.variable(j).scale(c) for j, c in enumerate(coeffs, start=1)),
+                       ring.zero())
+    parts = linear_coefficients(RingMatrix(ring, [[form]]))
+    assert tuple(part[0].get(0, 0) for part in parts) == coeffs
+    assert ring.linear_form(tuple(part[0].get(0, 0) for part in parts)) == form
+
+
+def test_formal_connection_rejects_a_half_integral_linear_part():
+    # Phi = [[1 + x1/2 - 1/2]] is the identity at x = 1, and its linear part
+    # y1/2 is not integral.
+    phi = mat(L, [["1/2*x1 + 1/2"]])
+    with pytest.raises(FactorizationFailed, match=r"degree 1 .*1/2\*y1"):
+        formal_connection({0: RingMatrix.identity(L, 1), 1: phi})
 
 
 # -- the degree-2 gauge system against the dense Fraction builder ---------------------

@@ -301,3 +301,23 @@ def test_euler_characteristic_invariance(seed):
     k = RingComplex(L, [1, 4, 5], [mat(L, DELTA0), mat(L, DELTA1)])
     h = k.specialize(point).betti()
     assert h[0] - h[1] + h[2] == k.euler_characteristic()
+
+
+def test_shape_mismatch_names_the_rings_when_they_differ():
+    a = RingMatrix.identity(laurent_ring(4), 2)
+    b = RingMatrix.identity(laurent_ring(3), 2)
+    rings = ("PolyRing(nvars=4, laurent=True, var='x') and "
+             "PolyRing(nvars=3, laurent=True, var='x')")
+    for op, shapes in ((lambda u, v: u + v, "add (2, 2) vs (2, 2)"),
+                       (lambda u, v: u - v, "sub (2, 2) vs (2, 2)"),
+                       (lambda u, v: u * v, "mul (2, 2) by (2, 2)")):
+        with pytest.raises(ShapeMismatch) as exc:
+            op(a, b)
+        assert str(exc.value) == f"{shapes} over {rings}"
+    with pytest.raises(ShapeMismatch) as exc:
+        RingMatrix.identity(QQ, 2) * RingMatrix.identity(poly_ring(2), 2)
+    assert str(exc.value).endswith("over RationalField(tag='rational', nvars=0) and "
+                                   "PolyRing(nvars=2, laurent=False, var='y')")
+    with pytest.raises(ShapeMismatch) as exc:
+        a * RingMatrix.identity(laurent_ring(4), 3)
+    assert str(exc.value) == "mul (2, 2) by (3, 3)"

@@ -16,7 +16,7 @@ from arrmono import (
     parse_arrangement,
 )
 from arrmono.oscomplex import NbcRewriter
-from conftest import MU0, MU1, mat, random_arrangement
+from conftest import MU0, MU1, mat, random_arrangement, rebuild_from_linear_coefficients
 
 
 def test_reduce_broken_circuit(pencil):
@@ -51,9 +51,7 @@ def test_aomoto_matrices_match_display(pencil):
 
 def test_aomoto_entries_are_integral_linear_forms(pencil):
     for b in pencil["aomoto"].boundaries:
-        for row in b.entries:
-            for e in row:
-                assert e.is_linear_integer_form()
+        assert rebuild_from_linear_coefficients(b) == b
 
 
 def test_boolean_two_arrangement_boundary():
@@ -95,9 +93,7 @@ def test_random_arrangements_mu_mu_is_zero(seed):
     arr = random_arrangement(random.Random(seed))
     ac = aomoto_boundary(arr)  # construction verifies mu * mu = 0
     for b in ac.boundaries:
-        for row in b.entries:
-            for e in row:
-                assert e.is_linear_integer_form()
+        assert rebuild_from_linear_coefficients(b) == b
 
 
 @settings(max_examples=25, deadline=None)
