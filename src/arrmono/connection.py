@@ -162,8 +162,8 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
                 rhs_vec[(a * s + b) * nmono + mono_index[m]] = c
     keep = sorted(r for r in system.keys() | rhs_vec.keys()
                   if r in rhs_vec or any(system[r]))
-    return (RingMatrix(QQ, [system[r] for r in keep]),
-            RingMatrix(QQ, [[rhs_vec.get(r, 0)] for r in keep]))
+    return (RingMatrix.adopt(QQ, [system[r] for r in keep]),
+            RingMatrix.adopt(QQ, [[rhs_vec.get(r, 0)] for r in keep]))
 
 
 def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:

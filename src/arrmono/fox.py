@@ -135,19 +135,29 @@ class Word:
 
 _WORD_TOKEN = re.compile(r"\s*(\[|\]|,|\^-?[0-9]+|g[0-9]+|1)")
 
-# The most letters one written word may stand for before free reduction:
-# every power expanded, a commutator [a, b] counted as a b a^-1 b^-1 and a
-# written 1 as one letter.  Parsing builds and reduces that expansion, so a
-# short power such as g1^1000000 would otherwise allocate with its exponent.
-MAX_WORD_LETTERS = 1_000_000
+# The most letters the words of one file (a presentation, an endomorphism or
+# a certificate) may stand for together before free reduction: every power
+# expanded, a commutator [a, b] counted as a b a^-1 b^-1 and a written 1 as
+# one letter.  Parsing builds and reduces that expansion, so a short power
+# such as g1^1000000 would otherwise allocate with its exponent, and a file
+# of many such words with their sum.  Every word of a file is parsed and
+# counted before any is expanded.
+MAX_LETTERS = 1_000_000
+
+# A parsed word before expansion: a list of (atom, power) factors, where the
+# atom is a generator index, 0 for a written 1, or the (left, right) pair of
+# a commutator's parsed words.
+_Factors = list[tuple[object, int]]
 
 
-def parse_word(text: str, ngens: int) -> Word:
+def _parse_factors(text: str, ngens: int, room: int) -> tuple[_Factors, int]:
+    """(the factors of the word text, the letters it stands for); ParseError
+    as soon as the count passes room."""
     toks = tokenize(text, _WORD_TOKEN)
 
-    def parse_seq(i: int, stop: str, depth: int) -> tuple[Word, int, int]:
-        """(the word, the next token, its letters before reduction)."""
-        factors: list[Word] = []
+    def parse_seq(i: int, stop: str, depth: int) -> tuple[_Factors, int, int]:
+        """(the factors, the next token, their letters)."""
+        factors: _Factors = []
         letters = 0
         while i < len(toks) and toks[i] != stop:
             tok = toks[i]
@@ -161,12 +171,12 @@ def parse_word(text: str, ngens: int) -> Word:
                 if i >= len(toks) or toks[i] != "]":
                     raise ParseError("commutator missing ']'")
                 i += 1
-                factor, size = left.commutator(right), 2 * (left_letters + right_letters)
+                atom, size = (left, right), 2 * (left_letters + right_letters)
             elif tok == "1":
-                factor, size = Word.identity(ngens), 1
+                atom, size = 0, 1
                 i += 1
             elif tok.startswith("g"):
-                factor, size = Word.gen(ngens, parse_int(tok[1:], 1, ngens, "generator")), 1
+                atom, size = parse_int(tok[1:], 1, ngens, "generator"), 1
                 i += 1
             else:
                 raise ParseError(f"unexpected token {_shown(tok)}")
@@ -175,15 +185,48 @@ def parse_word(text: str, ngens: int) -> Word:
                 power = parse_int(toks[i][1:], -MAX_EXPONENT, MAX_EXPONENT, "exponent")
                 i += 1
             letters += size * abs(power)
-            if letters > MAX_WORD_LETTERS:
-                raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-            factors += [factor if power > 0 else factor.inverse()] * abs(power)
-        return Word.product(ngens, factors), i, letters
+            if letters > room:
+                raise ParseError(f"text expands to more than {MAX_LETTERS} letters "
+                                 "(all words of one file together)")
+            factors.append((atom, power))
+        return factors, i, letters
 
-    word, i, _ = parse_seq(0, "", 0)
+    factors, i, letters = parse_seq(0, "", 0)
     if i != len(toks):
         raise ParseError("trailing tokens in word")
-    return word
+    return factors, letters
+
+
+def _expand(factors: _Factors, ngens: int) -> Word:
+    """The word of parsed factors, every power expanded and reduced."""
+    out: list[Word] = []
+    for atom, power in factors:
+        if type(atom) is tuple:
+            w = _expand(atom[0], ngens).commutator(_expand(atom[1], ngens))
+        else:
+            # The parser checked the generator index against ngens.
+            w = Word(ngens, ((atom, 1),) if atom else ())
+        out += [w if power > 0 else w.inverse()] * abs(power)
+    return Word.product(ngens, out)
+
+
+def parse_words(texts: Iterable[str], ngens: int) -> list[Word]:
+    """The words of one file, against one budget of MAX_LETTERS letters
+    over all of them.  Each text is parsed and counted when it is drawn
+    from texts, so a caller's generator may check the rest of its line in
+    file order; no word is expanded until every one is counted."""
+    room = MAX_LETTERS
+    parsed = []
+    for text in texts:
+        factors, letters = _parse_factors(text, ngens, room)
+        room -= letters
+        parsed.append(factors)
+    return [_expand(factors, ngens) for factors in parsed]
+
+
+def parse_word(text: str, ngens: int) -> Word:
+    """One word, alone against the MAX_LETTERS budget."""
+    return parse_words([text], ngens)[0]
 
 
 # -- presentation ------------------------------------------------------------------
@@ -215,7 +258,7 @@ def parse_presentation(text: str) -> Presentation:
     if len(head) != 2 or head[0] != "generators":
         raise ParseError(f"expected 'generators N' header, got {_shown(lines[0])}")
     ngens = parse_int(head[1], 0, MAX_VARIABLES, "generator count")
-    relators = tuple(parse_word(ln, ngens) for ln in lines[1:])
+    relators = tuple(parse_words(lines[1:], ngens))
     try:
         return Presentation(ngens=ngens, relators=relators)
     except ValueError as exc:
@@ -319,7 +362,7 @@ def parse_endomorphism(text: str, ngens: int) -> Endomorphism:
     lines = content_lines(text)
     if len(lines) != ngens:
         raise ParseError(f"expected {ngens} image words, got {len(lines)}")
-    return Endomorphism(ngens, tuple(parse_word(ln, ngens) for ln in lines))
+    return Endomorphism(ngens, tuple(parse_words(lines, ngens)))
 
 
 def load_endomorphism(path, ngens: int) -> Endomorphism:
@@ -455,27 +498,35 @@ _SIGNS = {"+1": 1, "+": 1, "1": 1, "-1": -1, "-": -1}
 
 def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
     terms: dict[int, list[CertTerm]] = {}
-    current: int | None = None
-    for ln in content_lines(text):
-        if ln.startswith("relator"):
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad relator header {_shown(ln)}")
-            current = parse_int(parts[1], 1, pres.nrels, "relator index")
-            if current in terms:
-                raise ParseError(f"repeated relator header {current}")
-            terms[current] = []
-            continue
-        if current is None:
-            raise ParseError("certificate term before any 'relator' header")
-        # The word may hold commas of its own; the last two end it.
-        parts = ln[1:-1].rsplit(",", 2) if ln.startswith("(") and ln.endswith(")") else []
-        sign = _SIGNS.get(parts[-1].strip()) if len(parts) == 3 else None
-        if sign is None:
-            raise ParseError(f"bad certificate term {_shown(ln)}")
-        word = parse_word(parts[0], pres.ngens)
-        k = parse_int(parts[1].strip(), 1, pres.nrels, "relator index")
-        terms[current].append((word, k, sign))
+    heads: list[tuple[int, int, int]] = []  # (relator, index, sign) of each term
+
+    def word_texts() -> Iterable[str]:
+        """The word of each term line, in file order; parse_words reads
+        each before the rest of its line is checked."""
+        current: int | None = None
+        for ln in content_lines(text):
+            if ln.startswith("relator"):
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise ParseError(f"bad relator header {_shown(ln)}")
+                current = parse_int(parts[1], 1, pres.nrels, "relator index")
+                if current in terms:
+                    raise ParseError(f"repeated relator header {current}")
+                terms[current] = []
+                continue
+            if current is None:
+                raise ParseError("certificate term before any 'relator' header")
+            # The word may hold commas of its own; the last two end it.
+            parts = ln[1:-1].rsplit(",", 2) if ln.startswith("(") and ln.endswith(")") else []
+            sign = _SIGNS.get(parts[-1].strip()) if len(parts) == 3 else None
+            if sign is None:
+                raise ParseError(f"bad certificate term {_shown(ln)}")
+            yield parts[0]
+            heads.append((current, parse_int(parts[1].strip(), 1, pres.nrels, "relator index"),
+                          sign))
+
+    for word, (l, k, sign) in zip(parse_words(word_texts(), pres.ngens), heads):
+        terms[l].append((word, k, sign))
     if len(terms) != pres.nrels:
         raise ParseError("certificate must list every relator exactly once")
     return RelatorCertificate(tuple(tuple(terms[l]) for l in range(1, pres.nrels + 1)))

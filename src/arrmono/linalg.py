@@ -4,19 +4,29 @@ Convention used throughout the package: row vectors act on the left,
 v -> v * M, so a chain map F between complexes with boundaries D satisfies
 the literal matrix identity D^q * F^{q+1} = F^q * D^q.
 
+Matrix work pays for the nonzero entries, and each result is built once.
 A product over Q[y] or the Laurent ring is built row by row (Gustavson,
 ACM TOMS 4(3), 1978): row i of A * B sums A[i][k] * (row k of B) over the
 nonzero A[i][k] and the nonzero entries of that row, each output entry in
 one term dict, so it costs its nonzero pairs rather than rows x columns x
-inner dimension.  The Aomoto and connection matrices are mostly zeros
-(about 94% of mu_2 on a dimension-3 arrangement).  The rational product
-keeps the dense loop: the row-sparse one took arrangement-resonance
-wall_s from 1.05 to 0.65 s but raised its peak_rss_mb 10-13%, which comes
-from the benchmark harness keeping every pass's reports (ROADMAP 3a).
-The degree-2 gauge system reaches solve_right holding only its nonzero
-equations (connection._gauge_system); a solve straight from its sparse
-rows waits for the in-package trace (ROADMAP 3c), since the benchmark
-reads the gauge's shape from that solve_right call.
+inner dimension.  The elementwise operations (sums, negation, scaling,
+evaluation, the exp-jets and is_identity) find each row's nonzero entries
+(_supports), compute on those alone and write the result ring's one zero
+everywhere else; map_entries applies its function to every entry, since
+that function need not send 0 to 0.  The Aomoto and connection matrices are
+mostly zeros (about 94% of mu_2 on a dimension-3 arrangement; 210 of the
+225 entries of a 15 x 15 Phi_2 on Z^6).  Every operation here keeps the
+rows it has just built (RingMatrix.adopt); only the public constructor
+copies.  The rational product keeps the dense loop: the row-sparse one took
+arrangement-resonance wall_s from 1.05 to 0.65 s but raised its
+peak_rss_mb 10-13%, which comes from the benchmark harness keeping every
+pass's reports (ROADMAP 1a).  The degree-2 gauge system reaches
+solve_right holding only its nonzero equations, as dense rows adopted
+without a copy (connection._gauge_system), and the rational solve reads
+the nonzeros of A and of B's columns straight into its sparse rows; a
+solve straight from sparse equations waits for the in-package trace
+(ROADMAP 1d), since the benchmark reads the gauge's shape from that
+solve_right call.
 
 One fraction-free Bareiss elimination, parametrized by the ring's exact
 division, gives every rank and determinant: rational ranks on rows cleared
@@ -27,8 +37,10 @@ Gauss-Jordan: rows hold only their nonzeros, and the pivot is the row with
 the fewest of them (Markowitz).  The reduced row echelon form is unique, so
 the answer does not depend on the pivot order.  Symbolic solving applies
 Cramer's rule to the pivot minor (its determinant is the last pivot, its
-adjugate comes from cofactor determinants) with one explicit denominator
-and a final ring-membership (exact division) check.  The induced maps of
+adjugate comes from cofactor determinants) with one explicit denominator;
+the numerator is divided exactly first, and the consistency check on all
+rows is A * X == B on the quotient, or A * numerator == det * B when X is
+not a ring matrix.  The induced maps of
 the benchmark have pivot minors of size 2 and 3, where the cofactors are
 the cheaper route: fraction-free back-substitution on the Bareiss echelon
 of [A | B] gave identical solutions on 400 random systems over Q[y] and
@@ -52,7 +64,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import floordiv, truediv
+from operator import add, floordiv, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -98,6 +110,18 @@ class RingMatrix:
             if len(row) != self.cols:
                 raise ShapeMismatch("ragged rows")
 
+    @classmethod
+    def adopt(cls, ring, rows: list[list]) -> "RingMatrix":
+        """The matrix on rows that the caller has just built, of one length
+        each and shared with nothing: they are kept as they are, with no
+        copy and no check.  Every operation here builds its result so."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.entries = rows
+        out.rows = len(rows)
+        out.cols = len(rows[0]) if rows else 0
+        return out
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -105,7 +129,7 @@ class RingMatrix:
         # Entries are immutable and replaced, never changed in place, so one
         # zero serves every cell; a sparse Aomoto matrix then costs little.
         zero = ring.zero()
-        return RingMatrix(ring, [[zero] * cols for _ in range(rows)])
+        return RingMatrix.adopt(ring, [[zero] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(ring, size: int) -> "RingMatrix":
@@ -135,30 +159,57 @@ class RingMatrix:
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        return self == RingMatrix.identity(self.ring, self.rows)
+        one = self.ring.one()
+        return all(len(cols) == 1 and cols[0] == i and row[i] == one
+                   for i, (row, cols) in enumerate(zip(self.entries, _supports(self))))
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.ring, [[self.entries[i][j] for i in range(self.rows)]
-                                      for j in range(self.cols)])
+        return RingMatrix.adopt(self.ring, [list(col) for col in zip(*self.entries)])
 
     def map_entries(self, fn: Callable, ring=None) -> "RingMatrix":
-        return RingMatrix(ring if ring is not None else self.ring,
-                          [[fn(e) for e in row] for row in self.entries])
+        """fn on every entry, zeros included: fn need not send 0 to 0."""
+        return RingMatrix.adopt(ring if ring is not None else self.ring,
+                                [[fn(e) for e in row] for row in self.entries])
+
+    def _map_nonzeros(self, fn: Callable, ring=None) -> "RingMatrix":
+        """fn on the nonzero entries only; every zero entry becomes the one
+        zero of the result ring."""
+        ring = ring if ring is not None else self.ring
+        zero = ring.zero()
+        out = []
+        for row, cols in zip(self.entries, _supports(self)):
+            new = [zero] * self.cols
+            for j in cols:
+                new[j] = fn(row[j])
+            out.append(new)
+        return RingMatrix.adopt(ring, out)
+
+    def _combine(self, other: "RingMatrix", what: str, both: Callable,
+                 alone: Callable) -> "RingMatrix":
+        """Entrywise both(a, b) where a and b are nonzero, alone(b) where
+        only b is, and a where only a is: the cost is other's nonzeros.  An
+        entry that cancels becomes the ring's one zero."""
+        if self.shape() != other.shape() or self.ring != other.ring:
+            raise _mismatch(f"{what} {self.shape()} vs {other.shape()}", self, other)
+        zero = self.ring.zero()
+        out = []
+        for r1, r2, cols in zip(self.entries, other.entries, _supports(other)):
+            row = list(r1)
+            for j in cols:
+                a = r1[j]
+                v = both(a, r2[j]) if a else alone(r2[j])
+                row[j] = v if v else zero
+            out.append(row)
+        return RingMatrix.adopt(self.ring, out)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        if self.shape() != other.shape() or self.ring != other.ring:
-            raise _mismatch(f"add {self.shape()} vs {other.shape()}", self, other)
-        return RingMatrix(self.ring, [[a + b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.entries, other.entries)])
+        return self._combine(other, "add", add, _itself)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        if self.shape() != other.shape() or self.ring != other.ring:
-            raise _mismatch(f"sub {self.shape()} vs {other.shape()}", self, other)
-        return RingMatrix(self.ring, [[a - b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.entries, other.entries)])
+        return self._combine(other, "sub", sub, neg)
 
     def __neg__(self) -> "RingMatrix":
-        return self.map_entries(lambda e: -e)
+        return self._map_nonzeros(neg)
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         if not isinstance(other, RingMatrix):
@@ -184,7 +235,7 @@ class RingMatrix:
                     if acc:
                         row[j] = Poly(self.ring, canonical_terms(acc))
                 out.append(row)
-            return RingMatrix(self.ring, out)
+            return RingMatrix.adopt(self.ring, out)
         columns = list(zip(*other.entries))
         for arow in self.entries:
             row = []
@@ -195,12 +246,16 @@ class RingMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return RingMatrix(self.ring, out)
+        return RingMatrix.adopt(self.ring, out)
 
     def scale(self, c) -> "RingMatrix":
-        def mul(e):
-            return e.scale(c) if hasattr(e, "scale") else e * Fraction(c)
-        return self.map_entries(mul)
+        c = canonical(c)
+        if not c:
+            return RingMatrix.zero(self.ring, self.rows, self.cols)
+        if isinstance(self.ring, PolyRing):
+            return self._map_nonzeros(lambda e: e.scale(c))
+        c = Fraction(c)
+        return self._map_nonzeros(lambda e: e * c)
 
     def trace(self):
         if self.rows != self.cols:
@@ -215,22 +270,46 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _itself(x):
+    return x
+
+
+def _supports(m: RingMatrix) -> list[list[int]]:
+    """The columns of the nonzero entries of each row of m.  A Poly is zero
+    when it has no terms; reading that slot skips a __bool__ call per
+    entry."""
+    if isinstance(m.ring, PolyRing):
+        return [[j for j, e in enumerate(row) if e.terms] for row in m.entries]
+    return [list(compress(range(len(row)), row)) for row in m.entries]
+
+
 def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatrix:
     """Entrywise evaluation of a polynomial matrix at a rational point,
-    converted to canonical coefficients once for the whole matrix."""
+    converted to canonical coefficients once for the whole matrix.  Only
+    the nonzero entries are evaluated."""
     if isinstance(m.ring, RationalField):
         return m
     if len(point) != m.ring.nvars:
         raise ValueError("point length mismatch")
     pt = [canonical(v) for v in point]
-    return m.map_entries(lambda p: p._evaluate(pt), ring=QQ)
+    return m._map_nonzeros(lambda p: p._evaluate(pt), ring=QQ)
 
 
 def _jet_matrices(m: RingMatrix, order: int) -> tuple[RingMatrix, ...]:
+    """The parts of degree 0..order of m under x_j = exp(y_j), one
+    rings.exp_jet per nonzero entry; a zero entry is zero in every part."""
     target = poly_ring(m.ring.nvars)
-    jets = [[exp_jet(p, order) for p in row] for row in m.entries]
-    return tuple(RingMatrix(QQ if k == 0 else target, [[jet[k] for jet in row] for row in jets])
-                 for k in range(order + 1))
+    rings = [QQ] + [target] * order
+    zeros = [r.zero() for r in rings]
+    parts: list[list[list]] = [[] for _ in rings]
+    for row, cols in zip(m.entries, _supports(m)):
+        new = [[z] * m.cols for z in zeros]
+        for j in cols:
+            for part, v in zip(new, exp_jet(row[j], order)):
+                part[j] = v
+        for rows, part in zip(parts, new):
+            rows.append(part)
+    return tuple(RingMatrix.adopt(r, rows) for r, rows in zip(rings, parts))
 
 
 def linearize_matrix(m: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
@@ -469,12 +548,16 @@ class SolveResult:
 
 
 def _solve_right_rational(a: RingMatrix, b: RingMatrix) -> SolveResult:
-    """Sparse Gauss-Jordan over Q on the rows of [A | B].  Fractions already
-    form a field, so X is always 'in the ring' here.  The reduced row echelon
-    form is unique, so the particular solution (free coordinates 0) and the
-    kernel basis do not depend on the pivot order."""
+    """Sparse Gauss-Jordan over Q on the rows of [A | B], read off A's and
+    B's nonzeros.  Fractions already form a field, so X is always 'in the
+    ring' here.  The reduced row echelon form is unique, so the particular
+    solution (free coordinates 0) and the kernel basis do not depend on the
+    pivot order."""
     n, k = a.cols, b.cols
-    rows = _sparse_rows(ra + rb for ra, rb in zip(a.entries, b.entries))
+    rows = _sparse_rows(a.entries)
+    for row, rb in zip(rows, b.entries):
+        for j in compress(range(k), rb):
+            row[n + j] = canonical(rb[j])
     pivots = _gauss_jordan(rows, n)
     pivot_rows = {p for _, p in pivots}
     for i, row in enumerate(rows):
@@ -541,8 +624,15 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
         for j in range(k):
             numerator.entries[c][j] = solved.entries[pi][j]
 
-    # Definitive consistency check on all rows: A * numerator == det * B.
-    if a * numerator != b.map_entries(lambda e: e * det):
+    # X = numerator / det when every entry divides exactly.  The definitive
+    # consistency check on all rows is then A * X == B, and otherwise the
+    # fraction-free A * numerator == det * B.
+    try:
+        cleared = numerator._map_nonzeros(lambda e: e.exact_div(det))
+    except NotInRing:
+        cleared = None
+    if (a * cleared != b if cleared is not None
+            else a * numerator != b._map_nonzeros(lambda e: e * det)):
         raise NoSolution("right side is not in the column span of A")
 
     free_cols = [c for c in range(n) if c not in piv_cols]
@@ -556,20 +646,8 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
         vec[fc] = det
         kernel.append(vec)
 
-    in_ring = True
-    cleared_entries = []
-    for row in numerator.entries:
-        out_row = []
-        for e in row:
-            try:
-                out_row.append(e.exact_div(det))
-            except NotInRing:
-                in_ring = False
-                out_row.append(None)
-        cleared_entries.append(out_row)
-    cleared = RingMatrix(ring, cleared_entries) if in_ring else None
     return SolveResult(ring=ring, numerator=numerator, denominator=det,
-                       kernel=kernel, in_ring=in_ring, cleared=cleared)
+                       kernel=kernel, in_ring=cleared is not None, cleared=cleared)
 
 
 # -- characteristic polynomial ----------------------------------------------
@@ -703,9 +781,10 @@ def mat_exp_truncated(m: RingMatrix) -> tuple[RingMatrix, RingMatrix, RingMatrix
         raise ShapeMismatch("matrix exponential of non-square matrix")
     if not isinstance(m.ring, PolyRing) or m.ring.laurent:
         raise ValueError("mat_exp_truncated expects a plain polynomial matrix")
+    unit = (0,) * m.ring.nvars
     for row in m.entries:
         for e in row:
-            if e.constant_term() != 0:
+            if unit in e.terms:
                 raise NonzeroConstantTerm(str(e))
     return RingMatrix.identity(QQ, m.rows), m, (m * m).scale(Fraction(1, 2))
 

@@ -207,6 +207,8 @@ class Poly:
         return NotImplemented  # type: ignore[return-value]
 
     def __eq__(self, other) -> bool:
+        if type(other) is Poly and other.ring is self.ring:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, Poly):
@@ -292,15 +294,6 @@ class Poly:
         """Terms in canonical (descending graded-lex) order."""
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
 
-    def leading(self) -> tuple[Exponent, Coeff]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_term_key)
-        return e, self.terms[e]
-
-    def constant_term(self) -> Coeff:
-        return self.terms.get((0,) * self.ring.nvars, 0)
-
     def as_monomial(self) -> tuple[Exponent, Coeff] | None:
         if len(self.terms) != 1:
             return None
@@ -350,38 +343,41 @@ class Poly:
     # -- exact division ------------------------------------------------------
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact quotient self / divisor; raises NotInRing if not divisible."""
+        """Exact quotient self / divisor; raises NotInRing if not divisible.
+
+        Long division on one remainder term dict: each quotient term t
+        subtracts t * divisor from it in place (_addmul), so no Poly is
+        built until the quotient is whole."""
         from .errors import NotInRing
 
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self.ring.zero()
+        rem, div = self.terms, divisor.terms
         if self.ring.laurent:
             # Shift both operands into the polynomial cone, divide there.
-            shift_self = self._monomial_shift()
-            shift_div = divisor._monomial_shift()
-            plain = PolyRing(self.ring.nvars, laurent=False, var=self.ring.var)
-            p = Poly(plain, {tuple(a - s for a, s in zip(e, shift_self)): c
-                             for e, c in self.terms.items()})
-            d = Poly(plain, {tuple(a - s for a, s in zip(e, shift_div)): c
-                             for e, c in divisor.terms.items()})
-            q = p.exact_div(d)
+            shift_self, shift_div = self._monomial_shift(), divisor._monomial_shift()
+            rem = {tuple(a - s for a, s in zip(e, shift_self)): c for e, c in rem.items()}
+            div = {tuple(a - s for a, s in zip(e, shift_div)): c for e, c in div.items()}
             delta = tuple(a - b for a, b in zip(shift_self, shift_div))
-            return Poly(self.ring, {tuple(a + s for a, s in zip(e, delta)): c
-                                    for e, c in q.terms.items()})
-        quotient = self.ring.zero()
-        rem = self
-        de, dc = divisor.leading()
-        while not rem.is_zero():
-            re_, rc = rem.leading()
+        else:
+            rem = dict(rem)
+        de = max(div, key=_term_key)
+        dc = div[de]
+        quotient: dict[Exponent, Coeff] = {}
+        while rem:
+            re_ = max(rem, key=_term_key)
             qe = tuple(a - b for a, b in zip(re_, de))
-            if any(k < 0 for k in qe):
+            if min(qe, default=0) < 0:
                 raise NotInRing("leading term not divisible")
-            t = Poly(self.ring, {qe: coeff_div(rc, dc)})
-            quotient = quotient + t
-            rem = rem - t * divisor
-        return quotient
+            # The remainder's coefficients need not be canonical; coeff_div
+            # makes the quotient's so.
+            qc = quotient[qe] = coeff_div(rem[re_], dc)
+            _addmul(rem, {qe: qc}, div, -1)
+        if self.ring.laurent:
+            quotient = {tuple(map(add, e, delta)): c for e, c in quotient.items()}
+        return Poly(self.ring, quotient)
 
     def _monomial_shift(self) -> Exponent:
         """The least exponent of each variable over the terms.  Shifting by

@@ -387,10 +387,13 @@ _INDUCED = ("induced", "-a", ARGS["-a"]) + _PEC + ("--xi",)
     (_PROJ.replace("x1*x2 - 1,", "x1*x2 - " + "9" * 5000 + ",", 1), _INDUCED),
     ("relator 1\n( g1" + " " * 100000 + "g2 )\n",
      ("verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"], "-c")),
+    ("generators 2\n" + "g1^999999 g2\n" * 30, ("fox", "-p")),
+    ("g1^999999 g2\ng2\ng3\ng4 g1^999999\n",
+     ("verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-c", ARGS["-c"], "-e")),
 ], ids=["generators", "nvars", "dim", "exponent-notation-entry", "exponent-notation-point",
         "hyperplanes", "nested-commutators", "boolean-24", "lines-1024", "nested-parentheses",
         "minus-signs", "poly-exponent-digits", "poly-coefficient-digits",
-        "certificate-term-spaces"])
+        "certificate-term-spaces", "relator-letters", "image-letters"])
 def test_oversized_header_counts_are_parse_errors(tmp_path, text, argv):
     path = tmp_path / "big.txt"
     path.write_text(text)

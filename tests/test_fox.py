@@ -85,7 +85,7 @@ def test_word_powers():
 
 
 def test_word_letter_limit_counts_the_expansion_before_reduction():
-    from arrmono.fox import MAX_WORD_LETTERS as m
+    from arrmono.fox import MAX_LETTERS as m
     # A written 1 counts as a letter and [a, b] as a b a^-1 b^-1, so both
     # words reduce to the identity but stand for m letters.
     assert parse_word(f"1^{m}", 1).is_identity()
@@ -97,6 +97,30 @@ def test_word_letter_limit_counts_the_expansion_before_reduction():
     for exponent in (m + 1, -m - 1, 10 ** 9, "7" * 5000):
         with pytest.raises(ParseError, match="exponent"):
             parse_word(f"g1^{exponent}", 1)
+
+
+def test_letter_budget_spans_every_word_of_a_file():
+    from arrmono.fox import MAX_LETTERS as m
+    # One word at the limit is admitted, and so are words that share it.
+    pres = parse_presentation(f"generators 2\ng1^{m - 1} g2\n")
+    assert len(pres.relators[0]) == m
+    pres = parse_presentation(f"generators 2\ng1^{m // 2}\ng2^{m // 2}\n")
+    assert [len(r) for r in pres.relators] == [m // 2, m // 2]
+    # One letter more, spread over the words of one file, is refused.
+    with pytest.raises(ParseError, match="expands to more than"):
+        parse_presentation(f"generators 2\ng1^{m // 2}\ng2^{m // 2} g1\n")
+    with pytest.raises(ParseError, match="expands to more than"):
+        parse_endomorphism(f"g1^{m // 2} g2\ng2^{m // 2}\n", 2)
+    pres = parse_presentation("generators 2\n[g1, g2]\n")
+    with pytest.raises(ParseError, match="expands to more than"):
+        parse_certificate(f"relator 1\n( g1^{m // 2} , 1 , +1 )\n( g2^{m // 2} g1 , 1 , -1 )\n",
+                          pres)
+
+
+def test_certificate_terms_keep_their_relator_in_any_header_order():
+    pres = parse_presentation("generators 2\ng1 g2\ng2 g1\n")
+    cert = parse_certificate("relator 2\n( g1 , 2 , +1 )\nrelator 1\n( g2^-1 , 1 , -1 )\n", pres)
+    assert cert.terms == (((parse_word("g2^-1", 2), 1, -1),), ((parse_word("g1", 2), 2, 1),))
 
 
 def _product_by_factors(ngens, factors):
