@@ -212,9 +212,7 @@ def _expand(factors: _Factors, ngens: int) -> Word:
 
 def parse_words(texts: Iterable[str], ngens: int) -> list[Word]:
     """The words of one file, against one budget of MAX_LETTERS letters
-    over all of them.  Each text is parsed and counted when it is drawn
-    from texts, so a caller's generator may check the rest of its line in
-    file order; no word is expanded until every one is counted."""
+    over all of them; no word is expanded until every one is counted."""
     room = MAX_LETTERS
     parsed = []
     for text in texts:
@@ -497,39 +495,35 @@ _SIGNS = {"+1": 1, "+": 1, "1": 1, "-1": -1, "-": -1}
 
 
 def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
-    terms: dict[int, list[CertTerm]] = {}
-    heads: list[tuple[int, int, int]] = []  # (relator, index, sign) of each term
-
-    def word_texts() -> Iterable[str]:
-        """The word of each term line, in file order; parse_words reads
-        each before the rest of its line is checked."""
-        current: int | None = None
-        for ln in content_lines(text):
-            if ln.startswith("relator"):
-                parts = ln.split()
-                if len(parts) != 2:
-                    raise ParseError(f"bad relator header {_shown(ln)}")
-                current = parse_int(parts[1], 1, pres.nrels, "relator index")
-                if current in terms:
-                    raise ParseError(f"repeated relator header {current}")
-                terms[current] = []
-                continue
-            if current is None:
-                raise ParseError("certificate term before any 'relator' header")
-            # The word may hold commas of its own; the last two end it.
-            parts = ln[1:-1].rsplit(",", 2) if ln.startswith("(") and ln.endswith(")") else []
-            sign = _SIGNS.get(parts[-1].strip()) if len(parts) == 3 else None
-            if sign is None:
-                raise ParseError(f"bad certificate term {_shown(ln)}")
-            yield parts[0]
-            heads.append((current, parse_int(parts[1].strip(), 1, pres.nrels, "relator index"),
-                          sign))
-
-    for word, (l, k, sign) in zip(parse_words(word_texts(), pres.ngens), heads):
-        terms[l].append((word, k, sign))
-    if len(terms) != pres.nrels:
+    # relator -> (position in texts, index, sign) of each of its terms
+    heads: dict[int, list[tuple[int, int, int]]] = {}
+    texts: list[str] = []  # the word of each term line, in file order
+    current: int | None = None
+    for ln in content_lines(text):
+        if ln.startswith("relator"):
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ParseError(f"bad relator header {_shown(ln)}")
+            current = parse_int(parts[1], 1, pres.nrels, "relator index")
+            if current in heads:
+                raise ParseError(f"repeated relator header {current}")
+            heads[current] = []
+            continue
+        if current is None:
+            raise ParseError("certificate term before any 'relator' header")
+        # The word may hold commas of its own; the last two end it.
+        parts = ln[1:-1].rsplit(",", 2) if ln.startswith("(") and ln.endswith(")") else []
+        sign = _SIGNS.get(parts[-1].strip()) if len(parts) == 3 else None
+        if sign is None:
+            raise ParseError(f"bad certificate term {_shown(ln)}")
+        k = parse_int(parts[1].strip(), 1, pres.nrels, "relator index")
+        heads[current].append((len(texts), k, sign))
+        texts.append(parts[0])
+    if len(heads) != pres.nrels:
         raise ParseError("certificate must list every relator exactly once")
-    return RelatorCertificate(tuple(tuple(terms[l]) for l in range(1, pres.nrels + 1)))
+    words = parse_words(texts, pres.ngens)
+    return RelatorCertificate(tuple(
+        tuple((words[at], k, sign) for at, k, sign in heads[l]) for l in range(1, pres.nrels + 1)))
 
 
 def format_certificate(cert: RelatorCertificate) -> str:

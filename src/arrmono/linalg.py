@@ -10,14 +10,13 @@ ACM TOMS 4(3), 1978): row i of A * B sums A[i][k] * (row k of B) over the
 nonzero A[i][k] and the nonzero entries of that row, each output entry in
 one term dict, so it costs its nonzero pairs rather than rows x columns x
 inner dimension.  The elementwise operations (sums, negation, scaling,
-evaluation, the exp-jets and is_identity) find each row's nonzero entries
-(_supports), compute on those alone and write the result ring's one zero
-everywhere else; map_entries applies its function to every entry, since
-that function need not send 0 to 0.  The Aomoto and connection matrices are
-mostly zeros (about 94% of mu_2 on a dimension-3 arrangement; 210 of the
-225 entries of a 15 x 15 Phi_2 on Z^6).  Every operation here keeps the
-rows it has just built (RingMatrix.adopt); only the public constructor
-copies.  The rational product keeps the dense loop: the row-sparse one took
+evaluation, the exp-jets, is_identity and map_entries, whose function
+must send 0 to 0) find each row's nonzero entries (_supports), compute on
+those alone and write the result ring's one zero everywhere else.  The
+Aomoto and connection matrices are mostly zeros (about 94% of mu_2 on a
+dimension-3 arrangement; 210 of the 225 entries of a 15 x 15 Phi_2 on
+Z^6).  Every operation here keeps the rows it has just built
+(RingMatrix.adopt); only the public constructor copies.  The rational product keeps the dense loop: the row-sparse one took
 arrangement-resonance wall_s from 1.05 to 0.65 s but raised its
 peak_rss_mb 10-13%, which comes from the benchmark harness keeping every
 pass's reports (ROADMAP 1a).  The degree-2 gauge system reaches
@@ -167,13 +166,8 @@ class RingMatrix:
         return RingMatrix.adopt(self.ring, [list(col) for col in zip(*self.entries)])
 
     def map_entries(self, fn: Callable, ring=None) -> "RingMatrix":
-        """fn on every entry, zeros included: fn need not send 0 to 0."""
-        return RingMatrix.adopt(ring if ring is not None else self.ring,
-                                [[fn(e) for e in row] for row in self.entries])
-
-    def _map_nonzeros(self, fn: Callable, ring=None) -> "RingMatrix":
-        """fn on the nonzero entries only; every zero entry becomes the one
-        zero of the result ring."""
+        """fn on the nonzero entries only, so fn must send 0 to 0; every
+        zero entry becomes the one zero of the result ring."""
         ring = ring if ring is not None else self.ring
         zero = ring.zero()
         out = []
@@ -209,7 +203,7 @@ class RingMatrix:
         return self._combine(other, "sub", sub, neg)
 
     def __neg__(self) -> "RingMatrix":
-        return self._map_nonzeros(neg)
+        return self.map_entries(neg)
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         if not isinstance(other, RingMatrix):
@@ -250,12 +244,10 @@ class RingMatrix:
 
     def scale(self, c) -> "RingMatrix":
         c = canonical(c)
-        if not c:
-            return RingMatrix.zero(self.ring, self.rows, self.cols)
         if isinstance(self.ring, PolyRing):
-            return self._map_nonzeros(lambda e: e.scale(c))
+            return self.map_entries(lambda e: e.scale(c))
         c = Fraction(c)
-        return self._map_nonzeros(lambda e: e * c)
+        return self.map_entries(lambda e: e * c)
 
     def trace(self):
         if self.rows != self.cols:
@@ -292,7 +284,7 @@ def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatri
     if len(point) != m.ring.nvars:
         raise ValueError("point length mismatch")
     pt = [canonical(v) for v in point]
-    return m._map_nonzeros(lambda p: p._evaluate(pt), ring=QQ)
+    return m.map_entries(lambda p: p._evaluate(pt), ring=QQ)
 
 
 def _jet_matrices(m: RingMatrix, order: int) -> tuple[RingMatrix, ...]:
@@ -628,11 +620,11 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     # consistency check on all rows is then A * X == B, and otherwise the
     # fraction-free A * numerator == det * B.
     try:
-        cleared = numerator._map_nonzeros(lambda e: e.exact_div(det))
+        cleared = numerator.map_entries(lambda e: e.exact_div(det))
     except NotInRing:
         cleared = None
     if (a * cleared != b if cleared is not None
-            else a * numerator != b._map_nonzeros(lambda e: e * det)):
+            else a * numerator != b.map_entries(lambda e: e * det)):
         raise NoSolution("right side is not in the column span of A")
 
     free_cols = [c for c in range(n) if c not in piv_cols]
