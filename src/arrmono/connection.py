@@ -110,15 +110,15 @@ def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
 
 
 def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
-    """The linear system A * g = b of G1 * Omega - Omega * G1 = rhs over Q.
+    """The linear system A * g = b of G1 * Omega - Omega * G1 = rhs over Q,
+    for a matrix Omega of linear forms.
 
     Unknowns: n * s^2 rational coefficients of G1; equations: coefficients of
     the quadratic monomials of every entry, in (entry, monomial) order.  Only
     the equations that carry a nonzero are emitted; a row that no term
     reaches, or whose terms cancel, with a zero right side (0 = 0) is not.
-    A holds ints built from the coefficient matrices Omega_u; the right
-    side b is rational."""
-    parts = linear_coefficients(omega)
+    A is built from the terms c * y_u of Omega's entries, read as they are
+    (ints on an integral Omega); the right side b is rational."""
     s = omega.rows
     n = omega.ring.nvars
     monomials = [(i, j) for i in range(n) for j in range(i, n)]
@@ -146,9 +146,10 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
     # monomial m in entry (a, b); unknown (a * s + b) * n + v is the
     # coefficient of y_v in G1[a][b].
     nmono = len(monomials)
-    for u, part in enumerate(parts):
-        for i, row in enumerate(part):
-            for j, c in row.items():
+    for i, row in enumerate(omega.entries):
+        for j, e in enumerate(row):
+            for exps, c in e.terms.items():
+                u = exps.index(1)
                 # Omega[i][j] has the term c * y_u.  In (G1 * Omega)[a][j]
                 # it meets G1[a][i]; in -(Omega * G1)[i][b] it meets G1[j][b].
                 for v in range(n):
@@ -177,27 +178,21 @@ def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
 
 def verify_exp_relation(phi: RingMatrix, omega: RingMatrix) -> ExpRelationReport:
     """Compare the representation matrix with the exponential of its formal
-    connection at truncation order 2."""
+    connection at truncation order 2.  Once the parts of degree 0 and 1 of
+    Phi(exp y) are I and Omega, all rests on R = Phi_2 - Omega^2/2: the
+    sides agree entrywise when R = 0, and are gauge conjugate when
+    G1 * Omega - Omega * G1 = R has a solution."""
     jet = series_matrix(phi)
     identity_at_one = jet[0].is_identity()
     linear_match = jet[1] == omega
-    mismatch = ""
-    gauge = False
-    entrywise = False
-    if identity_at_one and linear_match:
-        exp_omega = mat_exp_truncated(omega)
-        entrywise = jet == exp_omega
-        # Degree-2 parts: Phi_2 vs Omega^2/2; gauge freedom is ad_Omega.
-        gauge = entrywise or _commutator_image_solve(omega, jet[2] - exp_omega[2])
-        if not gauge:
-            mismatch = "degree-2 terms are not gauge conjugate"
-    else:
-        mismatch = "value at x=1 or linear term mismatch"
-    return ExpRelationReport(identity_at_one=identity_at_one,
-                             linear_part_matches=linear_match,
-                             gauge_degree2=gauge,
-                             entrywise_degree2=entrywise,
-                             mismatch=mismatch)
+    if not (identity_at_one and linear_match):
+        return ExpRelationReport(identity_at_one, linear_match, False, False,
+                                 "value at x=1 or linear term mismatch")
+    rest = jet[2] - mat_exp_truncated(omega)[2]
+    entrywise = rest.is_zero()
+    gauge = entrywise or _commutator_image_solve(omega, rest)
+    return ExpRelationReport(True, True, gauge, entrywise,
+                             "" if gauge else "degree-2 terms are not gauge conjugate")
 
 
 # -- eigenvalue factorization ---------------------------------------------------------
@@ -566,7 +561,8 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -
 #   nvars 4
 #   rows 5
 #   cols 2
-#   locus x3 = x1^-1*x2^-1     (zero or more; right side a unit monomial)
+#   locus x3 = x1^-1*x2^-1     (zero or more, at most one per variable;
+#                               right side a unit monomial)
 #   xi
 #   <cols comma-separated x-expressions per line, rows lines>
 #   upsilon                     (optional; defaults to the linear part of xi)
@@ -638,6 +634,8 @@ def parse_projection(text: str) -> ProjectionData:
             if not lhs.startswith("x"):
                 raise ParseError("locus substitutions target x-variables")
             j = parse_int(lhs[1:], 1, n, "locus variable index")
+            if j in x_subs:
+                raise ParseError(f"repeated locus variable x{j}")
             rep = parse_poly(rhs, xring)
             mono = rep.as_monomial()
             if mono is None or mono[1] != 1:

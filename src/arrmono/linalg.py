@@ -59,7 +59,6 @@ multiplies the specialized boundaries once more.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -73,7 +72,6 @@ from .errors import (
     NotAComplex,
     NotInRing,
     ShapeMismatch,
-    ZeroAtPole,
 )
 from .rings import (
     QQ,
@@ -278,13 +276,15 @@ def _supports(m: RingMatrix) -> list[list[int]]:
 def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatrix:
     """Entrywise evaluation of a polynomial matrix at a rational point,
     converted to canonical coefficients once for the whole matrix.  Only
-    the nonzero entries are evaluated."""
+    the nonzero entries are evaluated, and each power of a coordinate is
+    built once per call (rings._power)."""
     if isinstance(m.ring, RationalField):
         return m
     if len(point) != m.ring.nvars:
         raise ValueError("point length mismatch")
     pt = [canonical(v) for v in point]
-    return m.map_entries(lambda p: p._evaluate(pt), ring=QQ)
+    powers: dict = {}
+    return m.map_entries(lambda p: p._evaluate(pt, powers), ring=QQ)
 
 
 def _jet_matrices(m: RingMatrix, order: int) -> tuple[RingMatrix, ...]:
@@ -453,26 +453,11 @@ def rational_row_space(m: RingMatrix) -> list[list[Fraction]]:
 
 
 def generic_rank(m: RingMatrix) -> int:
-    """Rank over the fraction field.  An evaluation never exceeds the generic
-    rank, so two seeded random evaluations may only prove full rank; any
-    lower rank comes from exact symbolic elimination."""
+    """Rank over the fraction field, by exact elimination: rows cleared to
+    integers over Q, and Bareiss with Poly.exact_div over Q[y] and the
+    Laurent ring."""
     if isinstance(m.ring, RationalField):
         return rational_rank(m)
-    full = min(m.rows, m.cols)
-    if full == 0:
-        return 0
-    rng = random.Random(0)
-    for _ in range(2):
-        point = [Fraction(rng.randint(2, 19), rng.randint(1, 7)) for _ in range(m.ring.nvars)]
-        try:
-            if rational_rank(evaluate_matrix(m, point)) == full:
-                return full
-        except ZeroAtPole:
-            pass
-    return _symbolic_rank(m)
-
-
-def _symbolic_rank(m: RingMatrix) -> int:
     return len(bareiss([list(row) for row in m.entries], Poly.exact_div)[1])
 
 

@@ -89,6 +89,23 @@ def canonical_terms(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
     return terms
 
 
+def _power(v: Coeff, a: int, powers: dict) -> Coeff:
+    """v ** a, kept in powers under (v, a).  A power not yet there is one
+    product or exact quotient by v from a neighbour a - 1 or a + 1 that is,
+    so the exponents of a Fox derivative of g^k, the run 1, ..., k - 1 or
+    its reverse, cost one small step each rather than a power each."""
+    pw = powers.get((v, a))
+    if pw is None:
+        if (v, a - 1) in powers:
+            pw = powers[v, a - 1] * v
+        elif (v, a + 1) in powers:
+            pw = coeff_div(powers[v, a + 1], v)
+        else:
+            pw = v ** a
+        powers[v, a] = pw
+    return pw
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The scalar field Q; matrices over it hold bare Fractions."""
@@ -305,13 +322,14 @@ class Poly:
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         if len(point) != self.ring.nvars:
             raise ValueError("point length mismatch")
-        return self._evaluate([canonical(v) for v in point])
+        return self._evaluate([canonical(v) for v in point], {})
 
-    def _evaluate(self, pt: list[Coeff]) -> Fraction:
+    def _evaluate(self, pt: list[Coeff], powers: dict) -> Fraction:
         """The value at a point of canonical coefficients, already checked
-        for length, so a matrix converts its point once
-        (linalg.evaluate_matrix).  An integral point keeps the arithmetic in
-        ints; a negative power divides exactly."""
+        for length, so a matrix converts its point once, and its entries
+        share one powers table (linalg.evaluate_matrix, _power).  An
+        integral point keeps the arithmetic in ints; a negative power
+        divides exactly."""
         total = 0
         for e, c in self.terms.items():
             val = c
@@ -323,7 +341,12 @@ class Poly:
                         raise ZeroAtPole(f"exponent {k} at zero coordinate")
                     val = 0
                     break
-                val = val * v ** k if k > 0 else coeff_div(val, v ** -k)
+                if k == 1:
+                    val = val * v
+                elif k > 0:
+                    val = val * _power(v, k, powers)
+                else:
+                    val = coeff_div(val, v if k == -1 else _power(v, -k, powers))
             total += val
         if type(total) is Fraction:
             return total

@@ -7,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -123,6 +124,61 @@ def test_golden_battery_runs_each_stage_once(name, monkeypatch):
     assert calls.pop("load_projection") == argv.count("--xi")
     assert calls.pop("_boundaries") == ("-p" in argv)
     assert all(n <= 1 for n in calls.values()), calls
+
+
+def test_golden_verify_proves_each_connection_fact_once(monkeypatch):
+    """verify reads the abelianization off phi1 and Phi_q(1) = I off
+    formal_connection, and the gauge system reads Omega's terms directly:
+    Omega_q is split into coefficient matrices by formal_connection (three
+    degrees) and eigen_linear_forms (Omega_1, Omega_2 and the two induced
+    maps) alone."""
+    import arrmono.cli as cli
+    import arrmono.connection as connection
+    from arrmono.fox import Endomorphism
+
+    calls = {"linear_coefficients": 0, "preserves_abelianization": 0, "evaluate_matrix": 0}
+
+    def counted(name, orig):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(connection, "linear_coefficients",
+                        counted("linear_coefficients", connection.linear_coefficients))
+    monkeypatch.setattr(Endomorphism, "preserves_abelianization",
+                        counted("preserves_abelianization",
+                                Endomorphism.preserves_abelianization))
+    monkeypatch.setattr(cli, "evaluate_matrix", counted("evaluate_matrix", cli.evaluate_matrix))
+    code, out = structured(*BATTERY["verify"])
+    assert code == 0
+    assert out == (GOLDEN / "verify.txt").read_text()
+    assert calls == {"linear_coefficients": 7, "preserves_abelianization": 1,
+                     "evaluate_matrix": 0}
+
+
+def test_verify_reads_the_connection_before_reporting_identity_at_one(tmp_path):
+    """A valid certificate whose Phi_2 is not the identity at x = 1: the
+    presentation repeats [g1, g2], and the certificate writes relators 1
+    and 2 both as relator 2.  formal_connection raises before any line
+    could report monodromy.identity_at_one_deg2 as passed."""
+    files = {
+        "b3.arr": "dim 3\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+        "z3.pres": "generators 3\n[g1, g2]\n[g1, g2]\n[g2, g3]\n",
+        "id.endo": "g1\ng2\ng3\n",
+        "twice.cert": ("relator 1\n( 1 , 2 , +1 )\nrelator 2\n( 1 , 2 , +1 )\n"
+                       "relator 3\n( 1 , 3 , +1 )\n"),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("verify", "-a", str(tmp_path / "b3.arr"),
+                            "-p", str(tmp_path / "z3.pres"), "-e", str(tmp_path / "id.endo"),
+                            "-c", str(tmp_path / "twice.cert"))
+    assert code == 1 and out == ""
+    assert err.getvalue().startswith("NotIdentityAtOne")
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("name", list(BATTERY))
@@ -285,6 +341,21 @@ def test_point_without_coordinates_is_a_comma(tmp_path):
     path.write_text("generators 0\n")
     code, out = run_cli("specialize", "-p", str(path), "--ring", "x", "--at=,")
     assert code == 0 and "betti: 1,0,0" in out
+
+
+def test_a_long_power_relator_specializes_in_seconds(tmp_path):
+    """The Fox derivatives of g1^32000 g2 g1^-32000 g2^-1 hold 64,000
+    terms with every power of x1 up to 31,999; evaluate_matrix builds each
+    power of 3 once, from the one before it."""
+    path = tmp_path / "long.pres"
+    path.write_text("generators 2\ng1^32000 g2 g1^-32000 g2^-1\n")
+    start = time.perf_counter()
+    code, out = structured("specialize", "-p", str(path), "--at", "3,5")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert out == ("arrmono-report v1\nsection specialize\nkv ring x\nkv at 3,5\n"
+                   "kv betti 0,0,0\nkv euler 0\nkv verdict non-resonant\n"
+                   "kv top_matches_euler True\n")
 
 
 def test_verify_exit_zero_and_all_pass():
@@ -534,6 +605,7 @@ def test_a_megabyte_bad_matrix_row_gets_a_short_message():
     ("locus x3 =", "locus xq ="),
     ("locus x3 =", "locus x9 ="),
     ("locus x3 =", "locus x0 ="),
+    ("locus x4 = 1", "locus x4 = 1\nlocus x3 = 1"),
     ("nvars 4", "n 4"),
     ("nvars 4", "nvars 4\nnvars 4"),
     ("rows 5", "rows 5\nrows 5"),

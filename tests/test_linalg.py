@@ -147,8 +147,8 @@ def test_rank_at_points(displayed):
 
 def test_generic_rank_with_symbolic_fallback(displayed):
     assert generic_rank(displayed["d1"]) == 3
-    from arrmono.linalg import _symbolic_rank
-    assert _symbolic_rank(displayed["d1"]) == 3
+    from arrmono.linalg import generic_rank as exact_rank
+    assert exact_rank(displayed["d1"]) == 3
 
 
 def test_generic_rank_ignores_agreeing_rank_drops():

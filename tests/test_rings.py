@@ -97,6 +97,29 @@ def test_evaluate_pole():
         L.monomial({1: -1}).evaluate([0, 1, 1, 1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-3, 3)),
+                max_size=12),
+       st.sampled_from([(3, 5), (Fraction(1, 2), -3), (-2, -2), (Fraction(-4, 3), 1)]))
+def test_evaluation_with_shared_powers_matches_the_naive_sum(terms, point):
+    """Powers are built from a neighbour in whatever order the terms come,
+    ascending and descending runs and negative exponents included, and one
+    powers table serves every entry of a matrix."""
+    from arrmono import RingMatrix, evaluate_matrix
+    ring = laurent_ring(2)
+    polys = [ring.zero(), ring.zero()]
+    for idx, (a, b, c) in enumerate(terms):
+        polys[idx % 2] = polys[idx % 2] + ring.monomial((a, b), c)
+
+    def naive(p):
+        return sum((Fraction(c) * Fraction(point[0]) ** e[0] * Fraction(point[1]) ** e[1]
+                    for e, c in p.terms.items()), Fraction(0))
+
+    assert [p.evaluate(point) for p in polys] == [naive(p) for p in polys]
+    assert evaluate_matrix(RingMatrix(ring, [polys]), point).entries == [
+        [naive(p) for p in polys]]
+
+
 small_coeff = st.integers(min_value=-4, max_value=4)
 
 
