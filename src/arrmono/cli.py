@@ -35,7 +35,13 @@ from .connection import (
     verify_exp_relation,
     verify_projection,
 )
-from .errors import ArrmonoError, ChainIdentityFailed, ParseError, VerificationFailed
+from .errors import (
+    ArrmonoError,
+    ChainIdentityFailed,
+    ParseError,
+    VerificationFailed,
+    ZeroAtPole,
+)
 from .fox import (
     load_certificate,
     load_endomorphism,
@@ -225,7 +231,7 @@ def cmd_connection(job: Job, report: ReportWriter) -> None:
             report.kv(f"eigen[Omega{q}]", f.describe())
         report.check(f"eigen.certified_deg{q}", True)  # eigen_* raised otherwise
         report.check(f"eigen.correspondence_deg{q}", spectra_correspond(er, eo))
-        rep = verify_exp_relation(phis[q], omega[q])
+        rep = verify_exp_relation(phis[q])
         report.check(f"exp.relation_deg{q}", rep.passed, rep.mismatch)
         report.kv(f"exp.entrywise_deg{q}", rep.entrywise_degree2)
     report.check("chain.universal", job.chain_universal)
@@ -274,7 +280,8 @@ def cmd_verify(job: Job, report: ReportWriter) -> None:
     job.cx
     report.check("fox.complex", True)  # universal_complex raised otherwise
     report.check("linearization.delta_equals_mu", job.delta_equals_mu, warn_only=True)
-    phis, omega = job.phis, job.omega  # the stages prove the next four lines
+    phis = job.phis
+    job.omega  # with phis, the stages prove the next four lines
     report.check("endo.abelianization", True)  # phi1 raised otherwise
     report.check("certificate.valid", True)  # phi2_from_certificate raised otherwise
     for q in (1, 2):
@@ -282,7 +289,7 @@ def cmd_verify(job: Job, report: ReportWriter) -> None:
     report.check("chain.universal", job.chain_universal)
     report.check("chain.aomoto", job.chain_aomoto)
     for q in (1, 2):
-        rep = verify_exp_relation(phis[q], omega[q])
+        rep = verify_exp_relation(phis[q])
         report.check(f"exp.relation_deg{q}", rep.passed, rep.mismatch)
         er, eo = job.spectra[q]
         report.check(f"eigen.certified_deg{q}", True)  # eigen_* raised otherwise
@@ -351,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         fn(Job(args), report)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except ZeroAtPole as exc:  # only an --at point can meet a pole
+        print(f"parse error: --at {args.at}: {exc}", file=sys.stderr)
         return 2
     except ChainIdentityFailed as exc:
         report.check("chain.identity", False, str(exc))

@@ -17,7 +17,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ChainIdentityFailed,
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     QQ,
+    CharPoly,
     RingComplex,
     RingMatrix,
     bareiss,
@@ -75,20 +76,17 @@ class ExpRelationReport:
 
     entrywise_degree2 records literal equality of exp-substituted Phi and
     exp(Omega) at truncation 2.  The two sides are gauge conjugate rather
-    than equal in general, so the certified check is gauge_degree2: existence
+    than equal in general, so the certified check, passed, is the existence
     of G = I + G1 with exp_sub(Phi) * G = G * exp(Omega) up to degree 2,
     an exactly solvable linear condition.
     """
 
-    identity_at_one: bool
-    linear_part_matches: bool
-    gauge_degree2: bool
+    passed: bool
     entrywise_degree2: bool
-    mismatch: str = ""
 
     @property
-    def passed(self) -> bool:
-        return self.identity_at_one and self.linear_part_matches and self.gauge_degree2
+    def mismatch(self) -> str:
+        return "" if self.passed else "degree-2 terms are not gauge conjugate"
 
 
 def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
@@ -167,32 +165,25 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
             RingMatrix.adopt(QQ, [[rhs_vec.get(r, 0)] for r in keep]))
 
 
-def _commutator_image_solve(omega: RingMatrix, rhs: RingMatrix) -> bool:
-    """Does G1 * Omega - Omega * G1 = rhs admit a matrix of linear forms G1?"""
-    try:
-        solve_right(*_gauge_system(omega, rhs))
-        return True
-    except NoSolution:
-        return False
-
-
-def verify_exp_relation(phi: RingMatrix, omega: RingMatrix) -> ExpRelationReport:
+def verify_exp_relation(phi: RingMatrix) -> ExpRelationReport:
     """Compare the representation matrix with the exponential of its formal
-    connection at truncation order 2.  Once the parts of degree 0 and 1 of
-    Phi(exp y) are I and Omega, all rests on R = Phi_2 - Omega^2/2: the
-    sides agree entrywise when R = 0, and are gauge conjugate when
-    G1 * Omega - Omega * G1 = R has a solution."""
+    connection at truncation order 2, all read off one 2-jet of
+    Phi(exp y): its part of degree 0 must be I (NotIdentityAtOne otherwise),
+    its part of degree 1 is Omega, and all rests on
+    R = Phi_2 - Omega^2/2.  The sides agree entrywise when R = 0, and are
+    gauge conjugate when G1 * Omega - Omega * G1 = R has a solution."""
     jet = series_matrix(phi)
-    identity_at_one = jet[0].is_identity()
-    linear_match = jet[1] == omega
-    if not (identity_at_one and linear_match):
-        return ExpRelationReport(identity_at_one, linear_match, False, False,
-                                 "value at x=1 or linear term mismatch")
+    if not jet[0].is_identity():
+        raise NotIdentityAtOne("representation matrix is not the identity at x = 1")
+    omega = jet[1]
     rest = jet[2] - mat_exp_truncated(omega)[2]
-    entrywise = rest.is_zero()
-    gauge = entrywise or _commutator_image_solve(omega, rest)
-    return ExpRelationReport(True, True, gauge, entrywise,
-                             "" if gauge else "degree-2 terms are not gauge conjugate")
+    if rest.is_zero():
+        return ExpRelationReport(passed=True, entrywise_degree2=True)
+    try:
+        solve_right(*_gauge_system(omega, rest))
+    except NoSolution:
+        return ExpRelationReport(passed=False, entrywise_degree2=False)
+    return ExpRelationReport(passed=True, entrywise_degree2=False)
 
 
 # -- eigenvalue factorization ---------------------------------------------------------
@@ -229,18 +220,28 @@ class EigenReport:
         return {f.data: f.multiplicity for f in self.factors}
 
 
-def _divide_out(coeffs: list[dict], root: dict,
-                limit: int | None = None) -> tuple[list[dict], int]:
-    """Divide the cleared coefficients (CharPoly.cleared) by (z - root), a
-    term dict, as many times as the division stays exact, at most limit."""
-    mult = 0
-    while mult != limit:
-        nxt = divide_linear_terms(coeffs, root)
-        if nxt is None:
-            break
-        coeffs = nxt
-        mult += 1
-    return coeffs, mult
+def _certified(cp: CharPoly, kind: str, candidates: Iterable) -> EigenReport:
+    """Divide the cleared characteristic polynomial (CharPoly.cleared) by
+    (z - root) for each candidate (data, root term dict, limit), as often
+    as the division stays exact and at most limit times (None: no limit).
+    A candidate that divides is a factor of that kind; the divisions must
+    leave 1, or FactorizationFailed is raised."""
+    coeffs, _ = cp.cleared()
+    factors: list[EigenFactor] = []
+    for data, root, limit in candidates:
+        mult = 0
+        while mult != limit:
+            nxt = divide_linear_terms(coeffs, root)
+            if nxt is None:
+                break
+            coeffs = nxt
+            mult += 1
+        if mult:
+            factors.append(EigenFactor(kind, data, mult))
+    if len(coeffs) > 1:
+        what = "unit monomials" if kind == "monomial" else "integral linear forms"
+        raise FactorizationFailed(f"{len(coeffs) - 1} eigenvalues are not {what}")
+    return EigenReport(size=len(cp.coeffs) - 1, factors=tuple(factors))
 
 
 def eigen_monomials(phi: RingMatrix) -> EigenReport:
@@ -254,20 +255,8 @@ def eigen_monomials(phi: RingMatrix) -> EigenReport:
     n = phi.ring.nvars
     if not evaluate_matrix(phi, [1] * n).is_identity():
         raise NotIdentityAtOne("representation matrix must be the identity at x = 1")
-    size = phi.rows
-    cp = char_poly(phi)
-    if size == 0:
-        return EigenReport(size=0, factors=())
-    factors: list[EigenFactor] = []
-    remaining, _ = cp.cleared()
-    for exps in sorted(phi.trace().terms):
-        remaining, mult = _divide_out(remaining, {exps: 1})
-        if mult:
-            factors.append(EigenFactor("monomial", tuple(exps), mult))
-    if len(remaining) > 1:
-        raise FactorizationFailed(
-            f"{len(remaining) - 1} eigenvalues are not unit monomials")
-    return EigenReport(size=size, factors=tuple(factors))
+    return _certified(char_poly(phi), "monomial",
+                      ((exps, {exps: 1}, None) for exps in sorted(phi.trace().terms)))
 
 
 def _eval_univariate(coeffs: Sequence, z):
@@ -452,9 +441,6 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
     n = omega.ring.nvars
     parts = linear_coefficients(omega)
     size = omega.rows
-    if size == 0:
-        return EigenReport(size=0, factors=())
-
     bound = max([1] + [sum(map(abs, row.values())) for part in parts for row in part])
     base = 2 * bound + 1
     probe = [[0] * size for _ in range(size)]
@@ -473,17 +459,9 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
     shift = omega.ring.linear_form(star)
     shifted = RingMatrix(omega.ring, [[e - shift if i == k else e for k, e in enumerate(row)]
                                       for i, row in enumerate(omega.entries)])
-    factors: list[EigenFactor] = []
-    remaining, _ = char_poly(shifted).cleared()
-    for cand in sorted(candidates):
-        form = omega.ring.linear_form([c - s for c, s in zip(cand, star)])
-        remaining, mult = _divide_out(remaining, form.terms, candidates[cand])
-        if mult:
-            factors.append(EigenFactor("linear_form", cand, mult))
-    if len(remaining) > 1:
-        raise FactorizationFailed(
-            f"{len(remaining) - 1} eigenvalues are not integral linear forms")
-    return EigenReport(size=size, factors=tuple(factors))
+    return _certified(char_poly(shifted), "linear_form",
+                      ((cand, omega.ring.linear_form([c - s for c, s in zip(cand, star)]).terms,
+                        candidates[cand]) for cand in sorted(candidates)))
 
 
 def _balanced_digits(value: int, base: int, count: int) -> tuple[int, ...] | None:
@@ -727,7 +705,6 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
 
 @dataclass
 class WeightClassification:
-    point: tuple[Fraction, ...]
     betti: list[int]
     euler: int
     trivial: bool
@@ -751,7 +728,6 @@ def classify_weights(cx: RingComplex, point: Sequence[Fraction | int]) -> Weight
     top = len(cx.ranks) - 1
     nonres = all(h == 0 for h in betti[:top])
     return WeightClassification(
-        point=tuple(Fraction(v) for v in point),
         betti=betti,
         euler=euler,
         trivial=trivial,

@@ -16,7 +16,9 @@ those alone and write the result ring's one zero everywhere else.  The
 Aomoto and connection matrices are mostly zeros (about 94% of mu_2 on a
 dimension-3 arrangement; 210 of the 225 entries of a 15 x 15 Phi_2 on
 Z^6).  Every operation here keeps the rows it has just built
-(RingMatrix.adopt); only the public constructor copies.  The rational product keeps the dense loop: the row-sparse one took
+(RingMatrix.adopt); only the public constructor copies.
+
+The rational product keeps the dense loop: the row-sparse one took
 arrangement-resonance wall_s from 1.05 to 0.65 s but raised its
 peak_rss_mb 10-13%, which comes from the benchmark harness keeping every
 pass's reports (ROADMAP 1a).  The degree-2 gauge system reaches
@@ -34,26 +36,33 @@ ring (Poly.exact_div), and the pivot rows and columns of symbolic solving.
 Solving over Q and the rational reduced row echelon form share one sparse
 Gauss-Jordan: rows hold only their nonzeros, and the pivot is the row with
 the fewest of them (Markowitz).  The reduced row echelon form is unique, so
-the answer does not depend on the pivot order.  Symbolic solving applies
-Cramer's rule to the pivot minor (its determinant is the last pivot, its
-adjugate comes from cofactor determinants) with one explicit denominator;
-the numerator is divided exactly first, and the consistency check on all
-rows is A * X == B on the quotient, or A * numerator == det * B when X is
-not a ring matrix.  The induced maps of
+the answer does not depend on the pivot order.
+
+Symbolic solving applies Cramer's rule to the pivot minor S, whose
+determinant is the last pivot of the elimination and whose adjugate comes
+from cofactor determinants.  One product adj(S) * [B_P | -A_P,free] on
+the pivot rows P gives both the numerator of the particular solution,
+over the one explicit denominator det(S), and every kernel vector.  The
+empty minor of a zero matrix has determinant 1 and an empty adjugate, so
+it takes the same path.  The numerator is divided exactly first, and the
+consistency check on all rows is A * X == B on the quotient, or
+A * numerator == det * B when X is not a ring matrix.  The induced maps of
 the benchmark have pivot minors of size 2 and 3, where the cofactors are
 the cheaper route: fraction-free back-substitution on the Bareiss echelon
 of [A | B] gave identical solutions on 400 random systems over Q[y] and
-the Laurent ring, but doubled the symbolic solve time of a pencil4 run.  Characteristic polynomials
-use Berkowitz's division-free algorithm (Berkowitz 1984) on the matrix
-times one common denominator, so on integral input the whole computation,
-and the synthetic division that certifies eigenvalues, runs on int
-coefficients in term dicts.  The substitution x_j = exp(y_j) is needed only
-to order 2: a Laurent matrix maps entry by entry through the closed-form
-2-jet of rings.exp_jet, and exp of a connection matrix Omega without
-constant terms is I + Omega + Omega^2/2.  A RingComplex proves
-d_q * d_{q+1} = 0 once, when it is constructed, so no later stage checks it
-again; RingComplex.specialize builds a new complex, whose construction
-multiplies the specialized boundaries once more.
+the Laurent ring, but doubled the symbolic solve time of a pencil4 run.
+
+Characteristic polynomials use Berkowitz's division-free algorithm
+(Berkowitz 1984) on the matrix times one common denominator, so on
+integral input the whole computation, and the synthetic division that
+certifies eigenvalues, runs on int coefficients in term dicts.  The
+substitution x_j = exp(y_j) is needed only to order 2: a Laurent matrix
+maps entry by entry through the closed-form 2-jet of rings.exp_jet, and
+exp of a connection matrix Omega without constant terms is
+I + Omega + Omega^2/2.  A RingComplex proves d_q * d_{q+1} = 0 once, when
+it is constructed, so no later stage checks it again;
+RingComplex.specialize builds a new complex, whose construction multiplies
+the specialized boundaries once more.
 """
 
 from __future__ import annotations
@@ -484,10 +493,6 @@ def symbolic_det(m: RingMatrix):
 def _adjugate(m: RingMatrix) -> RingMatrix:
     """Adjugate via cofactors: adj(M)[i][j] = (-1)^{i+j} det(M minor j,i)."""
     n = m.rows
-    if n == 0:
-        return m
-    if n == 1:
-        return RingMatrix(m.ring, [[m.ring.one()]])
     out = RingMatrix.zero(m.ring, n, n)
     for i in range(n):
         for j in range(n):
@@ -577,29 +582,26 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     n, k = a.cols, b.cols
     grid = [list(row) for row in a.entries]
     piv_rows, piv_cols = bareiss(grid, Poly.exact_div)
+    free_cols = [c for c in range(n) if c not in piv_cols]
 
-    if not piv_cols:
-        if not b.is_zero():
-            raise NoSolution("zero matrix cannot reach nonzero right side")
-        kernel = [[ring.one() if i == f else ring.zero() for i in range(n)]
-                  for f in range(n)]
-        zero = RingMatrix.zero(ring, n, k)
-        return SolveResult(ring=ring, numerator=zero, denominator=ring.one(),
-                           kernel=kernel, in_ring=True, cleared=zero)
-
-    # Square nonsingular pivot minor S = A[piv_rows, piv_cols]; Cramer gives
-    # x_P = adj(S) * rhs / det(S) with free coordinates set to zero.  The
-    # last pivot of the elimination is det(S), rows in pivot order.
+    # Cramer on the square nonsingular pivot minor S = A[piv_rows, piv_cols],
+    # whose determinant is the last pivot of the elimination, rows in pivot
+    # order (1 for the empty minor).  One product adj(S) * [B_P | -A_P,free]
+    # gives the numerator adj(S) * B_P of x_P = adj(S) * B_P / det(S), free
+    # coordinates zero, and for each free column the pivot coordinates of
+    # the kernel vector whose free coordinate is det(S).
     sub = RingMatrix(ring, [[a.entries[i][j] for j in piv_cols] for i in piv_rows])
-    det = grid[len(piv_rows) - 1][piv_cols[-1]]
-    adj = _adjugate(sub)
-
+    det = grid[len(piv_rows) - 1][piv_cols[-1]] if piv_cols else ring.one()
+    rhs = RingMatrix.adopt(ring, [b.entries[i] + [-a.entries[i][fc] for fc in free_cols]
+                                  for i in piv_rows])
+    solved = _adjugate(sub) * rhs
     numerator = RingMatrix.zero(ring, n, k)
-    rhs = RingMatrix(ring, [[b.entries[i][j] for j in range(k)] for i in piv_rows])
-    solved = adj * rhs
-    for pi, c in enumerate(piv_cols):
-        for j in range(k):
-            numerator.entries[c][j] = solved.entries[pi][j]
+    zero = ring.zero()
+    kernel = [[det if i == fc else zero for i in range(n)] for fc in free_cols]
+    for c, row in zip(piv_cols, solved.entries):
+        numerator.entries[c] = row[:k]
+        for vec, v in zip(kernel, row[k:]):
+            vec[c] = v
 
     # X = numerator / det when every entry divides exactly.  The definitive
     # consistency check on all rows is then A * X == B, and otherwise the
@@ -611,18 +613,6 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     if (a * cleared != b if cleared is not None
             else a * numerator != b.map_entries(lambda e: e * det)):
         raise NoSolution("right side is not in the column span of A")
-
-    free_cols = [c for c in range(n) if c not in piv_cols]
-    kernel: list[list] = []
-    for fc in free_cols:
-        col = RingMatrix(ring, [[-a.entries[i][fc]] for i in piv_rows])
-        kp = adj * col
-        vec = [ring.zero()] * n
-        for pi, c in enumerate(piv_cols):
-            vec[c] = kp.entries[pi][0]
-        vec[fc] = det
-        kernel.append(vec)
-
     return SolveResult(ring=ring, numerator=numerator, denominator=det,
                        kernel=kernel, in_ring=cleared is not None, cleared=cleared)
 
@@ -672,10 +662,6 @@ class CharPoly:
 
     ring: object
     coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def cleared(self) -> tuple[list[dict], int]:
         """(d * the term dict of each coefficient, d) for the least common

@@ -338,7 +338,8 @@ class Poly:
                     continue
                 if v == 0:
                     if k < 0:
-                        raise ZeroAtPole(f"exponent {k} at zero coordinate")
+                        j = next(j for j, (w, m) in enumerate(zip(pt, e)) if m and not w)
+                        raise ZeroAtPole(f"{self.ring.var}{j + 1} = 0 is a pole (exponent {k})")
                     val = 0
                     break
                 if k == 1:

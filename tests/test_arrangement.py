@@ -166,6 +166,13 @@ def test_format_parse_round_trip(pencil):
     assert parse_arrangement(text) == pencil["arr"]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_format_parse_round_trip_on_random_arrangements(rng, dim):
+    arr = random_arrangement(rng, dim)
+    assert parse_arrangement(format_arrangement(arr)) == arr
+
+
 def test_betti_oracle_agrees_on_pencil(pencil):
     assert betti_oracle(pencil["arr"]) == [1, 4, 5]
 

@@ -343,6 +343,43 @@ def test_point_without_coordinates_is_a_comma(tmp_path):
     assert code == 0 and "betti: 1,0,0" in out
 
 
+@pytest.fixture
+def pole_inputs(tmp_path):
+    """The presentation <g1, g2 | g1^-1 g2 g1 g2^-1> with the inner
+    automorphism by g1^-1, whose Phi1 has the entry x1^-1 * (x2 - 1)."""
+    files = {"pole.pres": "generators 2\ng1^-1 g2 g1 g2^-1\n",
+             "pole.endo": "g1\ng1^-1 g2 g1\n",
+             "pole.cert": "relator 1\n( g1^-1 , 1 , +1 )\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return ("-p", str(tmp_path / "pole.pres"), "-e", str(tmp_path / "pole.endo"),
+            "-c", str(tmp_path / "pole.cert"), "--ring", "x")
+
+
+@pytest.mark.parametrize("command", ["specialize", "connection"])
+def test_point_at_a_pole_is_a_parse_error(pole_inputs, command):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(command, *pole_inputs, "--at", "0,1")
+    assert code == 2 and out == ""
+    assert err.getvalue() == "parse error: --at 0,1: x1 = 0 is a pole (exponent -1)\n"
+
+
+def test_point_off_the_poles_keeps_its_report(pole_inputs):
+    code, out = structured("specialize", *pole_inputs, "--at", "1,0")
+    assert code == 0
+    assert out == ("arrmono-report v1\nsection specialize\nkv ring x\nkv at 1,0\n"
+                   "kv betti 0,0,0\nkv euler 0\nkv verdict non-resonant\n"
+                   "kv top_matches_euler True\n")
+    code, out = structured("connection", *pole_inputs, "--at", "1,0")
+    assert code == 0
+    assert out.endswith("kv at 1,0\n"
+                        "matrix Phi1_at ring=rational rows=2 cols=2\n"
+                        'row ["1","-1"]\nrow ["0","1"]\nendmatrix\n'
+                        "matrix Phi2_at ring=rational rows=1 cols=1\n"
+                        'row ["1"]\nendmatrix\n')
+
+
 def test_a_long_power_relator_specializes_in_seconds(tmp_path):
     """The Fox derivatives of g1^32000 g2 g1^-32000 g2^-1 hold 64,000
     terms with every power of x1 up to 31,999; evaluate_matrix builds each

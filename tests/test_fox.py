@@ -397,3 +397,25 @@ def test_certificate_format_round_trip(pencil):
     pres = pencil["pres"]
     text = format_certificate(pencil["cert"])
     assert parse_certificate(text, pres).terms == pencil["cert"].terms
+
+
+_LETTERS = st.tuples(st.integers(1, 4), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(_LETTERS, max_size=3), min_size=1, max_size=3))
+def test_endomorphism_lines_round_trip_on_composed_inner_automorphisms(conjugators):
+    """Each conjugating word may be empty or reduce to the identity."""
+    endo = Endomorphism.identity(4)
+    for letters in conjugators:
+        endo = Endomorphism.inner(4, Word.from_letters(4, letters)).after(endo)
+    text = "".join(f"{w}\n" for w in endo.images)
+    assert parse_endomorphism(text, 4) == endo
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_certificate_round_trip_on_composed_certificates(pencil, certified_generators, rng):
+    pres = pencil["pres"]
+    _, cert = random_certified_endo(rng, pres, certified_generators)
+    assert parse_certificate(format_certificate(cert), pres) == cert

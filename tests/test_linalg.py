@@ -145,14 +145,13 @@ def test_rank_at_points(displayed):
     assert rational_rank(evaluate_matrix(xi, [2, 2, 2, 2])) == 2
 
 
-def test_generic_rank_with_symbolic_fallback(displayed):
+def test_generic_rank_of_delta1(displayed):
     assert generic_rank(displayed["d1"]) == 3
-    from arrmono.linalg import generic_rank as exact_rank
-    assert exact_rank(displayed["d1"]) == 3
 
 
 def test_generic_rank_ignores_agreeing_rank_drops():
-    # (y1-2)(y1-15) vanishes at both seed-0 evaluation points y1 = 2 and 15.
+    # (y1-2)(y1-15) vanishes at y1 = 2 and at y1 = 15, so the rank drops at
+    # both points; over the fraction field the entry is nonzero.
     ring = poly_ring(1)
     m = mat(ring, [["(y1-2)*(y1-15)"]])
     assert rational_rank(evaluate_matrix(m, [2])) == rational_rank(evaluate_matrix(m, [15])) == 0
@@ -195,6 +194,17 @@ def test_solve_right_fallback_kernel(displayed):
     # A * X = den * B holds exactly for the particular solution.
     rhs = (p1 * d1).map_entries(lambda e: e * res.denominator)
     assert d1 * res.numerator == rhs
+
+
+def test_solve_right_on_a_zero_laurent_matrix():
+    a = RingMatrix.zero(L, 2, 3)
+    res = solve_right(a, RingMatrix.zero(L, 2, 1))
+    assert res.kernel == [[L.one() if i == j else L.zero() for i in range(3)]
+                          for j in range(3)]
+    assert res.denominator == L.one() and res.in_ring
+    assert res.numerator == res.cleared == RingMatrix.zero(L, 3, 1)
+    with pytest.raises(NoSolution):
+        solve_right(a, mat(L, [["0"], ["x1"]]))
 
 
 def test_solve_right_no_solution():
