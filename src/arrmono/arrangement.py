@@ -11,28 +11,52 @@ two classes, which is what makes the affine (non-central) case work:
 
 Both classes come from two ranks per index set: of its normals and of its
 rows [normal | -offset].  Each row is scaled to integers once (scaling a row
-changes no rank), and one fraction-free elimination per subset, columns left
-to right, gives both ranks from its pivot columns.  The ranks of the subsets
-one size smaller are kept while the scan runs, so the minimality checks look
-them up instead of eliminating again.
+changes no rank).  A subset is good when it is independent and its
+hyperplanes meet; good sets are closed under taking subsets, and the
+circuits and the minimal empty sets together are exactly the sets that are
+not good while all their faces (drop-one subsets) are.  A proper superset
+of an empty set is not minimal, and a dependent set that meets contains a
+meeting circuit, any element of which any superset can drop without
+changing its intersection, so it is not minimal either.
+
+The walk visits the subsets in increasing order of their bit masks, that
+is, lexicographically in their elements read from the largest down, so every
+face of a set comes before it.  A set is its prefix (itself without its
+least element) plus one hyperplane, and the walk keeps the fraction-free
+echelon of each prefix on its stack: the new row is reduced against the at
+most L pivot rows of the prefix (linalg.bareiss_step, exact by Sylvester's
+identity, so every entry stays a minor of the input) and its first nonzero
+column, if any, is its pivot.  The pivot columns are then the column rank
+profile, so both ranks come from that one row: no pivot means dependent and
+meeting, the offset column means empty, a normal column means good.  A step
+whose pivot column the row already has zero at only scales the row, so it
+is skipped, and the next step divides by the last pivot it used instead;
+the unit rows of a Boolean arrangement take no step at all.  Only good sets
+are extended, and a set that is not good is kept when the bit masks of its
+faces are all in the set of good ones.
 
 Broken circuits delete the least element of a circuit; nbc sets avoid both
 broken circuits and empty_min members, and index the monomial basis of the
-quotient algebra degree by degree.  Subsets of nbc sets are nbc, so degree
-q + 1 comes from extending each nbc q-set by a larger index j, testing only
-the forbidden sets whose largest element is j.  The hyperplane input order
-1 < 2 < ... < n is the nbc order.
+quotient algebra degree by degree.  The forbidden sets (empty_min and the
+broken circuits) live in one prefix tree over their sorted elements
+(ForbiddenSets): a forbidden set t + (j,) is the end j at the node of t, and
+a question about a set S walks only the branches whose elements are in S,
+in order, never the whole family and never every subset of S.  Subsets of
+nbc sets are nbc, so degree q + 1 comes from extending each nbc q-set s by
+a larger index j that no forbidden set t + (j,) with t inside s ends at.
+The hyperplane input order 1 < 2 < ... < n is the nbc order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from math import comb
+from typing import Collection
 
 from .errors import ParseError
-from .linalg import QQ, RingMatrix, bareiss, clear_row_denominators, rational_rank
+from .linalg import QQ, RingMatrix, bareiss_step, clear_row_denominators, rational_rank
 from .rings import MAX_VARIABLES, _shown, content_lines, parse_fraction, parse_int
 
 
@@ -74,6 +98,11 @@ class DependencyData:
     broken_circuits: tuple[tuple[int, ...], ...]
     circuit_of_broken: dict[tuple[int, ...], tuple[int, ...]] = field(hash=False, default_factory=dict)
 
+    @cached_property
+    def forbidden(self) -> "ForbiddenSets":
+        """The index that nbc_basis and the nbc rewriting ask, built once."""
+        return ForbiddenSets(self.empty_min, self.broken_circuits)
+
 
 # The most subsets the dependency scan may eliminate.  Every nbc set of two or
 # more hyperplanes is one, so the nbc count, and mu's ranks, are at most
@@ -81,41 +110,156 @@ class DependencyData:
 MAX_DEPENDENCY_SUBSETS = 2 ** 17
 
 
+def reduce_row(row: list[int], echelon: list) -> None:
+    """Reduce row in place against the pivot rows of echelon, as (pivot
+    row, pivot column, columns still free after it) in insertion order, so
+    that on the free columns it holds the minors on echelon's pivot rows
+    and columns plus its own row and column.  A step at a column where row
+    is zero only scales it, so it is skipped and the next step divides by
+    the pivot of the last step taken instead; one scaling at the end, by
+    the last pivot over that one, makes up for the skipped steps."""
+    taken = 1
+    for top, c, after in echelon:
+        if row[c]:
+            bareiss_step((row,), top, c, after, None if taken == 1 else taken)
+            taken = top[c]
+    last = echelon[-1][0][echelon[-1][1]] if echelon else 1
+    if taken != last:
+        for j in echelon[-1][2]:
+            row[j] = row[j] * last // taken
+
+
 def compute_dependencies(arr: Arrangement) -> DependencyData:
-    """Scan subsets of size <= dim + 1; larger sets cannot be minimal in
-    either class, by the rank bound.  That is sum_{s=2}^{dim+1} C(n, s)
-    subsets; past MAX_DEPENDENCY_SUBSETS, ParseError before any of them."""
+    """Both classes lie among the subsets of size <= dim + 1, by the rank
+    bound.  That is sum_{s=2}^{dim+1} C(n, s) subsets; past
+    MAX_DEPENDENCY_SUBSETS, ParseError before any elimination.  The walk
+    (module docstring) reduces one row per visited subset."""
     if sum(comb(arr.n, s) for s in range(2, arr.dim + 2)) > MAX_DEPENDENCY_SUBSETS:
         raise ParseError(f"{arr.n} hyperplanes in dimension {arr.dim} need a dependency "
                          f"scan of more than {MAX_DEPENDENCY_SUBSETS} subsets")
     rows = [clear_row_denominators([*h.normal, -h.offset]) for h in arr.hyperplanes]
-    # (rank of the normals, rank of the rows) per subset; a normal is nonzero.
-    ranks = {(i,): (1, 1) for i in range(arr.n)}
+    dim = arr.dim
+    good: set[int] = set()  # bit masks of the independent subsets that meet
     circuits: list[tuple[int, ...]] = []
     empty_min: list[tuple[int, ...]] = []
-    for size in range(2, arr.dim + 2):
-        for subset in combinations(range(arr.n), size):
-            _, pivots = bareiss([rows[i][:] for i in subset])
-            rank_normals = sum(1 for c in pivots if c < arr.dim)
-            ranks[subset] = rank_normals, len(pivots)
-            faces = (ranks[subset[:k] + subset[k + 1:]] for k in range(size))
-            if rank_normals == len(pivots):
-                if rank_normals < size and all(rn == size - 1 for rn, _ in faces):
-                    circuits.append(subset)
-            elif all(rn == ra for rn, ra in faces):
-                empty_min.append(subset)
-    broken = {}
+
+    def extend(subset: tuple[int, ...], mask: int, echelon: list, free: list[int]) -> None:
+        """Visit subset + b for each b below subset's least element.
+        echelon holds, per pivot in insertion order, the pivot row, its
+        column and the columns still without a pivot after it; free are
+        those after the last pivot, in increasing order."""
+        for b in range(subset[0] if subset else arr.n):
+            row = rows[b][:]
+            reduce_row(row, echelon)
+            pivot = next((j for j in free if row[j]), None)
+            bigger = mask | 1 << b
+            if pivot is not None and pivot < dim:
+                good.add(bigger)
+                after = [j for j in free if j != pivot]
+                extend((b, *subset), bigger, [*echelon, (row, pivot, after)], after)
+            elif all(bigger ^ 1 << a in good for a in subset):
+                (circuits if pivot is None else empty_min).append((b, *subset))
+
+    extend((), 0, [], list(range(dim + 1)))
+    circuits.sort()
+    broken: dict[tuple[int, ...], tuple[int, ...]] = {}
     for c in circuits:
-        b = c[1:]
-        if b not in broken:
-            broken[b] = c
+        broken.setdefault(c[1:], c)
     # Indices are 1-based in reports; internal sets stay 0-based.
     return DependencyData(
-        circuits=tuple(sorted(circuits)),
+        circuits=tuple(circuits),
         empty_min=tuple(sorted(empty_min)),
         broken_circuits=tuple(sorted(broken)),
         circuit_of_broken=broken,
     )
+
+
+EMPTY, BROKEN = 1, 2  # the kinds of forbidden sets
+
+
+class _Node:
+    """A node of ForbiddenSets: the sets through it, by their next element;
+    the kinds of the sets that end at each next element; and the kinds of
+    every set below it."""
+
+    __slots__ = ("children", "ends", "kinds")
+
+    def __init__(self):
+        self.children: dict[int, _Node] = {}
+        self.ends: dict[int, int] = {}
+        self.kinds = 0
+
+
+class ForbiddenSets:
+    """The minimal empty sets and the broken circuits in one prefix tree
+    keyed by their sorted elements.  Every question is about the forbidden
+    sets inside a sorted set S, and walks from the root only into children
+    that are elements of S after the element the walk stands at (and, for
+    one kind, only into subtrees holding that kind)."""
+
+    def __init__(self, empty_min, broken_circuits):
+        self.root = _Node()
+        for kind, sets in ((EMPTY, empty_min), (BROKEN, broken_circuits)):
+            for f in sets:
+                node = self.root
+                node.kinds |= kind
+                for i in f[:-1]:
+                    child = node.children.get(i)
+                    if child is None:
+                        child = node.children[i] = _Node()
+                    node = child
+                    node.kinds |= kind
+                node.ends[f[-1]] = node.ends.get(f[-1], 0) | kind
+
+    def completions(self, s: tuple[int, ...]) -> Collection[int]:
+        """Every j such that some forbidden set is t + (j,) with t inside s."""
+        if not self.root.children:
+            return self.root.ends.keys()
+        ends = []
+        stack = [(self.root, 0)]
+        while stack:
+            node, start = stack.pop()
+            ends.append(node.ends)
+            if node.children:
+                for k in range(start, len(s)):
+                    child = node.children.get(s[k])
+                    if child is not None:
+                        stack.append((child, k + 1))
+        return set().union(*ends)
+
+    def has_empty(self, s: tuple[int, ...]) -> bool:
+        """Whether a minimal empty set lies inside s."""
+        if not self.root.kinds & EMPTY:
+            return False
+        stack = [(self.root, 0)]
+        while stack:
+            node, start = stack.pop()
+            for k in range(start, len(s)):
+                if node.ends.get(s[k], 0) & EMPTY:
+                    return True
+                child = node.children.get(s[k])
+                if child is not None and child.kinds & EMPTY:
+                    stack.append((child, k + 1))
+        return False
+
+    def largest_broken(self, s: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The lexicographically largest broken circuit inside s, or None."""
+        if not self.root.kinds & BROKEN:
+            return None
+        return self._largest_broken(self.root, s, 0, ())
+
+    def _largest_broken(self, node: _Node, s, start: int, path: tuple[int, ...]):
+        # Larger next elements first; below one, a longer set beats its prefix.
+        for k in range(len(s) - 1, start - 1, -1):
+            x = s[k]
+            child = node.children.get(x)
+            if child is not None and child.kinds & BROKEN:
+                found = self._largest_broken(child, s, k + 1, (*path, x))
+                if found is not None:
+                    return found
+            if node.ends.get(x, 0) & BROKEN:
+                return (*path, x)
+        return None
 
 
 @dataclass(frozen=True)
@@ -132,18 +276,14 @@ class NbcBasis:
 
 
 def nbc_basis(arr: Arrangement, dep: DependencyData) -> NbcBasis:
-    # Forbidden sets by their largest element, without it.
-    forbidden: list[list[frozenset[int]]] = [[] for _ in range(arr.n)]
-    for f in (*dep.empty_min, *dep.broken_circuits):
-        forbidden[f[-1]].append(frozenset(f[:-1]))
+    forbidden = dep.forbidden
     by_degree = [((),)]
     for _ in range(arr.dim):
         sets = []
         for s in by_degree[-1]:
-            sset = set(s)
-            for j in range(s[-1] + 1 if s else 0, arr.n):
-                if not any(f <= sset for f in forbidden[j]):
-                    sets.append(s + (j,))
+            blocked = forbidden.completions(s)
+            sets.extend(s + (j,) for j in range(s[-1] + 1 if s else 0, arr.n)
+                        if j not in blocked)
         # Extending sorted sets by increasing j keeps the order sorted.
         by_degree.append(tuple(sets))
     return NbcBasis(tuple(by_degree))

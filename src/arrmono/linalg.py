@@ -33,6 +33,8 @@ One fraction-free Bareiss elimination, parametrized by the ring's exact
 division, gives every rank and determinant: rational ranks on rows cleared
 to integers (//), determinants over Q (/) and over Q[y] and the Laurent
 ring (Poly.exact_div), and the pivot rows and columns of symbolic solving.
+Its row update is bareiss_step, which the dependency walk of arrangement
+also applies, one new row at a time, against a prefix's echelon.
 Solving over Q and the rational reduced row echelon form share one sparse
 Gauss-Jordan: rows hold only their nonzeros, and the pivot is the row with
 the fewest of them (Markowitz).  The reduced row echelon form is unique, so
@@ -117,15 +119,16 @@ class RingMatrix:
                 raise ShapeMismatch("ragged rows")
 
     @classmethod
-    def adopt(cls, ring, rows: list[list]) -> "RingMatrix":
+    def adopt(cls, ring, rows: list[list], cols: int | None = None) -> "RingMatrix":
         """The matrix on rows that the caller has just built, of one length
         each and shared with nothing: they are kept as they are, with no
-        copy and no check.  Every operation here builds its result so."""
+        copy and no check.  Every operation here builds its result so, and
+        passes cols, which a matrix with no rows cannot show."""
         out = cls.__new__(cls)
         out.ring = ring
         out.entries = rows
         out.rows = len(rows)
-        out.cols = len(rows[0]) if rows else 0
+        out.cols = cols if cols is not None else len(rows[0]) if rows else 0
         return out
 
     # -- constructors --------------------------------------------------------
@@ -135,7 +138,7 @@ class RingMatrix:
         # Entries are immutable and replaced, never changed in place, so one
         # zero serves every cell; a sparse Aomoto matrix then costs little.
         zero = ring.zero()
-        return RingMatrix.adopt(ring, [[zero] * cols for _ in range(rows)])
+        return RingMatrix.adopt(ring, [[zero] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(ring, size: int) -> "RingMatrix":
@@ -170,7 +173,9 @@ class RingMatrix:
                    for i, (row, cols) in enumerate(zip(self.entries, _supports(self))))
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix.adopt(self.ring, [list(col) for col in zip(*self.entries)])
+        cols = ([list(col) for col in zip(*self.entries)] if self.rows
+                else [[] for _ in range(self.cols)])
+        return RingMatrix.adopt(self.ring, cols, self.rows)
 
     def map_entries(self, fn: Callable, ring=None) -> "RingMatrix":
         """fn on the nonzero entries only, so fn must send 0 to 0; every
@@ -183,7 +188,7 @@ class RingMatrix:
             for j in cols:
                 new[j] = fn(row[j])
             out.append(new)
-        return RingMatrix.adopt(ring, out)
+        return RingMatrix.adopt(ring, out, self.cols)
 
     def _combine(self, other: "RingMatrix", what: str, both: Callable,
                  alone: Callable) -> "RingMatrix":
@@ -201,7 +206,7 @@ class RingMatrix:
                 v = both(a, r2[j]) if a else alone(r2[j])
                 row[j] = v if v else zero
             out.append(row)
-        return RingMatrix.adopt(self.ring, out)
+        return RingMatrix.adopt(self.ring, out, self.cols)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         return self._combine(other, "add", add, _itself)
@@ -236,8 +241,8 @@ class RingMatrix:
                     if acc:
                         row[j] = Poly(self.ring, canonical_terms(acc))
                 out.append(row)
-            return RingMatrix.adopt(self.ring, out)
-        columns = list(zip(*other.entries))
+            return RingMatrix.adopt(self.ring, out, other.cols)
+        columns = list(zip(*other.entries)) if other.rows else [()] * other.cols
         for arow in self.entries:
             row = []
             for col in columns:
@@ -247,7 +252,7 @@ class RingMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return RingMatrix.adopt(self.ring, out)
+        return RingMatrix.adopt(self.ring, out, other.cols)
 
     def scale(self, c) -> "RingMatrix":
         c = canonical(c)
@@ -310,7 +315,7 @@ def _jet_matrices(m: RingMatrix, order: int) -> tuple[RingMatrix, ...]:
                 part[j] = v
         for rows, part in zip(parts, new):
             rows.append(part)
-    return tuple(RingMatrix.adopt(r, rows) for r, rows in zip(rings, parts))
+    return tuple(RingMatrix.adopt(r, rows, m.cols) for r, rows in zip(rings, parts))
 
 
 def linearize_matrix(m: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
@@ -332,6 +337,23 @@ def clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
     """The row times the least common multiple of its denominators."""
     lcm = math.lcm(*(v.denominator for v in row))
     return [v.numerator * (lcm // v.denominator) for v in row]
+
+
+def bareiss_step(rows: Iterable[list], top: Sequence, c: int, columns: Iterable[int],
+                 prev, div: Callable = floordiv) -> None:
+    """One fraction-free step in place: each row becomes, on columns,
+    (row * top[c] - row[c] * top) / prev, the division exact by
+    Sylvester's identity (prev is the pivot of the step before; None on
+    the first step, which divides by nothing).  If every entry of a row is
+    the minor on the pivot rows and columns so far plus its own row and
+    column, it is so after the step too, whichever columns were the
+    pivots."""
+    pivot = top[c]
+    for row in rows:
+        f = row[c]
+        for j in columns:
+            v = row[j] * pivot - f * top[j]
+            row[j] = v if prev is None else div(v, prev)
 
 
 def bareiss(grid: list[list], div: Callable = floordiv) -> tuple[list[int], list[int]]:
@@ -360,13 +382,8 @@ def bareiss(grid: list[list], div: Callable = floordiv) -> tuple[list[int], list
         grid[r], grid[p] = grid[p], grid[r]
         order[r], order[p] = order[p], order[r]
         top = grid[r]
-        pivot = top[c]
-        for row in grid[r + 1:]:
-            f = row[c]
-            for j in range(c + 1, cols):
-                v = row[j] * pivot - f * top[j]
-                row[j] = v if prev is None else div(v, prev)
-        prev = pivot
+        bareiss_step(grid[r + 1:], top, c, range(c + 1, cols), prev, div)
+        prev = top[c]
         pivot_cols.append(c)
         r += 1
         if r == rows:

@@ -14,6 +14,11 @@ broken circuit T inside S is rewritten through its circuit C = {c} u T,
 with Koszul signs from re-sorting wedges.  Each replacement set contains the
 least circuit element c < max(T) and drops a larger one, so the multiset of
 index sets strictly decreases lexicographically and the rewriting terminates.
+Both questions, whether a minimal empty set lies inside S and which broken
+circuit inside S is the largest, go to the one prefix tree of forbidden sets
+(arrangement.ForbiddenSets), which walks only the branches whose elements
+are in S; the largest is the first found when the walk takes larger
+elements first and a longer set before its prefix.
 """
 
 from __future__ import annotations
@@ -48,26 +53,22 @@ class NbcRewriter:
     def __init__(self, dep: DependencyData):
         self.dep = dep
         self.cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        self.empty_min = [frozenset(e) for e in dep.empty_min]
-        # Sorted, so the last broken circuit inside a set is the largest.
-        self.broken = [(frozenset(b), b) for b in sorted(dep.broken_circuits)]
 
     def rewrite(self, subset: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Expansion of a_subset (strictly increasing indices) over nbc sets,
         as a dict with integer coefficients."""
         if subset in self.cache:
             return self.cache[subset]
-        sset = set(subset)
-        if any(e <= sset for e in self.empty_min):
+        forbidden = self.dep.forbidden
+        if forbidden.has_empty(subset):
             self.cache[subset] = {}
             return {}
-        inside = next(((bset, b) for bset, b in reversed(self.broken) if bset <= sset), None)
-        if inside is None:
+        broken = forbidden.largest_broken(subset)
+        if broken is None:
             self.cache[subset] = {subset: 1}
             return {subset: 1}
-        bset, broken = inside
         circuit = self.dep.circuit_of_broken[broken]
-        rest = tuple(i for i in subset if i not in bset)
+        rest = tuple(i for i in subset if i not in broken)
         outer = wedge_sort(broken + rest)[1]
         result: dict[tuple[int, ...], int] = {}
         for i in range(1, len(circuit)):

@@ -329,7 +329,10 @@ class Poly:
         for length, so a matrix converts its point once, and its entries
         share one powers table (linalg.evaluate_matrix, _power).  An
         integral point keeps the arithmetic in ints; a negative power
-        divides exactly."""
+        divides exactly.  A term that vanishes at a zero coordinate is still
+        a pole if a later zero coordinate has a negative exponent; only a
+        Laurent ring has those, so only there is the rest of the term
+        read."""
         total = 0
         for e, c in self.terms.items():
             val = c
@@ -337,9 +340,10 @@ class Poly:
                 if k == 0:
                     continue
                 if v == 0:
-                    if k < 0:
-                        j = next(j for j, (w, m) in enumerate(zip(pt, e)) if m and not w)
-                        raise ZeroAtPole(f"{self.ring.var}{j + 1} = 0 is a pole (exponent {k})")
+                    if k < 0 or self.ring.laurent and any(m < 0 and not w for w, m in zip(pt, e)):
+                        j = next(j for j, (w, m) in enumerate(zip(pt, e)) if m < 0 and not w)
+                        raise ZeroAtPole(f"{self.ring.var}{j + 1} = 0 is a pole "
+                                         f"(exponent {e[j]})")
                     val = 0
                     break
                 if k == 1:

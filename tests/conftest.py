@@ -41,6 +41,7 @@ from arrmono import (
 )
 from arrmono.connection import linear_coefficients
 from arrmono.linalg import rational_rref
+from arrmono.oscomplex import wedge_sort
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -257,6 +258,69 @@ def is_nbc(dep, subset) -> bool:
     return not any(set(b) <= sset for b in dep.broken_circuits)
 
 
+def scanning_nbc_basis(arr, dep):
+    """nbc sets degree by degree, each extension s + (j,) tested against
+    every forbidden set whose largest element is j: the scan that the
+    prefix tree of forbidden sets replaced, kept as an oracle."""
+    forbidden = [[] for _ in range(arr.n)]
+    for f in (*dep.empty_min, *dep.broken_circuits):
+        forbidden[f[-1]].append(frozenset(f[:-1]))
+    by_degree = [((),)]
+    for _ in range(arr.dim):
+        sets = []
+        for s in by_degree[-1]:
+            sset = set(s)
+            for j in range(s[-1] + 1 if s else 0, arr.n):
+                if not any(f <= sset for f in forbidden[j]):
+                    sets.append(s + (j,))
+        by_degree.append(tuple(sets))
+    return tuple(by_degree)
+
+
+class ScanningRewriter:
+    """The nbc rewriting with both questions answered by a scan of the
+    whole family: any minimal empty set inside S, else the last broken
+    circuit inside S in sorted order.  Kept as an oracle for
+    oscomplex.NbcRewriter."""
+
+    def __init__(self, dep):
+        self.dep = dep
+        self.cache = {}
+        self.empty_min = [frozenset(e) for e in dep.empty_min]
+        self.broken = [(frozenset(b), b) for b in sorted(dep.broken_circuits)]
+
+    def rewrite(self, subset):
+        if subset in self.cache:
+            return self.cache[subset]
+        sset = set(subset)
+        if any(e <= sset for e in self.empty_min):
+            self.cache[subset] = {}
+            return {}
+        inside = next(((bset, b) for bset, b in reversed(self.broken) if bset <= sset), None)
+        if inside is None:
+            self.cache[subset] = {subset: 1}
+            return {subset: 1}
+        bset, broken = inside
+        circuit = self.dep.circuit_of_broken[broken]
+        rest = tuple(i for i in subset if i not in bset)
+        outer = wedge_sort(broken + rest)[1]
+        result = {}
+        for i in range(1, len(circuit)):
+            term = wedge_sort(tuple(c for k, c in enumerate(circuit) if k != i) + rest)
+            if term is None:
+                continue
+            sorted_set, inner = term
+            coeff = outer * inner * (-1) ** (i + 1)
+            for k, v in self.rewrite(sorted_set).items():
+                total = result.get(k, 0) + coeff * v
+                if total:
+                    result[k] = total
+                else:
+                    result.pop(k, None)
+        self.cache[subset] = result
+        return result
+
+
 def dependencies_oracle(arr):
     """(circuits, empty_min) by the rank definition: every subset of size
     2..dim+1 and each of its drop-one faces eliminated anew."""
@@ -281,8 +345,6 @@ def betti_oracle(arr):
     dependent sets with common points and by all empty-intersection sets,
     inside the full exterior degree.  Uses none of the nbc machinery."""
     from itertools import combinations
-
-    from arrmono.oscomplex import wedge_sort
 
     n = arr.n
     out = []

@@ -9,20 +9,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrmono import (
+    QQ,
     Arrangement,
     Hyperplane,
     ParseError,
+    RingMatrix,
     compute_dependencies,
     nbc_basis,
     parse_arrangement,
+    rational_rank,
+    symbolic_det,
 )
-from arrmono.arrangement import format_arrangement
+from arrmono.arrangement import format_arrangement, reduce_row
+from arrmono.oscomplex import NbcRewriter
 from conftest import (
+    ScanningRewriter,
     betti_oracle,
     dependencies_oracle,
     is_independent,
     is_nbc,
     random_arrangement,
+    scanning_nbc_basis,
 )
 
 
@@ -67,6 +74,99 @@ def test_dependencies_and_nbc_match_rank_definition(arr):
     assert basis.by_degree == tuple(
         tuple(s for s in combinations(range(arr.n), q) if is_nbc(dep, s))
         for q in range(arr.dim + 1))
+
+
+@st.composite
+def _planar_with_many_empty_sets(draw):
+    """Lines on four directions with offsets in -2..2: parallel pairs, empty
+    triples, multiple points and repeated lines, in a drawn order."""
+    lines = draw(st.lists(st.tuples(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]),
+                                    st.integers(-2, 2)), min_size=3, max_size=10))
+    try:
+        return Arrangement(dim=2, hyperplanes=tuple(
+            Hyperplane(normal=tuple(map(Fraction, normal)), offset=Fraction(offset))
+            for normal, offset in lines))
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _central_in_high_dimension(draw):
+    """Central arrangements in dimension 4-6: the coordinate hyperplanes
+    and up to three drawn ones, shuffled, so every set meets (no empty
+    sets) and the circuits run up to size dim + 1."""
+    dim = draw(st.integers(4, 6))
+    normals = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    for _ in range(draw(st.integers(0, 3))):
+        normal = draw(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim))
+        if any(normal):
+            normals.append(tuple(normal))
+    normals = draw(st.permutations(normals))
+    return Arrangement(dim=dim, hyperplanes=tuple(
+        Hyperplane(normal=tuple(map(Fraction, normal)), offset=Fraction(0))
+        for normal in normals))
+
+
+def _check_index_against_scans(arr):
+    """Dependencies by the rank definition, the nbc sets and rewriting by
+    the scans of the whole family, and each question to the prefix tree
+    against the forbidden sets themselves, on every set of at most dim
+    hyperplanes."""
+    dep = compute_dependencies(arr)
+    assert (dep.circuits, dep.empty_min) == dependencies_oracle(arr)
+    assert nbc_basis(arr, dep).by_degree == scanning_nbc_basis(arr, dep)
+    rewriter, oracle = NbcRewriter(dep), ScanningRewriter(dep)
+    forbidden = dep.forbidden
+    for size in range(arr.dim + 1):
+        for s in combinations(range(arr.n), size):
+            assert rewriter.rewrite(s) == oracle.rewrite(s)
+            inside = [b for b in dep.broken_circuits if set(b) <= set(s)]
+            assert forbidden.largest_broken(s) == max(inside, default=None)
+            assert forbidden.has_empty(s) == any(set(e) <= set(s) for e in dep.empty_min)
+            blocked = {f[-1] for f in (*dep.empty_min, *dep.broken_circuits)
+                       if set(f[:-1]) <= set(s)}
+            after = range(s[-1] + 1 if s else 0, arr.n)
+            assert {j for j in after if j in forbidden.completions(s)} == blocked & set(after)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planar_with_many_empty_sets())
+def test_index_matches_the_scans_on_planar_arrangements_with_many_empty_sets(arr):
+    _check_index_against_scans(arr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_central_in_high_dimension())
+def test_index_matches_the_scans_in_high_dimension_without_empty_sets(arr):
+    assert compute_dependencies(arr).empty_min == ()
+    _check_index_against_scans(arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=5))
+def test_reduced_rows_hold_the_minors_of_the_input(rows):
+    """Rows added one at a time, each reduced against the pivots before it
+    and pivoting at its first nonzero column, as the dependency walk does:
+    every free entry is the determinant on the pivot rows and columns so
+    far plus its own row and column, in insertion order, and the pivot
+    columns are the column rank profile."""
+    echelon, chosen, free = [], [], list(range(5))
+    for row in rows:
+        reduced = row[:]
+        reduce_row(reduced, echelon)
+        for j in free:
+            minor = [[Fraction(r[c]) for c in (*(e[1] for e in echelon), j)]
+                     for r in (*chosen, row)]
+            assert reduced[j] == symbolic_det(RingMatrix(QQ, minor))
+        pivot = next((j for j in free if reduced[j]), None)
+        if pivot is not None:
+            free = [j for j in free if j != pivot]
+            echelon.append((reduced, pivot, free))
+            chosen.append(row)
+    profile = [c for c in range(5)
+               if rational_rank(RingMatrix(QQ, [r[:c + 1] for r in rows]))
+               > rational_rank(RingMatrix(QQ, [r[:c] for r in rows]))]
+    assert sorted(e[1] for e in echelon) == profile
 
 
 def test_pencil_dependencies(pencil):
@@ -135,15 +235,16 @@ class _ScanStarted(Exception):
 def test_dependency_scan_limit_is_checked_before_the_scan(monkeypatch, text, size):
     """The scan of sum_{s=2}^{L+1} C(n, s) subsets runs exactly when that
     size is at most the limit, and the size is compared before the first
-    elimination: a stand-in for bareiss that raises shows that an admitted
+    elimination: a stand-in for reduce_row, which the walk calls for every
+    subset it visits, singletons first, raises and so shows that an admitted
     arrangement reached the scan, so no scan runs here."""
     import arrmono.arrangement as arrangement
 
-    def started(grid):
+    def started(row, echelon):
         raise _ScanStarted
 
     arr = parse_arrangement(text)
-    monkeypatch.setattr(arrangement, "bareiss", started)
+    monkeypatch.setattr(arrangement, "reduce_row", started)
     with pytest.raises(_ScanStarted if size <= 2 ** 17 else ParseError):
         compute_dependencies(arr)
     # Exactly at the limit the scan starts; one subset past it, it does not.

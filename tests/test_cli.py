@@ -365,6 +365,19 @@ def test_point_at_a_pole_is_a_parse_error(pole_inputs, command):
     assert err.getvalue() == "parse error: --at 0,1: x1 = 0 is a pole (exponent -1)\n"
 
 
+def test_a_pole_behind_a_vanishing_factor_is_a_parse_error(tmp_path):
+    """The Fox derivative of g1 g2^-1 g1 g2 g1^-1 g1^-1 by g2 has the term
+    -x1 * x2^-1, whose x1 = 0 hides the pole x2 = 0 from a reading that
+    stops at the first zero coordinate."""
+    path = tmp_path / "hidden.pres"
+    path.write_text("generators 2\ng1 g2^-1 g1 g2 g1^-1 g1^-1\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("specialize", "-p", str(path), "--ring", "x", "--at", "0,0")
+    assert code == 2 and out == ""
+    assert err.getvalue() == "parse error: --at 0,0: x2 = 0 is a pole (exponent -1)\n"
+
+
 def test_point_off_the_poles_keeps_its_report(pole_inputs):
     code, out = structured("specialize", *pole_inputs, "--at", "1,0")
     assert code == 0
@@ -393,6 +406,25 @@ def test_a_long_power_relator_specializes_in_seconds(tmp_path):
     assert out == ("arrmono-report v1\nsection specialize\nkv ring x\nkv at 3,5\n"
                    "kv betti 0,0,0\nkv euler 0\nkv verdict non-resonant\n"
                    "kv top_matches_euler True\n")
+
+
+def test_info_on_boolean_17_runs_in_seconds(tmp_path):
+    """Boolean 17 is the largest Boolean arrangement the dependency limit
+    admits: 131,054 subsets, every one independent and meeting.  The walk
+    reduces one unit row per subset and takes no elimination step, and its
+    nbc sets are all 2^17 subsets."""
+    path = tmp_path / "boolean17.arr"
+    path.write_text("dim 17\n" + "".join("0" + " 0" * k + " 1" + " 0" * (16 - k) + "\n"
+                                         for k in range(17)))
+    start = time.perf_counter()
+    code, out = structured("info", "-a", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert "kv circuits -\nkv empty_min -\nkv broken_circuits -\n" in out
+    betti = [1]
+    for q in range(17):
+        betti.append(betti[-1] * (17 - q) // (q + 1))
+    assert f"kv betti {','.join(map(str, betti))}\n" in out
 
 
 def test_verify_exit_zero_and_all_pass():

@@ -207,6 +207,26 @@ def test_solve_right_on_a_zero_laurent_matrix():
         solve_right(a, mat(L, [["0"], ["x1"]]))
 
 
+def test_a_matrix_without_rows_keeps_its_column_count():
+    assert RingMatrix.zero(laurent_ring(2), 0, 3).shape() == (0, 3)
+    assert RingMatrix.zero(QQ, 0, 3).transpose().shape() == (3, 0)
+    assert RingMatrix.zero(QQ, 3, 0).transpose().shape() == (0, 3)
+
+
+@pytest.mark.parametrize("ring", [QQ, L], ids=["rational", "laurent"])
+def test_a_product_over_an_empty_inner_dimension_is_zero(ring):
+    product = RingMatrix.zero(ring, 2, 0) * RingMatrix.zero(ring, 0, 3)
+    assert product.shape() == (2, 3) and product == RingMatrix.zero(ring, 2, 3)
+    assert (RingMatrix.zero(ring, 0, 2) * RingMatrix.zero(ring, 2, 3)).shape() == (0, 3)
+
+
+def test_solve_right_with_no_unknowns_has_the_empty_solution():
+    L2 = laurent_ring(2)
+    res = solve_right(RingMatrix(L2, [[], []]), RingMatrix.zero(L2, 2, 1))
+    assert res.kernel == [] and res.in_ring
+    assert res.cleared.shape() == res.numerator.shape() == (0, 1)
+
+
 def test_solve_right_no_solution():
     a = mat(L, [["x1-1"], ["0"]])
     b = mat(L, [["0"], ["1"]])

@@ -97,6 +97,13 @@ def test_evaluate_pole():
         L.monomial({1: -1}).evaluate([0, 1, 1, 1])
 
 
+def test_evaluate_finds_a_pole_after_a_vanishing_factor():
+    """x1 = 0 makes the term vanish, and x2 = 0 is still a pole of it."""
+    with pytest.raises(ZeroAtPole, match=r"^x2 = 0 is a pole \(exponent -1\)$"):
+        parse_poly("x1*x2^-1", laurent_ring(2)).evaluate([0, 0])
+    assert parse_poly("x1*x2^-1", laurent_ring(2)).evaluate([0, 3]) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-3, 3)),
                 max_size=12),
