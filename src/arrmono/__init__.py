@@ -39,6 +39,7 @@ from .errors import (
     ArrmonoError,
     CertificateInvalid,
     ChainIdentityFailed,
+    ExponentOverflow,
     FactorizationFailed,
     FundamentalIdentityFailed,
     NoSolution,
@@ -58,6 +59,7 @@ from .fox import (
     Word,
     compose_certificates,
     fox_derivative,
+    fox_derivatives,
     identity_certificate,
     inner_certificate,
     load_certificate,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache, cached_property
+from typing import Callable, Iterable
 
 from . import __version__
 from .arrangement import compute_dependencies, load_arrangement, nbc_basis
@@ -153,31 +154,40 @@ class Job:
         return map(build, self.args.xi or [])
 
 
-def _label(subset: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(i + 1) for i in subset) + "}"
+def _labels(arr) -> Callable[[Iterable[tuple[int, ...]]], str]:
+    """The writer of a list of hyperplane index sets, '{1,3} {2,4}', from
+    the 1-based names of arr's hyperplanes, computed once."""
+    names = [str(i) for i in range(1, arr.n + 1)]
+    pick = names.__getitem__
+
+    def labels(sets: Iterable[tuple[int, ...]]) -> str:
+        return " ".join(["{" + ",".join(map(pick, s)) + "}" for s in sets])
+    return labels
 
 
 def cmd_info(job: Job, report: ReportWriter) -> None:
     arr, dep, basis = job.arr, job.dep, job.basis
+    labels = _labels(arr)
     report.section("info")
     report.kv("dim", arr.dim)
     report.kv("hyperplanes", arr.n)
-    report.kv("circuits", " ".join(_label(c) for c in dep.circuits) or "-")
-    report.kv("empty_min", " ".join(_label(c) for c in dep.empty_min) or "-")
-    report.kv("broken_circuits", " ".join(_label(c) for c in dep.broken_circuits) or "-")
+    report.kv("circuits", labels(dep.circuits) or "-")
+    report.kv("empty_min", labels(dep.empty_min) or "-")
+    report.kv("broken_circuits", labels(dep.broken_circuits) or "-")
     for q, sets in enumerate(basis.by_degree):
-        report.kv(f"nbc[{q}]", " ".join(_label(s) for s in sets) or "-")
+        report.kv(f"nbc[{q}]", labels(sets) or "-")
     report.kv("betti", ",".join(str(b) for b in basis.betti()))
     report.kv("euler", sum((-1) ** q * b for q, b in enumerate(basis.betti())))
 
 
 def cmd_aomoto(job: Job, report: ReportWriter) -> None:
     ac = job.aomoto
+    labels = _labels(job.arr)
     report.section("aomoto")
     report.kv("betti", ",".join(str(b) for b in ac.ranks))
     for q, mat in enumerate(ac.boundaries):
-        report.kv(f"rows[mu{q}]", " ".join(_label(s) for s in job.basis.degree(q)))
-        report.kv(f"cols[mu{q}]", " ".join(_label(s) for s in job.basis.degree(q + 1)))
+        report.kv(f"rows[mu{q}]", labels(job.basis.degree(q)))
+        report.kv(f"cols[mu{q}]", labels(job.basis.degree(q + 1)))
         report.matrix(f"mu{q}", mat)
     report.check("aomoto.linear_forms", True)  # aomoto_boundary writes them so
     report.check("aomoto.complex", True)  # RingComplex construction raised otherwise

@@ -98,12 +98,14 @@ def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
     that fails it.  PolyRing.linear_form writes such forms."""
     out: list[list[dict[int, int]]] = [[{} for _ in range(m.rows)]
                                        for _ in range(m.ring.nvars)]
+    variable = m.ring.linear_variable
     for i, row in enumerate(m.entries):
         for k, e in enumerate(row):
-            for exps, c in e.terms.items():
-                if sum(exps) != 1 or min(exps) < 0 or type(c) is not int:
+            for key, c in e.terms.items():
+                j = variable(key)
+                if j is None or type(c) is not int:
                     raise ValueError(f"entry {e} is not an integral linear form")
-                out[exps.index(1)][i][k] = c
+                out[j][i][k] = c
     return out
 
 
@@ -118,7 +120,8 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
     A is built from the terms c * y_u of Omega's entries, read as they are
     (ints on an integral Omega); the right side b is rational."""
     s = omega.rows
-    n = omega.ring.nvars
+    ring = omega.ring
+    n = ring.nvars
     monomials = [(i, j) for i in range(n) for j in range(i, n)]
     mono_index = {m: idx for idx, m in enumerate(monomials)}
     # mono[u][v]: index of the monomial y_u * y_v.
@@ -130,7 +133,8 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
 
     def quad_coeffs(p: Poly) -> dict[tuple[int, int], Fraction]:
         out: dict[tuple[int, int], Fraction] = {}
-        for e, c in p.terms.items():
+        for key, c in p.terms.items():
+            e = ring.exponents(key)
             support = [i for i, k in enumerate(e) if k]
             if sum(e) != 2:
                 raise ValueError("expected a homogeneous quadratic")
@@ -146,8 +150,8 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
     nmono = len(monomials)
     for i, row in enumerate(omega.entries):
         for j, e in enumerate(row):
-            for exps, c in e.terms.items():
-                u = exps.index(1)
+            for key, c in e.terms.items():
+                u = ring.linear_variable(key)
                 # Omega[i][j] has the term c * y_u.  In (G1 * Omega)[a][j]
                 # it meets G1[a][i]; in -(Omega * G1)[i][b] it meets G1[j][b].
                 for v in range(n):
@@ -231,7 +235,7 @@ def _certified(cp: CharPoly, kind: str, candidates: Iterable) -> EigenReport:
     for data, root, limit in candidates:
         mult = 0
         while mult != limit:
-            nxt = divide_linear_terms(coeffs, root)
+            nxt = divide_linear_terms(coeffs, root, cp.ring)
             if nxt is None:
                 break
             coeffs = nxt
@@ -252,11 +256,12 @@ def eigen_monomials(phi: RingMatrix) -> EigenReport:
     monomials cannot cancel.  Each candidate is certified by exact division
     of the cleared characteristic polynomial, and the divisions must leave 1.
     """
-    n = phi.ring.nvars
-    if not evaluate_matrix(phi, [1] * n).is_identity():
+    ring = phi.ring
+    if not evaluate_matrix(phi, [1] * ring.nvars).is_identity():
         raise NotIdentityAtOne("representation matrix must be the identity at x = 1")
     return _certified(char_poly(phi), "monomial",
-                      ((exps, {exps: 1}, None) for exps in sorted(phi.trace().terms)))
+                      ((exps, {ring.key(exps): 1}, None)
+                       for exps in sorted(map(ring.exponents, phi.trace().terms))))
 
 
 def _eval_univariate(coeffs: Sequence, z):

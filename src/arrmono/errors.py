@@ -13,6 +13,10 @@ class ParseError(ArrmonoError):
     """Input text (file or flag) could not be parsed."""
 
 
+class ExponentOverflow(ParseError):
+    """An exponent would leave the packed field of its variable (rings)."""
+
+
 class ShapeMismatch(ArrmonoError):
     """Matrix shapes or rings are not conformable."""
 

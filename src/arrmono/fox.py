@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     AbelianizationNotPreserved,
@@ -275,14 +275,15 @@ def fox_derivative(w: Word, j: int) -> Poly:
     """Abelianized Fox derivative dw/dg_j as a Laurent polynomial.  Its
     +-monomials are collected in one term dict, so the cost is linear in the
     length of w."""
+    ring = laurent_ring(w.ngens)
     prefix = [0] * w.ngens
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     for g, e in w.letters:
         if e == -1:
             prefix[g - 1] -= 1
         if g == j:
             # g_j adds the prefix before it, g_j^-1 minus the prefix through it.
-            key = tuple(prefix)
+            key = ring.key(prefix)
             c = terms.get(key, 0) + e
             if c:
                 terms[key] = c
@@ -290,7 +291,39 @@ def fox_derivative(w: Word, j: int) -> Poly:
                 del terms[key]
         if e == 1:
             prefix[g - 1] += 1
-    return Poly(laurent_ring(w.ngens), terms)
+    return Poly(ring, terms)
+
+
+def fox_derivatives(w: Word) -> dict[int, Poly]:
+    """Every nonzero dw/dg_j, by 1-based j, from one pass over the letters
+    of w: a letter g_j or g_j^-1 adds its term to dw/dg_j alone (see
+    fox_derivative), so the pass costs one monomial key per letter."""
+    ring = laurent_ring(w.ngens)
+    prefix = [0] * w.ngens
+    terms: dict[int, dict[int, int]] = {}
+    for g, e in w.letters:
+        if e == -1:
+            prefix[g - 1] -= 1
+        key = ring.key(prefix)
+        t = terms.setdefault(g, {})
+        c = t.get(key, 0) + e
+        if c:
+            t[key] = c
+        else:
+            del t[key]
+        if e == 1:
+            prefix[g - 1] += 1
+    return {g: Poly(ring, t) for g, t in terms.items() if t}
+
+
+def _fox_matrix(ring: PolyRing, words: Sequence[Word]) -> RingMatrix:
+    """The matrix whose column k holds the Fox derivatives of the k-th
+    word, row i by generator i + 1."""
+    out = RingMatrix.zero(ring, ring.nvars, len(words))
+    for k, w in enumerate(words):
+        for g, d in fox_derivatives(w).items():
+            out.entries[g - 1][k] = d
+    return out
 
 
 def _boundaries(pres: Presentation) -> list[RingMatrix]:
@@ -299,8 +332,7 @@ def _boundaries(pres: Presentation) -> list[RingMatrix]:
     ring = pres.ring()
     gens = range(1, pres.ngens + 1)
     return [RingMatrix(ring, [[ring.variable(j) - 1 for j in gens]]),
-            RingMatrix(ring, [[fox_derivative(r, i) for r in pres.relators]
-                              for i in gens])]
+            _fox_matrix(ring, pres.relators)]
 
 
 def universal_complex(pres: Presentation) -> RingComplex:
@@ -375,9 +407,7 @@ def phi1(endo: Endomorphism) -> RingMatrix:
     result satisfies D0 * Phi1 = D0."""
     if not endo.preserves_abelianization():
         raise AbelianizationNotPreserved("generator images must abelianize to themselves")
-    n = endo.ngens
-    return RingMatrix(laurent_ring(n), [[fox_derivative(endo.images[j - 1], i)
-                                         for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return _fox_matrix(laurent_ring(endo.ngens), endo.images)
 
 
 # -- certificates -------------------------------------------------------------------

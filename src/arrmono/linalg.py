@@ -235,7 +235,7 @@ class RingMatrix:
                 for a, brow in zip(arow, brows):
                     if brow and a.terms:
                         for j, b in brow:
-                            _addmul(accs.setdefault(j, {}), a.terms, b, 1)
+                            _addmul(accs.setdefault(j, {}), a.terms, b, 1, self.ring)
                 row = [zero] * other.cols
                 for j, acc in accs.items():
                     if acc:
@@ -410,7 +410,10 @@ def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, in
     rows holds only nonzeros, as canonical coefficients, so entries that
     cancel are deleted.  Columns are taken left to right; the pivot is the
     unused row with the fewest nonzeros (ties to the lowest index), and
-    only rows with a nonzero in the pivot column are updated.  Pivot rows
+    only rows with a nonzero in the pivot column are updated.  Rows sit in
+    buckets by length: rank[i] = len(rows[i]) * len(rows) + i, kept as
+    rows change, so the pivot is the least rank among the column's unused
+    rows, one min over ints with no key function.  Pivot rows
     are normalized by the exact rings.coeff_div and every update is
     re-canonicalized, so an entry that is integral stays an int and integer
     input with unit pivots never touches Fraction.  Returns (column, row
@@ -422,15 +425,17 @@ def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, in
     for i, row in enumerate(rows):
         for j in row:
             col_rows.setdefault(j, set()).add(i)
-    used = [False] * len(rows)
+    size = len(rows)
+    rank = [len(row) * size + i for i, row in enumerate(rows)]
+    used: set[int] = set()
     pivots: list[tuple[int, int]] = []
     for c in sorted(j for j in col_rows if j < stop):
         holders = col_rows[c]
-        free = [i for i in holders if not used[i]]
+        free = holders - used
         if not free:
             continue
-        p = min(free, key=lambda i: (len(rows[i]), i))
-        used[p] = True
+        p = min(map(rank.__getitem__, free)) % size
+        used.add(p)
         prow = rows[p]
         pv = prow[c]
         if pv != 1:
@@ -449,6 +454,7 @@ def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, in
                 else:
                     del row[j]
                     col_rows[j].discard(i)
+            rank[i] = len(row) * size + i
         pivots.append((c, p))
     return pivots
 
@@ -636,16 +642,16 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
 
 # -- characteristic polynomial ----------------------------------------------
 #
-# Term dicts map an exponent tuple to a nonzero coefficient; over Q the only
-# exponent is ().  Both kernels below clear one common denominator first, so
-# on integral input every coefficient they touch is an int.
+# Term dicts map a monomial key (rings) to a nonzero coefficient; over Q the
+# only key is QQ.unit_key.  Both kernels below clear one common denominator
+# first, so on integral input every coefficient they touch is an int.
 
 
 def _terms(c) -> dict:
     """The term dict of a Poly or a rational, canonical coefficients."""
     if isinstance(c, Poly):
         return c.terms
-    return {(): canonical(c)} if c else {}
+    return {QQ.unit_key: canonical(c)} if c else {}
 
 
 def _from_terms(ring, terms: dict, den: int):
@@ -654,7 +660,7 @@ def _from_terms(ring, terms: dict, den: int):
     always a Fraction."""
     if isinstance(ring, PolyRing):
         return Poly(ring, {e: coeff_div(c, den) for e, c in terms.items()})
-    return Fraction(terms.get((), 0), den)
+    return Fraction(terms.get(ring.unit_key, 0), den)
 
 
 def _cleared(dicts: list[dict]) -> tuple[list[dict], int]:
@@ -664,12 +670,12 @@ def _cleared(dicts: list[dict]) -> tuple[list[dict], int]:
             for t in dicts], d
 
 
-def _dot(pairs: list[tuple[int, dict]], v: list[dict]) -> dict:
-    """The sum of x * v[j] over the (j, x) pairs."""
+def _dot(pairs: list[tuple[int, dict]], v: list[dict], ring) -> dict:
+    """The sum of x * v[j] over the (j, x) pairs, term dicts of ring."""
     acc: dict = {}
     for j, x in pairs:
         if v[j]:
-            _addmul(acc, x, v[j], 1)
+            _addmul(acc, x, v[j], 1, ring)
     return acc
 
 
@@ -687,15 +693,15 @@ class CharPoly:
         return _cleared([_terms(c) for c in self.coeffs])
 
 
-def divide_linear_terms(coeffs: list[dict], root: dict) -> list[dict] | None:
+def divide_linear_terms(coeffs: list[dict], root: dict, ring) -> list[dict] | None:
     """Synthetic division of sum coeffs[i] z^i by (z - root), over term
-    dicts; None if the division has remainder."""
+    dicts of ring; None if the division has remainder."""
     out = []
     carry = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         out.append(carry)
         nxt = dict(c)
-        _addmul(nxt, root, carry, 1)
+        _addmul(nxt, root, carry, 1, ring)
         carry = nxt
     return None if carry else out[::-1]
 
@@ -720,8 +726,7 @@ def char_poly(m: RingMatrix) -> CharPoly:
     n = m.rows
     flat, d = _cleared([_terms(e) for row in m.entries for e in row])
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
-    unit = () if isinstance(ring, RationalField) else (0,) * ring.nvars
-    poly = [{unit: 1}]
+    poly = [{ring.unit_key: 1}]
     nonzeros: list[list[tuple[int, dict]]] = []  # row i of A_r: (j, A[i][j]) with j < r
     for r in range(n):
         row = [(j, a[r][j]) for j in range(r) if a[r][j]]
@@ -729,17 +734,17 @@ def char_poly(m: RingMatrix) -> CharPoly:
         v = [a[i][r] for i in range(r)]
         for k in range(r if row else 0):
             if k:
-                v = [_dot(nz, v) for nz in nonzeros]
+                v = [_dot(nz, v, ring) for nz in nonzeros]
                 if not any(v):
                     break
-            toeplitz.append(_dot(row, v))
+            toeplitz.append(_dot(row, v, ring))
         new = []
         for i in range(r + 2):
             acc = dict(poly[i]) if i <= r else {}
             for j in range(max(0, i - len(toeplitz)), i):
                 t = toeplitz[i - j - 1]
                 if t and poly[j]:
-                    _addmul(acc, t, poly[j], -1)
+                    _addmul(acc, t, poly[j], -1, ring)
             new.append(acc)
         poly = new
         for i in range(r):
@@ -761,7 +766,7 @@ def mat_exp_truncated(m: RingMatrix) -> tuple[RingMatrix, RingMatrix, RingMatrix
         raise ShapeMismatch("matrix exponential of non-square matrix")
     if not isinstance(m.ring, PolyRing) or m.ring.laurent:
         raise ValueError("mat_exp_truncated expects a plain polynomial matrix")
-    unit = (0,) * m.ring.nvars
+    unit = m.ring.unit_key
     for row in m.entries:
         for e in row:
             if unit in e.terms:

@@ -1,12 +1,43 @@
 """Exact coefficient rings: rationals, polynomials and Laurent polynomials,
 and the 2-jet of a Laurent polynomial under the substitution x_j = exp(y_j).
 
-A polynomial is a sparse dict mapping exponent tuples to nonzero rational
+A polynomial is a sparse dict mapping monomial keys to nonzero rational
 coefficients in canonical form: an int when the value is integral, and
 otherwise a Fraction whose denominator exceeds 1, never a float.
 
-    x1*x2 - 1   ->   {(1, 1, 0, 0): 1, (0, 0, 0, 0): -1}
-    1/2*y1      ->   {(1, 0): Fraction(1, 2)}
+A monomial key is one int that packs the exponent vector (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Each of the n variables has a 32-bit field
+holding its exponent plus 2^30, variable 1 in the most significant field,
+and the total degree sits above them all, unbounded and unbiased:
+
+    key(e) = sum(e) * 2^(32 n) + sum_i (e_i + 2^30) * 2^(32 (n - i))
+
+So int order is the canonical term order (graded lexicographic: total
+degree first, then the exponent vector), key is affine in e, and:
+
+    product       key(a + b) = key(a) + key(b) - key(0)
+    leading term  max(terms)
+    divisibility  b - a >= 0 iff bit 30 of every field of
+                  key(b) - key(a) + key(0) is set (for a, b >= 0)
+
+An exponent lies in [-2^30, 2^30), a field value in [0, 2^31), so its top
+bit, the guard, is clear.  The sum of two such fields, less the bias, lies
+in [-2^30, 3 * 2^30): it never carries past its field, and it leaves the
+range exactly when it borrows or reaches 2^31, which sets the guard.  So a
+product of valid keys is valid unless one mask test finds a guard bit, and
+then ExponentOverflow (a ParseError, so the command line exits 2) is
+raised rather than a silent carry.  The margin: an exponent read from
+input, or summed along a word, is at most 10^6 < 2^20 in absolute value
+(MAX_EXPONENT, fox.MAX_LETTERS), so a product of up to 1024 such monomials
+(2^10, as many as a ring has variables) stays in range, and one past it
+meets the guard.  Only this module reads or writes the layout;
+PolyRing.key, exponents, unit_key and linear_variable are its interface,
+and a key is unpacked only to print a term or to read its exponents, in
+time linear in n (int.to_bytes and struct over whole fields).
+
+    x1*x2 - 1   ->   {key((1, 1, 0, 0)): 1, key((0, 0, 0, 0)): -1}
+    1/2*y1      ->   {key((1, 0)): Fraction(1, 2)}
 
 Almost every coefficient of the pipeline is integral (Fox derivatives,
 certificates, connection and Aomoto matrices), so ints keep the arithmetic
@@ -30,22 +61,31 @@ layer below: content_lines, tokenize, parse_int and parse_fraction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from operator import add
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-from .errors import ParseError, ZeroAtPole
+from .errors import ExponentOverflow, ParseError, ZeroAtPole
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
 # The most variables a ring may have, and so the largest generator count of a
-# presentation and variable count of a projection file.  Every monomial holds
-# an exponent per variable, so a count read from a file allocates with it.
+# presentation and variable count of a projection file.  Every monomial key
+# holds a 32-bit field per variable, so a count read from a file allocates
+# with it.
 MAX_VARIABLES = 1024
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The packed layout (module docstring): a field per variable, FIELD_BITS
+# wide, holding exponent + _BIAS; its top bit is the guard.
+FIELD_BITS = 32
+_BIAS = 1 << (FIELD_BITS - 2)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+# Every exponent lies in [-FIELD_EXPONENT, FIELD_EXPONENT).
+FIELD_EXPONENT = _BIAS
 
 
 def canonical(c) -> Coeff:
@@ -67,13 +107,24 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return canonical((a if type(a) is Fraction else Fraction(a)) / b)
 
 
-def _addmul(acc: dict, p: dict, q: dict, sign: int) -> None:
-    """acc += sign * p * q in place, on term dicts.  No zero coefficient is
-    stored, so a sum that cancels was already present and is deleted."""
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(f"an exponent leaves [-2^{FIELD_BITS - 2}, 2^{FIELD_BITS - 2}), "
+                            "the range of its packed field")
+
+
+def _addmul(acc: dict, p: dict, q: dict, sign: int, ring) -> None:
+    """acc += sign * p * q in place, on the term dicts of ring.  No zero
+    coefficient is stored, so a sum that cancels was already present and is
+    deleted.  A product key with a guard bit set has left its field
+    (module docstring): ExponentOverflow."""
+    unit, guard = ring.unit_key, ring._guard
     for e1, c1 in p.items():
         c1 *= sign
+        e1 -= unit
         for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
+            if e & guard:
+                raise _overflow()
             c = acc.get(e, 0) + c1 * c2
             if c:
                 acc[e] = c
@@ -81,7 +132,7 @@ def _addmul(acc: dict, p: dict, q: dict, sign: int) -> None:
                 del acc[e]
 
 
-def canonical_terms(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
+def canonical_terms(terms: dict[int, Coeff]) -> dict[int, Coeff]:
     """terms with every integral Fraction replaced by its int, in place."""
     for e, c in terms.items():
         if type(c) is not int and c.denominator == 1:
@@ -108,10 +159,14 @@ def _power(v: Coeff, a: int, powers: dict) -> Coeff:
 
 @dataclass(frozen=True)
 class RationalField:
-    """The scalar field Q; matrices over it hold bare Fractions."""
+    """The scalar field Q; matrices over it hold bare Fractions.  Term
+    dicts over Q (linalg.char_poly) have the one key of the empty exponent
+    vector, 0."""
 
     tag: str = "rational"
     nvars: int = 0
+    unit_key = 0
+    _guard = 0
 
     def zero(self) -> Fraction:
         return _ZERO
@@ -125,15 +180,94 @@ QQ = RationalField()
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Q[v1..vn] (laurent=False) or Q[v1^{+-1}..vn^{+-1}] (laurent=True)."""
+    """Q[v1..vn] (laurent=False) or Q[v1^{+-1}..vn^{+-1}] (laurent=True).
+
+    The ring owns the monomial keys of its polynomials (module docstring):
+    unit_key is the key of the monomial 1, key and exponents convert
+    between keys and exponent tuples, and linear_variable reads a variable
+    off its key."""
 
     nvars: int
     laurent: bool = False
     var: str = "y"
+    # The layout constants, fixed by nvars: the key of 1 (2^30 in every
+    # field), the guard bits (2^31 in every field), the mask of the fields,
+    # the position of the degree and the codec of the fields.
+    unit_key: int = field(init=False, repr=False, compare=False)
+    _guard: int = field(init=False, repr=False, compare=False)
+    _fields: int = field(init=False, repr=False, compare=False)
+    _shift: int = field(init=False, repr=False, compare=False)
+    _codec: struct.Struct = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.nvars
+        nbytes = FIELD_BITS // 8
+        setattr_ = object.__setattr__
+        setattr_(self, "unit_key", int.from_bytes(_BIAS.to_bytes(nbytes, "big") * n, "big"))
+        setattr_(self, "_guard", self.unit_key << 1)
+        setattr_(self, "_shift", FIELD_BITS * n)
+        setattr_(self, "_fields", (1 << self._shift) - 1)
+        setattr_(self, "_codec", struct.Struct(f">{n}i"))
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the layout from the three fields.
+        return PolyRing, (self.nvars, self.laurent, self.var)
 
     @property
     def tag(self) -> str:
         return "laurent" if self.laurent else "poly"
+
+    # -- monomial keys ---------------------------------------------------------
+
+    def key(self, exps: Sequence[int]) -> int:
+        """The key of an exponent vector of length nvars; ExponentOverflow
+        if an exponent is outside [-FIELD_EXPONENT, FIELD_EXPONENT)."""
+        if len(exps) != self.nvars:
+            raise ValueError("exponent tuple length mismatch")
+        # Packed as 32-bit two's complement, a field flips to e + 2^31 under
+        # the guard bit and drops to e + 2^30 less the bias.
+        try:
+            low = (int.from_bytes(self._codec.pack(*exps), "big") ^ self._guard) - self.unit_key
+        except struct.error:
+            low = self._guard
+        if low & self._guard:
+            raise _overflow()
+        return (sum(exps) << self._shift) + low
+
+    def exponents(self, key: int) -> Exponent:
+        """The exponent vector of a key: the inverse of key, fields in two's
+        complement read by struct."""
+        low = ((key + self.unit_key) & self._fields) ^ self._guard
+        return self._codec.unpack(low.to_bytes(self._codec.size, "big"))
+
+    def linear_variable(self, key: int) -> int | None:
+        """j (0-based) if key is the key of the variable v_{j+1}, else None."""
+        return self._variables.get(key)
+
+    @cached_property
+    def _steps(self) -> list[int]:
+        """key(e + u_i) - key(e) by i, u_i the unit vector of v_{i+1}: built
+        once per ring, on first use (linear_form, substitute, exp_jet)."""
+        degree = 1 << self._shift
+        return [degree + (1 << FIELD_BITS * i) for i in reversed(range(self.nvars))]
+
+    @cached_property
+    def _variables(self) -> dict[int, int]:
+        """The key of each variable v_{i+1}, to i."""
+        unit = self.unit_key
+        return {unit + step: i for i, step in enumerate(self._steps)}
+
+    def _exponent(self, key: int, i: int) -> int:
+        """The exponent of v_{i+1} in key."""
+        return ((key >> FIELD_BITS * (self.nvars - 1 - i)) & _FIELD_MASK) - _BIAS
+
+    def _checked(self, key: int) -> int:
+        """key, if no field of it has left its range (module docstring)."""
+        if key & self._guard:
+            raise _overflow()
+        return key
+
+    # -- elements --------------------------------------------------------------
 
     def zero(self) -> Poly:
         return Poly(self, {})
@@ -145,7 +279,7 @@ class PolyRing:
         c = canonical(c)
         if c == 0:
             return Poly(self, {})
-        return Poly(self, {(0,) * self.nvars: c})
+        return Poly(self, {self.unit_key: c})
 
     def variable(self, j: int) -> Poly:
         """The variable v_j, 1-based."""
@@ -159,26 +293,24 @@ class PolyRing:
                 if not 1 <= j <= self.nvars:
                     raise ValueError(f"variable index {j} out of range 1..{self.nvars}")
                 vec[j - 1] = e
-            key = tuple(vec)
         else:
-            key = tuple(exps)
-            if len(key) != self.nvars:
+            vec = list(exps)
+            if len(vec) != self.nvars:
                 raise ValueError("exponent tuple length mismatch")
         c = canonical(coeff)
         if c == 0:
             return Poly(self, {})
-        if not self.laurent and any(e < 0 for e in key):
-            raise ValueError(f"negative exponent {key} in non-Laurent ring")
-        return Poly(self, {key: c})
+        if not self.laurent and any(e < 0 for e in vec):
+            raise ValueError(f"negative exponent {tuple(vec)} in non-Laurent ring")
+        return Poly(self, {self.key(vec): c})
 
     def linear_form(self, coeffs: Sequence[int]) -> Poly:
         """sum_j coeffs[j - 1] * v_j, one int coefficient per variable: the
         writer of integral linear forms (connection.linear_coefficients reads)."""
         if len(coeffs) != self.nvars:
             raise ValueError("coefficient tuple length mismatch")
-        zeros = (0,) * self.nvars
-        return Poly(self, {zeros[:j] + (1,) + zeros[j + 1:]: c
-                           for j, c in enumerate(coeffs) if c})
+        unit, steps = self.unit_key, self._steps
+        return Poly(self, {unit + steps[j]: c for j, c in enumerate(coeffs) if c})
 
 
 @cache
@@ -195,20 +327,16 @@ def laurent_ring(nvars: int) -> PolyRing:
     return PolyRing(nvars, laurent=True, var="x")
 
 
-def _term_key(exps: Exponent) -> tuple[int, Exponent]:
-    return (sum(exps), exps)
-
-
 class Poly:
     """Sparse exact multivariate (Laurent) polynomial over Q.
 
-    terms maps exponent tuples to nonzero canonical coefficients (see
-    canonical); the constructor trusts its caller to keep that invariant,
-    and every operation here does."""
+    terms maps monomial keys (PolyRing.key) to nonzero canonical
+    coefficients (see canonical); the constructor trusts its caller to keep
+    that invariant, and every operation here does."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[Exponent, Coeff]):
+    def __init__(self, ring: PolyRing, terms: dict[int, Coeff]):
         self.ring = ring
         self.terms = terms
 
@@ -276,27 +404,39 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Exponent, Coeff] = {}
-        _addmul(terms, self.terms, other.terms, 1)
+        terms: dict[int, Coeff] = {}
+        _addmul(terms, self.terms, other.terms, 1, self.ring)
         return Poly(self.ring, canonical_terms(terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        ring = self.ring
         if n < 0:
             # Only unit monomials are invertible, and only in a Laurent ring.
             mono = self.as_monomial()
-            if mono is None or not self.ring.laurent:
+            if mono is None or not ring.laurent:
                 raise ValueError("negative power of a non-unit")
+        if n and self.terms:
+            # The extreme exponent of each variable is attained by one term,
+            # whose n-th power survives in the result, so the result fits
+            # its fields exactly when these bounds do; the check comes
+            # before any coefficient is raised.
+            exps = [k for e in self.terms for k in ring.exponents(e)]
+            if not all(-_BIAS <= k * n < _BIAS for k in (min(exps), max(exps))):
+                raise _overflow()
+        if n < 0:
             e, c = mono
-            return Poly(self.ring, {tuple(k * n for k in e): coeff_div(1, c ** -n)})
-        out = self.ring.one()
+            unit = ring.unit_key
+            return Poly(ring, {unit + n * (e - unit): coeff_div(1, c ** -n)})
+        out = ring.one()
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c: Coeff) -> "Poly":
@@ -308,10 +448,13 @@ class Poly:
     # -- structural queries ------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
-        """Terms in canonical (descending graded-lex) order."""
-        return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
+        """(exponent tuple, coefficient) pairs in canonical (descending
+        graded-lex) order, which is the order of the keys."""
+        exponents, terms = self.ring.exponents, self.terms
+        return [(exponents(e), terms[e]) for e in sorted(terms, reverse=True)]
 
-    def as_monomial(self) -> tuple[Exponent, Coeff] | None:
+    def as_monomial(self) -> tuple[int, Coeff] | None:
+        """(key, coefficient) of a one-term polynomial, else None."""
         if len(self.terms) != 1:
             return None
         ((e, c),) = self.terms.items()
@@ -334,7 +477,9 @@ class Poly:
         Laurent ring has those, so only there is the rest of the term
         read."""
         total = 0
-        for e, c in self.terms.items():
+        exponents = self.ring.exponents
+        for key, c in self.terms.items():
+            e = exponents(key)
             val = c
             for v, k in zip(pt, e):
                 if k == 0:
@@ -362,10 +507,12 @@ class Poly:
         unit monomial replacement, whose inverse exists (ValueError otherwise)."""
         if replacement.ring != self.ring:
             raise ValueError("replacement ring mismatch")
-        i = j - 1
-        out = self.ring.zero()
+        ring, i = self.ring, j - 1
+        step = ring._steps[i]
+        out = ring.zero()
         for e, c in self.terms.items():
-            out = out + Poly(self.ring, {e[:i] + (0,) + e[i + 1:]: c}) * replacement ** e[i]
+            k = ring._exponent(e, i)
+            out = out + Poly(ring, {e - k * step: c}) * replacement ** k
         return out
 
     # -- exact division ------------------------------------------------------
@@ -375,43 +522,60 @@ class Poly:
 
         Long division on one remainder term dict: each quotient term t
         subtracts t * divisor from it in place (_addmul), so no Poly is
-        built until the quotient is whole."""
+        built until the quotient is whole.  The leading term is the largest
+        key, and the divisibility of leading terms one mask test (module
+        docstring)."""
         from .errors import NotInRing
 
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self.ring.zero()
+        ring = self.ring
+        unit = ring.unit_key
         rem, div = self.terms, divisor.terms
-        if self.ring.laurent:
-            # Shift both operands into the polynomial cone, divide there.
+        if len(div) == 1:
+            # A monomial divides term by term: in Q[y] when every field of
+            # the quotient keeps its bias bit, in the Laurent ring always.
+            ((de, dc),) = div.items()
+            quotient = {}
+            for e, c in rem.items():
+                qe = e - de + unit
+                if not ring.laurent and qe & unit != unit:
+                    raise NotInRing("term not divisible by the monomial")
+                quotient[ring._checked(qe)] = coeff_div(c, dc)
+            return Poly(ring, quotient)
+        if ring.laurent:
+            # Divide both operands by their monomial content, into the
+            # polynomial cone; divide there, and multiply the quotient by
+            # the content of self over that of divisor.
             shift_self, shift_div = self._monomial_shift(), divisor._monomial_shift()
-            rem = {tuple(a - s for a, s in zip(e, shift_self)): c for e, c in rem.items()}
-            div = {tuple(a - s for a, s in zip(e, shift_div)): c for e, c in div.items()}
-            delta = tuple(a - b for a, b in zip(shift_self, shift_div))
+            rem = {ring._checked(e - shift_self + unit): c for e, c in rem.items()}
+            div = {ring._checked(e - shift_div + unit): c for e, c in div.items()}
         else:
             rem = dict(rem)
-        de = max(div, key=_term_key)
+        de = max(div)
         dc = div[de]
-        quotient: dict[Exponent, Coeff] = {}
+        quotient: dict[int, Coeff] = {}
         while rem:
-            re_ = max(rem, key=_term_key)
-            qe = tuple(a - b for a, b in zip(re_, de))
-            if min(qe, default=0) < 0:
+            re_ = max(rem)
+            qe = re_ - de + unit
+            if qe & unit != unit:
                 raise NotInRing("leading term not divisible")
             # The remainder's coefficients need not be canonical; coeff_div
             # makes the quotient's so.
             qc = quotient[qe] = coeff_div(rem[re_], dc)
-            _addmul(rem, {qe: qc}, div, -1)
-        if self.ring.laurent:
-            quotient = {tuple(map(add, e, delta)): c for e, c in quotient.items()}
-        return Poly(self.ring, quotient)
+            _addmul(rem, {qe: qc}, div, -1, ring)
+        if ring.laurent:
+            quotient = {ring._checked(e + shift_self - shift_div): c
+                        for e, c in quotient.items()}
+        return Poly(ring, quotient)
 
-    def _monomial_shift(self) -> Exponent:
-        """The least exponent of each variable over the terms.  Shifting by
-        it removes every monomial factor, so a Laurent quotient of two
-        shifted operands is already a polynomial."""
-        return tuple(min(e[i] for e in self.terms) for i in range(self.ring.nvars))
+    def _monomial_shift(self) -> int:
+        """The key of the least exponent of each variable over the terms.
+        Dividing by it removes every monomial factor, so a Laurent quotient
+        of two shifted operands is already a polynomial."""
+        return self.ring.key(tuple(map(min, zip(*map(self.ring.exponents, self.terms)))))
 
     # -- display -------------------------------------------------------------
 
@@ -436,34 +600,32 @@ def exp_jet(p: Poly, order: int) -> tuple[Fraction, Poly] | tuple[Fraction, Poly
     """
     if order not in (1, 2):
         raise ValueError("exp_jet computes order 1 or 2")
-    n = p.ring.nvars
-    target = poly_ring(n)
+    exponents = p.ring.exponents
+    target = poly_ring(p.ring.nvars)
+    steps = target._steps
     value = 0
-    # Keyed by the variable indices of the monomial: (i,) or (i, j), i <= j.
-    # twice_quadratic holds 2 * part 2, so it is integral when p is, and
-    # one exact halving per monomial ends the pass.
-    linear: dict[tuple[int, ...], Coeff] = {}
-    twice_quadratic: dict[tuple[int, ...], Coeff] = {}
+    # Keyed by the key of the monomial less the key of 1: steps[i] for y_i,
+    # steps[i] + steps[j] for y_i * y_j.  twice_quadratic holds 2 * part 2,
+    # so it is integral when p is, and one exact halving per monomial ends
+    # the pass.
+    linear: dict[int, Coeff] = {}
+    twice_quadratic: dict[int, Coeff] = {}
     for e, c in p.terms.items():
         value += c
-        support = [(j, m) for j, m in enumerate(e) if m]
-        for a, (i, mi) in enumerate(support):
+        support = [(steps[j], m) for j, m in enumerate(exponents(e)) if m]
+        for a, (si, mi) in enumerate(support):
             cm = c * mi
-            linear[i,] = linear.get((i,), 0) + cm
+            linear[si] = linear.get(si, 0) + cm
             if order == 2:
-                twice_quadratic[i, i] = twice_quadratic.get((i, i), 0) + cm * mi
-                for j, mj in support[a + 1:]:
-                    twice_quadratic[i, j] = twice_quadratic.get((i, j), 0) + 2 * cm * mj
+                sii = si + si
+                twice_quadratic[sii] = twice_quadratic.get(sii, 0) + cm * mi
+                for sj, mj in support[a + 1:]:
+                    sij = si + sj
+                    twice_quadratic[sij] = twice_quadratic.get(sij, 0) + 2 * cm * mj
 
-    def poly(coeffs: dict[tuple[int, ...], Coeff], den: int) -> Poly:
-        terms = {}
-        for idx, c in coeffs.items():
-            if c:
-                e = [0] * n
-                for i in idx:
-                    e[i] += 1
-                terms[tuple(e)] = coeff_div(c, den)
-        return Poly(target, terms)
+    def poly(coeffs: dict[int, Coeff], den: int) -> Poly:
+        unit = target.unit_key
+        return Poly(target, {unit + k: coeff_div(c, den) for k, c in coeffs.items() if c})
 
     value = Fraction(value)
     if order == 1:
@@ -664,14 +826,15 @@ def poly_to_pairs(p: Poly) -> list[list]:
 
 
 def poly_from_pairs(pairs: Iterable, ring: PolyRing) -> Poly:
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[int, Fraction] = {}
     for coeff, exps in pairs:
-        e = tuple(parse_int(str(k), -MAX_EXPONENT, MAX_EXPONENT, "exponent") for k in exps)
+        e = [parse_int(str(k), -MAX_EXPONENT, MAX_EXPONENT, "exponent") for k in exps]
         if len(e) != ring.nvars:
             raise ParseError("exponent vector length mismatch")
         c = parse_fraction(str(coeff))
         if c:
-            terms[e] = terms.get(e, _ZERO) + c
+            key = ring.key(e)
+            terms[key] = terms.get(key, _ZERO) + c
     return Poly(ring, {e: canonical(c) for e, c in terms.items() if c})
 
 

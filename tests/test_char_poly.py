@@ -47,7 +47,7 @@ def divide_linear(cp, root):
     """The exact quotient of cp by (z - root) as a coefficient tuple, by
     divide_linear_terms on the cleared coefficients; None on a remainder."""
     coeffs, d = cp.cleared()
-    out = divide_linear_terms(coeffs, _terms(root))
+    out = divide_linear_terms(coeffs, _terms(root), cp.ring)
     return None if out is None else tuple(_from_terms(cp.ring, t, d) for t in out)
 
 

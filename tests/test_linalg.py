@@ -110,9 +110,9 @@ def test_product_multiplies_only_nonzero_pairs(ring, monkeypatch):
     calls = []
     addmul = linalg._addmul
 
-    def counted(acc, p, q, sign):
+    def counted(acc, p, q, sign, ring):
         calls.append((p, q))
-        return addmul(acc, p, q, sign)
+        return addmul(acc, p, q, sign, ring)
 
     monkeypatch.setattr(linalg, "_addmul", counted)
     pool = _entry_pool(ring)
