@@ -26,8 +26,11 @@ solve_right holding only its nonzero equations, as dense rows adopted
 without a copy (connection._gauge_system), and the rational solve reads
 the nonzeros of A and of B's columns straight into its sparse rows; a
 solve straight from sparse equations waits for the in-package trace
-(ROADMAP 1d), since the benchmark reads the gauge's shape from that
-solve_right call.
+(ROADMAP 2), since the benchmark reads the gauge's shape from that
+solve_right call.  The gauge check asks only whether the system is
+consistent, and the rational solve answers that by forward elimination
+alone: the particular solution and the kernel are derived when first
+read, so the check builds neither.
 
 One fraction-free Bareiss elimination, parametrized by the ring's exact
 division, gives every rank and determinant: rational ranks on rows cleared
@@ -36,9 +39,15 @@ ring (Poly.exact_div), and the pivot rows and columns of symbolic solving.
 Its row update is bareiss_step, which the dependency walk of arrangement
 also applies, one new row at a time, against a prefix's echelon.
 Solving over Q and the rational reduced row echelon form share one sparse
-Gauss-Jordan: rows hold only their nonzeros, and the pivot is the row with
-the fewest of them (Markowitz).  The reduced row echelon form is unique, so
-the answer does not depend on the pivot order.
+elimination in two phases (Duff, Erisman and Reid, Direct Methods for
+Sparse Matrices, 1986): rows hold only their nonzeros, forward elimination
+takes as pivot the unused row with the fewest of them (Markowitz 1957) and
+updates only the unused rows, and back-substitution then reduces the
+pivot rows to the reduced row echelon form.  That form is unique, so the
+answer does not depend on the pivot order.  The reduced row echelon form
+runs both phases; solve_right over Q runs the forward phase, which alone
+decides consistency, and leaves back-substitution to the first read of
+the solution or the kernel.
 
 Symbolic solving applies Cramer's rule to the pivot minor S, whose
 determinant is the last pivot of the elimination and whose adjugate comes
@@ -72,6 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import add, floordiv, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
@@ -404,22 +414,23 @@ def _sparse_rows(entries: Iterable[Sequence]) -> list[dict[int, Coeff]]:
     return [{j: canonical(row[j]) for j in compress(range(len(row)), row)} for row in entries]
 
 
-def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:
-    """Sparse Gauss-Jordan over Q on columns 0..stop-1, in place.
+def _forward(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:
+    """Sparse forward elimination over Q on columns 0..stop-1, in place.
 
     rows holds only nonzeros, as canonical coefficients, so entries that
     cancel are deleted.  Columns are taken left to right; the pivot is the
-    unused row with the fewest nonzeros (ties to the lowest index), and
-    only rows with a nonzero in the pivot column are updated.  Rows sit in
-    buckets by length: rank[i] = len(rows[i]) * len(rows) + i, kept as
-    rows change, so the pivot is the least rank among the column's unused
-    rows, one min over ints with no key function.  Pivot rows
-    are normalized by the exact rings.coeff_div and every update is
-    re-canonicalized, so an entry that is integral stays an int and integer
-    input with unit pivots never touches Fraction.  Returns (column, row
-    index) per pivot, by column.  Pivot rows end normalized and reduced,
-    i.e. they are the rows of the unique reduced row echelon form; every
-    other row is zero on columns below stop.
+    unused row with the fewest nonzeros (Markowitz; ties to the lowest
+    index), and only the unused rows with a nonzero in the pivot column are
+    updated.  Rows sit in buckets by length: rank[i] = len(rows[i]) *
+    len(rows) + i, kept as rows change, so the pivot is the least rank
+    among the column's unused rows, one min over ints with no key
+    function.  The column index holds unused rows only: a pivot row leaves
+    it and is never changed again.  Pivot rows are normalized by the exact
+    rings.coeff_div and every update is re-canonicalized, so an entry that
+    is integral stays an int and integer input with unit pivots never
+    touches Fraction.  Returns (column, row index) per pivot, by column.
+    Each pivot row then holds 1 at its column and nothing at an earlier
+    pivot column; every other row is zero on columns below stop.
     """
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -427,21 +438,20 @@ def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, in
             col_rows.setdefault(j, set()).add(i)
     size = len(rows)
     rank = [len(row) * size + i for i, row in enumerate(rows)]
-    used: set[int] = set()
     pivots: list[tuple[int, int]] = []
     for c in sorted(j for j in col_rows if j < stop):
         holders = col_rows[c]
-        free = holders - used
-        if not free:
+        if not holders:
             continue
-        p = min(map(rank.__getitem__, free)) % size
-        used.add(p)
+        p = min(map(rank.__getitem__, holders)) % size
         prow = rows[p]
+        for j in prow:
+            col_rows[j].discard(p)
         pv = prow[c]
         if pv != 1:
             for j, v in prow.items():
                 prow[j] = coeff_div(v, pv)
-        for i in [i for i in holders if i != p]:
+        for i in list(holders):
             row = rows[i]
             f = row[c]
             for j, v in prow.items():
@@ -459,11 +469,33 @@ def _gauss_jordan(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, in
     return pivots
 
 
+def _back_substitute(rows: list[dict[int, Coeff]], pivots: list[tuple[int, int]]) -> None:
+    """Turn _forward's echelon into the reduced row echelon form, in place.
+
+    Last pivot first, each pivot row loses its entries at the later pivot
+    columns by subtracting those columns' pivot rows, which are reduced
+    already and so bring in no pivot column.  The pivot rows are then the
+    rows of the unique reduced row echelon form, whatever the pivot order.
+    """
+    pivot_row = dict(pivots)
+    for c, p in reversed(pivots):
+        row = rows[p]
+        for t in [j for j in row if j != c and j in pivot_row]:
+            f = row[t]
+            for j, v in rows[pivot_row[t]].items():
+                new = row.get(j, 0) - f * v
+                if new:
+                    row[j] = canonical(new)
+                else:
+                    del row[j]
+
+
 def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
     ncols = len(rows[0]) if rows else 0
     sparse = _sparse_rows(rows)
-    pivots = _gauss_jordan(sparse, ncols)
+    pivots = _forward(sparse, ncols)
+    _back_substitute(sparse, pivots)
     zero = Fraction(0)
     out = [[Fraction(sparse[p].get(j, 0)) for j in range(ncols)] for _, p in pivots]
     out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
@@ -531,13 +563,16 @@ def _adjugate(m: RingMatrix) -> RingMatrix:
 
 @dataclass
 class SolveResult:
-    """Particular solution over the fraction field plus right-kernel basis.
+    """A solution of A * X = B over the fraction field, and a basis of the
+    right kernel of A.
 
-    The particular solution is numerator / denominator with a single explicit
-    ring denominator for all entries.  Kernel vectors have denominators
-    cleared, so they are exact ring vectors with A*k = 0.  in_ring is True
-    when every entry of the solution cleared to the ring by exact division,
-    in which case `cleared` holds the ring-entry matrix.
+    The particular solution is numerator / denominator, one explicit ring
+    denominator for all entries.  Kernel vectors have denominators cleared,
+    so they are exact ring vectors with A*k = 0.  in_ring is True when
+    every entry of the solution cleared to the ring by exact division, in
+    which case `cleared` holds the ring-entry matrix.  Over Q[y] and the
+    Laurent ring every field is built with the result; over Q the result is
+    an _EchelonSolve, which derives them when they are read.
     """
 
     ring: object
@@ -552,38 +587,76 @@ class SolveResult:
         return len(self.kernel)
 
 
+class _EchelonSolve(SolveResult):
+    """solve_right's result over Q: the forward echelon of [A | B] (pivot
+    columns below n, right sides from n on).  The first read of cleared
+    (the particular solution with free coordinates 0, also the numerator
+    over denominator 1) or of kernel runs the one back-substitution, in
+    place, and each is then built from the reduced rows once.
+    kernel_dimension is n minus the rank and builds nothing."""
+
+    ring = QQ
+    denominator = Fraction(1)
+    in_ring = True
+
+    def __init__(self, rows: list[dict[int, Coeff]], pivots: list[tuple[int, int]],
+                 n: int, k: int):
+        self._rows, self._pivots, self._n, self._k = rows, pivots, n, k
+
+    @cached_property
+    def _reduced(self) -> list[dict[int, Coeff]]:
+        _back_substitute(self._rows, self._pivots)
+        return self._rows
+
+    @cached_property
+    def cleared(self) -> RingMatrix:
+        rows, n = self._reduced, self._n
+        out = RingMatrix.zero(QQ, n, self._k)
+        for c, p in self._pivots:
+            for j, v in rows[p].items():
+                if j >= n:
+                    out.entries[c][j - n] = Fraction(v)
+        return out
+
+    @property
+    def numerator(self) -> RingMatrix:
+        return self.cleared
+
+    @cached_property
+    def kernel(self) -> list[list[Fraction]]:
+        rows, n = self._reduced, self._n
+        pivot_cols = {c for c, _ in self._pivots}
+        free = {fc: t for t, fc in enumerate(c for c in range(n) if c not in pivot_cols)}
+        out = [[QQ.zero()] * n for _ in free]
+        for fc, t in free.items():
+            out[t][fc] = QQ.one()
+        for c, p in self._pivots:
+            for j, v in rows[p].items():
+                if j in free:
+                    out[free[j]][c] = Fraction(-v)
+        return out
+
+    @property
+    def kernel_dimension(self) -> int:
+        return self._n - len(self._pivots)
+
+
 def _solve_right_rational(a: RingMatrix, b: RingMatrix) -> SolveResult:
-    """Sparse Gauss-Jordan over Q on the rows of [A | B], read off A's and
-    B's nonzeros.  Fractions already form a field, so X is always 'in the
-    ring' here.  The reduced row echelon form is unique, so the particular
-    solution (free coordinates 0) and the kernel basis do not depend on the
-    pivot order."""
+    """Forward elimination over Q on the rows of [A | B], read off A's and
+    B's nonzeros.  The system is consistent exactly when every non-pivot
+    row ends empty; NoSolution is raised on the first that keeps a right
+    side, before any back-substitution."""
     n, k = a.cols, b.cols
     rows = _sparse_rows(a.entries)
     for row, rb in zip(rows, b.entries):
         for j in compress(range(k), rb):
             row[n + j] = canonical(rb[j])
-    pivots = _gauss_jordan(rows, n)
+    pivots = _forward(rows, n)
     pivot_rows = {p for _, p in pivots}
     for i, row in enumerate(rows):
         if row and i not in pivot_rows:
             raise NoSolution(f"inconsistent row {i}")
-    pivot_cols = {c for c, _ in pivots}
-    free = {fc: t for t, fc in enumerate(c for c in range(n) if c not in pivot_cols)}
-    kernel = [[QQ.zero()] * n for _ in free]
-    for fc, t in free.items():
-        kernel[t][fc] = QQ.one()
-    # One pass over the reduced pivot rows fills X and the kernel basis,
-    # both as Fractions.
-    cleared = RingMatrix.zero(QQ, n, k)
-    for c, p in pivots:
-        for j, v in rows[p].items():
-            if j >= n:
-                cleared.entries[c][j - n] = Fraction(v)
-            elif j in free:
-                kernel[free[j]][c] = Fraction(-v)
-    return SolveResult(ring=QQ, numerator=cleared, denominator=Fraction(1),
-                       kernel=kernel, in_ring=True, cleared=cleared)
+    return _EchelonSolve(rows, pivots, n, k)
 
 
 def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
@@ -592,7 +665,10 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     Returns one particular solution, a basis of the right kernel of A with
     denominators cleared to ring entries, and whether X itself lies in the
     ring.  Raises NoSolution when the system is inconsistent.  A kernel of
-    positive dimension signals non-uniqueness; it is not an error.
+    positive dimension signals non-uniqueness; it is not an error.  Over Q
+    the call runs forward elimination only, which proves consistency, and
+    the result derives the solution and the kernel when they are first
+    read (_EchelonSolve); over Q[y] and the Laurent ring it builds both.
     """
     if a.rows != b.rows:
         raise ShapeMismatch(f"solve {a.shape()} against {b.shape()}")

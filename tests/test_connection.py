@@ -582,6 +582,25 @@ def test_gauge_system_keeps_an_equation_with_zero_left_side():
         solve_right(*_gauge_system(omega, rhs))
 
 
+def test_gauge_check_runs_no_back_substitution(pencil, monkeypatch):
+    """The gauge check needs consistency alone, which forward elimination
+    proves: back-substitution, which only the solution and the kernel
+    read, never runs."""
+    from arrmono import linalg
+    calls = []
+    back_substitute = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute",
+                        lambda *args: calls.append(1) or back_substitute(*args))
+    for phi in (pencil["phis"][1], pencil["phis"][2], _boolean_inner_loop()[0]):
+        rep = verify_exp_relation(phi)
+        assert rep.passed and not rep.entrywise_degree2
+    assert calls == []
+    # The spy sees the phase where a result is read.
+    res = solve_right(RingMatrix(QQ, [[1, 2], [2, 4]]), RingMatrix(QQ, [[1], [2]]))
+    assert res.kernel_dimension == 1 and calls == []
+    assert res.kernel == [[-2, 1]] and calls == [1]
+
+
 def test_spectra_correspondence(pencil):
     for q in (1, 2):
         er = eigen_monomials(pencil["phis"][q])

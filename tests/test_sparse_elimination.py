@@ -1,6 +1,7 @@
-"""Sparse Gauss-Jordan over Q against the dense reference elimination it
-replaced: equal particular solutions, kernel bases, NoSolution verdicts and
-reduced row echelon forms on random sparse rational systems."""
+"""The two-phase sparse elimination over Q (forward, then back-substitution)
+against a dense reference Gauss-Jordan: equal particular solutions, kernel
+bases, kernel dimensions, NoSolution verdicts and reduced row echelon forms
+on random sparse rational systems, whichever derived field is read first."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrmono import QQ, NoSolution, RingMatrix, solve_right
-from arrmono.linalg import _gauss_jordan, _sparse_rows, rational_rref
+from arrmono.linalg import _back_substitute, _forward, _sparse_rows, rational_rref
 
 
 def dense_rref(rows):
@@ -113,8 +114,11 @@ def systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(systems())
-def test_sparse_solve_matches_dense_reference(system):
+@given(systems(), st.booleans())
+def test_sparse_solve_matches_dense_reference(system, kernel_first):
+    """Back-substitution runs in place on the first read, so the derived
+    fields are read in both orders; kernel_dimension comes before either
+    and must not run it."""
     a_rows, b_rows = system
     a, b = RingMatrix(QQ, a_rows), RingMatrix(QQ, b_rows)
     try:
@@ -124,8 +128,12 @@ def test_sparse_solve_matches_dense_reference(system):
             solve_right(a, b)
         return
     res = solve_right(a, b)
+    assert res.kernel_dimension == len(expected[1])
+    assert "_reduced" not in vars(res)
+    if kernel_first:
+        assert res.kernel == expected[1]
     assert res.in_ring and res.denominator == 1
-    assert res.cleared == expected[0]
+    assert res.cleared == res.numerator == expected[0]
     assert res.kernel == expected[1]
     if res.cleared.rows:
         assert a * res.cleared == b
@@ -151,7 +159,7 @@ def test_integer_entries_and_zero_rows():
 
 # -- canonical coefficients ---------------------------------------------------
 #
-# _gauss_jordan keeps every entry an int when it is integral and a Fraction
+# Both phases keep every entry an int when it is integral and a Fraction
 # with denominator > 1 otherwise; a float would compare equal to the oracle
 # and slip through, so the types are checked as well as the values.
 
@@ -163,7 +171,8 @@ def _canonical(v) -> bool:
 def _reduced_pivot_rows(rows):
     ncols = len(rows[0])
     sparse = _sparse_rows(rows)
-    pivots = _gauss_jordan(sparse, ncols)
+    pivots = _forward(sparse, ncols)
+    _back_substitute(sparse, pivots)
     for row in sparse:
         assert all(_canonical(v) for v in row.values()), row
     return [[sparse[p].get(j, 0) for j in range(ncols)] for _, p in pivots]
