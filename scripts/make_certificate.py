@@ -85,8 +85,8 @@ def main():
     cert.validate(pres, endo)  # free-reduction proof of every identity
     print("derived certificate validates; induced degree-2 matrix:")
     p2 = phi2_from_certificate(pres, endo, cert, universal_complex(pres), phi1(endo))
-    for row in p2.entries:
-        print("   [ " + "  ".join(str(e) for e in row) + " ]")
+    for i in range(p2.rows):
+        print("   [ " + "  ".join(str(e) for e in p2.row(i)) + " ]")
     text = format_certificate(cert)
     print()
     print(text)

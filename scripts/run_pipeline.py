@@ -18,10 +18,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def show(name, matrix):
     print(f"{name} =")
-    widths = [max(len(str(matrix.entries[i][j])) for i in range(matrix.rows))
+    widths = [max(len(str(matrix[i, j])) for i in range(matrix.rows))
               for j in range(matrix.cols)]
-    for row in matrix.entries:
-        print("   [ " + "   ".join(str(e).rjust(w) for e, w in zip(row, widths)) + " ]")
+    for i in range(matrix.rows):
+        print("   [ " + "   ".join(str(e).rjust(w) for e, w in zip(matrix.row(i), widths)) + " ]")
     print()
 
 
@@ -62,7 +62,8 @@ def main():
         for q, m in sorted(act.matrices.items()):
             if m.rows:
                 cp = char_poly(m)
-                print(f"  H^{q} action: {m.entries}  char poly coeffs {list(cp.coeffs)}")
+                rows = [m.row(i) for i in range(m.rows)]
+                print(f"  H^{q} action: {rows}  char poly coeffs {list(cp.coeffs)}")
     if job.chain_universal and job.chain_aomoto:  # each raises on failure
         print("\nall identities verified")
 

@@ -227,6 +227,8 @@ def cmd_monodromy(job: Job, report: ReportWriter) -> None:
 
 def cmd_connection(job: Job, report: ReportWriter) -> None:
     point = parse_point(job.args.at, job.pres.ngens) if job.args.at else None
+    if job.args.arrangement:
+        job.mu  # the dependency limit and the rank check fail before any connection work
     phis, omega = job.phis, job.omega
     report.section("connection")
     for q in (1, 2):

@@ -25,6 +25,8 @@ from .errors import (
     NoSolution,
     NotIdentityAtOne,
     NotInRing,
+    ParseError,
+    VerificationFailed,
 )
 from .linalg import (
     QQ,
@@ -45,7 +47,18 @@ from .linalg import (
     solve_right,
     verify_chain_map,
 )
-from .rings import MAX_VARIABLES, Poly, format_poly, laurent_ring, poly_ring
+from .rings import (
+    MAX_VARIABLES,
+    Poly,
+    _shown,
+    content_lines,
+    exp_jet,
+    format_poly,
+    laurent_ring,
+    parse_int,
+    parse_poly,
+    poly_ring,
+)
 
 # -- formal connection -------------------------------------------------------------
 
@@ -99,8 +112,8 @@ def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
     out: list[list[dict[int, int]]] = [[{} for _ in range(m.rows)]
                                        for _ in range(m.ring.nvars)]
     variable = m.ring.linear_variable
-    for i, row in enumerate(m.entries):
-        for k, e in enumerate(row):
+    for i, row in enumerate(m.nonzero_rows()):
+        for k, e in row.items():
             for key, c in e.terms.items():
                 j = variable(key)
                 if j is None or type(c) is not int:
@@ -119,7 +132,7 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
     reaches, or whose terms cancel, with a zero right side (0 = 0) is not.
     A is built from the terms c * y_u of Omega's entries, read as they are
     (ints on an integral Omega); the right side b is rational.  Equations
-    are sparse dicts until they survive, and only those become dense rows.
+    are sparse dicts, and those that survive are the rows of A as they are.
     """
     s = omega.rows
     ring = omega.ring
@@ -133,8 +146,8 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
     # Equation (a * s + b) * nmono + m holds the coefficient of monomial m in
     # entry (a, b); unknown (a * s + b) * n + v is the coefficient of y_v in
     # G1[a][b].  The equations of row a of the product form block a.
-    terms = [[(j, ring.linear_variable(key), c) for j, e in enumerate(row)
-              for key, c in e.terms.items()] for row in omega.entries]
+    terms = [[(j, ring.linear_variable(key), c) for j, e in row.items()
+              for key, c in e.terms.items()] for row in omega.nonzero_rows()]
     # In (G1 * Omega)[a][j], the term c * y_u of Omega[i][j] meets G1[a][i]:
     # the same template in every block a, shifted by a * s * n unknowns.
     left: dict[int, dict[int, int]] = defaultdict(dict)
@@ -142,9 +155,9 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
         for j, u, c in row:
             for v in range(n):
                 left[j * nmono + mono[u][v]][i * n + v] = c
-    zero_row = [0] * cols
-    a_rows: list[list[int]] = []
-    b_rows: list[list] = []
+    rhs_rows = rhs.nonzero_rows()
+    a_rows: list[dict[int, int]] = []
+    b_rows: list[dict] = []
     for a in range(s):
         shift = a * s * n
         block = defaultdict(dict, {e: {col + shift: c for col, c in eq.items()}
@@ -161,7 +174,7 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
                     else:
                         del eq[col]
         right = {}
-        for b, entry in enumerate(rhs.entries[a]):
+        for b, entry in rhs_rows[a].items():
             for key, c in entry.terms.items():
                 exps = ring.exponents(key)
                 if sum(exps) != 2:
@@ -171,12 +184,9 @@ def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingM
         for e in sorted(block.keys() | right.keys()):
             eq = block.get(e, {})
             if eq or e in right:
-                row = zero_row.copy()
-                for col, c in eq.items():
-                    row[col] = c
-                a_rows.append(row)
-                b_rows.append([right.get(e, 0)])
-    return RingMatrix.adopt(QQ, a_rows, cols), RingMatrix.adopt(QQ, b_rows, 1)
+                a_rows.append(eq)
+                b_rows.append({0: right.get(e, 0)})
+    return RingMatrix.from_rows(QQ, a_rows, cols), RingMatrix.from_rows(QQ, b_rows, 1)
 
 
 def verify_exp_relation(phi: RingMatrix) -> ExpRelationReport:
@@ -475,8 +485,7 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
 
     star = max(sorted(candidates), key=candidates.get, default=(0,) * n)
     shift = omega.ring.linear_form(star)
-    shifted = RingMatrix(omega.ring, [[e - shift if i == k else e for k, e in enumerate(row)]
-                                      for i, row in enumerate(omega.entries)])
+    shifted = omega - RingMatrix.from_rows(omega.ring, ({i: shift} for i in range(size)), size)
     return _certified(char_poly(shifted), "linear_form",
                       ((cand, omega.ring.linear_form([c - s for c, s in zip(cand, star)]).terms,
                         candidates[cand]) for cand in sorted(candidates)))
@@ -530,11 +539,9 @@ class ProjectionData:
 def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -> None:
     """Check D1 * Xi = 0 and mu1 * Upsilon = 0 (on the locus, if any),
     Upsilon = linear part of Xi, and generic rank Xi = number of columns."""
-    from .errors import VerificationFailed
-
     def require_zero(prod: RingMatrix, subs: dict[int, Poly], check: str, label: str) -> None:
-        for i, row in enumerate(prod.entries):
-            for j, e in enumerate(row):
+        for i, row in enumerate(prod.nonzero_rows()):
+            for j, e in row.items():
                 for v, rep in sorted(subs.items()):
                     e = e.substitute(v, rep)
                 if not e.is_zero():
@@ -566,9 +573,6 @@ def verify_projection(delta: RingMatrix, mu: RingMatrix, proj: ProjectionData) -
 
 
 def parse_projection(text: str) -> ProjectionData:
-    from .errors import ParseError
-    from .rings import _shown, content_lines, exp_jet, parse_int, parse_poly
-
     lines = content_lines(text)
     header: dict[str, str] = {}
     locus_lines: list[str] = []
@@ -714,7 +718,8 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
             coords = solve_right(span, images).cleared
         except NoSolution:
             raise ChainIdentityFailed(f"image of a degree-{q} cocycle left the kernel") from None
-        matrices[q] = RingMatrix(QQ, [list(col[len(image):]) for col in zip(*coords.entries)])
+        matrices[q] = RingMatrix(QQ, [[coords[i, t] for i in range(len(image), coords.rows)]
+                                      for t in range(coords.cols)])
     return CohomologyAction(betti=betti, matrices=matrices, representatives=reps)
 
 

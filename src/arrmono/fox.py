@@ -29,7 +29,7 @@ from .errors import (
     NotAComplex,
     ParseError,
 )
-from .linalg import RingComplex, RingMatrix, verify_chain_map
+from .linalg import RingComplex, RingMatrix, solve_right, verify_chain_map
 from .rings import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -319,11 +319,11 @@ def fox_derivatives(w: Word) -> dict[int, Poly]:
 def _fox_matrix(ring: PolyRing, words: Sequence[Word]) -> RingMatrix:
     """The matrix whose column k holds the Fox derivatives of the k-th
     word, row i by generator i + 1."""
-    out = RingMatrix.zero(ring, ring.nvars, len(words))
+    rows: list[dict[int, Poly]] = [{} for _ in range(ring.nvars)]
     for k, w in enumerate(words):
         for g, d in fox_derivatives(w).items():
-            out.entries[g - 1][k] = d
-    return out
+            rows[g - 1][k] = d
+    return RingMatrix.from_rows(ring, rows, len(words))
 
 
 def _boundaries(pres: Presentation) -> list[RingMatrix]:
@@ -452,10 +452,12 @@ def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
     cert.validate(pres, endo)
     ring = pres.ring()
     m = pres.nrels
-    out = RingMatrix.zero(ring, m, m)
+    rows: list[dict[int, Poly]] = [{} for _ in range(m)]
+    zero = ring.zero()
     for l, terms in enumerate(cert.terms):
         for w, k, e in terms:
-            out.entries[k - 1][l] = out.entries[k - 1][l] + ring.monomial(w.abelianization(), e)
+            rows[k - 1][l] = rows[k - 1].get(l, zero) + ring.monomial(w.abelianization(), e)
+    out = RingMatrix.from_rows(ring, rows, m)
     verify_chain_map(cx.boundaries, {1: p1, 2: out})
     return out
 
@@ -464,8 +466,6 @@ def phi2_solve_fallback(d1: RingMatrix, p1: RingMatrix):
     """One solution of D1 * X = Phi1 * D1 over the fraction field, plus the
     right-kernel basis of D1 quantifying the non-uniqueness.  The output is
     NOT canonical: any kernel shift of the columns is an equally valid X."""
-    from .linalg import solve_right
-
     return solve_right(d1, p1 * d1)
 
 

@@ -4,6 +4,18 @@ Convention used throughout the package: row vectors act on the left,
 v -> v * M, so a chain map F between complexes with boundaries D satisfies
 the literal matrix identity D^q * F^{q+1} = F^q * D^q.
 
+Only this module knows how a RingMatrix is stored.  Every other module
+builds one through RingMatrix.from_rows (per row, a dict from column to
+entry; zero entries are dropped) or the public constructor on dense rows,
+and reads its nonzeros through RingMatrix.nonzero_rows (a fresh dict per
+row, in column order); m[i, j] and m.row(i) read it densely, for printing.
+No cell of a constructed matrix is written.  Behind those doors the rows
+are dense lists, every absent cell holding the ring's one shared zero, so
+rows that hold only their nonzeros (ROADMAP 3) are a change to this module
+alone.  The dense rows stay public as RingMatrix.entries because the
+benchmark's count hooks read them (bench/spans.py) until the in-package
+trace replaces those hooks (ROADMAP 2).
+
 Matrix work pays for the nonzero entries, and each result is built once.
 A product over Q[y] or the Laurent ring is built row by row (Gustavson,
 ACM TOMS 4(3), 1978): row i of A * B sums A[i][k] * (row k of B) over the
@@ -11,26 +23,26 @@ nonzero A[i][k] and the nonzero entries of that row, each output entry in
 one term dict, so it costs its nonzero pairs rather than rows x columns x
 inner dimension.  The elementwise operations (sums, negation, scaling,
 evaluation, the exp-jets, is_identity and map_entries, whose function
-must send 0 to 0) find each row's nonzero entries (_supports), compute on
-those alone and write the result ring's one zero everywhere else.  The
-Aomoto and connection matrices are mostly zeros (about 94% of mu_2 on a
-dimension-3 arrangement; 210 of the 225 entries of a 15 x 15 Phi_2 on
-Z^6).  Every operation here keeps the rows it has just built
-(RingMatrix.adopt); only the public constructor copies.
+must send 0 to 0) read each row's nonzero entries, compute on those alone
+and build the result from them.  The Aomoto and connection matrices are
+mostly zeros (about 94% of mu_2 on a dimension-3 arrangement; 210 of the
+225 entries of a 15 x 15 Phi_2 on Z^6).  An operation whose rows come out
+dense keeps them as they are (RingMatrix._adopt); only the public
+constructor copies.
 
 The rational product keeps the dense loop: the row-sparse one took
 arrangement-resonance wall_s from 1.05 to 0.65 s but raised its
 peak_rss_mb 10-13%, which comes from the benchmark harness keeping every
 pass's reports (ROADMAP 1a).  The degree-2 gauge system reaches
-solve_right holding only its nonzero equations, as dense rows adopted
-without a copy (connection._gauge_system), and the rational solve reads
-the nonzeros of A and of B's columns straight into its sparse rows; a
-solve straight from sparse equations waits for the in-package trace
-(ROADMAP 2), since the benchmark reads the gauge's shape from that
-solve_right call.  The gauge check asks only whether the system is
-consistent, and the rational solve answers that by forward elimination
-alone: the particular solution and the kernel are derived when first
-read, so the check builds neither.
+solve_right holding only its nonzero equations, as the dicts that
+connection._gauge_system built them in, and the rational solve reads the
+nonzeros of A and B into its sparse rows; a solve straight from those
+dicts, with no matrix between, waits for the in-package trace (ROADMAP
+2), since the benchmark reads the gauge's shape from that solve_right
+call.  The gauge check asks only whether the system is consistent, and
+the rational solve answers that by forward elimination alone: the
+particular solution and the kernel are derived when first read, so the
+check builds neither.
 
 One fraction-free Bareiss elimination, parametrized by the ring's exact
 division, gives every rank and determinant: rational ranks on rows cleared
@@ -82,7 +94,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from operator import add, floordiv, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
@@ -115,7 +126,16 @@ def _mismatch(what: str, a: "RingMatrix", b: "RingMatrix") -> ShapeMismatch:
 
 
 class RingMatrix:
-    """Dense matrix with entries in one ring (Fraction or Poly)."""
+    """Matrix with entries in one ring (Fraction or Poly), built and read
+    through two doors: from_rows builds it from the nonzero entries of each
+    row, and nonzero_rows gives them back; m[i, j] and row(i) read it
+    densely.  Entries are immutable and no cell changes after construction.
+
+    The rows are stored dense, every absent cell holding the ring's one
+    shared zero.  entries is that storage; only this module reads it, and
+    it stays public for the benchmark's count hooks until the in-package
+    trace replaces them (ROADMAP 2).
+    """
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -129,33 +149,44 @@ class RingMatrix:
                 raise ShapeMismatch("ragged rows")
 
     @classmethod
-    def adopt(cls, ring, rows: list[list], cols: int | None = None) -> "RingMatrix":
-        """The matrix on rows that the caller has just built, of one length
-        each and shared with nothing: they are kept as they are, with no
-        copy and no check.  Every operation here builds its result so, and
-        passes cols, which a matrix with no rows cannot show."""
+    def _adopt(cls, ring, rows: list[list], cols: int) -> "RingMatrix":
+        """The matrix on dense rows that an operation here has just built,
+        of one length each and shared with nothing: they are kept as they
+        are, with no copy and no check."""
         out = cls.__new__(cls)
         out.ring = ring
         out.entries = rows
         out.rows = len(rows)
-        out.cols = cols if cols is not None else len(rows[0]) if rows else 0
+        out.cols = cols
         return out
 
     # -- constructors --------------------------------------------------------
 
+    @classmethod
+    def from_rows(cls, ring, rows: Iterable[dict], cols: int) -> "RingMatrix":
+        """The rows x cols matrix whose row i holds rows[i], a dict from
+        column to entry; zero entries are dropped and every other cell holds
+        the ring's one shared zero, and cols is the width even when there
+        are no rows."""
+        zero = ring.zero()
+        poly = isinstance(ring, PolyRing)  # a Poly is zero when it has no terms
+        dense = []
+        for row in rows:
+            new = [zero] * cols
+            for j, v in row.items():
+                if v.terms if poly else v:
+                    new[j] = v
+            dense.append(new)
+        return cls._adopt(ring, dense, cols)
+
     @staticmethod
     def zero(ring, rows: int, cols: int) -> "RingMatrix":
-        # Entries are immutable and replaced, never changed in place, so one
-        # zero serves every cell; a sparse Aomoto matrix then costs little.
-        zero = ring.zero()
-        return RingMatrix.adopt(ring, [[zero] * cols for _ in range(rows)], cols)
+        return RingMatrix.from_rows(ring, [{}] * rows, cols)
 
     @staticmethod
     def identity(ring, size: int) -> "RingMatrix":
-        out = RingMatrix.zero(ring, size, size)
-        for i in range(size):
-            out.entries[i][i] = ring.one()
-        return out
+        one = ring.one()
+        return RingMatrix.from_rows(ring, ({i: one} for i in range(size)), size)
 
     # -- protocol ------------------------------------------------------------
 
@@ -169,6 +200,21 @@ class RingMatrix:
         i, j = key
         return self.entries[i][j]
 
+    def row(self, i: int) -> list:
+        """Row i as a fresh list of all its entries."""
+        return list(self.entries[i])
+
+    def nonzero_rows(self) -> list[dict]:
+        """Per row, a fresh dict from column to each nonzero entry, in
+        column order.  A Poly is zero when it has no terms; reading that
+        slot skips a __bool__ call per entry.  A rational zero is most
+        often the one shared zero, which a test of identity skips without
+        the Python-level Fraction.__bool__."""
+        if isinstance(self.ring, PolyRing):
+            return [{j: e for j, e in enumerate(row) if e.terms} for row in self.entries]
+        zero = self.ring.zero()
+        return [{j: e for j, e in enumerate(row) if e is not zero and e} for row in self.entries]
+
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
@@ -179,26 +225,20 @@ class RingMatrix:
         if self.rows != self.cols:
             return False
         one = self.ring.one()
-        return all(len(cols) == 1 and cols[0] == i and row[i] == one
-                   for i, (row, cols) in enumerate(zip(self.entries, _supports(self))))
+        return all(len(row) == 1 and row.get(i) == one
+                   for i, row in enumerate(self.nonzero_rows()))
 
     def transpose(self) -> "RingMatrix":
         cols = ([list(col) for col in zip(*self.entries)] if self.rows
                 else [[] for _ in range(self.cols)])
-        return RingMatrix.adopt(self.ring, cols, self.rows)
+        return RingMatrix._adopt(self.ring, cols, self.rows)
 
     def map_entries(self, fn: Callable, ring=None) -> "RingMatrix":
         """fn on the nonzero entries only, so fn must send 0 to 0; every
         zero entry becomes the one zero of the result ring."""
-        ring = ring if ring is not None else self.ring
-        zero = ring.zero()
-        out = []
-        for row, cols in zip(self.entries, _supports(self)):
-            new = [zero] * self.cols
-            for j in cols:
-                new[j] = fn(row[j])
-            out.append(new)
-        return RingMatrix.adopt(ring, out, self.cols)
+        return RingMatrix.from_rows(ring if ring is not None else self.ring,
+                                    ({j: fn(e) for j, e in row.items()}
+                                     for row in self.nonzero_rows()), self.cols)
 
     def _combine(self, other: "RingMatrix", what: str, both: Callable,
                  alone: Callable) -> "RingMatrix":
@@ -209,14 +249,14 @@ class RingMatrix:
             raise _mismatch(f"{what} {self.shape()} vs {other.shape()}", self, other)
         zero = self.ring.zero()
         out = []
-        for r1, r2, cols in zip(self.entries, other.entries, _supports(other)):
+        for r1, r2 in zip(self.entries, other.nonzero_rows()):
             row = list(r1)
-            for j in cols:
+            for j, b in r2.items():
                 a = r1[j]
-                v = both(a, r2[j]) if a else alone(r2[j])
+                v = both(a, b) if a else alone(b)
                 row[j] = v if v else zero
             out.append(row)
-        return RingMatrix.adopt(self.ring, out, self.cols)
+        return RingMatrix._adopt(self.ring, out, self.cols)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         return self._combine(other, "add", add, _itself)
@@ -238,20 +278,16 @@ class RingMatrix:
             # Row by row (Gustavson 1978): row i of A * B is the sum of
             # A[i][k] * (row k of B) over the nonzero A[i][k], each entry
             # accumulated in one term dict, so only nonzero pairs multiply.
-            brows = [[(j, b.terms) for j, b in enumerate(row) if b.terms]
-                     for row in other.entries]
+            brows = [[(j, b.terms) for j, b in row.items()] for row in other.nonzero_rows()]
             for arow in self.entries:
                 accs: dict[int, dict] = {}
                 for a, brow in zip(arow, brows):
                     if brow and a.terms:
                         for j, b in brow:
                             _addmul(accs.setdefault(j, {}), a.terms, b, 1, self.ring)
-                row = [zero] * other.cols
-                for j, acc in accs.items():
-                    if acc:
-                        row[j] = Poly(self.ring, canonical_terms(acc))
-                out.append(row)
-            return RingMatrix.adopt(self.ring, out, other.cols)
+                out.append({j: Poly(self.ring, canonical_terms(acc))
+                            for j, acc in accs.items() if acc})
+            return RingMatrix.from_rows(self.ring, out, other.cols)
         columns = list(zip(*other.entries)) if other.rows else [()] * other.cols
         for arow in self.entries:
             row = []
@@ -262,7 +298,7 @@ class RingMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return RingMatrix.adopt(self.ring, out, other.cols)
+        return RingMatrix._adopt(self.ring, out, other.cols)
 
     def scale(self, c) -> "RingMatrix":
         c = canonical(c)
@@ -288,15 +324,6 @@ def _itself(x):
     return x
 
 
-def _supports(m: RingMatrix) -> list[list[int]]:
-    """The columns of the nonzero entries of each row of m.  A Poly is zero
-    when it has no terms; reading that slot skips a __bool__ call per
-    entry."""
-    if isinstance(m.ring, PolyRing):
-        return [[j for j, e in enumerate(row) if e.terms] for row in m.entries]
-    return [list(compress(range(len(row)), row)) for row in m.entries]
-
-
 def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatrix:
     """Entrywise evaluation of a polynomial matrix at a rational point,
     converted to canonical coefficients once for the whole matrix.  Only
@@ -314,18 +341,11 @@ def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatri
 def _jet_matrices(m: RingMatrix, order: int) -> tuple[RingMatrix, ...]:
     """The parts of degree 0..order of m under x_j = exp(y_j), one
     rings.exp_jet per nonzero entry; a zero entry is zero in every part."""
+    jets = [{j: exp_jet(e, order) for j, e in row.items()} for row in m.nonzero_rows()]
     target = poly_ring(m.ring.nvars)
-    rings = [QQ] + [target] * order
-    zeros = [r.zero() for r in rings]
-    parts: list[list[list]] = [[] for _ in rings]
-    for row, cols in zip(m.entries, _supports(m)):
-        new = [[z] * m.cols for z in zeros]
-        for j in cols:
-            for part, v in zip(new, exp_jet(row[j], order)):
-                part[j] = v
-        for rows, part in zip(parts, new):
-            rows.append(part)
-    return tuple(RingMatrix.adopt(r, rows, m.cols) for r, rows in zip(rings, parts))
+    return tuple(RingMatrix.from_rows(target if d else QQ,
+                                      ({j: jet[d] for j, jet in row.items()} for row in jets),
+                                      m.cols) for d in range(order + 1))
 
 
 def linearize_matrix(m: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
@@ -407,19 +427,13 @@ def rational_rank(m: RingMatrix) -> int:
     return len(bareiss([clear_row_denominators(row) for row in m.entries])[1])
 
 
-def _sparse_rows(entries: Iterable[Sequence]) -> list[dict[int, Coeff]]:
-    """Each row as a dict from column to its nonzero entries, as canonical
-    coefficients (rings.canonical): ints stay ints, and an integral
-    Fraction becomes its int."""
-    return [{j: canonical(row[j]) for j in compress(range(len(row)), row)} for row in entries]
-
-
 def _forward(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:
     """Sparse forward elimination over Q on columns 0..stop-1, in place.
 
-    rows holds only nonzeros, as canonical coefficients, so entries that
-    cancel are deleted.  Columns are taken left to right; the pivot is the
-    unused row with the fewest nonzeros (Markowitz; ties to the lowest
+    rows holds only nonzeros, as canonical coefficients (rings.canonical:
+    ints stay ints, and an integral Fraction becomes its int), so entries
+    that cancel are deleted.  Columns are taken left to right; the pivot is
+    the unused row with the fewest nonzeros (Markowitz; ties to the lowest
     index), and only the unused rows with a nonzero in the pivot column are
     updated.  Rows sit in buckets by length: rank[i] = len(rows[i]) *
     len(rows) + i, kept as rows change, so the pivot is the least rank
@@ -490,15 +504,16 @@ def _back_substitute(rows: list[dict[int, Coeff]], pivots: list[tuple[int, int]]
                     del row[j]
 
 
-def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    ncols = len(rows[0]) if rows else 0
-    sparse = _sparse_rows(rows)
+def rational_rref(m: RingMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a matrix over Q; returns (rref rows,
+    pivot columns)."""
+    ncols = m.cols
+    sparse = [{j: canonical(v) for j, v in row.items()} for row in m.nonzero_rows()]
     pivots = _forward(sparse, ncols)
     _back_substitute(sparse, pivots)
     zero = Fraction(0)
     out = [[Fraction(sparse[p].get(j, 0)) for j in range(ncols)] for _, p in pivots]
-    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    out.extend([zero] * ncols for _ in range(m.rows - len(pivots)))
     return out, [c for c, _ in pivots]
 
 
@@ -512,7 +527,7 @@ def rational_row_space(m: RingMatrix) -> list[list[Fraction]]:
     """Basis (rref rows) of the row space of a rational matrix."""
     if m.rows == 0:
         return []
-    rref, pivots = rational_rref([list(row) for row in m.entries])
+    rref, pivots = rational_rref(m)
     return rref[:len(pivots)]
 
 
@@ -548,14 +563,16 @@ def symbolic_det(m: RingMatrix):
 def _adjugate(m: RingMatrix) -> RingMatrix:
     """Adjugate via cofactors: adj(M)[i][j] = (-1)^{i+j} det(M minor j,i)."""
     n = m.rows
-    out = RingMatrix.zero(m.ring, n, n)
+    out = []
     for i in range(n):
+        row = {}
         for j in range(n):
             minor = RingMatrix(m.ring, [[m.entries[r][c] for c in range(n) if c != i]
                                         for r in range(n) if r != j])
             d = symbolic_det(minor)
-            out.entries[i][j] = -d if (i + j) % 2 else d
-    return out
+            row[j] = -d if (i + j) % 2 else d
+        out.append(row)
+    return RingMatrix.from_rows(m.ring, out, n)
 
 
 # -- fraction-field solving ------------------------------------------------------
@@ -611,12 +628,10 @@ class _EchelonSolve(SolveResult):
     @cached_property
     def cleared(self) -> RingMatrix:
         rows, n = self._reduced, self._n
-        out = RingMatrix.zero(QQ, n, self._k)
+        out: list[dict] = [{} for _ in range(n)]
         for c, p in self._pivots:
-            for j, v in rows[p].items():
-                if j >= n:
-                    out.entries[c][j - n] = Fraction(v)
-        return out
+            out[c] = {j - n: Fraction(v) for j, v in rows[p].items() if j >= n}
+        return RingMatrix.from_rows(QQ, out, self._k)
 
     @property
     def numerator(self) -> RingMatrix:
@@ -646,17 +661,19 @@ def _solve_right_rational(a: RingMatrix, b: RingMatrix) -> SolveResult:
     B's nonzeros.  The system is consistent exactly when every non-pivot
     row ends empty; NoSolution is raised on the first that keeps a right
     side, before any back-substitution."""
-    n, k = a.cols, b.cols
-    rows = _sparse_rows(a.entries)
-    for row, rb in zip(rows, b.entries):
-        for j in compress(range(k), rb):
-            row[n + j] = canonical(rb[j])
+    n = a.cols
+    rows = a.nonzero_rows()
+    for row, rb in zip(rows, b.nonzero_rows()):
+        for j, v in row.items():
+            row[j] = canonical(v)
+        for j, v in rb.items():
+            row[n + j] = canonical(v)
     pivots = _forward(rows, n)
     pivot_rows = {p for _, p in pivots}
     for i, row in enumerate(rows):
         if row and i not in pivot_rows:
             raise NoSolution(f"inconsistent row {i}")
-    return _EchelonSolve(rows, pivots, n, k)
+    return _EchelonSolve(rows, pivots, n, b.cols)
 
 
 def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
@@ -691,16 +708,17 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     # the kernel vector whose free coordinate is det(S).
     sub = RingMatrix(ring, [[a.entries[i][j] for j in piv_cols] for i in piv_rows])
     det = grid[len(piv_rows) - 1][piv_cols[-1]] if piv_cols else ring.one()
-    rhs = RingMatrix.adopt(ring, [b.entries[i] + [-a.entries[i][fc] for fc in free_cols]
-                                  for i in piv_rows])
+    rhs = RingMatrix._adopt(ring, [b.entries[i] + [-a.entries[i][fc] for fc in free_cols]
+                                   for i in piv_rows], k + len(free_cols))
     solved = _adjugate(sub) * rhs
-    numerator = RingMatrix.zero(ring, n, k)
+    num_rows: list[dict] = [{} for _ in range(n)]
     zero = ring.zero()
     kernel = [[det if i == fc else zero for i in range(n)] for fc in free_cols]
     for c, row in zip(piv_cols, solved.entries):
-        numerator.entries[c] = row[:k]
+        num_rows[c] = dict(enumerate(row[:k]))
         for vec, v in zip(kernel, row[k:]):
             vec[c] = v
+    numerator = RingMatrix.from_rows(ring, num_rows, k)
 
     # X = numerator / det when every entry divides exactly.  The definitive
     # consistency check on all rows is then A * X == B, and otherwise the
@@ -904,9 +922,9 @@ def verify_chain_map(boundaries: list[RingMatrix], maps: dict[int, RingMatrix]) 
         if q in maps and (q + 1) in maps:
             lhs = bq * maps[q + 1]
             rhs = maps[q] * bq
-            for i in range(lhs.rows):
-                for j in range(lhs.cols):
-                    if lhs.entries[i][j] != rhs.entries[i][j]:
-                        raise ChainIdentityFailed(
-                            f"chain identity fails in degree {q} at entry "
-                            f"({i + 1}, {j + 1})", entry=(i, j))
+            if lhs != rhs:
+                # The first nonzero of the difference, row by row.
+                i, j = next((i, min(row)) for i, row in enumerate((lhs - rhs).nonzero_rows())
+                            if row)
+                raise ChainIdentityFailed(f"chain identity fails in degree {q} at entry "
+                                          f"({i + 1}, {j + 1})", entry=(i, j))

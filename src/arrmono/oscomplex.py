@@ -107,8 +107,8 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
         rows_sets = basis.degree(q)
         cols_sets = basis.degree(q + 1)
         col_index = {s: i for i, s in enumerate(cols_sets)}
-        mat = RingMatrix.zero(ring, len(rows_sets), len(cols_sets))
-        for r, s in enumerate(rows_sets):
+        rows = []
+        for s in rows_sets:
             coeffs: dict[int, list[int]] = {}  # column -> its c_j
             for j in range(arr.n):
                 if j in s:
@@ -118,8 +118,7 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
                     c = col_index.get(target)
                     if c is not None:
                         coeffs.setdefault(c, [0] * arr.n)[j] += sign * coeff
-            for c, form in coeffs.items():
-                mat.entries[r][c] = ring.linear_form(form)
-        boundaries.append(mat)
+            rows.append({c: ring.linear_form(form) for c, form in coeffs.items()})
+        boundaries.append(RingMatrix.from_rows(ring, rows, len(cols_sets)))
     return RingComplex(ring, basis.betti(), boundaries)
 

@@ -67,7 +67,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-from .errors import ExponentOverflow, ParseError, ZeroAtPole
+from .errors import ExponentOverflow, NotInRing, ParseError, ZeroAtPole
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
@@ -525,8 +525,6 @@ class Poly:
         built until the quotient is whole.  The leading term is the largest
         key, and the divisibility of leading terms one mask test (module
         docstring)."""
-        from .errors import NotInRing
-
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():

@@ -43,13 +43,9 @@ def matrix_header(name: str, m: RingMatrix) -> str:
 
 def matrix_lines(name: str, m: RingMatrix) -> list[str]:
     lines = [matrix_header(name, m)]
-    rational = isinstance(m.ring, RationalField)
-    for row in m.entries:
-        if rational:
-            payload = [str(e) for e in row]
-        else:
-            payload = [poly_to_pairs(e) for e in row]
-        lines.append("row " + json.dumps(payload, separators=(",", ":")))
+    cell = str if isinstance(m.ring, RationalField) else poly_to_pairs
+    for i in range(m.rows):
+        lines.append("row " + json.dumps([cell(e) for e in m.row(i)], separators=(",", ":")))
     lines.append("endmatrix")
     return lines
 
@@ -129,10 +125,10 @@ class ReportWriter:
             self.lines.extend(matrix_lines(name, m))
         else:
             self.lines.append(f"{name} ({m.rows}x{m.cols}):")
-            widths = [max(len(str(m.entries[i][j])) for i in range(m.rows)) if m.rows else 0
+            widths = [max(len(str(m[i, j])) for i in range(m.rows)) if m.rows else 0
                       for j in range(m.cols)]
-            for row in m.entries:
-                cells = [str(e).rjust(w) for e, w in zip(row, widths)]
+            for i in range(m.rows):
+                cells = [str(e).rjust(w) for e, w in zip(m.row(i), widths)]
                 self.lines.append("  [ " + "   ".join(cells) + " ]")
 
     def check(self, name: str, passed: bool, detail: str = "", warn_only: bool = False) -> None:

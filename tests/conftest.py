@@ -40,7 +40,7 @@ from arrmono import (
     universal_complex,
 )
 from arrmono.connection import linear_coefficients
-from arrmono.linalg import rational_rref
+from arrmono.linalg import QQ, rational_rref
 from arrmono.oscomplex import wedge_sort
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -236,7 +236,7 @@ def random_arrangement(rng: random.Random, dim: int = 2, max_n: int = 6) -> Arra
 def _rank(rows) -> int:
     """Rank over Q by Gauss-Jordan, a kernel apart from the Bareiss
     elimination the package uses for ranks."""
-    return len(rational_rref([list(r) for r in rows])[1])
+    return len(rational_rref(RingMatrix(QQ, [list(r) for r in rows]))[1])
 
 
 def has_nonempty_intersection(arr, subset) -> bool:

@@ -552,7 +552,7 @@ def emitted_matches_oracle(omega, rhs):
     assert a.ring == b.ring == QQ and b.cols == 1
     assert a.shape() == (len(kept), len(want[0]))
     assert a.entries == [want[r] for r in kept]  # equal as rationals, entry by entry
-    assert all(type(v) is int for row in a.entries for v in row)
+    assert all(type(v) is int for row in a.nonzero_rows() for v in row.values())
     assert [v for v, in b.entries] == [want_rhs[r] for r in kept]
     return a, kept, want
 

@@ -351,3 +351,62 @@ def test_shape_mismatch_names_the_rings_when_they_differ():
     with pytest.raises(ShapeMismatch) as exc:
         a * RingMatrix.identity(laurent_ring(4), 3)
     assert str(exc.value) == "mul (2, 2) by (3, 3)"
+
+
+# -- the two doors: from_rows and nonzero_rows ------------------------------------
+
+
+def _round_trip_pool(ring):
+    """Zeros, one of them built by cancellation, and nonzeros; rationals
+    are Fractions, as the rational constructors hold them."""
+    if ring == QQ:
+        return [Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3)]
+    y1, y2 = ring.variable(1), ring.variable(2)
+    pool = [ring.zero(), y1 - y1, y1, -y2, y1 * y2, ring.const(Fraction(1, 2))]
+    if ring.laurent:
+        pool.append(y1 ** -1 * y2)
+    return pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, poly_ring(2), laurent_ring(2)]), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_from_rows_and_nonzero_rows_round_trip(ring, nrows, ncols, data):
+    pool = st.sampled_from(_round_trip_pool(ring))
+    columns = st.integers(0, ncols - 1) if ncols else st.nothing()
+    rows = [data.draw(st.dictionaries(columns, pool)) for _ in range(nrows)]
+    m = RingMatrix.from_rows(ring, rows, ncols)
+    want = [{j: v for j, v in sorted(row.items()) if v} for row in rows]
+    assert m.shape() == (nrows, ncols)
+    got = m.nonzero_rows()
+    assert got == want
+    assert all(list(row) == sorted(row) for row in got)
+    for row in got:
+        row.clear()
+    assert m.nonzero_rows() == want  # each read is fresh
+    zero = ring.zero()
+    for i in range(nrows):
+        assert m.row(i) == [want[i].get(j, zero) for j in range(ncols)]
+        for j in range(ncols):
+            if j not in want[i]:
+                assert m[i, j] == zero
+            if ring == QQ:
+                assert type(m[i, j]) is Fraction
+    assert RingMatrix.from_rows(ring, [], ncols).shape() == (0, ncols)
+    assert RingMatrix.from_rows(ring, [{}] * nrows, 0).shape() == (nrows, 0)
+
+
+def test_only_linalg_reads_or_writes_the_matrix_storage():
+    """No module of the package but linalg, and no script, names the dense
+    storage (entries) or the private builder on rows (adopt, _adopt)."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    files = [p for p in sorted((root / "src" / "arrmono").glob("*.py")) if p.name != "linalg.py"]
+    files += sorted((root / "scripts").glob("*.py"))
+    assert len(files) > 5
+    found = [f"{path.relative_to(root)}:{node.lineno} .{node.attr}"
+             for path in files for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("entries", "adopt", "_adopt")]
+    assert found == []

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrmono import QQ, NoSolution, RingMatrix, solve_right
-from arrmono.linalg import _back_substitute, _forward, _sparse_rows, rational_rref
+from arrmono.linalg import _back_substitute, _forward, rational_rref
+from arrmono.rings import canonical
 
 
 def dense_rref(rows):
@@ -144,7 +145,7 @@ def test_sparse_solve_matches_dense_reference(system, kernel_first):
 def test_sparse_rref_matches_dense_reference(system):
     a_rows, b_rows = system
     for rows in (a_rows, [ra + rb for ra, rb in zip(a_rows, b_rows)]):
-        assert rational_rref(rows) == dense_rref(rows)
+        assert rational_rref(RingMatrix(QQ, rows)) == dense_rref(rows)
 
 
 def test_integer_entries_and_zero_rows():
@@ -170,7 +171,8 @@ def _canonical(v) -> bool:
 
 def _reduced_pivot_rows(rows):
     ncols = len(rows[0])
-    sparse = _sparse_rows(rows)
+    sparse = [{j: canonical(v) for j, v in row.items()}
+              for row in RingMatrix(QQ, rows).nonzero_rows()]
     pivots = _forward(sparse, ncols)
     _back_substitute(sparse, pivots)
     for row in sparse:
@@ -185,7 +187,7 @@ def test_gauss_jordan_on_int_rows_with_pivot_two():
     expected, _ = dense_rref(rows)
     assert got == expected[:len(got)]
     assert got[0][:2] == [1, 0] and type(got[0][0]) is int
-    assert all(type(v) is Fraction for row in rational_rref(rows)[0] for v in row)
+    assert all(type(v) is Fraction for row in rational_rref(RingMatrix(QQ, rows))[0] for v in row)
 
 
 INT_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
