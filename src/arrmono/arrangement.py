@@ -24,16 +24,16 @@ is, lexicographically in their elements read from the largest down, so every
 face of a set comes before it.  A set is its prefix (itself without its
 least element) plus one hyperplane, and the walk keeps the fraction-free
 echelon of each prefix on its stack: the new row is reduced against the at
-most L pivot rows of the prefix (linalg.bareiss_step, exact by Sylvester's
-identity, so every entry stays a minor of the input) and its first nonzero
-column, if any, is its pivot.  The pivot columns are then the column rank
-profile, so both ranks come from that one row: no pivot means dependent and
-meeting, the offset column means empty, a normal column means good.  A step
-whose pivot column the row already has zero at only scales the row, so it
-is skipped, and the next step divides by the last pivot it used instead;
-the unit rows of a Boolean arrangement take no step at all.  Only good sets
-are extended, and a set that is not good is kept when the bit masks of its
-faces are all in the set of good ones.
+most L pivot rows of the prefix (linalg.reduce_row, the step of the
+package's one fraction-free elimination, exact by Sylvester's identity, so
+every entry stays a minor of the input) and its first nonzero free column,
+if any, is its pivot.  The pivot columns are then the column rank profile,
+so both ranks come from that one row: no pivot means dependent and
+meeting, the offset column means empty, a normal column means good.
+reduce_row skips a step at a pivot column where the row is already zero,
+so the unit rows of a Boolean arrangement take no step at all.  Only good
+sets are extended, and a set that is not good is kept when the bit masks
+of its faces are all in the set of good ones.
 
 Broken circuits delete the least element of a circuit; nbc sets avoid both
 broken circuits and empty_min members, and index the monomial basis of the
@@ -56,7 +56,7 @@ from math import comb
 from typing import Collection
 
 from .errors import ParseError
-from .linalg import QQ, RingMatrix, bareiss_step, clear_row_denominators, rational_rank
+from .linalg import QQ, RingMatrix, clear_row_denominators, rational_rank, reduce_row
 from .rings import MAX_VARIABLES, _shown, content_lines, parse_fraction, parse_int
 
 
@@ -108,25 +108,6 @@ class DependencyData:
 # more hyperplanes is one, so the nbc count, and mu's ranks, are at most
 # MAX_DEPENDENCY_SUBSETS + n + 1.  Boolean 17 is admitted, Boolean 18 is not.
 MAX_DEPENDENCY_SUBSETS = 2 ** 17
-
-
-def reduce_row(row: list[int], echelon: list) -> None:
-    """Reduce row in place against the pivot rows of echelon, as (pivot
-    row, pivot column, columns still free after it) in insertion order, so
-    that on the free columns it holds the minors on echelon's pivot rows
-    and columns plus its own row and column.  A step at a column where row
-    is zero only scales it, so it is skipped and the next step divides by
-    the pivot of the last step taken instead; one scaling at the end, by
-    the last pivot over that one, makes up for the skipped steps."""
-    taken = 1
-    for top, c, after in echelon:
-        if row[c]:
-            bareiss_step((row,), top, c, after, None if taken == 1 else taken)
-            taken = top[c]
-    last = echelon[-1][0][echelon[-1][1]] if echelon else 1
-    if taken != last:
-        for j in echelon[-1][2]:
-            row[j] = row[j] * last // taken
 
 
 def compute_dependencies(arr: Arrangement) -> DependencyData:

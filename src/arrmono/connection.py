@@ -33,11 +33,11 @@ from .linalg import (
     CharPoly,
     RingComplex,
     RingMatrix,
-    bareiss,
     char_poly,
     clear_row_denominators,
     divide_linear_terms,
     evaluate_matrix,
+    fraction_free_echelon,
     generic_rank,
     linearize_matrix,
     mat_exp_truncated,
@@ -679,12 +679,12 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
     """Induced action on cohomology of a rational specialized complex.
 
     Per degree, one elimination completes a basis of the image of the
-    incoming boundary to a basis of the kernel of the outgoing one.  Its
-    columns are the image basis, then the kernel basis, each vector scaled
-    to integers; Bareiss takes a column as a pivot exactly when it is
-    independent of the columns before it, so every image column is a pivot
-    and the kernel pivots are the greedy completion.  Those kernel vectors
-    represent the cohomology classes.  One solve, with one right-hand column
+    incoming boundary to a basis of the kernel of the outgoing one.  It
+    inserts the image basis, then the kernel basis, as rows scaled to
+    integers, and keeps a row exactly when it is independent of the rows
+    before it, so every image row is kept and the kept kernel rows are the
+    greedy completion.  Those kernel vectors represent the cohomology
+    classes.  One solve, with one right-hand column
     per representative, writes the images of all representatives in the
     basis image + representatives; the action matrix holds their
     coordinates on the representatives.  The chain identity is verified
@@ -704,9 +704,8 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
             kernel = [[Fraction(1) if i == j else Fraction(0) for i in range(bq)]
                       for j in range(bq)]
         image = rational_row_space(cx.boundaries[q - 1]) if q > 0 else []
-        columns = [clear_row_denominators(v) for v in image + kernel]
-        _, pivots = bareiss([list(row) for row in zip(*columns)])
-        chosen = [kernel[c - len(image)] for c in pivots[len(image):]]
+        kept, _ = fraction_free_echelon(map(clear_row_denominators, image + kernel), bq)
+        chosen = [kernel[i - len(image)] for i in kept[len(image):]]
         assert len(chosen) == betti[q], "quotient dimension mismatch"
         reps[q] = chosen
         if not chosen:

@@ -137,17 +137,22 @@ _WORD_TOKEN = re.compile(r"\s*(\[|\]|,|\^-?[0-9]+|g[0-9]+|1)")
 
 # The most letters the words of one file (a presentation, an endomorphism or
 # a certificate) may stand for together before free reduction: every power
-# expanded, a commutator [a, b] counted as a b a^-1 b^-1 and a written 1 as
-# one letter.  Parsing builds and reduces that expansion, so a short power
-# such as g1^1000000 would otherwise allocate with its exponent, and a file
-# of many such words with their sum.  Every word of a file is parsed and
-# counted before any is expanded.
+# expanded, a commutator [a, b] counted as a b a^-1 b^-1, a written 1 as
+# one letter and a word of no letters as one.  Parsing builds and reduces
+# that expansion, so a short power such as g1^1000000 would otherwise
+# allocate with its exponent, and a file of many such words with their sum.
+# Every word of a file is parsed and counted before any is expanded.
 MAX_LETTERS = 1_000_000
 
 # A parsed word before expansion: a list of (atom, power) factors, where the
 # atom is a generator index, 0 for a written 1, or the (left, right) pair of
 # a commutator's parsed words.
 _Factors = list[tuple[object, int]]
+
+
+def _over_budget() -> ParseError:
+    return ParseError(f"text expands to more than {MAX_LETTERS} letters "
+                      "(all words of one file together)")
 
 
 def _parse_factors(text: str, ngens: int, room: int) -> tuple[_Factors, int]:
@@ -186,8 +191,7 @@ def _parse_factors(text: str, ngens: int, room: int) -> tuple[_Factors, int]:
                 i += 1
             letters += size * abs(power)
             if letters > room:
-                raise ParseError(f"text expands to more than {MAX_LETTERS} letters "
-                                 "(all words of one file together)")
+                raise _over_budget()
             factors.append((atom, power))
         return factors, i, letters
 
@@ -212,12 +216,17 @@ def _expand(factors: _Factors, ngens: int) -> Word:
 
 def parse_words(texts: Iterable[str], ngens: int) -> list[Word]:
     """The words of one file, against one budget of MAX_LETTERS letters
-    over all of them; no word is expanded until every one is counted."""
+    over all of them; no word is expanded until every one is counted.
+    Every word costs at least one letter, so the budget also bounds the
+    word count: an empty word, which a certificate term may hold, is not
+    free."""
     room = MAX_LETTERS
     parsed = []
     for text in texts:
         factors, letters = _parse_factors(text, ngens, room)
-        room -= letters
+        room -= max(letters, 1)
+        if room < 0:
+            raise _over_budget()
         parsed.append(factors)
     return [_expand(factors, ngens) for factors in parsed]
 
@@ -272,32 +281,17 @@ def load_presentation(path) -> Presentation:
 
 
 def fox_derivative(w: Word, j: int) -> Poly:
-    """Abelianized Fox derivative dw/dg_j as a Laurent polynomial.  Its
-    +-monomials are collected in one term dict, so the cost is linear in the
-    length of w."""
-    ring = laurent_ring(w.ngens)
-    prefix = [0] * w.ngens
-    terms: dict[int, int] = {}
-    for g, e in w.letters:
-        if e == -1:
-            prefix[g - 1] -= 1
-        if g == j:
-            # g_j adds the prefix before it, g_j^-1 minus the prefix through it.
-            key = ring.key(prefix)
-            c = terms.get(key, 0) + e
-            if c:
-                terms[key] = c
-            else:
-                del terms[key]
-        if e == 1:
-            prefix[g - 1] += 1
-    return Poly(ring, terms)
+    """Abelianized Fox derivative dw/dg_j as a Laurent polynomial: entry j
+    of fox_derivatives, or zero."""
+    return fox_derivatives(w).get(j) or laurent_ring(w.ngens).zero()
 
 
 def fox_derivatives(w: Word) -> dict[int, Poly]:
     """Every nonzero dw/dg_j, by 1-based j, from one pass over the letters
-    of w: a letter g_j or g_j^-1 adds its term to dw/dg_j alone (see
-    fox_derivative), so the pass costs one monomial key per letter."""
+    of w: g_j adds the monomial of the prefix before it to dw/dg_j alone,
+    and g_j^-1 minus that of the prefix through it, so the pass costs one
+    monomial key per letter and collects each derivative's +-monomials in
+    one term dict."""
     ring = laurent_ring(w.ngens)
     prefix = [0] * w.ngens
     terms: dict[int, dict[int, int]] = {}

@@ -524,7 +524,10 @@ class Poly:
         subtracts t * divisor from it in place (_addmul), so no Poly is
         built until the quotient is whole.  The leading term is the largest
         key, and the divisibility of leading terms one mask test (module
-        docstring)."""
+        docstring).  The term order is a monomial order, so the trailing
+        term of a multiple q * divisor is tt(q) * tt(divisor): when tt(divisor)
+        does not divide tt(self), one mask test on the least keys rejects
+        the division before any step."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
@@ -552,6 +555,8 @@ class Poly:
             div = {ring._checked(e - shift_div + unit): c for e, c in div.items()}
         else:
             rem = dict(rem)
+        if (min(rem) - min(div) + unit) & unit != unit:
+            raise NotInRing("trailing term not divisible")
         de = max(div)
         dc = div[de]
         quotient: dict[int, Coeff] = {}

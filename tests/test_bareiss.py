@@ -1,14 +1,15 @@
-"""The one fraction-free elimination kernel against the separate loops it
-replaced: the integer rank kernel, the determinant over Q, the determinant
-and echelon pivots over the polynomial rings, and the polynomial solve
-built on them.  Equal ranks, determinants, NoSolution verdicts and
-SolveResults on random matrices over Z, Q, Q[y] and the Laurent ring,
-rank-deficient, inconsistent and non-ring systems included."""
+"""The one fraction-free elimination kernel against test-local oracles:
+the row and column rank profiles and the pivot minor of the row-insertion
+driver over Z, Q, Q[y] and the Laurent ring, and the ranks, determinants,
+NoSolution verdicts and SolveResults built on it, rank-deficient,
+inconsistent and non-ring systems included.  No oracle here calls the
+driver or anything built on it."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrmono import (
@@ -23,7 +24,8 @@ from arrmono import (
     solve_right,
     symbolic_det,
 )
-from arrmono.linalg import bareiss, generic_rank
+from arrmono.linalg import fraction_free_echelon, generic_rank
+from arrmono.rings import PolyRing
 from conftest import mat
 
 L2 = laurent_ring(2)
@@ -107,16 +109,23 @@ def poly_det_oracle(m):
     return -d if sign < 0 else d
 
 
-def echelon_info_oracle(m):
-    """(rank, pivot rows in pivot order, pivot columns) over the polynomial ring."""
-    grid = [list(row) for row in m.entries]
-    perm = list(range(m.rows))
-    rows, cols = m.rows, m.cols
+def _div(ring):
+    """The exact division of ring's entries."""
+    return (lambda a, b: a.exact_div(b)) if isinstance(ring, PolyRing) else (lambda a, b: a / b)
+
+
+def echelon_info_oracle(grid, ring):
+    """(rank, pivot rows in pivot order, pivot columns) of a list of rows
+    over Q or a polynomial ring, by the column sweep with row swaps."""
+    grid = [list(row) for row in grid]
+    rows, cols = len(grid), len(grid[0]) if grid else 0
+    perm = list(range(rows))
+    div = _div(ring)
     pivot_rows, pivot_cols = [], []
-    prev = m.ring.one()
+    prev = ring.one()
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not grid[i][c].is_zero()), None)
+        pivot_row = next((i for i in range(r, rows) if grid[i][c]), None)
         if pivot_row is None:
             continue
         grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
@@ -125,7 +134,7 @@ def echelon_info_oracle(m):
         for i in range(r + 1, rows):
             fi = grid[i][c]
             for j in range(c, cols):
-                grid[i][j] = (grid[i][j] * pivot - fi * grid[r][j]).exact_div(prev)
+                grid[i][j] = div(grid[i][j] * pivot - fi * grid[r][j], prev)
         prev = pivot
         pivot_rows.append(perm[r])
         pivot_cols.append(c)
@@ -133,6 +142,30 @@ def echelon_info_oracle(m):
         if r == rows:
             break
     return len(pivot_cols), pivot_rows, pivot_cols
+
+
+def profiles_oracle(grid, ring, ncols):
+    """(row rank profile, column rank profile): the rows, and the columns,
+    that raise the rank of those before them."""
+    def rank(g):
+        return echelon_info_oracle(g, ring)[0]
+
+    rows = [i for i in range(len(grid)) if rank(grid[:i + 1]) > rank(grid[:i])]
+    cols = [c for c in range(ncols)
+            if rank([r[:c + 1] for r in grid]) > rank([r[:c] for r in grid])]
+    return rows, cols
+
+
+def leibniz_det_oracle(grid, ring):
+    """The determinant as the signed sum over permutations: no division."""
+    total = ring.zero()
+    for perm in permutations(range(len(grid))):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        term = ring.one()
+        for i, p in enumerate(perm):
+            term = term * grid[i][p]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def adjugate_oracle(m):
@@ -150,12 +183,13 @@ def adjugate_oracle(m):
 
 
 def poly_solve_oracle(a, b):
-    """Cramer on the pivot minor: (numerator, denominator, kernel, in_ring,
-    cleared entries), or NoSolution."""
+    """Cramer on the minor on the row and column rank profiles:
+    (numerator, denominator, kernel, in_ring, cleared entries), or
+    NoSolution."""
     ring = a.ring
     n, k = a.cols, b.cols
-    rank, piv_rows, piv_cols = echelon_info_oracle(a)
-    if rank == 0:
+    piv_rows, piv_cols = profiles_oracle(a.entries, ring, n)
+    if not piv_rows:
         if not b.is_zero():
             raise NoSolution("zero matrix")
         kernel = [[ring.one() if i == f else ring.zero() for i in range(n)] for f in range(n)]
@@ -216,8 +250,9 @@ def dependent_rows(draw, entries, nrows, ncols, zero):
 
 @st.composite
 def int_grids(draw):
+    """(rows, column count)."""
     nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    return draw(dependent_rows(st.integers(-3, 3), nrows, ncols, 0))
+    return draw(dependent_rows(st.integers(-3, 3), nrows, ncols, 0)), ncols
 
 
 @st.composite
@@ -227,6 +262,22 @@ def square(draw, ring, entries, max_size):
 
 
 fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def grids(draw):
+    """(ring, rows, column count) over Q, Q[y] or the Laurent ring, up to
+    4 x 4 with 0 x k and k x 0 shapes, dependent rows, some rows and
+    columns set to zero, and about half the other entries zero, so that
+    the driver skips steps."""
+    ring = draw(st.sampled_from([QQ, R2, L2]))
+    entries = st.one_of(st.just(ring.zero()), fractions if ring is QQ else polys(ring))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(dependent_rows(entries, nrows, ncols, ring.zero()))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1))) if nrows else set()
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+    return ring, [[ring.zero() if i in zero_rows or j in zero_cols else v
+                   for j, v in enumerate(row)] for i, row in enumerate(rows)], ncols
 
 
 @st.composite
@@ -250,16 +301,41 @@ def poly_systems(draw, ring):
 # -- differential checks -----------------------------------------------------------------
 
 
+@settings(max_examples=150, deadline=None)
+@given(grids())
+@example((QQ, [], 3))
+@example((R2, [[]] * 3, 0))
+@example((L2, [[L2.zero()] * 2] * 2, 2))
+def test_driver_reads_profiles_and_pivot_minor(case):
+    """Rows inserted in input order: the kept rows are the row rank
+    profile, the sorted pivot columns the column rank profile, and each
+    pivot, the last one included, is the minor on the kept rows and pivot
+    columns up to it, in insertion order.  The input rows are left as they
+    were."""
+    ring, rows, ncols = case
+    before = [row[:] for row in rows]
+    kept, echelon = fraction_free_echelon(rows, ncols, _div(ring))
+    assert rows == before
+    pivot_cols = [c for _, c, _ in echelon]
+    assert (kept, sorted(pivot_cols)) == profiles_oracle(rows, ring, ncols)
+    for k, (top, c, _) in enumerate(echelon):
+        minor = [[rows[i][j] for j in pivot_cols[:k + 1]] for i in kept[:k + 1]]
+        assert top[c] == leibniz_det_oracle(minor, ring)
+
+
 @settings(max_examples=200, deadline=None)
 @given(int_grids())
-def test_integer_pivots_match_oracle(rows):
+def test_integer_pivots_match_oracle(case):
+    rows, ncols = case
     expected = int_pivots_oracle([row[:] for row in rows])
-    order, pivot_cols = bareiss([row[:] for row in rows])
-    assert pivot_cols == expected
-    assert len(order) == len(pivot_cols) and len(set(order)) == len(order)
-    if rows:
-        m = RingMatrix(QQ, [[Fraction(v) for v in row] for row in rows])
-        assert rational_rank(m) == len(expected)
+    kept, echelon = fraction_free_echelon(rows, ncols)
+    assert sorted(c for _, c, _ in echelon) == expected
+    assert kept == [i for i in range(len(rows))
+                    if len(int_pivots_oracle([r[:] for r in rows[:i + 1]]))
+                    > len(int_pivots_oracle([r[:] for r in rows[:i]]))]
+    m = RingMatrix.from_rows(QQ, [{j: Fraction(v) for j, v in enumerate(row)} for row in rows],
+                             ncols)
+    assert rational_rank(m) == len(expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,7 +348,7 @@ def test_rational_det_matches_oracle(m):
 @given(square(L2, polys(L2), 4))
 def test_laurent_det_matches_oracle(m):
     assert symbolic_det(m) == poly_det_oracle(m)
-    assert generic_rank(m) == echelon_info_oracle(m)[0]
+    assert generic_rank(m) == echelon_info_oracle(m.entries, L2)[0]
 
 
 @pytest.mark.parametrize("ring", [R2, L2], ids=["poly", "laurent"])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from arrmono import laurent_ring, poly_ring
+from arrmono import ParseError, laurent_ring, poly_ring
 from arrmono.cli import main
 from arrmono.serialize import extract_matrix
 from conftest import (
@@ -355,6 +355,26 @@ def test_an_over_limit_arrangement_fails_before_any_connection_work(tmp_path, mo
     assert code == 2 and out == ""
     assert err.getvalue() == ("parse error: 18 hyperplanes in dimension 18 need a dependency "
                               "scan of more than 131072 subsets\n")
+
+
+def test_empty_certificate_words_count_against_the_letter_budget(tmp_path, monkeypatch):
+    """A certificate term ( , k , +-1 ) holds an empty word, which costs one
+    letter, so the letter budget also bounds the term count: 60 such terms
+    in pencil4's relator 1 block pass a budget of 50."""
+    import arrmono.fox as fox
+
+    monkeypatch.setattr(fox, "MAX_LETTERS", 50)
+    path = tmp_path / "empty_terms.cert"
+    path.write_text(Path(ARGS["-c"]).read_text().replace(
+        "relator 1\n", "relator 1\n" + "( , 1 , +1 )\n" * 60, 1))
+    with pytest.raises(ParseError, match="expands to more than 50 letters"):
+        fox.load_certificate(path, fox.load_presentation(ARGS["-p"]))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("monodromy", "-p", ARGS["-p"], "-e", ARGS["-e"], "-c", str(path))
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("parse error: text expands to more than 50 letters")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_point_without_coordinates_is_a_comma(tmp_path):

@@ -29,7 +29,6 @@ from arrmono import (
     phi1,
     phi2_from_certificate,
     poly_ring,
-    rational_rank,
     solve_right,
     spectra_correspond,
     verify_chain_map,
@@ -43,6 +42,7 @@ from conftest import (
     OMEGABAR_RES,
     PHIBAR_NONRES,
     PHIBAR_RES,
+    _rank,
     mat,
     random_certified_endo,
     rebuild_from_linear_coefficients,
@@ -769,9 +769,13 @@ def per_vector_cohomology_action(cx, maps):
     """The former algorithm, kept as an oracle: complete the image basis to
     a kernel basis one kernel vector at a time, keeping a vector when it
     raises the rank of the stack, and solve for the coordinates of each
-    representative's image separately.  (betti, matrices, representatives)."""
+    representative's image separately.  Its ranks come from conftest's
+    Gauss-Jordan _rank, not from the fraction-free elimination that
+    cohomology_action and RingComplex.betti use.  (betti, matrices,
+    representatives)."""
     from arrmono.linalg import rational_left_kernel, rational_row_space
-    betti = cx.betti()
+    ranks = [_rank(b.entries) for b in cx.boundaries] + [0]
+    betti = [bq - ranks[q] - (ranks[q - 1] if q else 0) for q, bq in enumerate(cx.ranks)]
     matrices, reps = {}, {}
     for q in sorted(maps):
         bq = cx.ranks[q]
@@ -782,7 +786,7 @@ def per_vector_cohomology_action(cx, maps):
         image = rational_row_space(cx.boundaries[q - 1]) if q > 0 else []
         stack, chosen = list(image), []
         for v in kernel:
-            if rational_rank(RingMatrix(QQ, stack + [v])) > len(stack):
+            if _rank(stack + [v]) > len(stack):
                 stack.append(v)
                 chosen.append(v)
         reps[q] = chosen

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrmono import (
+    NotInRing,
     ParseError,
     ZeroAtPole,
     exp_jet,
@@ -207,6 +208,25 @@ def test_exact_division_by_laurent_divisor_with_monomial_content():
     p = parse_poly("x2 - 1", L)
     assert p.exact_div(parse_poly("x1*x2 - x1", L)) == L.monomial({1: -1})
     assert parse_poly("x1^2*x3 + x1^2", L).exact_div(parse_poly("x1*x3 + x1", L)) == X[0]
+
+
+@pytest.mark.parametrize("ring,constant", [(poly_ring(2), 0), (laurent_ring(2), 1)],
+                         ids=["poly", "laurent"])
+def test_exact_division_rejects_by_the_trailing_term_first(monkeypatch, ring, constant):
+    """The trailing term v2 of v1 - v2 does not divide that of v1^100000
+    (plus 1 in the Laurent ring, where the monomial content is divided out
+    first), so the division fails before the first step of a 100,000-step
+    long division."""
+    import arrmono.rings as rings
+
+    def step(*args):
+        raise AssertionError("long division started")
+
+    power = ring.monomial({1: 100_000}) + constant
+    divisor = ring.variable(1) - ring.variable(2)
+    monkeypatch.setattr(rings, "_addmul", step)
+    with pytest.raises(NotInRing):
+        power.exact_div(divisor)
 
 
 @settings(max_examples=60, deadline=None)
