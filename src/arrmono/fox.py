@@ -535,6 +535,8 @@ def parse_certificate(text: str, pres: Presentation) -> RelatorCertificate:
             continue
         if current is None:
             raise ParseError("certificate term before any 'relator' header")
+        if len(texts) == MAX_LETTERS:  # every word costs at least one letter
+            raise _over_budget()
         # The word may hold commas of its own; the last two end it.
         parts = ln[1:-1].rsplit(",", 2) if ln.startswith("(") and ln.endswith(")") else []
         sign = _SIGNS.get(parts[-1].strip()) if len(parts) == 3 else None

@@ -8,13 +8,15 @@ Only this module knows how a RingMatrix is stored.  Every other module
 builds one through RingMatrix.from_rows (per row, a dict from column to
 entry; zero entries are dropped) or the public constructor on dense rows,
 and reads its nonzeros through RingMatrix.nonzero_rows (a fresh dict per
-row, in column order); m[i, j] and m.row(i) read it densely, for printing.
-No cell of a constructed matrix is written.  Behind those doors the rows
-are dense lists, every absent cell holding the ring's one shared zero, so
-rows that hold only their nonzeros (ROADMAP 3) are a change to this module
-alone.  The dense rows stay public as RingMatrix.entries because the
-benchmark's count hooks read them (bench/spans.py) until the in-package
-trace replaces those hooks (ROADMAP 2).
+row); m[i, j] and m.row(i) read it densely, for printing.  No cell of a
+constructed matrix is written.  Each row is stored as a dict that holds
+only its nonzeros, beside the shape, so what a matrix holds and what an
+operation on it costs do not depend on its width: from_rows keeps the
+caller's dicts, and m[i, j] reads the ring's zero where a row has no
+entry.  RingMatrix.entries is a dense view, built fresh on each read; it
+stays public because the benchmark's count hooks read it
+(bench/spans.py) until the in-package trace replaces those hooks
+(ROADMAP 2).
 
 Matrix work pays for the nonzero entries, and each result is built once.
 A product over Q[y] or the Laurent ring is built row by row (Gustavson,
@@ -22,27 +24,29 @@ ACM TOMS 4(3), 1978): row i of A * B sums A[i][k] * (row k of B) over the
 nonzero A[i][k] and the nonzero entries of that row, each output entry in
 one term dict, so it costs its nonzero pairs rather than rows x columns x
 inner dimension.  The elementwise operations (sums, negation, scaling,
-evaluation, the exp-jets, is_identity and map_entries, whose function
-must send 0 to 0) read each row's nonzero entries, compute on those alone
-and build the result from them.  The Aomoto and connection matrices are
-mostly zeros (about 94% of mu_2 on a dimension-3 arrangement; 210 of the
-225 entries of a 15 x 15 Phi_2 on Z^6).  An operation whose rows come out
-dense keeps them as they are (RingMatrix._adopt); only the public
-constructor copies.
+evaluation, the exp-jets, is_zero, is_identity, equality, transpose,
+trace and map_entries, whose function must send 0 to 0) read each row's
+nonzero entries, compute on those alone and build the result from them.
+The Aomoto and connection matrices are mostly zeros (about 94% of mu_2 on
+a dimension-3 arrangement; 210 of the 225 entries of a 15 x 15 Phi_2 on
+Z^6), and the degree-2 gauge system of Z^28 is 64,288 x 21,952 with
+175,392 nonzeros: its equation dicts become the rows through from_rows,
+and the rational solve reads them with no dense row in between.
 
-The rational product keeps the dense loop: the row-sparse one took
-arrangement-resonance wall_s from 1.05 to 0.65 s but raised its
-peak_rss_mb 10-13%, which comes from the benchmark harness keeping every
-pass's reports (ROADMAP 1a).  The degree-2 gauge system reaches
-solve_right holding only its nonzero equations, as the dicts that
-connection._gauge_system built them in, and the rational solve reads the
-nonzeros of A and B into its sparse rows; a solve straight from those
-dicts, with no matrix between, waits for the in-package trace (ROADMAP
-2), since the benchmark reads the gauge's shape from that solve_right
-call.  The gauge check asks only whether the system is consistent, and
-the rational solve answers that by forward elimination alone: the
-particular solution and the kernel are derived when first read, so the
-check builds neither.
+Two readers still take dense rows, built from the dicts on each call: the
+rational product, which keeps its dense loop (each dense row of A against
+each dense column of B, multiplying at every nonzero A[i][k]), and the
+fraction-free elimination below.  Made sparse, they would speed up the
+arrangement-resonance workload, whose peak_rss_mb grows with the number of
+passes the benchmark harness fits in its time, since it keeps every pass's
+reports (ROADMAP 1a).  A rational product that read only A's nonzeros took
+that workload's wall_s from 0.74 to 0.61 s and its peak_rss_mb up 8% in
+the median and 11% at most, against a 10% bound; a row-sparse one on both
+factors took wall_s from 1.05 to 0.65 s and peak_rss_mb up 10-13%.  Both
+wait for that harness change.  The gauge check asks only whether the
+system is consistent, and the rational solve answers that by forward
+elimination alone: the particular solution and the kernel are derived
+when first read, so the check builds neither.
 
 One fraction-free elimination (Bareiss 1968), parametrized by the ring's
 exact division, gives every rank, determinant and pivot minor: rational
@@ -142,31 +146,43 @@ class RingMatrix:
     row, and nonzero_rows gives them back; m[i, j] and row(i) read it
     densely.  Entries are immutable and no cell changes after construction.
 
-    The rows are stored dense, every absent cell holding the ring's one
-    shared zero.  entries is that storage; only this module reads it, and
-    it stays public for the benchmark's count hooks until the in-package
-    trace replaces them (ROADMAP 2).
+    Each row is stored as a dict from column to entry that holds only the
+    row's nonzeros, beside the shape, so what a matrix stores and what an
+    elementwise operation costs follow its nonzeros, not its width.  A row
+    iterates in the order it was built: from_rows keeps the caller's dicts
+    and the entrywise operations their operand's order, while a matrix
+    built densely, a transpose and a product have their rows in column
+    order.  No stored row is ever written, so matrices share rows freely.
+
+    entries is a dense view, built fresh on each read, with the ring's zero
+    in every absent cell; writing into it changes nothing.  Only this
+    module reads it, for the rational product and the fraction-free
+    elimination, which take dense rows until the benchmark harness stops
+    tying memory to speed (ROADMAP 1a; module docstring), and it stays
+    public for the benchmark's count hooks until the in-package trace
+    replaces them (ROADMAP 2).
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "_nz")
 
     def __init__(self, ring, entries: Sequence[Sequence]):
+        """The matrix on dense rows of one length; zero entries are dropped."""
+        rows = [dict(enumerate(row)) for row in entries]
         self.ring = ring
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ShapeMismatch("ragged rows")
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+        if any(len(row) != self.cols for row in rows):
+            raise ShapeMismatch("ragged rows")
+        self._nz = [_nonzeros(ring, row) for row in rows]
 
     @classmethod
-    def _adopt(cls, ring, rows: list[list], cols: int) -> "RingMatrix":
-        """The matrix on dense rows that an operation here has just built,
-        of one length each and shared with nothing: they are kept as they
-        are, with no copy and no check."""
+    def _adopt(cls, ring, rows: list[dict], cols: int) -> "RingMatrix":
+        """The matrix on dict rows that an operation here has just built,
+        with no zero entry and every column below cols: they are kept as
+        they are, with no copy and no check."""
         out = cls.__new__(cls)
         out.ring = ring
-        out.entries = rows
+        out._nz = rows
         out.rows = len(rows)
         out.cols = cols
         return out
@@ -176,28 +192,20 @@ class RingMatrix:
     @classmethod
     def from_rows(cls, ring, rows: Iterable[dict], cols: int) -> "RingMatrix":
         """The rows x cols matrix whose row i holds rows[i], a dict from
-        column to entry; zero entries are dropped and every other cell holds
-        the ring's one shared zero, and cols is the width even when there
-        are no rows."""
-        zero = ring.zero()
-        poly = isinstance(ring, PolyRing)  # a Poly is zero when it has no terms
-        dense = []
-        for row in rows:
-            new = [zero] * cols
-            for j, v in row.items():
-                if v.terms if poly else v:
-                    new[j] = v
-            dense.append(new)
-        return cls._adopt(ring, dense, cols)
+        column to entry.  Each dict is kept as the row, or copied without
+        its zero entries when it has any, so the caller hands it over and
+        does not write it again; cols is the width even when there are no
+        rows."""
+        return cls._adopt(ring, [_nonzeros(ring, row) for row in rows], cols)
 
     @staticmethod
     def zero(ring, rows: int, cols: int) -> "RingMatrix":
-        return RingMatrix.from_rows(ring, [{}] * rows, cols)
+        return RingMatrix._adopt(ring, [{} for _ in range(rows)], cols)
 
     @staticmethod
     def identity(ring, size: int) -> "RingMatrix":
         one = ring.one()
-        return RingMatrix.from_rows(ring, ({i: one} for i in range(size)), size)
+        return RingMatrix._adopt(ring, [{i: one} for i in range(size)], size)
 
     # -- protocol ------------------------------------------------------------
 
@@ -205,67 +213,80 @@ class RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         return (self.ring == other.ring and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._nz == other._nz)
 
     def __getitem__(self, key: tuple[int, int]):
         i, j = key
-        return self.entries[i][j]
+        e = self._nz[i].get(j)
+        if e is not None:
+            return e
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
+        return self.ring.zero()
+
+    @property
+    def entries(self) -> list[list]:
+        """A fresh dense copy of the rows, the ring's zero in absent cells."""
+        return [_dense(row, self.cols, self.ring.zero()) for row in self._nz]
 
     def row(self, i: int) -> list:
         """Row i as a fresh list of all its entries."""
-        return list(self.entries[i])
+        return _dense(self._nz[i], self.cols, self.ring.zero())
 
     def nonzero_rows(self) -> list[dict]:
-        """Per row, a fresh dict from column to each nonzero entry, in
-        column order.  A Poly is zero when it has no terms; reading that
-        slot skips a __bool__ call per entry.  A rational zero is most
-        often the one shared zero, which a test of identity skips without
-        the Python-level Fraction.__bool__."""
-        if isinstance(self.ring, PolyRing):
-            return [{j: e for j, e in enumerate(row) if e.terms} for row in self.entries]
-        zero = self.ring.zero()
-        return [{j: e for j, e in enumerate(row) if e is not zero and e} for row in self.entries]
+        """Per row, a fresh dict from column to each nonzero entry."""
+        return [dict(row) for row in self._nz]
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not any(self._nz)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
         one = self.ring.one()
-        return all(len(row) == 1 and row.get(i) == one
-                   for i, row in enumerate(self.nonzero_rows()))
+        return all(len(row) == 1 and row.get(i) == one for i, row in enumerate(self._nz))
 
     def transpose(self) -> "RingMatrix":
-        cols = ([list(col) for col in zip(*self.entries)] if self.rows
-                else [[] for _ in range(self.cols)])
-        return RingMatrix._adopt(self.ring, cols, self.rows)
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, e in row.items():
+                out[j][i] = e
+        return RingMatrix._adopt(self.ring, out, self.rows)
 
     def map_entries(self, fn: Callable, ring=None) -> "RingMatrix":
-        """fn on the nonzero entries only, so fn must send 0 to 0; every
-        zero entry becomes the one zero of the result ring."""
+        """fn on the nonzero entries only, so fn must send 0 to 0; an entry
+        that fn sends to zero is dropped."""
         return RingMatrix.from_rows(ring if ring is not None else self.ring,
-                                    ({j: fn(e) for j, e in row.items()}
-                                     for row in self.nonzero_rows()), self.cols)
+                                    ({j: fn(e) for j, e in row.items()} for row in self._nz),
+                                    self.cols)
 
     def _combine(self, other: "RingMatrix", what: str, both: Callable,
                  alone: Callable) -> "RingMatrix":
         """Entrywise both(a, b) where a and b are nonzero, alone(b) where
         only b is, and a where only a is: the cost is other's nonzeros.  An
-        entry that cancels becomes the ring's one zero."""
+        entry that cancels is dropped."""
         if self.shape() != other.shape() or self.ring != other.ring:
             raise _mismatch(f"{what} {self.shape()} vs {other.shape()}", self, other)
-        zero = self.ring.zero()
+        poly = isinstance(self.ring, PolyRing)
         out = []
-        for r1, r2 in zip(self.entries, other.nonzero_rows()):
-            row = list(r1)
+        for r1, r2 in zip(self._nz, other._nz):
+            if not r2:
+                out.append(r1)
+                continue
+            row = dict(r1)
             for j, b in r2.items():
-                a = r1[j]
-                v = both(a, b) if a else alone(b)
-                row[j] = v if v else zero
+                a = row.get(j)
+                if a is None:
+                    row[j] = alone(b)
+                else:
+                    v = both(a, b)
+                    if v.terms if poly else v:
+                        row[j] = v
+                    else:
+                        del row[j]
             out.append(row)
         return RingMatrix._adopt(self.ring, out, self.cols)
 
@@ -283,33 +304,37 @@ class RingMatrix:
             return NotImplemented
         if self.cols != other.rows or self.ring != other.ring:
             raise _mismatch(f"mul {self.shape()} by {other.shape()}", self, other)
-        zero = self.ring.zero()
+        ring = self.ring
         out = []
-        if isinstance(self.ring, PolyRing):
+        if isinstance(ring, PolyRing):
             # Row by row (Gustavson 1978): row i of A * B is the sum of
             # A[i][k] * (row k of B) over the nonzero A[i][k], each entry
             # accumulated in one term dict, so only nonzero pairs multiply.
-            brows = [[(j, b.terms) for j, b in row.items()] for row in other.nonzero_rows()]
-            for arow in self.entries:
+            brows = [[(j, b.terms) for j, b in row.items()] for row in other._nz]
+            for arow in self._nz:
                 accs: dict[int, dict] = {}
-                for a, brow in zip(arow, brows):
-                    if brow and a.terms:
-                        for j, b in brow:
-                            _addmul(accs.setdefault(j, {}), a.terms, b, 1, self.ring)
-                out.append({j: Poly(self.ring, canonical_terms(acc))
-                            for j, acc in accs.items() if acc})
-            return RingMatrix.from_rows(self.ring, out, other.cols)
+                for k, a in arow.items():
+                    for j, b in brows[k]:
+                        _addmul(accs.setdefault(j, {}), a.terms, b, 1, ring)
+                out.append({j: Poly(ring, canonical_terms(accs[j]))
+                            for j in sorted(accs) if accs[j]})
+            return RingMatrix._adopt(ring, out, other.cols)
+        # Over Q the dense loop stays until ROADMAP 1a (module docstring):
+        # each dense row of A meets every dense column of B, and each
+        # nonzero A[i][k] multiplies every B[k][j].
         columns = list(zip(*other.entries)) if other.rows else [()] * other.cols
+        zero = ring.zero()
         for arow in self.entries:
-            row = []
-            for col in columns:
+            row = {}
+            for j, col in enumerate(columns):
                 acc = zero
                 for a, b in zip(arow, col):
                     if a:
                         acc = acc + a * b
-                row.append(acc)
+                if acc:
+                    row[j] = acc
             out.append(row)
-        return RingMatrix._adopt(self.ring, out, other.cols)
+        return RingMatrix._adopt(ring, out, other.cols)
 
     def scale(self, c) -> "RingMatrix":
         c = canonical(c)
@@ -322,13 +347,32 @@ class RingMatrix:
         if self.rows != self.cols:
             raise ShapeMismatch("trace of non-square matrix")
         acc = self.ring.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
+        for i, row in enumerate(self._nz):
+            if i in row:
+                acc = acc + row[i]
         return acc
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
-        return f"RingMatrix({self.rows}x{self.cols}: {body})"
+        body = "; ".join(", ".join(f"{j}: {e}" for j, e in row.items()) for row in self._nz)
+        return f"RingMatrix({self.rows}x{self.cols}, nonzeros by row: {body})"
+
+
+def _nonzeros(ring, row: dict) -> dict:
+    """row itself when every entry is nonzero, else a copy without its
+    zeros.  A Poly is zero when it has no terms; reading that slot skips
+    a __bool__ call per entry."""
+    if isinstance(ring, PolyRing):
+        return row if all(e.terms for e in row.values()) else {
+            j: e for j, e in row.items() if e.terms}
+    return row if all(row.values()) else {j: e for j, e in row.items() if e}
+
+
+def _dense(row: dict, cols: int, zero) -> list:
+    """The dict row as a list of cols entries, zero in absent cells."""
+    out = [zero] * cols
+    for j, e in row.items():
+        out[j] = e
+    return out
 
 
 def _itself(x):
@@ -352,7 +396,7 @@ def evaluate_matrix(m: RingMatrix, point: Sequence[Fraction | int]) -> RingMatri
 def _jet_matrices(m: RingMatrix, order: int) -> tuple[RingMatrix, ...]:
     """The parts of degree 0..order of m under x_j = exp(y_j), one
     rings.exp_jet per nonzero entry; a zero entry is zero in every part."""
-    jets = [{j: exp_jet(e, order) for j, e in row.items()} for row in m.nonzero_rows()]
+    jets = [{j: exp_jet(e, order) for j, e in row.items()} for row in m._nz]
     target = poly_ring(m.ring.nvars)
     return tuple(RingMatrix.from_rows(target if d else QQ,
                                       ({j: jet[d] for j, jet in row.items()} for row in jets),
@@ -539,7 +583,7 @@ def rational_rref(m: RingMatrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a matrix over Q; returns (rref rows,
     pivot columns)."""
     ncols = m.cols
-    sparse = [{j: canonical(v) for j, v in row.items()} for row in m.nonzero_rows()]
+    sparse = [{j: canonical(v) for j, v in row.items()} for row in m._nz]
     pivots = _forward(sparse, ncols)
     _back_substitute(sparse, pivots)
     zero = Fraction(0)
@@ -589,11 +633,12 @@ def symbolic_det(m: RingMatrix):
 def _adjugate(m: RingMatrix) -> RingMatrix:
     """Adjugate via cofactors: adj(M)[i][j] = (-1)^{i+j} det(M minor j,i)."""
     n = m.rows
+    grid = m.entries
     out = []
     for i in range(n):
         row = {}
         for j in range(n):
-            minor = RingMatrix(m.ring, [[m.entries[r][c] for c in range(n) if c != i]
+            minor = RingMatrix(m.ring, [[grid[r][c] for c in range(n) if c != i]
                                         for r in range(n) if r != j])
             d = symbolic_det(minor)
             row[j] = -d if (i + j) % 2 else d
@@ -688,10 +733,8 @@ def _solve_right_rational(a: RingMatrix, b: RingMatrix) -> SolveResult:
     row ends empty; NoSolution is raised on the first that keeps a right
     side, before any back-substitution."""
     n = a.cols
-    rows = a.nonzero_rows()
-    for row, rb in zip(rows, b.nonzero_rows()):
-        for j, v in row.items():
-            row[j] = canonical(v)
+    rows = [{j: canonical(v) for j, v in row.items()} for row in a._nz]
+    for row, rb in zip(rows, b._nz):
         for j, v in rb.items():
             row[n + j] = canonical(v)
     pivots = _forward(rows, n)
@@ -722,7 +765,8 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
 
     ring: PolyRing = a.ring
     n, k = a.cols, b.cols
-    piv_rows, echelon = fraction_free_echelon(a.entries, n, Poly.exact_div)
+    adense, bdense = a.entries, b.entries
+    piv_rows, echelon = fraction_free_echelon(adense, n, Poly.exact_div)
     piv_cols, det = _pivot_minor(echelon, ring.one())
     free_cols = [c for c in range(n) if c not in piv_cols]
 
@@ -733,18 +777,18 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     # of x_P = adj(S) * B_P / det(S), free coordinates zero, and for each
     # free column the pivot coordinates of the kernel vector whose free
     # coordinate is det(S).
-    sub = RingMatrix(ring, [[a.entries[i][j] for j in piv_cols] for i in piv_rows])
-    rhs = RingMatrix._adopt(ring, [b.entries[i] + [-a.entries[i][fc] for fc in free_cols]
-                                   for i in piv_rows], k + len(free_cols))
+    sub = RingMatrix(ring, [[adense[i][j] for j in piv_cols] for i in piv_rows])
+    rhs = RingMatrix(ring, [bdense[i] + [-adense[i][fc] for fc in free_cols] for i in piv_rows])
     solved = _adjugate(sub) * rhs
     num_rows: list[dict] = [{} for _ in range(n)]
     zero = ring.zero()
     kernel = [[det if i == fc else zero for i in range(n)] for fc in free_cols]
-    for c, row in zip(piv_cols, solved.entries):
-        num_rows[c] = dict(enumerate(row[:k]))
-        for vec, v in zip(kernel, row[k:]):
-            vec[c] = v
-    numerator = RingMatrix.from_rows(ring, num_rows, k)
+    for c, row in zip(piv_cols, solved._nz):
+        num_rows[c] = {j: v for j, v in row.items() if j < k}
+        for j, v in row.items():
+            if j >= k:
+                kernel[j - k][c] = v
+    numerator = RingMatrix._adopt(ring, num_rows, k)
 
     # X = numerator / det when every entry divides exactly.  The definitive
     # consistency check on all rows is then A * X == B, and otherwise the
@@ -887,8 +931,8 @@ def mat_exp_truncated(m: RingMatrix) -> tuple[RingMatrix, RingMatrix, RingMatrix
     if not isinstance(m.ring, PolyRing) or m.ring.laurent:
         raise ValueError("mat_exp_truncated expects a plain polynomial matrix")
     unit = m.ring.unit_key
-    for row in m.entries:
-        for e in row:
+    for row in m._nz:
+        for e in row.values():
             if unit in e.terms:
                 raise NonzeroConstantTerm(str(e))
     return RingMatrix.identity(QQ, m.rows), m, (m * m).scale(Fraction(1, 2))

@@ -57,13 +57,13 @@ def rebuild_from_linear_coefficients(m):
     nonzero int.  Equal to m exactly when every entry of m is an integral
     linear form; linear_coefficients raises ValueError on any other."""
     ring = m.ring
-    rebuilt = RingMatrix.zero(ring, m.rows, m.cols)
+    rows = [[ring.zero()] * m.cols for _ in range(m.rows)]
     for j, part in enumerate(linear_coefficients(m), start=1):
         for i, row in enumerate(part):
             for k, c in row.items():
                 assert type(c) is int and c
-                rebuilt.entries[i][k] = rebuilt.entries[i][k] + ring.variable(j).scale(c)
-    return rebuilt
+                rows[i][k] = rows[i][k] + ring.variable(j).scale(c)
+    return RingMatrix.from_rows(ring, [dict(enumerate(row)) for row in rows], m.cols)
 
 
 @pytest.fixture(scope="session")

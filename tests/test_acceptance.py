@@ -234,8 +234,9 @@ def test_criterion_9_negative_tests(pencil):
         with pytest.raises(AbelianizationNotPreserved):
             phi1(swapped)
 
-        corrupt = RingMatrix(L, [list(row) for row in pencil["phis"][2].entries])
-        corrupt.entries[2][3] = corrupt.entries[2][3] + L.variable(1)
+        rows = pencil["phis"][2].entries
+        rows[2][3] = rows[2][3] + L.variable(1)
+        corrupt = RingMatrix(L, rows)
         with pytest.raises(ChainIdentityFailed) as err:
             verify_chain_map(pencil["cx"].boundaries, {1: pencil["phis"][1], 2: corrupt})
         assert err.value.entry is not None

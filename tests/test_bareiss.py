@@ -172,14 +172,15 @@ def adjugate_oracle(m):
     n = m.rows
     if n == 1:
         return RingMatrix(m.ring, [[m.ring.one()]])
-    out = RingMatrix.zero(m.ring, n, n)
+    grid = m.entries
+    out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = RingMatrix(m.ring, [[m.entries[r][c] for c in range(n) if c != i]
+            minor = RingMatrix(m.ring, [[grid[r][c] for c in range(n) if c != i]
                                         for r in range(n) if r != j])
             d = poly_det_oracle(minor)
-            out.entries[i][j] = -d if (i + j) % 2 else d
-    return out
+            out[i][j] = -d if (i + j) % 2 else d
+    return RingMatrix(m.ring, out)
 
 
 def poly_solve_oracle(a, b):
@@ -188,29 +189,30 @@ def poly_solve_oracle(a, b):
     NoSolution."""
     ring = a.ring
     n, k = a.cols, b.cols
-    piv_rows, piv_cols = profiles_oracle(a.entries, ring, n)
+    grid = a.entries
+    piv_rows, piv_cols = profiles_oracle(grid, ring, n)
     if not piv_rows:
         if not b.is_zero():
             raise NoSolution("zero matrix")
         kernel = [[ring.one() if i == f else ring.zero() for i in range(n)] for f in range(n)]
         zero = RingMatrix.zero(ring, n, k)
         return zero, ring.one(), kernel, True, zero.entries
-    sub = RingMatrix(ring, [[a.entries[i][j] for j in piv_cols] for i in piv_rows])
+    sub = RingMatrix(ring, [[grid[i][j] for j in piv_cols] for i in piv_rows])
     det = poly_det_oracle(sub)
     adj = adjugate_oracle(sub)
-    numerator = RingMatrix.zero(ring, n, k)
-    solved = adj * RingMatrix(ring, [[b.entries[i][j] for j in range(k)] for i in piv_rows])
+    solved = adj * RingMatrix(ring, [b.row(i) for i in piv_rows])
+    num_rows = [{} for _ in range(n)]
     for pi, c in enumerate(piv_cols):
-        for j in range(k):
-            numerator.entries[c][j] = solved.entries[pi][j]
+        num_rows[c] = dict(enumerate(solved.row(pi)))
+    numerator = RingMatrix.from_rows(ring, num_rows, k)
     if a * numerator != b.map_entries(lambda e: e * det):
         raise NoSolution("not in the column span")
     kernel = []
     for fc in (c for c in range(n) if c not in piv_cols):
-        kp = adj * RingMatrix(ring, [[-a.entries[i][fc]] for i in piv_rows])
+        kp = adj * RingMatrix(ring, [[-grid[i][fc]] for i in piv_rows])
         vec = [ring.zero()] * n
         for pi, c in enumerate(piv_cols):
-            vec[c] = kp.entries[pi][0]
+            vec[c] = kp[pi, 0]
         vec[fc] = det
         kernel.append(vec)
     cleared = []

@@ -23,9 +23,10 @@ def faddeev_leverrier(m):
     coeffs[n] = ring.one()
     nk = RingMatrix.zero(ring, n, n)
     for k in range(1, n + 1):
+        rows = nk.entries
         for i in range(n):
-            nk.entries[i][i] = nk.entries[i][i] + coeffs[n - k + 1]
-        nk = m * nk
+            rows[i][i] = rows[i][i] + coeffs[n - k + 1]
+        nk = m * RingMatrix(ring, rows)
         tr = nk.trace()
         coeffs[n - k] = -(tr.scale(Fraction(1, k)) if ring is not QQ else tr * Fraction(1, k))
     return tuple(coeffs)

@@ -377,6 +377,36 @@ def test_empty_certificate_words_count_against_the_letter_budget(tmp_path, monke
     assert "Traceback" not in err.getvalue()
 
 
+def test_certificate_parse_stops_at_the_first_term_past_the_letter_budget(monkeypatch):
+    """Every word costs at least one letter, so the term line after the
+    MAX_LETTERS-th ends the parse before any word is read: a malformed line
+    right after it is never reached, and parse_words is never called.  At
+    exactly MAX_LETTERS term lines the parse goes on to the words, whose
+    letters pass the budget there."""
+    import arrmono.fox as fox
+
+    pres = fox.load_presentation(ARGS["-p"])
+    monkeypatch.setattr(fox, "MAX_LETTERS", 20)
+    calls = []
+    parse_words = fox.parse_words
+
+    def counted(texts, ngens):
+        calls.append(len(texts))
+        return parse_words(texts, ngens)
+
+    monkeypatch.setattr(fox, "parse_words", counted)
+    text = Path(ARGS["-c"]).read_text()
+    terms = sum(1 for ln in text.splitlines() if ln.startswith("("))
+    assert terms < 20
+    past = text + "( , 1 , +1 )\n" * (21 - terms) + "not a term\n"
+    with pytest.raises(ParseError, match="expands to more than 20 letters"):
+        fox.parse_certificate(past, pres)
+    assert calls == []
+    with pytest.raises(ParseError, match="expands to more than 20 letters"):
+        fox.parse_certificate(text + "( , 1 , +1 )\n" * (20 - terms), pres)
+    assert calls == [20]
+
+
 def test_point_without_coordinates_is_a_comma(tmp_path):
     path = tmp_path / "free0.pres"
     path.write_text("generators 0\n")

@@ -381,19 +381,22 @@ def conjugated_triangular(draw):
     coeffs = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
     pool = draw(st.lists(coeffs, min_size=1, max_size=size))
     diag = [draw(st.sampled_from(pool)) for _ in range(size)]
-    t = RingMatrix.zero(ring, size, size)
+    t_rows = [{} for _ in range(size)]
     for i in range(size):
-        t.entries[i][i] = ring.linear_form(diag[i])
+        t_rows[i][i] = ring.linear_form(diag[i])
         for j in range(i + 1, size):
-            t.entries[i][j] = ring.linear_form(draw(coeffs))
+            t_rows[i][j] = ring.linear_form(draw(coeffs))
+    t = RingMatrix.from_rows(ring, t_rows, size)
     u, u_inv = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
     if size > 1:
         pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
                           st.integers(-2, 2)).filter(lambda p: p[0] != p[1])
         for i, j, c in draw(st.lists(pairs, max_size=4)):
-            e, e_inv = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
-            e.entries[i][j] = ring.const(c)
-            e_inv.entries[i][j] = ring.const(-c)
+            e_rows = RingMatrix.identity(ring, size).entries
+            e_inv_rows = RingMatrix.identity(ring, size).entries
+            e_rows[i][j] = ring.const(c)
+            e_inv_rows[i][j] = ring.const(-c)
+            e, e_inv = RingMatrix(ring, e_rows), RingMatrix(ring, e_inv_rows)
             u, u_inv = u * e, e_inv * u_inv
     assert (u * u_inv).is_identity()
     multiset = {}
@@ -439,9 +442,7 @@ def test_kronecker_probe_on_wide_diagonal():
     rng = random.Random(8)
     r8 = poly_ring(8)
     forms = [tuple(rng.randint(-2, 2) for _ in range(8)) for _ in range(10)]
-    omega = RingMatrix.zero(r8, 10, 10)
-    for i, f in enumerate(forms):
-        omega.entries[i][i] = r8.linear_form(f)
+    omega = RingMatrix.from_rows(r8, [{i: r8.linear_form(f)} for i, f in enumerate(forms)], 10)
     want = {}
     for f in forms:
         want[f] = want.get(f, 0) + 1

@@ -353,8 +353,9 @@ def test_certificate_wrong_endo_detected(pencil):
 
 def test_corrupted_phi2_chain_identity_failure(pencil):
     cx, phis = pencil["cx"], pencil["phis"]
-    corrupt = RingMatrix(L, [list(row) for row in phis[2].entries])
-    corrupt.entries[0][0] = corrupt.entries[0][0] + L.one()
+    rows = phis[2].entries
+    rows[0][0] = rows[0][0] + L.one()
+    corrupt = RingMatrix(L, rows)
     with pytest.raises(ChainIdentityFailed) as err:
         verify_chain_map(cx.boundaries, {1: phis[1], 2: corrupt})
     assert err.value.entry is not None
@@ -372,8 +373,9 @@ def test_phi2_reuses_the_callers_complex_and_phi1(pencil, monkeypatch):
     monkeypatch.setattr(fox, "phi1", unexpected)
     pres, endo, cert, cx, phis = (pencil[k] for k in ("pres", "endo", "cert", "cx", "phis"))
     assert phi2_from_certificate(pres, endo, cert, cx, phis[1]) == phis[2]
-    corrupt = RingMatrix(L, [list(row) for row in phis[1].entries])
-    corrupt.entries[0][0] = corrupt.entries[0][0] + L.one()
+    rows = phis[1].entries
+    rows[0][0] = rows[0][0] + L.one()
+    corrupt = RingMatrix(L, rows)
     with pytest.raises(ChainIdentityFailed):
         phi2_from_certificate(pres, endo, cert, cx, corrupt)
 

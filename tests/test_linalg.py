@@ -117,11 +117,12 @@ def test_product_multiplies_only_nonzero_pairs(ring, monkeypatch):
     monkeypatch.setattr(linalg, "_addmul", counted)
     pool = _entry_pool(ring)
     rng = random.Random(3)
-    a = RingMatrix(ring, [[rng.choice(pool) for _ in range(6)] for _ in range(5)])
-    b = RingMatrix(ring, [[rng.choice(pool) for _ in range(7)] for _ in range(6)])
-    a.entries[2] = [ring.zero()] * 6
-    for row in b.entries:
+    a_rows = [[rng.choice(pool) for _ in range(6)] for _ in range(5)]
+    b_rows = [[rng.choice(pool) for _ in range(7)] for _ in range(6)]
+    a_rows[2] = [ring.zero()] * 6
+    for row in b_rows:
         row[4] = ring.zero()
+    a, b = RingMatrix(ring, a_rows), RingMatrix(ring, b_rows)
     pairs = sum(1 for i in range(5) for k in range(6) for j in range(7) if a[i, k] and b[k, j])
     assert 0 < pairs < 5 * 6 * 7
     assert a * b == _naive_product(a, b)
@@ -376,11 +377,19 @@ def test_from_rows_and_nonzero_rows_round_trip(ring, nrows, ncols, data):
     columns = st.integers(0, ncols - 1) if ncols else st.nothing()
     rows = [data.draw(st.dictionaries(columns, pool)) for _ in range(nrows)]
     m = RingMatrix.from_rows(ring, rows, ncols)
-    want = [{j: v for j, v in sorted(row.items()) if v} for row in rows]
+    want = [{j: v for j, v in row.items() if v} for row in rows]
     assert m.shape() == (nrows, ncols)
     got = m.nonzero_rows()
     assert got == want
-    assert all(list(row) == sorted(row) for row in got)
+    # A row keeps the order the caller built it in, and so do the entrywise
+    # operations on it; a matrix built densely, a transpose and a product
+    # have their rows in column order.
+    assert [list(row) for row in got] == [list(row) for row in want]
+    for same in (-m, m.scale(3), m - RingMatrix.zero(ring, nrows, ncols)):
+        assert [list(row) for row in same.nonzero_rows()] == [list(row) for row in want]
+    ident = RingMatrix.identity(ring, ncols)
+    for built in (RingMatrix(ring, m.entries), m.transpose(), m * ident):
+        assert all(list(row) == sorted(row) for row in built.nonzero_rows())
     for row in got:
         row.clear()
     assert m.nonzero_rows() == want  # each read is fresh
@@ -397,16 +406,62 @@ def test_from_rows_and_nonzero_rows_round_trip(ring, nrows, ncols, data):
 
 
 def test_only_linalg_reads_or_writes_the_matrix_storage():
-    """No module of the package but linalg, and no script, names the dense
-    storage (entries) or the private builder on rows (adopt, _adopt)."""
+    """No module of the package but linalg, and no script, names the stored
+    rows (_nz), the dense view (entries) or the private builder on rows
+    (adopt, _adopt); and no file of the package, the scripts or the tests
+    assigns through the dense view, which is built fresh on each read, so
+    such a write would change nothing."""
     import ast
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
-    files = [p for p in sorted((root / "src" / "arrmono").glob("*.py")) if p.name != "linalg.py"]
+    package = sorted((root / "src" / "arrmono").glob("*.py"))
+    files = [p for p in package if p.name != "linalg.py"]
     files += sorted((root / "scripts").glob("*.py"))
     assert len(files) > 5
     found = [f"{path.relative_to(root)}:{node.lineno} .{node.attr}"
              for path in files for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Attribute) and node.attr in ("entries", "adopt", "_adopt")]
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("_nz", "entries", "adopt", "_adopt")]
     assert found == []
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    scanned = package + sorted((root / "scripts").glob("*.py"))
+    scanned += sorted((root / "tests").glob("*.py"))
+    assert Path(__file__).resolve() in scanned
+    writes = [f"{path.relative_to(root)}:{node.lineno}"
+              for path in scanned for node in ast.walk(ast.parse(path.read_text()))
+              for target in targets(node) for sub in ast.walk(target)
+              if isinstance(sub, ast.Attribute) and sub.attr == "entries"]
+    assert writes == []
+
+
+def test_storage_does_not_depend_on_width():
+    """A matrix 10^7 columns wide with four nonzeros stores and computes on
+    those alone: building it, reading it back and the entrywise operations
+    stay under 1 MB (a dense row of that width is 80 MB)."""
+    import tracemalloc
+
+    width = 10 ** 7
+    rows = [{0: Fraction(1), width - 1: Fraction(-2, 3)}, {}, {width // 2: Fraction(5), 7: 2}]
+    tracemalloc.start()
+    try:
+        m = RingMatrix.from_rows(QQ, rows, width)
+        assert m.shape() == (3, width)
+        assert m.nonzero_rows() == rows
+        assert m[0, width - 1] == Fraction(-2, 3) and m[1, 5] == 0 and m[2, 7] == 2
+        assert not m.is_zero() and RingMatrix.zero(QQ, 3, width).is_zero()
+        assert m + m == m.scale(2) and (m - m).is_zero()
+        assert m.map_entries(lambda e: e * 3) == m.scale(3)
+        assert m == RingMatrix.from_rows(QQ, [dict(row) for row in rows], width)
+        assert m != m.scale(-1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

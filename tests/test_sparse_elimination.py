@@ -44,8 +44,7 @@ def dense_solve_right(a, b):
 
     Returns (particular solution with free coordinates 0, kernel basis)."""
     m, n, k = a.rows, a.cols, b.cols
-    aug = [[Fraction(a.entries[i][j]) for j in range(n)]
-           + [Fraction(b.entries[i][j]) for j in range(k)] for i in range(m)]
+    aug = [[Fraction(v) for v in a.row(i)] + [Fraction(v) for v in b.row(i)] for i in range(m)]
     pivots = []
     r = 0
     for c in range(n):
@@ -66,10 +65,10 @@ def dense_solve_right(a, b):
     for i in range(r, m):
         if any(aug[i][c] != 0 for c in range(n, n + k)):
             raise NoSolution(f"inconsistent row {i}")
-    cleared = RingMatrix.zero(QQ, n, k)
+    rows = [{} for _ in range(n)]
     for pi, c in enumerate(pivots):
-        for j in range(k):
-            cleared.entries[c][j] = aug[pi][n + j]
+        rows[c] = {j: aug[pi][n + j] for j in range(k)}
+    cleared = RingMatrix.from_rows(QQ, rows, k)
     kernel = []
     for fc in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
