@@ -35,6 +35,14 @@ so the unit rows of a Boolean arrangement take no step at all.  Only good
 sets are extended, and a set that is not good is kept when the bit masks
 of its faces are all in the set of good ones.
 
+A scan given a top degree stops extending good sets once they hold top + 1
+hyperplanes, so it visits only the subsets of at most top + 1 elements and
+finds every circuit and minimal empty set among them: a set's faces have
+one element less, so whether it is minimal does not depend on the larger
+sets the scan skips.  That is all that the nbc sets of degree at most top,
+and the rewriting of sets of that size, ask (nbc_basis); the connection
+stages read the arrangement only through degree 2.
+
 Broken circuits delete the least element of a circuit; nbc sets avoid both
 broken circuits and empty_min members, and index the monomial basis of the
 quotient algebra degree by degree.  The forbidden sets (empty_min and the
@@ -106,16 +114,20 @@ class DependencyData:
 
 # The most subsets the dependency scan may eliminate.  Every nbc set of two or
 # more hyperplanes is one, so the nbc count, and mu's ranks, are at most
-# MAX_DEPENDENCY_SUBSETS + n + 1.  Boolean 17 is admitted, Boolean 18 is not.
+# MAX_DEPENDENCY_SUBSETS + n + 1.  Boolean 17 is admitted in every degree,
+# Boolean 18 is not; through degree 2, Boolean 92 is admitted, Boolean 93 is not.
 MAX_DEPENDENCY_SUBSETS = 2 ** 17
 
 
-def compute_dependencies(arr: Arrangement) -> DependencyData:
-    """Both classes lie among the subsets of size <= dim + 1, by the rank
-    bound.  That is sum_{s=2}^{dim+1} C(n, s) subsets; past
+def compute_dependencies(arr: Arrangement, top: int | None = None) -> DependencyData:
+    """The circuits and minimal empty sets of at most top + 1 hyperplanes
+    (every one when top is None or at least dim): by the rank bound both
+    classes lie among the subsets of size <= dim + 1.  The scan visits
+    sum_{s=2}^{t+1} C(n, s) subsets, t = min(top, dim); past
     MAX_DEPENDENCY_SUBSETS, ParseError before any elimination.  The walk
     (module docstring) reduces one row per visited subset."""
-    if sum(comb(arr.n, s) for s in range(2, arr.dim + 2)) > MAX_DEPENDENCY_SUBSETS:
+    depth = arr.dim if top is None else min(top, arr.dim)
+    if sum(comb(arr.n, s) for s in range(2, depth + 2)) > MAX_DEPENDENCY_SUBSETS:
         raise ParseError(f"{arr.n} hyperplanes in dimension {arr.dim} need a dependency "
                          f"scan of more than {MAX_DEPENDENCY_SUBSETS} subsets")
     rows = [clear_row_denominators([*h.normal, -h.offset]) for h in arr.hyperplanes]
@@ -135,9 +147,10 @@ def compute_dependencies(arr: Arrangement) -> DependencyData:
             pivot = next((j for j in free if row[j]), None)
             bigger = mask | 1 << b
             if pivot is not None and pivot < dim:
-                good.add(bigger)
-                after = [j for j in free if j != pivot]
-                extend((b, *subset), bigger, [*echelon, (row, pivot, after)], after)
+                if len(subset) < depth:  # a good set of depth + 1 is neither kept nor extended
+                    good.add(bigger)
+                    after = [j for j in free if j != pivot]
+                    extend((b, *subset), bigger, [*echelon, (row, pivot, after)], after)
             elif all(bigger ^ 1 << a in good for a in subset):
                 (circuits if pivot is None else empty_min).append((b, *subset))
 
@@ -256,10 +269,13 @@ class NbcBasis:
         return [len(sets) for sets in self.by_degree]
 
 
-def nbc_basis(arr: Arrangement, dep: DependencyData) -> NbcBasis:
+def nbc_basis(arr: Arrangement, dep: DependencyData, top: int | None = None) -> NbcBasis:
+    """The nbc sets in degrees 0..dim, or 0..top when top is given; dep
+    must hold the circuits and minimal empty sets of at most that many
+    hyperplanes plus one (compute_dependencies with the same top)."""
     forbidden = dep.forbidden
     by_degree = [((),)]
-    for _ in range(arr.dim):
+    for _ in range(arr.dim if top is None else min(top, arr.dim)):
         sets = []
         for s in by_degree[-1]:
             blocked = forbidden.completions(s)

@@ -3,14 +3,16 @@
 Subcommands: info, aomoto, fox, monodromy, connection, specialize, induced,
 verify.  Each invocation is one Job, whose stages are computed on first use
 and kept, so each runs at most once per job: arr -> dep -> basis -> aomoto
-(mu); pres -> cx (Delta); endo -> p1 -> phis (Phi, from the certificate)
--> omega -> spectra per degree; projections with their induced maps and
-spectra.  Where mu meets Delta or Omega, it is read through the mu stage,
-which raises ParseError unless the ranks agree.  A cmd_* function only
-reports what it reads off the Job; a check that a stage proves, such as
-aomoto.linear_forms or monodromy.identity_at_one_deg2, is not computed
-again, and the stage is read before the check is reported, so no check
-reports pass unless it ran.
+(the Aomoto complex in every degree); arr -> mu (mu_0 and mu_1, through
+degree 2 only); pres -> cx (Delta); endo -> p1 -> phis (Phi, from the
+certificate) -> omega -> spectra per degree; projections with their
+induced maps and spectra.  Where mu meets Delta or Omega, it is read
+through the mu stage, which raises ParseError unless the ranks agree.  A
+cmd_* function only reports what it reads off the Job; a check that a
+stage proves, such as aomoto.linear_forms or
+monodromy.identity_at_one_deg2, is not computed again, and the stage is
+read before the check is reported, so no check reports pass unless it
+ran.
 Structured output (--format structured) is line-oriented and deterministic
 so golden tests are plain file comparisons; human output is a readable
 rendering of the same content.
@@ -103,14 +105,19 @@ class Job:
 
     @cached_property
     def mu(self) -> list[RingMatrix]:
-        """mu's boundaries, for the stages that read them next to Delta and
-        Omega: raises ParseError unless the arrangement's ranks in degrees
-        0..2 are those of the presentation's complex."""
-        arr_ranks, ranks = self.aomoto.ranks, self.cx.ranks
-        if arr_ranks[:len(ranks)] != ranks:
+        """mu_0 and mu_1, for the stages that read them next to Delta and
+        Omega, which live in degrees 0..2: the Aomoto complex through
+        degree 2, from the dependencies and nbc sets of at most 3
+        hyperplanes, with mu_0 * mu_1 = 0 proved on construction.  Raises
+        ParseError unless its ranks are those of the presentation's
+        complex."""
+        dep = compute_dependencies(self.arr, 2)
+        aomoto = aomoto_boundary(self.arr, dep, nbc_basis(self.arr, dep, 2))
+        arr_ranks, ranks = aomoto.ranks, self.cx.ranks
+        if arr_ranks != ranks:
             raise ParseError(f"arrangement ranks {arr_ranks} and presentation ranks {ranks} "
                              "differ in degrees 0..2")
-        return self.aomoto.boundaries
+        return aomoto.boundaries
 
     @cached_property
     def chain_universal(self) -> bool:
@@ -284,12 +291,14 @@ def cmd_induced(job: Job, report: ReportWriter) -> None:
 
 
 def cmd_verify(job: Job, report: ReportWriter) -> None:
-    """Full identity suite over the supplied inputs."""
+    """Full identity suite over the supplied inputs.  The connection lives
+    in degrees 0..2, so the arrangement is read through degree 2 (Job.mu):
+    aomoto.complex here proves mu_0 * mu_1 = 0, the composition that the
+    chain identity meets, and `arrmono aomoto` proves it in every degree."""
     report.section("verify")
-    job.aomoto  # the stage proves both aomoto checks
+    job.mu  # the stage proves both aomoto checks, and reads Delta for its ranks
     report.check("aomoto.complex", True)  # RingComplex construction raised otherwise
     report.check("aomoto.linear_forms", True)  # aomoto_boundary writes them so
-    job.cx
     report.check("fox.complex", True)  # universal_complex raised otherwise
     report.check("linearization.delta_equals_mu", job.delta_equals_mu, warn_only=True)
     phis = job.phis

@@ -5,8 +5,9 @@ induced maps on cohomology, and weight classification.
 Eigenvalue extraction never touches floating point.  Candidates are read off
 exactly (trace terms for unit-monomial eigenvalues, the integer roots at one
 Kronecker point for integral linear forms) and certified by exact polynomial
-division of the characteristic polynomial.  Certification turns the
-candidate search into a proof: a wrong candidate simply fails to divide.
+division of the characteristic polynomial, one factor per distinct diagonal
+block (linalg.char_poly).  Certification turns the candidate search into a
+proof: a wrong candidate simply fails to divide.
 A matrix of integral linear forms is handled as its integer coefficient
 matrices, M = sum_j y_j M_j (linear_coefficients).
 """
@@ -248,27 +249,32 @@ class EigenReport:
 
 
 def _certified(cp: CharPoly, kind: str, candidates: Iterable) -> EigenReport:
-    """Divide the cleared characteristic polynomial (CharPoly.cleared) by
-    (z - root) for each candidate (data, root term dict, limit), as often
-    as the division stays exact and at most limit times (None: no limit).
-    A candidate that divides is a factor of that kind; the divisions must
-    leave 1, or FactorizationFailed is raised."""
-    coeffs, _ = cp.cleared()
+    """Divide the cleared factors of the characteristic polynomial
+    (CharPoly.cleared_factors) by (z - root) for each candidate (data,
+    root term dict, limit): each factor as often as the division stays
+    exact, while the multiplicity, which counts a division once per block
+    with that factor, stays at most limit (None: no limit).  A candidate
+    that divides is a factor of that kind; the divisions must leave 1 in
+    every factor, or FactorizationFailed is raised."""
+    blocks = cp.cleared_factors()
     factors: list[EigenFactor] = []
     for data, root, limit in candidates:
         mult = 0
-        while mult != limit:
-            nxt = divide_linear_terms(coeffs, root, cp.ring)
-            if nxt is None:
-                break
-            coeffs = nxt
-            mult += 1
+        for k, (coeffs, count) in enumerate(blocks):
+            while len(coeffs) > 1 and (limit is None or mult + count <= limit):
+                nxt = divide_linear_terms(coeffs, root, cp.ring)
+                if nxt is None:
+                    break
+                coeffs = nxt
+                mult += count
+            blocks[k] = (coeffs, count)
         if mult:
             factors.append(EigenFactor(kind, data, mult))
-    if len(coeffs) > 1:
+    left = sum((len(coeffs) - 1) * count for coeffs, count in blocks)
+    if left:
         what = "unit monomials" if kind == "monomial" else "integral linear forms"
-        raise FactorizationFailed(f"{len(coeffs) - 1} eigenvalues are not {what}")
-    return EigenReport(size=len(cp.coeffs) - 1, factors=tuple(factors))
+        raise FactorizationFailed(f"{left} eigenvalues are not {what}")
+    return EigenReport(size=cp.degree, factors=tuple(factors))
 
 
 def eigen_monomials(phi: RingMatrix) -> EigenReport:
@@ -415,15 +421,20 @@ def _primes():
 
 
 def _ceil_root(num: int, den: int, k: int) -> int:
-    """The least integer b >= 0 with b^k >= num / den."""
-    lo, hi = 0, 1 << (num.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** k * den >= num:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """The least integer b >= 0 with b^k >= num / den, that is, with b^k at
+    least N = ceil(num / den): the floor k-th root x of N, from Newton's
+    steps x <- ((k - 1) x + N // x^(k-1)) // k started above the root and
+    stopped when they no longer decrease, as math.isqrt takes them, plus
+    one unless x^k = N."""
+    target = -(-num // den)
+    if target <= 1:
+        return target
+    x = 1 << -(-target.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + target // x ** (k - 1)) // k
+        if y >= x:
+            return x if x ** k == target else x + 1
+        x = y
 
 
 def _divide_root(work: list[int], r: int) -> list[int] | None:
@@ -453,35 +464,38 @@ def eigen_linear_forms(omega: RingMatrix) -> EigenReport:
     matrix Omega(probe) = sum_j B^(j-1) * Omega_j is char(Omega) evaluated
     there.  Its integer roots decode into the only possible candidates (a
     root that does not decode to n digits is dropped), and a root's
-    multiplicity is the most its form can have.
+    multiplicity is the most its form can have.  The roots are found per
+    distinct factor of that polynomial (CharPoly.factors: the probe matrix
+    has Omega's diagonal blocks), and the multiplicities add.
     Shift: l* is the candidate of highest probe multiplicity (the first in
     sorted order on a tie; the zero form if there is none).  Since
     char(Omega)(z) = char(Omega - l* I)(z - l*), char(Omega) has the factor
     (z - l)^k exactly when char(Omega - l* I) has (z - (l - l*))^k, and the
     shifted polynomial stays small however often l* repeats: on
     Omega = l* I it is z^s.
-    Certification: exact division of char(Omega - l* I), on its int term
-    dicts, by (z - (l - l*)) for every candidate l, up to its probe
-    multiplicity, must leave 1.  If char(Omega) splits into integral linear
-    forms the factorization is unique and is found; otherwise a remainder
-    is left and FactorizationFailed is raised.
+    Certification: exact division of char(Omega - l* I), on the int term
+    dicts of its block factors, by (z - (l - l*)) for every candidate l,
+    up to its probe multiplicity, must leave 1.  If char(Omega) splits
+    into integral linear forms the factorization is unique and is found;
+    otherwise a remainder is left and FactorizationFailed is raised.
     """
     n = omega.ring.nvars
     parts = linear_coefficients(omega)
     size = omega.rows
     bound = max([1] + [sum(map(abs, row.values())) for part in parts for row in part])
     base = 2 * bound + 1
-    probe = [[0] * size for _ in range(size)]
+    probe: list[dict[int, int]] = [{} for _ in range(size)]
     for j, part in enumerate(parts):
         weight = base ** j
         for i, row in enumerate(part):
             for k, c in row.items():
-                probe[i][k] += c * weight
-    candidates = {}
-    for root, mult in _integer_roots(list(char_poly(RingMatrix(QQ, probe)).coeffs)).items():
-        digits = _balanced_digits(root, base, n)
-        if digits is not None:
-            candidates[digits] = mult
+                probe[i][k] = probe[i].get(k, 0) + c * weight
+    candidates: dict[tuple[int, ...], int] = {}
+    for factor, count in char_poly(RingMatrix.from_rows(QQ, probe, size)).factors:
+        for root, mult in _integer_roots(list(factor)).items():
+            digits = _balanced_digits(root, base, n)
+            if digits is not None:
+                candidates[digits] = candidates.get(digits, 0) + mult * count
 
     star = max(sorted(candidates), key=candidates.get, default=(0,) * n)
     shift = omega.ring.linear_form(star)

@@ -90,10 +90,14 @@ the cheaper route: fraction-free back-substitution on the Bareiss echelon
 of [A | B] gave identical solutions on 400 random systems over Q[y] and
 the Laurent ring, but doubled the symbolic solve time of a pencil4 run.
 
-Characteristic polynomials use Berkowitz's division-free algorithm
-(Berkowitz 1984) on the matrix times one common denominator, so on
-integral input the whole computation, and the synthetic division that
-certifies eigenvalues, runs on int coefficients in term dicts.  The
+A characteristic polynomial is the product of those of the diagonal
+blocks that the strongly connected components of the matrix's support
+graph cut out (Tarjan 1972; Duff and Reid 1978), kept as its distinct
+factors with their counts; a block of one entry a gives z - a, and a
+larger block Berkowitz's division-free algorithm (Berkowitz 1984) on the
+matrix times one common denominator, so on integral input the whole
+computation, and the synthetic division that certifies eigenvalues, runs
+on int coefficients in term dicts.  The
 substitution x_j = exp(y_j) is needed only to order 2: a Laurent matrix
 maps entry by entry through the closed-form 2-jet of rings.exp_jet, and
 exp of a connection matrix Omega without constant terms is
@@ -843,18 +847,54 @@ def _dot(pairs: list[tuple[int, dict]], v: list[dict], ring) -> dict:
     return acc
 
 
-@dataclass(frozen=True)
 class CharPoly:
-    """Monic characteristic polynomial det(zI - M); coeffs[i] multiplies z^i."""
+    """Monic characteristic polynomial det(zI - M); coeffs[i] multiplies z^i.
 
-    ring: object
-    coeffs: tuple
+    It is kept as its factors: the distinct characteristic polynomials of
+    M's diagonal blocks (char_poly), each a coefficient tuple, lowest
+    degree first, with the number of blocks that have it.  coeffs, their
+    product, is built when it is first read.  A polynomial given by its
+    coefficients is its own one factor."""
+
+    def __init__(self, ring, coeffs: Sequence):
+        self.ring = ring
+        self.coeffs = tuple(coeffs)
+        self.factors = ((self.coeffs, 1),)
+
+    @classmethod
+    def _of_factors(cls, ring, factors: tuple[tuple[tuple, int], ...]) -> "CharPoly":
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.factors = factors
+        return out
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        out = [self.ring.one()]
+        for factor, count in self.factors:
+            for _ in range(count):
+                prod = [self.ring.zero()] * (len(out) + len(factor) - 1)
+                for i, a in enumerate(out):
+                    for j, b in enumerate(factor):
+                        if a and b:
+                            prod[i + j] = prod[i + j] + a * b
+                out = prod
+        return tuple(out)
+
+    @property
+    def degree(self) -> int:
+        return sum((len(factor) - 1) * count for factor, count in self.factors)
 
     def cleared(self) -> tuple[list[dict], int]:
         """(d * the term dict of each coefficient, d) for the least common
         denominator d; on an integral polynomial d = 1 and every
         coefficient is an int."""
         return _cleared([_terms(c) for c in self.coeffs])
+
+    def cleared_factors(self) -> list[tuple[list[dict], int]]:
+        """Per factor, its cleared coefficients (as cleared) and its count."""
+        return [(_cleared([_terms(c) for c in factor])[0], count)
+                for factor, count in self.factors]
 
 
 def divide_linear_terms(coeffs: list[dict], root: dict, ring) -> list[dict] | None:
@@ -871,25 +911,112 @@ def divide_linear_terms(coeffs: list[dict], root: dict, ring) -> list[dict] | No
 
 
 def char_poly(m: RingMatrix) -> CharPoly:
-    """det(zI - M) by Berkowitz's division-free algorithm (S. J. Berkowitz,
-    Inf. Process. Lett. 18 (1984)), over Q, Q[y] or Q[x^{+-1}].
+    """det(zI - M) over Q, Q[y] or Q[x^{+-1}], as the product of the
+    characteristic polynomials of M's diagonal blocks.
 
-    M = A / d with A integral, and A's polynomial is built up over its
-    leading principal submatrices: adding row and column r (row part R,
-    column part C, corner a) multiplies the coefficient vector, highest
-    power first, by the Toeplitz matrix with first column
-    [1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C].  Only matrix-vector
-    products occur, all over int term dicts; coefficient i of M's
-    polynomial is then coefficient i of A's over d^(n-i).
+    Blocks: the strongly connected components of the graph with an edge
+    i -> j for each off-diagonal nonzero M[i][j] (_diagonal_blocks).
+    Ordering the indices component by component, in the order the graph
+    reaches them, puts M in block triangular form (Duff and Reid, ACM TOMS
+    4(2), 1978), so det(zI - M) is the product of the blocks' polynomials;
+    equal ones are kept once, with their count (CharPoly).  A 1 x 1 block
+    [a] has z - a; a larger block has Berkowitz's polynomial, and a matrix
+    that is one block has it as a whole.  On a diagonal Omega of s linear
+    forms this keeps s factors, where the product's coefficient of z^k is
+    the k-th elementary symmetric polynomial of the forms.
     """
     if m.rows != m.cols:
         raise ShapeMismatch("char_poly of non-square matrix")
     ring = m.ring
     if not isinstance(ring, (RationalField, PolyRing)):
         raise ValueError("char_poly needs a matrix over Q or a (Laurent) polynomial ring")
-    n = m.rows
-    flat, d = _cleared([_terms(e) for row in m.entries for e in row])
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    terms = [{j: _terms(e) for j, e in row.items()} for row in m._nz]
+    d = math.lcm(*(c.denominator for row in terms for t in row.values() for c in t.values()))
+    if d != 1:
+        terms = [{j: {e: c.numerator * (d // c.denominator) for e, c in t.items()}
+                  for j, t in row.items()} for row in terms]
+    blocks = _diagonal_blocks(terms)
+    if len(blocks) == 1:
+        return CharPoly(ring, _berkowitz(ring, terms, range(m.rows), d))
+    counts: dict[tuple, int] = {}
+    for block in blocks:
+        if len(block) == 1:
+            a = m[block[0], block[0]]
+            factor = (-a if isinstance(ring, PolyRing) else -Fraction(a), ring.one())
+        else:
+            factor = _berkowitz(ring, terms, sorted(block), d)
+        counts[factor] = counts.get(factor, 0) + 1
+    return CharPoly._of_factors(ring, tuple(counts.items()))
+
+
+def _diagonal_blocks(rows: list[dict]) -> list[list[int]]:
+    """The strongly connected components of the graph on the row indices
+    with an edge i -> j for each key j != i of rows[i], by Tarjan's
+    algorithm (SIAM J. Comput. 1(2), 1972) with an explicit stack of
+    (vertex, iterator over its edges), so no recursion depth limits the
+    size.  Each component is closed when its root finishes, so the
+    components come in reverse topological order."""
+    n = len(rows)
+    index = [0] * n  # discovery number, from 1; 0 while undiscovered
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    blocks: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        count += 1
+        index[root] = low[root] = count
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(rows[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(rows[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    block = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        block.append(w)
+                        if w == v:
+                            break
+                    blocks.append(block)
+    return blocks
+
+
+def _berkowitz(ring, rows: list[dict], block: Sequence[int], d: int) -> tuple:
+    """The coefficients, lowest degree first, of det(zI - M_block) by
+    Berkowitz's division-free algorithm (S. J. Berkowitz, Inf. Process.
+    Lett. 18 (1984)), where M = A / d and rows[i] maps column j to the int
+    term dict of A[i][j].
+
+    A's polynomial is built up over its leading principal submatrices:
+    adding row and column r (row part R, column part C, corner a)
+    multiplies the coefficient vector, highest power first, by the
+    Toeplitz matrix with first column
+    [1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C].  Only matrix-vector
+    products occur, all over int term dicts; coefficient i of M's
+    polynomial is then coefficient i of A's over d^(n-i).
+    """
+    n = len(block)
+    a = [[rows[i].get(j, {}) for j in block] for i in block]
     poly = [{ring.unit_key: 1}]
     nonzeros: list[list[tuple[int, dict]]] = []  # row i of A_r: (j, A[i][j]) with j < r
     for r in range(n):
@@ -915,8 +1042,7 @@ def char_poly(m: RingMatrix) -> CharPoly:
             if a[i][r]:
                 nonzeros[i].append((r, a[i][r]))
         nonzeros.append(row + ([(r, a[r][r])] if a[r][r] else []))
-    return CharPoly(ring, tuple(_from_terms(ring, poly[n - i], d ** (n - i))
-                                for i in range(n + 1)))
+    return tuple(_from_terms(ring, poly[n - i], d ** (n - i)) for i in range(n + 1))
 
 
 # -- truncated matrix exponential ---------------------------------------------

@@ -95,7 +95,10 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
     sum_j y_j a_j on the nbc basis, rows indexed by nbc q-sets and columns
     by nbc (q+1)-sets, every entry sum_j c_j y_j with int c_j from the nbc
     rewriting.  Its ranks are the nbc counts; constructing it checks
-    mu * mu = 0."""
+    mu * mu = 0.  It has a boundary for each degree of the basis but the
+    last, so a basis truncated at degree top (nbc_basis) gives
+    mu_0 .. mu_{top-1}, equal to those of the full complex: the rewriting
+    of a set stays among sets of its size."""
     if dep is None:
         dep = compute_dependencies(arr)
     if basis is None:
@@ -103,7 +106,7 @@ def aomoto_boundary(arr: Arrangement, dep: DependencyData | None = None,
     ring = poly_ring(arr.n)
     rewriter = NbcRewriter(dep)
     boundaries = []
-    for q in range(arr.dim):
+    for q in range(len(basis.by_degree) - 1):
         rows_sets = basis.degree(q)
         cols_sets = basis.degree(q + 1)
         col_index = {s: i for i, s in enumerate(cols_sets)}

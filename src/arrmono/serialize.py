@@ -41,11 +41,20 @@ def matrix_header(name: str, m: RingMatrix) -> str:
     return f"matrix {name} {tag} rows={m.rows} cols={m.cols}"
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def matrix_lines(name: str, m: RingMatrix) -> list[str]:
+    """The matrix block: each row rendered once from its nonzero entries,
+    with the zero's text, encoded once, in every absent cell."""
     lines = [matrix_header(name, m)]
     cell = str if isinstance(m.ring, RationalField) else poly_to_pairs
-    for i in range(m.rows):
-        lines.append("row " + json.dumps([cell(e) for e in m.row(i)], separators=(",", ":")))
+    zero = _encode(cell(m.ring.zero()))
+    for row in m.nonzero_rows():
+        texts = [zero] * m.cols
+        for j, e in row.items():
+            texts[j] = _encode(cell(e))
+        lines.append("row [" + ",".join(texts) + "]")
     lines.append("endmatrix")
     return lines
 
@@ -124,11 +133,20 @@ class ReportWriter:
         if self.structured:
             self.lines.extend(matrix_lines(name, m))
         else:
+            # Each nonzero entry is written once; an absent cell is the
+            # zero's text, which widens a column only if the column has one.
             self.lines.append(f"{name} ({m.rows}x{m.cols}):")
-            widths = [max(len(str(m[i, j])) for i in range(m.rows)) if m.rows else 0
-                      for j in range(m.cols)]
-            for i in range(m.rows):
-                cells = [str(e).rjust(w) for e, w in zip(m.row(i), widths)]
+            zero = str(m.ring.zero())
+            rows = [{j: str(e) for j, e in row.items()} for row in m.nonzero_rows()]
+            widths = [0] * m.cols
+            filled = [0] * m.cols
+            for row in rows:
+                for j, text in row.items():
+                    widths[j] = max(widths[j], len(text))
+                    filled[j] += 1
+            widths = [max(w, len(zero)) if f < m.rows else w for w, f in zip(widths, filled)]
+            for row in rows:
+                cells = [row.get(j, zero).rjust(w) for j, w in enumerate(widths)]
                 self.lines.append("  [ " + "   ".join(cells) + " ]")
 
     def check(self, name: str, passed: bool, detail: str = "", warn_only: bool = False) -> None:

@@ -12,6 +12,7 @@ from arrmono import (
     Arrangement,
     Hyperplane,
     ParseError,
+    aomoto_boundary,
     compute_dependencies,
     nbc_basis,
     parse_arrangement,
@@ -139,6 +140,36 @@ def test_index_matches_the_scans_in_high_dimension_without_empty_sets(arr):
     _check_index_against_scans(arr)
 
 
+def _check_truncations(arr):
+    """Through each top degree, the dependencies, the nbc sets and mu are
+    those of the full computation with at most top + 1 hyperplanes, top
+    and top boundaries."""
+    full = compute_dependencies(arr)
+    basis = nbc_basis(arr, full)
+    mu = aomoto_boundary(arr, full, basis).boundaries
+    for top in range(arr.dim + 2):
+        dep = compute_dependencies(arr, top)
+        assert dep.circuits == tuple(c for c in full.circuits if len(c) <= top + 1)
+        assert dep.empty_min == tuple(e for e in full.empty_min if len(e) <= top + 1)
+        assert dep.broken_circuits == tuple(b for b in full.broken_circuits if len(b) <= top)
+        assert dep.circuit_of_broken == {b: c for b, c in full.circuit_of_broken.items()
+                                         if len(b) <= top}
+        truncated = nbc_basis(arr, dep, top)
+        assert truncated.by_degree == basis.by_degree[:top + 1]
+        assert aomoto_boundary(arr, dep, truncated).boundaries == mu[:top]
+
+
+def test_truncated_scan_matches_the_full_one_on_the_fixture(pencil):
+    _check_truncations(pencil["arr"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_arrangements(), _planar_with_many_empty_sets(),
+                 _central_in_high_dimension()))
+def test_truncated_scan_matches_the_full_one(arr):
+    _check_truncations(arr)
+
+
 def _det(rows) -> int:
     """Determinant by Laplace expansion along the first row, apart from the
     fraction-free elimination under test."""
@@ -259,6 +290,21 @@ def test_dependency_scan_limit_is_checked_before_the_scan(monkeypatch, text, siz
     with pytest.raises(ParseError, match=f"{arr.n} hyperplanes in dimension {arr.dim} need "
                                          f"a dependency scan of more than {size - 1} subsets"):
         compute_dependencies(arr)
+
+
+@pytest.mark.parametrize("n,admitted", [(92, True), (93, False)])
+def test_the_scan_through_degree_two_counts_pairs_and_triples(monkeypatch, n, admitted):
+    """Through degree 2 the limit counts C(n, 2) + C(n, 3) subsets:
+    129,766 on Boolean 92 and 134,044 on Boolean 93."""
+    import arrmono.arrangement as arrangement
+
+    def started(row, echelon):
+        raise _ScanStarted
+
+    arr = parse_arrangement(_boolean_text(n))
+    monkeypatch.setattr(arrangement, "reduce_row", started)
+    with pytest.raises(_ScanStarted if admitted else ParseError):
+        compute_dependencies(arr, 2)
 
 
 def test_independent_hyperplanes_required():

@@ -116,3 +116,63 @@ def test_divide_linear_over_q(coeffs, root):
     got = divide_linear(cp, root)
     want = poly_divide_linear(cp.coeffs, root)
     assert got == want
+
+
+@st.composite
+def permuted_block_triangular(draw, entry, zero):
+    """P * T * P^-1 for a block upper-triangular T, whose diagonal blocks
+    (1 x 1 to 3 x 3) and the part above them are drawn from entry, with
+    zero below them, and a drawn permutation P of its indices."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rows = [[draw(entry) if block_of[i] <= block_of[j] else zero for j in range(n)]
+            for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_triangular(rationals, Fraction(0)))
+def test_block_char_poly_matches_oracle_over_q(rows):
+    m = RingMatrix(QQ, rows)
+    cp = char_poly(m)
+    assert cp.coeffs == faddeev_leverrier(m)
+    assert cp.degree == m.rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(permuted_block_triangular(linear_forms, Y.zero()))
+def test_block_char_poly_matches_oracle_over_linear_forms(rows):
+    m = RingMatrix(Y, rows)
+    assert char_poly(m).coeffs == faddeev_leverrier(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(permuted_block_triangular(laurent_entries, X.zero()), st.sampled_from([1, 2, 3]))
+def test_block_char_poly_matches_oracle_over_laurent(rows, den):
+    m = RingMatrix(X, rows).map_entries(lambda e: e.scale(Fraction(1, den)))
+    assert char_poly(m).coeffs == faddeev_leverrier(m)
+
+
+def test_char_poly_keeps_one_factor_per_distinct_block():
+    # A permuted block-diagonal matrix with the 2 x 2 block B twice, [y1]
+    # three times and [y2] once, and an entry above the blocks.
+    y1, y2 = Y.variable(1), Y.variable(2)
+    b = [[y1, Y.one()], [y2, Y.zero()]]
+    rows = [[Y.zero()] * 9 for _ in range(9)]
+    for start in (0, 2):
+        for i in range(2):
+            for j in range(2):
+                rows[start + i][start + j] = b[i][j]
+    for i in (4, 5, 6):
+        rows[i][i] = y1
+    rows[7][7] = y2
+    rows[0][8] = y2  # above the blocks: no new block, no new factor
+    perm = [3, 8, 1, 6, 0, 4, 7, 2, 5]
+    m = RingMatrix(Y, [[rows[perm[i]][perm[j]] for j in range(9)] for i in range(9)])
+    cp = char_poly(m)
+    block = (-y2, -y1, Y.one())
+    assert dict(cp.factors) == {block: 2, (-y1, Y.one()): 3, (-y2, Y.one()): 1,
+                                (Y.zero(), Y.one()): 1}
+    assert cp.coeffs == faddeev_leverrier(m)

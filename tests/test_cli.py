@@ -337,23 +337,24 @@ def test_malformed_point_fails_before_any_complex_is_built(argv, monkeypatch):
 
 
 def test_an_over_limit_arrangement_fails_before_any_connection_work(tmp_path, monkeypatch):
-    """Boolean 18 is past the dependency scan's subset limit, which the mu
-    stage checks before Phi is built."""
+    """Boolean 93 is past the subset limit of the dependency scan through
+    degree 2 (C(93, 2) + C(93, 3) = 134,044 subsets), which the mu stage
+    checks before Phi is built."""
     import arrmono.cli as cli
 
     def unexpected(*args):
         raise AssertionError("Phi built before the arrangement was checked")
 
     monkeypatch.setattr(cli, "phi2_from_certificate", unexpected)
-    path = tmp_path / "boolean18.arr"
-    path.write_text("dim 18\n" + "".join("0" + " 0" * k + " 1" + " 0" * (17 - k) + "\n"
-                                         for k in range(18)))
+    path = tmp_path / "boolean93.arr"
+    path.write_text("dim 93\n" + "".join("0" + " 0" * k + " 1" + " 0" * (92 - k) + "\n"
+                                         for k in range(93)))
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli("connection", "-a", str(path), "-p", ARGS["-p"], "-e", ARGS["-e"],
                             "-c", ARGS["-c"])
     assert code == 2 and out == ""
-    assert err.getvalue() == ("parse error: 18 hyperplanes in dimension 18 need a dependency "
+    assert err.getvalue() == ("parse error: 93 hyperplanes in dimension 93 need a dependency "
                               "scan of more than 131072 subsets\n")
 
 

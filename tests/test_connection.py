@@ -330,6 +330,73 @@ def test_shift_by_dominant_form_still_rejects_non_splitting():
         eigen_linear_forms(m)
 
 
+def test_a_candidate_that_divides_one_block_but_not_the_others_fails():
+    # block-diag([y1], [[0, y1], [y2, 0]]): y1 divides the 1 x 1 block, and
+    # +-sqrt(y1*y2) stays in the other.
+    from arrmono.connection import _certified
+    r2 = poly_ring(2)
+    m = mat(r2, [["y1", "0", "0"], ["0", "0", "y1"], ["0", "y2", "0"]])
+    cp = char_poly(m)
+    assert len(cp.factors) == 2
+    y1 = r2.linear_form((1, 0))
+    with pytest.raises(FactorizationFailed, match="2 eigenvalues are not"):
+        _certified(cp, "linear_form", [((1, 0), y1.terms, None)])
+    with pytest.raises(FactorizationFailed, match="2 eigenvalues are not"):
+        eigen_linear_forms(m)
+    # diag(y1, y1) is one factor that two blocks have: a limit of 1 admits
+    # neither division, and a limit of 2 both.
+    twice = mat(r2, [["y1", "0"], ["0", "y1"]])
+    with pytest.raises(FactorizationFailed, match="2 eigenvalues are not"):
+        _certified(char_poly(twice), "linear_form", [((1, 0), y1.terms, 1)])
+    report = _certified(char_poly(twice), "linear_form", [((1, 0), y1.terms, 2)])
+    assert report.multiset() == {(1, 0): 2} and report.size == 2
+
+
+def test_a_diagonal_omega_certifies_one_block_at_a_time():
+    # Entry i is e_{floor(i/2) mod 8} * (-1)^i + e_{(3i+1) mod 8}: the
+    # whole-matrix polynomial of this 20 x 20 Omega in 8 variables has
+    # coefficients with thousands of terms; its blocks are 1 x 1.
+    r8 = poly_ring(8)
+    forms = []
+    for i in range(20):
+        form = [0] * 8
+        form[i // 2 % 8] += (-1) ** i
+        form[(3 * i + 1) % 8] += 1
+        forms.append(tuple(form))
+    omega = RingMatrix.from_rows(r8, [{i: r8.linear_form(f)} for i, f in enumerate(forms)], 20)
+    want = {}
+    for f in forms:
+        want[f] = want.get(f, 0) + 1
+    start = time.perf_counter()
+    report = eigen_linear_forms(omega)
+    assert time.perf_counter() - start < 0.05
+    assert report.multiset() == want and report.size == 20
+
+
+def bisection_ceil_root(num, den, k):
+    """The former _ceil_root, kept as an oracle: the least b >= 0 with
+    b^k * den >= num, by bisection."""
+    lo, hi = 0, 1 << (num.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** k * den >= num:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 10 ** 6), st.integers(0, 2 ** 300),
+       st.integers(0, 2 ** 30), st.integers(-1, 1))
+def test_ceil_root_matches_bisection(k, den, num, root, off):
+    # Besides a free num, den * root^k and its neighbours, where the root
+    # is exact or just misses.
+    from arrmono.connection import _ceil_root
+    for n in (num, max(0, root ** k * den + off)):
+        assert _ceil_root(n, den, k) == bisection_ceil_root(n, den, k)
+
+
 # -- Kronecker probe against the axis-probe search ----------------------------------
 
 
