@@ -11,29 +11,32 @@ two classes, which is what makes the affine (non-central) case work:
 
 Both classes come from two ranks per index set: of its normals and of its
 rows [normal | -offset].  Each row is scaled to integers once (scaling a row
-changes no rank).  A subset is good when it is independent and its
-hyperplanes meet; good sets are closed under taking subsets, and the
-circuits and the minimal empty sets together are exactly the sets that are
-not good while all their faces (drop-one subsets) are.  A proper superset
-of an empty set is not minimal, and a dependent set that meets contains a
-meeting circuit, any element of which any superset can drop without
-changing its intersection, so it is not minimal either.
+changes no rank) and kept as a dict of its nonzero entries, so a normal
+with zeros, like those of a Boolean arrangement, stores only the rest.  A
+subset is good when it is independent and its hyperplanes meet; good sets
+are closed under taking subsets, and the circuits and the minimal empty
+sets together are exactly the sets that are not good while all their faces
+(drop-one subsets) are.  A proper superset of an empty set is not minimal,
+and a dependent set that meets contains a meeting circuit, any element of
+which any superset can drop without changing its intersection, so it is
+not minimal either.
 
 The walk visits the subsets in increasing order of their bit masks, that
 is, lexicographically in their elements read from the largest down, so every
 face of a set comes before it.  A set is its prefix (itself without its
 least element) plus one hyperplane, and the walk keeps the fraction-free
-echelon of each prefix on its stack: the new row is reduced against the at
-most L pivot rows of the prefix (linalg.reduce_row, the step of the
-package's one fraction-free elimination, exact by Sylvester's identity, so
-every entry stays a minor of the input) and its first nonzero free column,
-if any, is its pivot.  The pivot columns are then the column rank profile,
-so both ranks come from that one row: no pivot means dependent and
-meeting, the offset column means empty, a normal column means good.
-reduce_row skips a step at a pivot column where the row is already zero,
-so the unit rows of a Boolean arrangement take no step at all.  Only good
-sets are extended, and a set that is not good is kept when the bit masks
-of its faces are all in the set of good ones.
+echelon of each prefix on its stack, as (pivot row, pivot column) pairs.
+The new row is reduced against the at most L pivot rows of the prefix by
+linalg.reduce_row, the step of the package's one fraction-free
+elimination: it is exact by Sylvester's identity, so every entry stays a
+minor of the input, and it skips a pivot column where the row is already
+zero, so the unit rows of a Boolean arrangement take no step at all.  The
+reduced row is zero at the prefix's pivot columns, so its least column, if
+it has any entry, is its pivot, and the pivot columns are the column rank
+profile.  Both ranks come from that one row: no entry means dependent and
+meeting, a pivot at the offset column means empty, at a normal column
+good.  Only good sets are extended, and a set that is not good is kept
+when the bit masks of its faces are all in the set of good ones.
 
 A scan given a top degree stops extending good sets once they hold top + 1
 hyperplanes, so it visits only the subsets of at most top + 1 elements and
@@ -130,31 +133,28 @@ def compute_dependencies(arr: Arrangement, top: int | None = None) -> Dependency
     if sum(comb(arr.n, s) for s in range(2, depth + 2)) > MAX_DEPENDENCY_SUBSETS:
         raise ParseError(f"{arr.n} hyperplanes in dimension {arr.dim} need a dependency "
                          f"scan of more than {MAX_DEPENDENCY_SUBSETS} subsets")
-    rows = [clear_row_denominators([*h.normal, -h.offset]) for h in arr.hyperplanes]
+    rows = [clear_row_denominators(dict(enumerate((*h.normal, -h.offset))))
+            for h in arr.hyperplanes]
     dim = arr.dim
     good: set[int] = set()  # bit masks of the independent subsets that meet
     circuits: list[tuple[int, ...]] = []
     empty_min: list[tuple[int, ...]] = []
 
-    def extend(subset: tuple[int, ...], mask: int, echelon: list, free: list[int]) -> None:
-        """Visit subset + b for each b below subset's least element.
-        echelon holds, per pivot in insertion order, the pivot row, its
-        column and the columns still without a pivot after it; free are
-        those after the last pivot, in increasing order."""
+    def extend(subset: tuple[int, ...], mask: int, echelon: list) -> None:
+        """Visit subset + b for each b below subset's least element;
+        echelon holds subset's (pivot row, pivot column) pairs."""
         for b in range(subset[0] if subset else arr.n):
-            row = rows[b][:]
-            reduce_row(row, echelon)
-            pivot = next((j for j in free if row[j]), None)
+            row = reduce_row(rows[b], echelon)
+            pivot = min(row, default=None)
             bigger = mask | 1 << b
             if pivot is not None and pivot < dim:
                 if len(subset) < depth:  # a good set of depth + 1 is neither kept nor extended
                     good.add(bigger)
-                    after = [j for j in free if j != pivot]
-                    extend((b, *subset), bigger, [*echelon, (row, pivot, after)], after)
+                    extend((b, *subset), bigger, [*echelon, (row, pivot)])
             elif all(bigger ^ 1 << a in good for a in subset):
                 (circuits if pivot is None else empty_min).append((b, *subset))
 
-    extend((), 0, [], list(range(dim + 1)))
+    extend((), 0, [])
     circuits.sort()
     broken: dict[tuple[int, ...], tuple[int, ...]] = {}
     for c in circuits:

@@ -695,14 +695,15 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
     Per degree, one elimination completes a basis of the image of the
     incoming boundary to a basis of the kernel of the outgoing one.  It
     inserts the image basis, then the kernel basis, as rows scaled to
-    integers, and keeps a row exactly when it is independent of the rows
-    before it, so every image row is kept and the kept kernel rows are the
-    greedy completion.  Those kernel vectors represent the cohomology
-    classes.  One solve, with one right-hand column
-    per representative, writes the images of all representatives in the
-    basis image + representatives; the action matrix holds their
-    coordinates on the representatives.  The chain identity is verified
-    first.
+    integers (dicts of their nonzeros), and keeps a row exactly when it is
+    independent of the rows before it, so every image row is kept and the
+    kept kernel rows are the greedy completion.  Those kernel vectors
+    represent the cohomology classes; their number must be the betti
+    number, and VerificationFailed ("cohomology.quotient_dimension") is
+    raised otherwise.  One solve, with one right-hand column per
+    representative, writes the images of all representatives in the basis
+    image + representatives; the action matrix holds their coordinates on
+    the representatives.  The chain identity is verified first.
     """
     verify_chain_map(cx.boundaries, maps)
     betti = cx.betti()
@@ -718,9 +719,12 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
             kernel = [[Fraction(1) if i == j else Fraction(0) for i in range(bq)]
                       for j in range(bq)]
         image = rational_row_space(cx.boundaries[q - 1]) if q > 0 else []
-        kept, _ = fraction_free_echelon(map(clear_row_denominators, image + kernel), bq)
+        kept, _ = fraction_free_echelon((clear_row_denominators(dict(enumerate(row)))
+                                         for row in image + kernel), bq)
         chosen = [kernel[i - len(image)] for i in kept[len(image):]]
-        assert len(chosen) == betti[q], "quotient dimension mismatch"
+        if len(chosen) != betti[q]:
+            raise VerificationFailed("cohomology.quotient_dimension", f"{len(chosen)} "
+                                     f"representatives in degree {q}, betti number {betti[q]}")
         reps[q] = chosen
         if not chosen:
             matrices[q] = RingMatrix.zero(QQ, 0, 0)

@@ -31,40 +31,28 @@ The Aomoto and connection matrices are mostly zeros (about 94% of mu_2 on
 a dimension-3 arrangement; 210 of the 225 entries of a 15 x 15 Phi_2 on
 Z^6), and the degree-2 gauge system of Z^28 is 64,288 x 21,952 with
 175,392 nonzeros: its equation dicts become the rows through from_rows,
-and the rational solve reads them with no dense row in between.
+and the rational solve reads them with no dense row in between.  The one
+reader of dense rows is the rational product, which keeps its dense loop
+until the benchmark harness stops tying memory to speed (ROADMAP 1a).
 
-Two readers still take dense rows, built from the dicts on each call: the
-rational product, which keeps its dense loop (each dense row of A against
-each dense column of B, multiplying at every nonzero A[i][k]), and the
-fraction-free elimination below.  Made sparse, they would speed up the
-arrangement-resonance workload, whose peak_rss_mb grows with the number of
-passes the benchmark harness fits in its time, since it keeps every pass's
-reports (ROADMAP 1a).  A rational product that read only A's nonzeros took
-that workload's wall_s from 0.74 to 0.61 s and its peak_rss_mb up 8% in
-the median and 11% at most, against a 10% bound; a row-sparse one on both
-factors took wall_s from 1.05 to 0.65 s and peak_rss_mb up 10-13%.  Both
-wait for that harness change.  The gauge check asks only whether the
-system is consistent, and the rational solve answers that by forward
-elimination alone: the particular solution and the kernel are derived
-when first read, so the check builds neither.
-
-One fraction-free elimination (Bareiss 1968), parametrized by the ring's
-exact division, gives every rank, determinant and pivot minor: rational
-ranks on rows cleared to integers (//), determinants over Q (/), and ranks,
-determinants and the pivot minor of symbolic solving over Q[y] and the
-Laurent ring (Poly.exact_div).  fraction_free_echelon inserts a matrix's
-rows in input order, each reduced against the pivot rows so far by
-reduce_row, the same step the dependency walk of arrangement applies to
-one new row against a prefix's echelon: a step at a column where the row
-is already zero is skipped, and one closing rescale makes up for the
-skipped ones, so sparse rows pay for their nonzero pivot columns only.  A
-row is kept with its first nonzero free column as pivot, or dropped as
-dependent.  The kept rows are the row rank profile, the sorted pivot
-columns the column rank profile, and the last pivot is the minor on them
-(Sylvester's identity), signed by the permutation that sorts the pivot
-columns; every caller reads what it needs off that one pass.  Ranks stay
-fraction-free and on integers: the sparse Gauss-Jordan below is more than
-ten times slower on a dense integer matrix.
+One fraction-free elimination (Bareiss 1968) on dict rows, parametrized
+by the ring's exact division, gives every rank, determinant, dependency
+step and symbolic solve: over Q on rows cleared to integers (//), over
+Q[y] and the Laurent ring with Poly.exact_div.  fraction_free_echelon
+inserts rows in input order, each reduced against the pivot rows so far
+by reduce_row, the step the dependency walk of arrangement also applies
+to one new row against a prefix's echelon.  A step at a pivot column
+where the row is zero is skipped, and one closing rescale makes up for
+the skipped ones, so a sparse row pays for its nonzero pivot columns
+only.  A reduced row is zero at every earlier pivot column, so its pivot
+is its least column, or it is dropped as dependent; columns from a given
+bound on are carried along and never pivot.  The kept rows are the row
+rank profile, the sorted pivot columns the column rank profile, and the
+last pivot is the minor on them (Sylvester's identity), signed by the
+permutation that sorts the pivot columns; every caller reads what it
+needs off that one pass.  Ranks stay fraction-free and on integers: the
+sparse Gauss-Jordan below is more than ten times slower on a dense
+integer matrix.
 Solving over Q and the rational reduced row echelon form share one sparse
 elimination in two phases (Duff, Erisman and Reid, Direct Methods for
 Sparse Matrices, 1986): rows hold only their nonzeros, forward elimination
@@ -74,21 +62,20 @@ pivot rows to the reduced row echelon form.  That form is unique, so the
 answer does not depend on the pivot order.  The reduced row echelon form
 runs both phases; solve_right over Q runs the forward phase, which alone
 decides consistency, and leaves back-substitution to the first read of
-the solution or the kernel.
+the solution or the kernel.  The gauge check asks only that verdict, so
+it builds neither the particular solution nor the kernel.
 
-Symbolic solving applies Cramer's rule to the minor S on the row and
-column rank profiles, whose determinant comes from the same elimination
-and whose adjugate comes from cofactor determinants.  One product
-adj(S) * [B_P | -A_P,free] on the pivot rows P gives both the numerator
-of the particular solution, over the one explicit denominator det(S), and
-every kernel vector.  The empty minor of a zero matrix has determinant 1
-and an empty adjugate, so it takes the same path.  The numerator is divided exactly first, and the
-consistency check on all rows is A * X == B on the quotient, or
-A * numerator == det * B when X is not a ring matrix.  The induced maps of
-the benchmark have pivot minors of size 2 and 3, where the cofactors are
-the cheaper route: fraction-free back-substitution on the Bareiss echelon
-of [A | B] gave identical solutions on 400 random systems over Q[y] and
-the Laurent ring, but doubled the symbolic solve time of a pencil4 run.
+Symbolic solving reduces the rows of [A | B] in the fraction-free
+elimination, with pivots on A's columns only, and stops once every
+column of A has one.  Fraction-free back-substitution on the pivot rows
+(Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3), 1997) then gives the
+numerator det * x of the particular solution, free coordinates zero, over
+the one explicit denominator det, the signed pivot minor, and every kernel
+vector, with det at its free column; each entry is a minor of [A | B], so
+every division is exact.  The empty minor of a zero matrix has
+determinant 1 and takes the same path.  The numerator is divided exactly
+first, and the consistency check on all rows is A * X == B on the
+quotient, or A * numerator == det * B when X is not a ring matrix.
 
 A characteristic polynomial is the product of those of the diagonal
 blocks that the strongly connected components of the matrix's support
@@ -113,7 +100,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, floordiv, neg, sub, truediv
+from operator import add, floordiv, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -159,12 +146,11 @@ class RingMatrix:
     order.  No stored row is ever written, so matrices share rows freely.
 
     entries is a dense view, built fresh on each read, with the ring's zero
-    in every absent cell; writing into it changes nothing.  Only this
-    module reads it, for the rational product and the fraction-free
-    elimination, which take dense rows until the benchmark harness stops
-    tying memory to speed (ROADMAP 1a; module docstring), and it stays
-    public for the benchmark's count hooks until the in-package trace
-    replaces them (ROADMAP 2).
+    in every absent cell; writing into it changes nothing.  In this module
+    only the rational product reads it (ROADMAP 1a), and it stays public
+    for the benchmark's count hooks until the in-package trace replaces
+    them (ROADMAP 2).  The elimination reads the stored dict rows
+    themselves, and never writes them.
     """
 
     __slots__ = ("ring", "rows", "cols", "_nz")
@@ -422,88 +408,93 @@ def series_matrix(m: RingMatrix) -> tuple[RingMatrix, ...]:
 # -- elimination ----------------------------------------------------------------
 
 
-def clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
-    """The row times the least common multiple of its denominators."""
-    lcm = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (lcm // v.denominator) for v in row]
+def clear_row_denominators(row: dict) -> dict[int, int]:
+    """The dict row of rationals times the least common multiple of its
+    denominators, as ints; zero entries are dropped."""
+    lcm = math.lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (lcm // v.denominator) for j, v in row.items() if v}
 
 
-def bareiss_step(row: list, top: Sequence, c: int, columns: Iterable[int], prev,
-                 div: Callable = floordiv) -> None:
-    """One fraction-free step on row, in place: on columns it becomes
-    (row * top[c] - row[c] * top) / prev, the division exact by Sylvester's
-    identity (prev is the pivot of the step before; None on the first step,
-    which divides by nothing)."""
-    pivot, f = top[c], row[c]
-    for j in columns:
-        v = row[j] * pivot - f * top[j]
-        row[j] = v if prev is None else div(v, prev)
-
-
-def reduce_row(row: list, echelon: list, div: Callable = floordiv) -> None:
-    """Reduce row in place against the pivot rows of echelon, as (pivot
-    row, pivot column, columns still free after it) in insertion order, so
-    that on the free columns it holds the minors on echelon's pivot rows
-    and columns plus its own row and column.  A step at a column where row
-    is zero only scales it, so it is skipped and the next step divides by
-    the pivot of the last step taken instead; one scaling at the end, by
-    the last pivot over that one, makes up for the skipped steps.  div is
-    the exact division of the entries' ring."""
+def reduce_row(row: dict, echelon: list, div: Callable = floordiv) -> dict:
+    """row, a dict of nonzeros, reduced against the pivot rows of echelon,
+    (pivot row, pivot column) pairs in insertion order: a dict that is zero
+    at every pivot column and holds, at each other column, the minor on
+    echelon's pivot rows and columns plus row and that column.  A step
+    at pivot column c, where row holds f, takes row to (row * top[c] - f *
+    top) / (the pivot of the step before), exact by Sylvester's identity.
+    A step where row is zero only scales it, so it is skipped and the next
+    step divides by the pivot of the last step taken instead; one scaling
+    at the end, by the last pivot over that one, makes up for the skipped
+    steps.  div is the exact division of the entries' ring.  row itself
+    is never written, and is returned as it is when echelon is empty."""
     taken = None
-    for top, c, after in echelon:
-        if row[c]:
-            bareiss_step(row, top, c, after, taken, div)
-            taken = top[c]
+    for top, c in echelon:
+        f = row.get(c)
+        if f is None:
+            continue
+        p = top[c]
+        out = {}
+        for j, v in row.items():
+            if j != c:
+                t = top.get(j)
+                v = v * p if t is None else v * p - f * t
+                if v:
+                    out[j] = v if taken is None else div(v, taken)
+        for j, t in top.items():
+            if j not in row:  # a product of nonzeros, so nonzero
+                out[j] = -(f * t) if taken is None else div(-(f * t), taken)
+        row, taken = out, p
     if echelon:
-        top, c, after = echelon[-1]
+        top, c = echelon[-1]
         last = top[c]
         if taken is not last:
-            for j in after:
-                row[j] = row[j] * last if taken is None else div(row[j] * last, taken)
+            row = {j: v * last if taken is None else div(v * last, taken)
+                   for j, v in row.items()}
+    return row
 
 
-def fraction_free_echelon(rows: Iterable[Sequence], cols: int,
+def fraction_free_echelon(rows: Iterable[dict], cols: int,
                           div: Callable = floordiv) -> tuple[list[int], list]:
-    """Fraction-free elimination (Bareiss 1968), one row at a time: each
-    row, copied, is reduced against the pivot rows so far (reduce_row) and
-    kept with its first nonzero free column as pivot, or dropped as
-    dependent.  Returns (the kept rows' input indices, the echelon as
-    reduce_row reads it).  The kept rows are the row rank profile, the
+    """Fraction-free elimination (Bareiss 1968) on dict rows of nonzeros,
+    one row at a time: each is reduced against the pivot rows so far
+    (reduce_row), so it is zero at every earlier pivot column and its
+    first nonzero column, min(row), is its pivot when that is below cols;
+    otherwise the row is dropped.  Columns from cols on are carried along
+    and never pivot.  The loop stops once every column below cols has a
+    pivot.  Returns (the kept rows' input indices, the echelon as (pivot
+    row, pivot column) pairs).  The kept rows are the row rank profile, the
     sorted pivot columns the column rank profile, and the last pivot is
     the minor on the kept rows and the pivot columns in insertion order."""
     pivot_rows: list[int] = []
     echelon: list = []
-    free = list(range(cols))
     for i, row in enumerate(rows):
-        if not free:
+        if len(echelon) == cols:
             break
-        row = list(row)
-        reduce_row(row, echelon, div)
-        for pivot in free:
-            if row[pivot]:
-                free = [j for j in free if j != pivot]
-                echelon.append((row, pivot, free))
+        row = reduce_row(row, echelon, div)
+        if row:
+            pivot = min(row)
+            if pivot < cols:
+                echelon.append((row, pivot))
                 pivot_rows.append(i)
-                break
     return pivot_rows, echelon
 
 
-def _pivot_minor(echelon: list, one) -> tuple[list[int], object]:
-    """(the column rank profile, the determinant of the minor on the kept
-    rows and those columns): the last pivot, signed by the permutation that
-    sorts the pivot columns, or the ring's one for the empty minor."""
+def _pivot_minor(echelon: list, one):
+    """The determinant of the minor on the kept rows and the sorted pivot
+    columns: the last pivot, signed by the permutation that sorts the pivot
+    columns, or the ring's one for the empty minor."""
     if not echelon:
-        return [], one
-    cols = [c for _, c, _ in echelon]
-    top, c, _ = echelon[-1]
+        return one
+    cols = [c for _, c in echelon]
+    top, c = echelon[-1]
     inversions = sum(cols[j] > cols[i] for i in range(len(cols)) for j in range(i))
-    return sorted(cols), -top[c] if inversions % 2 else top[c]
+    return -top[c] if inversions % 2 else top[c]
 
 
 def rational_rank(m: RingMatrix) -> int:
     if not isinstance(m.ring, RationalField):
         raise ValueError("rational_rank needs a matrix over Q")
-    return len(fraction_free_echelon(map(clear_row_denominators, m.entries), m.cols)[0])
+    return len(fraction_free_echelon(map(clear_row_denominators, m._nz), m.cols)[0])
 
 
 def _forward(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:
@@ -615,39 +606,27 @@ def generic_rank(m: RingMatrix) -> int:
     integers over Q, and Poly.exact_div over Q[y] and the Laurent ring."""
     if isinstance(m.ring, RationalField):
         return rational_rank(m)
-    return len(fraction_free_echelon(m.entries, m.cols, Poly.exact_div)[0])
+    return len(fraction_free_echelon(m._nz, m.cols, Poly.exact_div)[0])
 
 
 def symbolic_det(m: RingMatrix):
     """Determinant over Q or a (Laurent) polynomial ring: the last pivot of
     the fraction-free elimination, signed by the permutation that sorts
-    the pivot columns, or 0 when a row is dependent."""
+    the pivot columns, or 0 when a row is dependent.  Over Q the rows are
+    cleared to integers first, and the minor divided by the product of the
+    row multipliers at the end."""
     if m.rows != m.cols:
         raise ShapeMismatch("det of non-square matrix")
     if isinstance(m.ring, RationalField):
-        rows, div = ([Fraction(v) for v in row] for row in m.entries), truediv
+        rows, div = map(clear_row_denominators, m._nz), floordiv
+        den = math.prod(math.lcm(*(v.denominator for v in row.values())) for row in m._nz)
     else:
-        rows, div = m.entries, Poly.exact_div
+        rows, div, den = m._nz, Poly.exact_div, None
     pivot_rows, echelon = fraction_free_echelon(rows, m.cols, div)
     if len(pivot_rows) < m.rows:
         return m.ring.zero()
-    return _pivot_minor(echelon, m.ring.one())[1]
-
-
-def _adjugate(m: RingMatrix) -> RingMatrix:
-    """Adjugate via cofactors: adj(M)[i][j] = (-1)^{i+j} det(M minor j,i)."""
-    n = m.rows
-    grid = m.entries
-    out = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            minor = RingMatrix(m.ring, [[grid[r][c] for c in range(n) if c != i]
-                                        for r in range(n) if r != j])
-            d = symbolic_det(minor)
-            row[j] = -d if (i + j) % 2 else d
-        out.append(row)
-    return RingMatrix.from_rows(m.ring, out, n)
+    det = _pivot_minor(echelon, m.ring.one())
+    return det if den is None else Fraction(det, den)
 
 
 # -- fraction-field solving ------------------------------------------------------
@@ -758,7 +737,11 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     positive dimension signals non-uniqueness; it is not an error.  Over Q
     the call runs forward elimination only, which proves consistency, and
     the result derives the solution and the kernel when they are first
-    read (_EchelonSolve); over Q[y] and the Laurent ring it builds both.
+    read (_EchelonSolve).  Over Q[y] and the Laurent ring it builds both
+    from one fraction-free elimination of [A | B] and fraction-free
+    back-substitution (module docstring): the denominator is the minor on
+    the row and column rank profiles, with the pivot columns sorted, and
+    A * X == B on every row is checked before the result is returned.
     """
     if a.rows != b.rows:
         raise ShapeMismatch(f"solve {a.shape()} against {b.shape()}")
@@ -769,30 +752,32 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
 
     ring: PolyRing = a.ring
     n, k = a.cols, b.cols
-    adense, bdense = a.entries, b.entries
-    piv_rows, echelon = fraction_free_echelon(adense, n, Poly.exact_div)
-    piv_cols, det = _pivot_minor(echelon, ring.one())
-    free_cols = [c for c in range(n) if c not in piv_cols]
+    rows = [{**ra, **{n + j: v for j, v in rb.items()}} for ra, rb in zip(a._nz, b._nz)]
+    _, echelon = fraction_free_echelon(rows, n, Poly.exact_div)
+    det = _pivot_minor(echelon, ring.one())
+    pivots = {c for _, c in echelon}
 
-    # Cramer on the square nonsingular minor S = A[piv_rows, piv_cols] on
-    # the row and column rank profiles, whose determinant is the signed
-    # last pivot of the same elimination (1 for the empty minor).  One
-    # product adj(S) * [B_P | -A_P,free] gives the numerator adj(S) * B_P
-    # of x_P = adj(S) * B_P / det(S), free coordinates zero, and for each
-    # free column the pivot coordinates of the kernel vector whose free
-    # coordinate is det(S).
-    sub = RingMatrix(ring, [[adense[i][j] for j in piv_cols] for i in piv_rows])
-    rhs = RingMatrix(ring, [bdense[i] + [-adense[i][fc] for fc in free_cols] for i in piv_rows])
-    solved = _adjugate(sub) * rhs
-    num_rows: list[dict] = [{} for _ in range(n)]
+    # Fraction-free back-substitution (Nakos, Turner and Williams 1997),
+    # last pivot row first: solved[c] maps each non-pivot column j of
+    # [A | B] to det * x_c, where x solves S x = column j on the pivot rows
+    # with S the minor on the pivot rows and columns.  By Cramer's rule
+    # det * x_c is a minor of [A | B], so each division is exact.  B's
+    # columns give the numerator; a free column fc of A gives the kernel
+    # vector with det at fc and -det * x on the pivot columns.
+    solved: dict[int, dict] = {}
+    for top, c in reversed(echelon):
+        acc = {j: det * v for j, v in top.items() if j not in pivots}
+        for c_l, y in solved.items():
+            if c_l in top:
+                u = top[c_l]
+                for j, v in y.items():
+                    acc[j] = acc[j] - u * v if j in acc else -(u * v)
+        solved[c] = {j: v.exact_div(top[c]) for j, v in acc.items() if v}
+    numerator = RingMatrix._adopt(ring, [{j - n: v for j, v in solved.get(i, {}).items()
+                                          if j >= n} for i in range(n)], k)
     zero = ring.zero()
-    kernel = [[det if i == fc else zero for i in range(n)] for fc in free_cols]
-    for c, row in zip(piv_cols, solved._nz):
-        num_rows[c] = {j: v for j, v in row.items() if j < k}
-        for j, v in row.items():
-            if j >= k:
-                kernel[j - k][c] = v
-    numerator = RingMatrix._adopt(ring, num_rows, k)
+    kernel = [[-solved[i][fc] if fc in solved.get(i, ()) else det if i == fc else zero
+               for i in range(n)] for fc in range(n) if fc not in pivots]
 
     # X = numerator / det when every entry divides exactly.  The definitive
     # consistency check on all rows is then A * X == B, and otherwise the

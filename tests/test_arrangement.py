@@ -182,22 +182,25 @@ def _det(rows) -> int:
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=5))
 def test_reduced_rows_hold_the_minors_of_the_input(rows):
-    """Rows added one at a time, each reduced against the pivots before it
-    and pivoting at its first nonzero column, as the dependency walk does:
-    every free entry is the determinant on the pivot rows and columns so
-    far plus its own row and column, in insertion order, and the pivot
-    columns are the column rank profile."""
+    """Dict rows added one at a time, each reduced against the pivots
+    before it and pivoting at its first nonzero column, as the dependency
+    walk does: the reduced row has no entry at a pivot column, every free
+    entry is the determinant on the pivot rows and columns so far plus its
+    own row and column, in insertion order, and the pivot columns are the
+    column rank profile."""
     echelon, chosen, free = [], [], list(range(5))
     for row in rows:
-        reduced = row[:]
-        reduce_row(reduced, echelon)
+        given = {j: v for j, v in enumerate(row) if v}
+        reduced = reduce_row(given, echelon)
+        assert given == {j: v for j, v in enumerate(row) if v}
+        assert set(reduced) <= set(free)
         for j in free:
             minor = [[r[c] for c in (*(e[1] for e in echelon), j)] for r in (*chosen, row)]
-            assert reduced[j] == _det(minor)
-        pivot = next((j for j in free if reduced[j]), None)
+            assert reduced.get(j, 0) == _det(minor)
+        pivot = min(reduced, default=None)
         if pivot is not None:
             free = [j for j in free if j != pivot]
-            echelon.append((reduced, pivot, free))
+            echelon.append((reduced, pivot))
             chosen.append(row)
     profile = [c for c in range(5)
                if _rank([r[:c + 1] for r in rows]) > _rank([r[:c] for r in rows])]

@@ -309,20 +309,27 @@ def poly_systems(draw, ring):
 @example((R2, [[]] * 3, 0))
 @example((L2, [[L2.zero()] * 2] * 2, 2))
 def test_driver_reads_profiles_and_pivot_minor(case):
-    """Rows inserted in input order: the kept rows are the row rank
+    """Dict rows inserted in input order: the kept rows are the row rank
     profile, the sorted pivot columns the column rank profile, and each
     pivot, the last one included, is the minor on the kept rows and pivot
     columns up to it, in insertion order.  The input rows are left as they
     were."""
     ring, rows, ncols = case
-    before = [row[:] for row in rows]
-    kept, echelon = fraction_free_echelon(rows, ncols, _div(ring))
-    assert rows == before
-    pivot_cols = [c for _, c, _ in echelon]
+    given = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    before = [dict(row) for row in given]
+    kept, echelon = fraction_free_echelon(given, ncols, _div(ring))
+    assert given == before
+    pivot_cols = [c for _, c in echelon]
     assert (kept, sorted(pivot_cols)) == profiles_oracle(rows, ring, ncols)
-    for k, (top, c, _) in enumerate(echelon):
+    for k, (top, c) in enumerate(echelon):
         minor = [[rows[i][j] for j in pivot_cols[:k + 1]] for i in kept[:k + 1]]
         assert top[c] == leibniz_det_oracle(minor, ring)
+    # Columns from cols on are carried along and never pivot: the profiles
+    # are those of the columns before.
+    if ncols:
+        kept, echelon = fraction_free_echelon(given, ncols - 1, _div(ring))
+        assert (kept, sorted(c for _, c in echelon)) == profiles_oracle(
+            [row[:ncols - 1] for row in rows], ring, ncols - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,8 +337,9 @@ def test_driver_reads_profiles_and_pivot_minor(case):
 def test_integer_pivots_match_oracle(case):
     rows, ncols = case
     expected = int_pivots_oracle([row[:] for row in rows])
-    kept, echelon = fraction_free_echelon(rows, ncols)
-    assert sorted(c for _, c, _ in echelon) == expected
+    kept, echelon = fraction_free_echelon([{j: v for j, v in enumerate(row) if v}
+                                           for row in rows], ncols)
+    assert sorted(c for _, c in echelon) == expected
     assert kept == [i for i in range(len(rows))
                     if len(int_pivots_oracle([r[:] for r in rows[:i + 1]]))
                     > len(int_pivots_oracle([r[:] for r in rows[:i]]))]

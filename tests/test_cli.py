@@ -68,6 +68,10 @@ def structured(*argv) -> tuple[int, str]:
                  "-c", ARGS["-c"], "--xi", ARGS["xi1"], "--xi", ARGS["xi2"])),
     ("verify", ("verify", "-a", ARGS["-a"], "-p", ARGS["-p"], "-e", ARGS["-e"],
                 "-c", ARGS["-c"], "--xi", ARGS["xi1"], "--xi", ARGS["xi2"])),
+    # The non-canonical fallback: its numerator, denominator (with its sign)
+    # and kernel dimension come from the symbolic solve alone.
+    ("monodromy_fallback", ("monodromy", "-p", ARGS["-p"], "-e", ARGS["-e"],
+                            "--fallback-solve")),
 ])
 def test_golden_outputs_byte_for_byte(name, argv):
     code, out = structured(*argv)

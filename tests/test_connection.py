@@ -16,7 +16,9 @@ from arrmono import (
     FactorizationFailed,
     NoSolution,
     NotIdentityAtOne,
+    RingComplex,
     RingMatrix,
+    VerificationFailed,
     char_poly,
     classify_weights,
     cohomology_action,
@@ -784,6 +786,21 @@ def test_cohomology_action_resonant(pencil):
     cp2 = char_poly(act.matrices[2])
     # eigenvalues {t1 t2 = 6 (twice), 1}: (z-6)^2 (z-1)
     assert list(cp2.coeffs) == [Fraction(-36), Fraction(48), Fraction(-13), Fraction(1)]
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_cohomology_action_checks_the_quotient_dimension(pencil, monkeypatch, shift):
+    """A betti count that disagrees with the completed basis is a named
+    failure, which python -O does not skip."""
+    t = [Fraction(2)] * 4
+    betti = RingComplex.betti
+    monkeypatch.setattr(RingComplex, "betti",
+                        lambda self: [h + shift if q == 2 else h
+                                      for q, h in enumerate(betti(self))])
+    with pytest.raises(VerificationFailed, match="2 representatives in degree 2, "
+                                                 f"betti number {2 + shift}") as info:
+        _action_at(pencil, t)
+    assert info.value.name == "cohomology.quotient_dimension"
 
 
 def test_cohomology_action_identity_maps(pencil):

@@ -408,9 +408,10 @@ def test_from_rows_and_nonzero_rows_round_trip(ring, nrows, ncols, data):
 def test_only_linalg_reads_or_writes_the_matrix_storage():
     """No module of the package but linalg, and no script, names the stored
     rows (_nz), the dense view (entries) or the private builder on rows
-    (adopt, _adopt); and no file of the package, the scripts or the tests
-    assigns through the dense view, which is built fresh on each read, so
-    such a write would change nothing."""
+    (adopt, _adopt); inside linalg only the rational product,
+    RingMatrix.__mul__, reads the dense view; and no file of the package,
+    the scripts or the tests assigns through the dense view, which is
+    built fresh on each read, so such a write would change nothing."""
     import ast
     from pathlib import Path
 
@@ -424,6 +425,19 @@ def test_only_linalg_reads_or_writes_the_matrix_storage():
              if isinstance(node, ast.Attribute)
              and node.attr in ("_nz", "entries", "adopt", "_adopt")]
     assert found == []
+
+    def dense_readers(node, scope=""):
+        """The qualified names of the definitions that read .entries."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "entries":
+                yield scope
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield from dense_readers(child, inner)
+
+    linalg = ast.parse((root / "src" / "arrmono" / "linalg.py").read_text())
+    assert set(dense_readers(linalg)) == {"RingMatrix.__mul__"}
 
     def targets(node):
         if isinstance(node, (ast.Assign, ast.Delete)):
