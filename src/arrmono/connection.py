@@ -42,8 +42,6 @@ from .linalg import (
     generic_rank,
     linearize_matrix,
     mat_exp_truncated,
-    rational_left_kernel,
-    rational_row_space,
     series_matrix,
     solve_right,
     verify_chain_map,
@@ -303,13 +301,16 @@ def _eval_univariate(coeffs: Sequence, z):
 def _integer_roots(coeffs: list[Fraction | int]) -> dict[int, int]:
     """Integer roots with multiplicity of a monic polynomial over Q.
 
-    After clearing denominators and stripping roots at zero, every integer
-    root lies within Fujiwara's bound B = 2 * max_k |c_{d-k}|^{1/k} and is a
-    simple root of the squarefree part g = f / gcd(f, f').  Take the first
-    prime p dividing neither g's leading coefficient nor its discriminant,
-    so that g stays squarefree mod p: each root of g mod p lifts uniquely by
-    Newton (Hensel) steps to a root modulo some p^k > 2B, read in the
-    symmetric range.  Exact division keeps the true roots with their full
+    After clearing denominators to a_d z^d + ... + a_0 (a_d = den) and
+    stripping roots at zero, every integer root is a simple root of the
+    squarefree part g = f / gcd(f, f') and lies within Fujiwara's bound
+    2 * max_k |a_{d-k} / a_d|^{1/k}, so within the bound read off bit
+    lengths, B = 2 * max_k 2^ceil(max(0, bits(a_{d-k}) - bits(a_d) + 1) / k),
+    since |a| / a_d < 2^(bits(a) - bits(a_d) + 1).  Take the first prime p
+    dividing neither g's leading coefficient nor its discriminant, so that
+    g stays squarefree mod p: each root of g mod p lifts uniquely by Newton
+    (Hensel) steps to a root modulo some p^k > 2B, read in the symmetric
+    range.  Exact division keeps the true roots with their full
     multiplicity.  The cost grows with the bit size of the coefficients,
     not with B.
     """
@@ -325,7 +326,9 @@ def _integer_roots(coeffs: list[Fraction | int]) -> dict[int, int]:
     degree = len(work) - 1
     if degree == 0:
         return roots
-    bound = 2 * max(_ceil_root(abs(work[degree - k]), den, k) for k in range(1, degree + 1))
+    bits = den.bit_length() - 1
+    bound = 2 * max(1 << -(-max(0, abs(work[degree - k]).bit_length() - bits) // k)
+                    for k in range(1, degree + 1))
     for r in _lifted_roots(_squarefree_part(work), bound):
         while len(work) > 1:
             quotient = _divide_root(work, r)
@@ -418,23 +421,6 @@ def _primes():
         if all(p % q for q in range(2, math.isqrt(p) + 1)):
             yield p
         p += 1
-
-
-def _ceil_root(num: int, den: int, k: int) -> int:
-    """The least integer b >= 0 with b^k >= num / den, that is, with b^k at
-    least N = ceil(num / den): the floor k-th root x of N, from Newton's
-    steps x <- ((k - 1) x + N // x^(k-1)) // k started above the root and
-    stopped when they no longer decrease, as math.isqrt takes them, plus
-    one unless x^k = N."""
-    target = -(-num // den)
-    if target <= 1:
-        return target
-    x = 1 << -(-target.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + target // x ** (k - 1)) // k
-        if y >= x:
-            return x if x ** k == target else x + 1
-        x = y
 
 
 def _divide_root(work: list[int], r: int) -> list[int] | None:
@@ -694,16 +680,19 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
 
     Per degree, one elimination completes a basis of the image of the
     incoming boundary to a basis of the kernel of the outgoing one.  It
-    inserts the image basis, then the kernel basis, as rows scaled to
-    integers (dicts of their nonzeros), and keeps a row exactly when it is
-    independent of the rows before it, so every image row is kept and the
-    kept kernel rows are the greedy completion.  Those kernel vectors
-    represent the cohomology classes; their number must be the betti
-    number, and VerificationFailed ("cohomology.quotient_dimension") is
-    raised otherwise.  One solve, with one right-hand column per
-    representative, writes the images of all representatives in the basis
-    image + representatives; the action matrix holds their coordinates on
-    the representatives.  The chain identity is verified first.
+    inserts the incoming boundary's own rows, then the kernel basis, as
+    rows scaled to integers (dicts of their nonzeros), and keeps a row
+    exactly when it is independent of the rows before it, so the kept
+    boundary rows are a basis of the image and the kept kernel rows are
+    the greedy completion, which depends only on that span.  The kernel is
+    the left kernel of the outgoing boundary, the kernel of its transpose
+    (solve_right).  The kept kernel vectors represent the cohomology
+    classes; their number must be the betti number, and VerificationFailed
+    ("cohomology.quotient_dimension") is raised otherwise.  One solve, with
+    one right-hand column per representative, writes the images of all
+    representatives in the basis image + representatives; the action
+    matrix holds their coordinates on the representatives.  The chain
+    identity is verified first.
     """
     verify_chain_map(cx.boundaries, maps)
     betti = cx.betti()
@@ -714,14 +703,16 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
             continue
         bq = cx.ranks[q]
         if q < len(cx.boundaries):
-            kernel = rational_left_kernel(cx.boundaries[q])
+            d = cx.boundaries[q]
+            kernel = solve_right(d.transpose(), RingMatrix.zero(QQ, d.cols, 1)).kernel
         else:
             kernel = [[Fraction(1) if i == j else Fraction(0) for i in range(bq)]
                       for j in range(bq)]
-        image = rational_row_space(cx.boundaries[q - 1]) if q > 0 else []
-        kept, _ = fraction_free_echelon((clear_row_denominators(dict(enumerate(row)))
-                                         for row in image + kernel), bq)
-        chosen = [kernel[i - len(image)] for i in kept[len(image):]]
+        incoming = cx.boundaries[q - 1].nonzero_rows() if q > 0 else []
+        rows = incoming + [dict(enumerate(v)) for v in kernel]
+        kept, _ = fraction_free_echelon(map(clear_row_denominators, rows), bq)
+        image = sum(i < len(incoming) for i in kept)
+        chosen = [kernel[i - len(incoming)] for i in kept[image:]]
         if len(chosen) != betti[q]:
             raise VerificationFailed("cohomology.quotient_dimension", f"{len(chosen)} "
                                      f"representatives in degree {q}, betti number {betti[q]}")
@@ -729,13 +720,13 @@ def cohomology_action(cx: RingComplex, maps: dict[int, RingMatrix]) -> Cohomolog
         if not chosen:
             matrices[q] = RingMatrix.zero(QQ, 0, 0)
             continue
-        span = RingMatrix(QQ, image + chosen).transpose()
+        span = RingMatrix.from_rows(QQ, [rows[i] for i in kept], bq).transpose()
         images = (RingMatrix(QQ, chosen) * maps[q]).transpose()
         try:
             coords = solve_right(span, images).cleared
         except NoSolution:
             raise ChainIdentityFailed(f"image of a degree-{q} cocycle left the kernel") from None
-        matrices[q] = RingMatrix(QQ, [[coords[i, t] for i in range(len(image), coords.rows)]
+        matrices[q] = RingMatrix(QQ, [[coords[i, t] for i in range(image, coords.rows)]
                                       for t in range(coords.cols)])
     return CohomologyAction(betti=betti, matrices=matrices, representatives=reps)
 

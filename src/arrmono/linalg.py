@@ -53,17 +53,17 @@ permutation that sorts the pivot columns; every caller reads what it
 needs off that one pass.  Ranks stay fraction-free and on integers: the
 sparse Gauss-Jordan below is more than ten times slower on a dense
 integer matrix.
-Solving over Q and the rational reduced row echelon form share one sparse
-elimination in two phases (Duff, Erisman and Reid, Direct Methods for
-Sparse Matrices, 1986): rows hold only their nonzeros, forward elimination
-takes as pivot the unused row with the fewest of them (Markowitz 1957) and
-updates only the unused rows, and back-substitution then reduces the
-pivot rows to the reduced row echelon form.  That form is unique, so the
-answer does not depend on the pivot order.  The reduced row echelon form
-runs both phases; solve_right over Q runs the forward phase, which alone
-decides consistency, and leaves back-substitution to the first read of
-the solution or the kernel.  The gauge check asks only that verdict, so
-it builds neither the particular solution nor the kernel.
+Solving over Q runs one sparse elimination in two phases (Duff, Erisman
+and Reid, Direct Methods for Sparse Matrices, 1986): rows hold only their
+nonzeros, forward elimination takes as pivot the unused row with the
+fewest of them (Markowitz 1957) and updates only the unused rows, and
+back-substitution then reduces the pivot rows to the reduced row echelon
+form.  That form is unique, so the answer does not depend on the pivot
+order.  solve_right over Q runs the forward phase, which alone decides
+consistency, and leaves back-substitution to the first read of the
+solution or the kernel; a left kernel is the kernel of the transpose.
+The gauge check asks only that verdict, so it builds neither the
+particular solution nor the kernel.
 
 Symbolic solving reduces the rows of [A | B] in the fraction-free
 elimination, with pivots on A's columns only, and stops once every
@@ -574,33 +574,6 @@ def _back_substitute(rows: list[dict[int, Coeff]], pivots: list[tuple[int, int]]
                     del row[j]
 
 
-def rational_rref(m: RingMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a matrix over Q; returns (rref rows,
-    pivot columns)."""
-    ncols = m.cols
-    sparse = [{j: canonical(v) for j, v in row.items()} for row in m._nz]
-    pivots = _forward(sparse, ncols)
-    _back_substitute(sparse, pivots)
-    zero = Fraction(0)
-    out = [[Fraction(sparse[p].get(j, 0)) for j in range(ncols)] for _, p in pivots]
-    out.extend([zero] * ncols for _ in range(m.rows - len(pivots)))
-    return out, [c for c, _ in pivots]
-
-
-def rational_left_kernel(m: RingMatrix) -> list[list[Fraction]]:
-    """Basis of {v : v * M = 0} as row vectors, via the null space of M^T."""
-    res = solve_right(m.transpose(), RingMatrix.zero(QQ, m.cols, 1))
-    return [list(vec) for vec in res.kernel]
-
-
-def rational_row_space(m: RingMatrix) -> list[list[Fraction]]:
-    """Basis (rref rows) of the row space of a rational matrix."""
-    if m.rows == 0:
-        return []
-    rref, pivots = rational_rref(m)
-    return rref[:len(pivots)]
-
-
 def generic_rank(m: RingMatrix) -> int:
     """Rank over the fraction field, by exact elimination: rows cleared to
     integers over Q, and Poly.exact_div over Q[y] and the Laurent ring."""
@@ -763,9 +736,14 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     # with S the minor on the pivot rows and columns.  By Cramer's rule
     # det * x_c is a minor of [A | B], so each division is exact.  B's
     # columns give the numerator; a free column fc of A gives the kernel
-    # vector with det at fc and -det * x on the pivot columns.
+    # vector with det at fc and -det * x on the pivot columns.  On the last
+    # pivot row det is +-its pivot, so det * x there is +-the row itself.
     solved: dict[int, dict] = {}
-    for top, c in reversed(echelon):
+    if echelon:
+        top, c = echelon[-1]
+        flip = det != top[c]
+        solved[c] = {j: -v if flip else v for j, v in top.items() if j not in pivots}
+    for top, c in reversed(echelon[:-1]):
         acc = {j: det * v for j, v in top.items() if j not in pivots}
         for c_l, y in solved.items():
             if c_l in top:
@@ -838,20 +816,11 @@ class CharPoly:
     It is kept as its factors: the distinct characteristic polynomials of
     M's diagonal blocks (char_poly), each a coefficient tuple, lowest
     degree first, with the number of blocks that have it.  coeffs, their
-    product, is built when it is first read.  A polynomial given by its
-    coefficients is its own one factor."""
+    product, is built when it is first read."""
 
-    def __init__(self, ring, coeffs: Sequence):
+    def __init__(self, ring, factors: tuple[tuple[tuple, int], ...]):
         self.ring = ring
-        self.coeffs = tuple(coeffs)
-        self.factors = ((self.coeffs, 1),)
-
-    @classmethod
-    def _of_factors(cls, ring, factors: tuple[tuple[tuple, int], ...]) -> "CharPoly":
-        out = cls.__new__(cls)
-        out.ring = ring
-        out.factors = factors
-        return out
+        self.factors = factors
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -905,10 +874,10 @@ def char_poly(m: RingMatrix) -> CharPoly:
     reaches them, puts M in block triangular form (Duff and Reid, ACM TOMS
     4(2), 1978), so det(zI - M) is the product of the blocks' polynomials;
     equal ones are kept once, with their count (CharPoly).  A 1 x 1 block
-    [a] has z - a; a larger block has Berkowitz's polynomial, and a matrix
-    that is one block has it as a whole.  On a diagonal Omega of s linear
-    forms this keeps s factors, where the product's coefficient of z^k is
-    the k-th elementary symmetric polynomial of the forms.
+    [a] has z - a, and a larger block has Berkowitz's polynomial.  On a
+    diagonal Omega of s linear forms this keeps s factors, where the
+    product's coefficient of z^k is the k-th elementary symmetric
+    polynomial of the forms.
     """
     if m.rows != m.cols:
         raise ShapeMismatch("char_poly of non-square matrix")
@@ -920,18 +889,15 @@ def char_poly(m: RingMatrix) -> CharPoly:
     if d != 1:
         terms = [{j: {e: c.numerator * (d // c.denominator) for e, c in t.items()}
                   for j, t in row.items()} for row in terms]
-    blocks = _diagonal_blocks(terms)
-    if len(blocks) == 1:
-        return CharPoly(ring, _berkowitz(ring, terms, range(m.rows), d))
     counts: dict[tuple, int] = {}
-    for block in blocks:
+    for block in _diagonal_blocks(terms):
         if len(block) == 1:
             a = m[block[0], block[0]]
             factor = (-a if isinstance(ring, PolyRing) else -Fraction(a), ring.one())
         else:
             factor = _berkowitz(ring, terms, sorted(block), d)
         counts[factor] = counts.get(factor, 0) + 1
-    return CharPoly._of_factors(ring, tuple(counts.items()))
+    return CharPoly(ring, tuple(counts.items()))
 
 
 def _diagonal_blocks(rows: list[dict]) -> list[list[int]]:

@@ -40,8 +40,9 @@ from arrmono import (
     universal_complex,
 )
 from arrmono.connection import linear_coefficients
-from arrmono.linalg import QQ, rational_rref
+from arrmono.linalg import _forward
 from arrmono.oscomplex import wedge_sort
+from arrmono.rings import canonical
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -234,9 +235,10 @@ def random_arrangement(rng: random.Random, dim: int = 2, max_n: int = 6) -> Arra
 
 
 def _rank(rows) -> int:
-    """Rank over Q by Gauss-Jordan, a kernel apart from the Bareiss
-    elimination the package uses for ranks."""
-    return len(rational_rref(RingMatrix(QQ, [list(r) for r in rows]))[1])
+    """Rank over Q by the sparse Gauss-Jordan's forward phase, a kernel
+    apart from the Bareiss elimination the package uses for ranks."""
+    rows = [{j: canonical(v) for j, v in enumerate(r) if v} for r in rows]
+    return len(_forward(rows, max((max(r) + 1 for r in rows if r), default=0)))
 
 
 def has_nonempty_intersection(arr, subset) -> bool:

@@ -101,7 +101,7 @@ def test_divide_linear_matches_poly_arithmetic(quotient, root_coeffs, den, shift
         p[i + 1] = p[i + 1] + c
         p[i] = p[i] - root * c
     p[0] = p[0] + Y.const(shift)
-    got = divide_linear(CharPoly(Y, tuple(p)), root)
+    got = divide_linear(CharPoly(Y, ((tuple(p), 1),)), root)
     want = poly_divide_linear(p, root)
     assert got == want
     assert (want is None) == (shift != 0)
@@ -112,7 +112,7 @@ def test_divide_linear_matches_poly_arithmetic(quotient, root_coeffs, den, shift
 @settings(max_examples=40, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=6), rationals)
 def test_divide_linear_over_q(coeffs, root):
-    cp = CharPoly(QQ, tuple(coeffs) + (Fraction(1),))
+    cp = CharPoly(QQ, ((tuple(coeffs) + (Fraction(1),), 1),))
     got = divide_linear(cp, root)
     want = poly_divide_linear(cp.coeffs, root)
     assert got == want

@@ -375,30 +375,6 @@ def test_a_diagonal_omega_certifies_one_block_at_a_time():
     assert report.multiset() == want and report.size == 20
 
 
-def bisection_ceil_root(num, den, k):
-    """The former _ceil_root, kept as an oracle: the least b >= 0 with
-    b^k * den >= num, by bisection."""
-    lo, hi = 0, 1 << (num.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** k * den >= num:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 10 ** 6), st.integers(0, 2 ** 300),
-       st.integers(0, 2 ** 30), st.integers(-1, 1))
-def test_ceil_root_matches_bisection(k, den, num, root, off):
-    # Besides a free num, den * root^k and its neighbours, where the root
-    # is exact or just misses.
-    from arrmono.connection import _ceil_root
-    for n in (num, max(0, root ** k * den + off)):
-        assert _ceil_root(n, den, k) == bisection_ceil_root(n, den, k)
-
-
 # -- Kronecker probe against the axis-probe search ----------------------------------
 
 
@@ -851,24 +827,28 @@ def _deflate(coeffs, v):
 
 
 def per_vector_cohomology_action(cx, maps):
-    """The former algorithm, kept as an oracle: complete the image basis to
-    a kernel basis one kernel vector at a time, keeping a vector when it
-    raises the rank of the stack, and solve for the coordinates of each
+    """The former algorithm, kept as an oracle: take as image basis the
+    incoming boundary's rows that raise the rank, complete it to a kernel
+    basis one kernel vector at a time, keeping a vector when it raises the
+    rank of the stack, and solve for the coordinates of each
     representative's image separately.  Its ranks come from conftest's
     Gauss-Jordan _rank, not from the fraction-free elimination that
     cohomology_action and RingComplex.betti use.  (betti, matrices,
     representatives)."""
-    from arrmono.linalg import rational_left_kernel, rational_row_space
     ranks = [_rank(b.entries) for b in cx.boundaries] + [0]
     betti = [bq - ranks[q] - (ranks[q - 1] if q else 0) for q, bq in enumerate(cx.ranks)]
     matrices, reps = {}, {}
     for q in sorted(maps):
         bq = cx.ranks[q]
         if q < len(cx.boundaries):
-            kernel = rational_left_kernel(cx.boundaries[q])
+            d = cx.boundaries[q]
+            kernel = solve_right(d.transpose(), RingMatrix.zero(QQ, d.cols, 1)).kernel
         else:
             kernel = [[Fraction(int(i == j)) for i in range(bq)] for j in range(bq)]
-        image = rational_row_space(cx.boundaries[q - 1]) if q > 0 else []
+        image = []
+        for row in cx.boundaries[q - 1].entries if q > 0 else []:
+            if _rank(image + [row]) > len(image):
+                image.append(row)
         stack, chosen = list(image), []
         for v in kernel:
             if _rank(stack + [v]) > len(stack):
@@ -905,6 +885,26 @@ def test_cohomology_action_matches_per_vector_oracle(pencil, t):
     assert act.betti == betti
     assert act.representatives == reps
     assert act.matrices == matrices
+
+
+def test_cohomology_action_on_an_incoming_boundary_with_dependent_rows():
+    """The incoming boundary's rows feed the completion as they are: a zero
+    row and a repeated row are dropped, and the representatives and the
+    action are those of the per-vector oracle."""
+    half = Fraction(1, 2)
+    d0 = RingMatrix(QQ, [[half, -half, 0], [0, 0, 0], [half, -half, 0]])
+    d1 = RingMatrix(QQ, [[1], [1], [0]])
+    cx = RingComplex(QQ, [3, 3, 1], [d0, d1])
+    maps = {0: RingMatrix.identity(QQ, 3),
+            1: RingMatrix(QQ, [[2, 0, 0], [1, 1, 0], [0, 0, 3]]),
+            2: RingMatrix(QQ, [[2]])}
+    act = cohomology_action(cx, maps)
+    assert act.betti == [2, 1, 0]
+    assert act.matrices[1].entries == [[Fraction(3)]] and act.matrices[0].is_identity()
+    assert (act.betti, act.matrices, act.representatives) == per_vector_cohomology_action(cx, maps)
+    identity = cohomology_action(cx, {q: RingMatrix.identity(QQ, r)
+                                      for q, r in enumerate(cx.ranks)})
+    assert all(m.is_identity() for m in identity.matrices.values())
 
 
 # -- classification -----------------------------------------------------------------------
