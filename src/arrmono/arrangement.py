@@ -68,7 +68,7 @@ from typing import Collection
 
 from .errors import ParseError
 from .linalg import QQ, RingMatrix, clear_row_denominators, rational_rank, reduce_row
-from .rings import MAX_VARIABLES, _shown, content_lines, parse_fraction, parse_int
+from .rings import MAX_VARIABLES, _shown, content_lines, parse_fraction, parse_int, read_text
 
 
 @dataclass(frozen=True)
@@ -327,5 +327,4 @@ def format_arrangement(arr: Arrangement) -> str:
 
 
 def load_arrangement(path) -> Arrangement:
-    with open(path, encoding="utf-8") as fh:
-        return parse_arrangement(fh.read())
+    return parse_arrangement(read_text(path))

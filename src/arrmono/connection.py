@@ -57,6 +57,7 @@ from .rings import (
     parse_int,
     parse_poly,
     poly_ring,
+    read_text,
 )
 
 # -- formal connection -------------------------------------------------------------
@@ -647,8 +648,7 @@ def parse_projection(text: str) -> ProjectionData:
 
 
 def load_projection(path) -> ProjectionData:
-    with open(path, encoding="utf-8") as fh:
-        return parse_projection(fh.read())
+    return parse_projection(read_text(path))
 
 
 def induced_map(projection: RingMatrix, chain_map: RingMatrix) -> RingMatrix:

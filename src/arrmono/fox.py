@@ -40,6 +40,7 @@ from .rings import (
     content_lines,
     laurent_ring,
     parse_int,
+    read_text,
     tokenize,
 )
 
@@ -273,8 +274,7 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def load_presentation(path) -> Presentation:
-    with open(path, encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    return parse_presentation(read_text(path))
 
 
 # -- Fox calculus -------------------------------------------------------------------
@@ -390,8 +390,7 @@ def parse_endomorphism(text: str, ngens: int) -> Endomorphism:
 
 
 def load_endomorphism(path, ngens: int) -> Endomorphism:
-    with open(path, encoding="utf-8") as fh:
-        return parse_endomorphism(fh.read(), ngens)
+    return parse_endomorphism(read_text(path), ngens)
 
 
 def phi1(endo: Endomorphism) -> RingMatrix:
@@ -562,5 +561,4 @@ def format_certificate(cert: RelatorCertificate) -> str:
 
 
 def load_certificate(path, pres: Presentation) -> RelatorCertificate:
-    with open(path, encoding="utf-8") as fh:
-        return parse_certificate(fh.read(), pres)
+    return parse_certificate(read_text(path), pres)

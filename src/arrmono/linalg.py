@@ -37,8 +37,8 @@ until the benchmark harness stops tying memory to speed (ROADMAP 1a).
 
 One fraction-free elimination (Bareiss 1968) on dict rows, parametrized
 by the ring's exact division, gives every rank, determinant, dependency
-step and symbolic solve: over Q on rows cleared to integers (//), over
-Q[y] and the Laurent ring with Poly.exact_div.  fraction_free_echelon
+step and solution: over Q on rows cleared to integers (//), over Q[y] and
+the Laurent ring with Poly.exact_div (_exact_rows).  fraction_free_echelon
 inserts rows in input order, each reduced against the pivot rows so far
 by reduce_row, the step the dependency walk of arrangement also applies
 to one new row against a prefix's echelon.  A step at a pivot column
@@ -51,31 +51,37 @@ rank profile, the sorted pivot columns the column rank profile, and the
 last pivot is the minor on them (Sylvester's identity), signed by the
 permutation that sorts the pivot columns; every caller reads what it
 needs off that one pass.  Ranks stay fraction-free and on integers: the
-sparse Gauss-Jordan below is more than ten times slower on a dense
-integer matrix.
-Solving over Q runs one sparse elimination in two phases (Duff, Erisman
-and Reid, Direct Methods for Sparse Matrices, 1986): rows hold only their
-nonzeros, forward elimination takes as pivot the unused row with the
-fewest of them (Markowitz 1957) and updates only the unused rows, and
-back-substitution then reduces the pivot rows to the reduced row echelon
-form.  That form is unique, so the answer does not depend on the pivot
-order.  solve_right over Q runs the forward phase, which alone decides
-consistency, and leaves back-substitution to the first read of the
-solution or the kernel; a left kernel is the kernel of the transpose.
-The gauge check asks only that verdict, so it builds neither the
-particular solution nor the kernel.
+sparse forward elimination below is more than ten times slower on a
+dense integer matrix.
 
-Symbolic solving reduces the rows of [A | B] in the fraction-free
-elimination, with pivots on A's columns only, and stops once every
-column of A has one.  Fraction-free back-substitution on the pivot rows
-(Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3), 1997) then gives the
-numerator det * x of the particular solution, free coordinates zero, over
-the one explicit denominator det, the signed pivot minor, and every kernel
-vector, with det at its free column; each entry is a minor of [A | B], so
-every division is exact.  The empty minor of a zero matrix has
-determinant 1 and takes the same path.  The numerator is divided exactly
-first, and the consistency check on all rows is A * X == B on the
-quotient, or A * numerator == det * B when X is not a ring matrix.
+Solving reduces the rows of [A | B] in the fraction-free elimination,
+with pivots on A's columns only, and stops once every column of A has
+one.  Fraction-free back-substitution on the pivot rows (Nakos, Turner
+and Williams, ACM SIGSAM Bull. 31(3), 1997) then gives the numerator
+det * x of the particular solution, free coordinates zero, over the one
+explicit denominator det, the signed pivot minor, and every kernel
+vector, with det at its free column; each entry is a minor of [A | B],
+so every division is exact.  The empty minor of a zero matrix has
+determinant 1 and takes the same path.  This is the one back-substitution
+for every ring; over Q its answers are divided by det, so the solution
+and each kernel vector, with 1 at its free column, are the unique ones
+that the reduced row echelon form gives.  A left kernel is the kernel of
+the transpose.
+
+Consistency is decided apart from the answers.  Over Q[y] and the
+Laurent ring the numerator is divided exactly first, and the check on all
+rows is A * X == B on the quotient, or A * numerator == det * B when X is
+not a ring matrix.  Over Q a sparse forward elimination (Duff, Erisman and
+Reid, Direct Methods for Sparse Matrices, 1986) decides it: rows hold
+only their nonzeros, the pivot is the unused row with the fewest of them
+(Markowitz 1957), and only the unused rows are updated; the system is
+consistent exactly when every non-pivot row ends empty.  There the
+answers are solved for only when they are first read, so the gauge check,
+which asks only the verdict, builds neither.  The forward pass stays because it
+decides the gauge systems more than ten times faster than the
+fraction-free elimination of all their rows: 26 ms against 405 ms on the
+7,840 x 2,744 system of Z^14, 145 ms against 3.6 s on the 23,200 x 8,000
+system of Z^20 (one run each, Python 3.11).
 
 A characteristic polynomial is the product of those of the diagonal
 blocks that the strongly connected components of the matrix's support
@@ -491,10 +497,50 @@ def _pivot_minor(echelon: list, one):
     return -top[c] if inversions % 2 else top[c]
 
 
+def _exact_rows(ring, rows: Iterable[dict]) -> tuple[Iterable[dict], Callable, object]:
+    """What the fraction-free elimination runs on over ring: (the rows,
+    their entries' exact division, the one of the entries).  Over Q each
+    row is cleared to integers (clear_row_denominators), divided by //,
+    with one 1; otherwise the rows themselves, Poly.exact_div and the
+    ring's one."""
+    if isinstance(ring, RationalField):
+        return map(clear_row_denominators, rows), floordiv, 1
+    return rows, Poly.exact_div, ring.one()
+
+
+def generic_rank(m: RingMatrix) -> int:
+    """Rank over the fraction field, by exact elimination: rows cleared to
+    integers over Q, and Poly.exact_div over Q[y] and the Laurent ring."""
+    rows, div, _ = _exact_rows(m.ring, m._nz)
+    return len(fraction_free_echelon(rows, m.cols, div)[0])
+
+
 def rational_rank(m: RingMatrix) -> int:
     if not isinstance(m.ring, RationalField):
         raise ValueError("rational_rank needs a matrix over Q")
-    return len(fraction_free_echelon(map(clear_row_denominators, m._nz), m.cols)[0])
+    return generic_rank(m)
+
+
+def symbolic_det(m: RingMatrix):
+    """Determinant over Q or a (Laurent) polynomial ring: the last pivot of
+    the fraction-free elimination, signed by the permutation that sorts
+    the pivot columns, or 0 when a row is dependent.  Over Q the rows are
+    cleared to integers first, and the minor divided by the product of the
+    row multipliers at the end."""
+    if m.rows != m.cols:
+        raise ShapeMismatch("det of non-square matrix")
+    rows, div, one = _exact_rows(m.ring, m._nz)
+    pivot_rows, echelon = fraction_free_echelon(rows, m.cols, div)
+    if len(pivot_rows) < m.rows:
+        return m.ring.zero()
+    det = _pivot_minor(echelon, one)
+    if isinstance(m.ring, RationalField):
+        return Fraction(det, math.prod(math.lcm(*(v.denominator for v in row.values()))
+                                       for row in m._nz))
+    return det
+
+
+# -- fraction-field solving ------------------------------------------------------
 
 
 def _forward(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:
@@ -553,185 +599,24 @@ def _forward(rows: list[dict[int, Coeff]], stop: int) -> list[tuple[int, int]]:
     return pivots
 
 
-def _back_substitute(rows: list[dict[int, Coeff]], pivots: list[tuple[int, int]]) -> None:
-    """Turn _forward's echelon into the reduced row echelon form, in place.
-
-    Last pivot first, each pivot row loses its entries at the later pivot
-    columns by subtracting those columns' pivot rows, which are reduced
-    already and so bring in no pivot column.  The pivot rows are then the
-    rows of the unique reduced row echelon form, whatever the pivot order.
-    """
-    pivot_row = dict(pivots)
-    for c, p in reversed(pivots):
-        row = rows[p]
-        for t in [j for j in row if j != c and j in pivot_row]:
-            f = row[t]
-            for j, v in rows[pivot_row[t]].items():
-                new = row.get(j, 0) - f * v
-                if new:
-                    row[j] = canonical(new)
-                else:
-                    del row[j]
-
-
-def generic_rank(m: RingMatrix) -> int:
-    """Rank over the fraction field, by exact elimination: rows cleared to
-    integers over Q, and Poly.exact_div over Q[y] and the Laurent ring."""
-    if isinstance(m.ring, RationalField):
-        return rational_rank(m)
-    return len(fraction_free_echelon(m._nz, m.cols, Poly.exact_div)[0])
-
-
-def symbolic_det(m: RingMatrix):
-    """Determinant over Q or a (Laurent) polynomial ring: the last pivot of
-    the fraction-free elimination, signed by the permutation that sorts
-    the pivot columns, or 0 when a row is dependent.  Over Q the rows are
-    cleared to integers first, and the minor divided by the product of the
-    row multipliers at the end."""
-    if m.rows != m.cols:
-        raise ShapeMismatch("det of non-square matrix")
-    if isinstance(m.ring, RationalField):
-        rows, div = map(clear_row_denominators, m._nz), floordiv
-        den = math.prod(math.lcm(*(v.denominator for v in row.values())) for row in m._nz)
-    else:
-        rows, div, den = m._nz, Poly.exact_div, None
-    pivot_rows, echelon = fraction_free_echelon(rows, m.cols, div)
-    if len(pivot_rows) < m.rows:
-        return m.ring.zero()
-    det = _pivot_minor(echelon, m.ring.one())
-    return det if den is None else Fraction(det, den)
-
-
-# -- fraction-field solving ------------------------------------------------------
-
-
-@dataclass
-class SolveResult:
-    """A solution of A * X = B over the fraction field, and a basis of the
-    right kernel of A.
-
-    The particular solution is numerator / denominator, one explicit ring
-    denominator for all entries.  Kernel vectors have denominators cleared,
-    so they are exact ring vectors with A*k = 0.  in_ring is True when
-    every entry of the solution cleared to the ring by exact division, in
-    which case `cleared` holds the ring-entry matrix.  Over Q[y] and the
-    Laurent ring every field is built with the result; over Q the result is
-    an _EchelonSolve, which derives them when they are read.
-    """
-
-    ring: object
-    numerator: RingMatrix
-    denominator: object
-    kernel: list[list]
-    in_ring: bool
-    cleared: RingMatrix | None = None
-
-    @property
-    def kernel_dimension(self) -> int:
-        return len(self.kernel)
-
-
-class _EchelonSolve(SolveResult):
-    """solve_right's result over Q: the forward echelon of [A | B] (pivot
-    columns below n, right sides from n on).  The first read of cleared
-    (the particular solution with free coordinates 0, also the numerator
-    over denominator 1) or of kernel runs the one back-substitution, in
-    place, and each is then built from the reduced rows once.
-    kernel_dimension is n minus the rank and builds nothing."""
-
-    ring = QQ
-    denominator = Fraction(1)
-    in_ring = True
-
-    def __init__(self, rows: list[dict[int, Coeff]], pivots: list[tuple[int, int]],
-                 n: int, k: int):
-        self._rows, self._pivots, self._n, self._k = rows, pivots, n, k
-
-    @cached_property
-    def _reduced(self) -> list[dict[int, Coeff]]:
-        _back_substitute(self._rows, self._pivots)
-        return self._rows
-
-    @cached_property
-    def cleared(self) -> RingMatrix:
-        rows, n = self._reduced, self._n
-        out: list[dict] = [{} for _ in range(n)]
-        for c, p in self._pivots:
-            out[c] = {j - n: Fraction(v) for j, v in rows[p].items() if j >= n}
-        return RingMatrix.from_rows(QQ, out, self._k)
-
-    @property
-    def numerator(self) -> RingMatrix:
-        return self.cleared
-
-    @cached_property
-    def kernel(self) -> list[list[Fraction]]:
-        rows, n = self._reduced, self._n
-        pivot_cols = {c for c, _ in self._pivots}
-        free = {fc: t for t, fc in enumerate(c for c in range(n) if c not in pivot_cols)}
-        out = [[QQ.zero()] * n for _ in free]
-        for fc, t in free.items():
-            out[t][fc] = QQ.one()
-        for c, p in self._pivots:
-            for j, v in rows[p].items():
-                if j in free:
-                    out[free[j]][c] = Fraction(-v)
-        return out
-
-    @property
-    def kernel_dimension(self) -> int:
-        return self._n - len(self._pivots)
-
-
-def _solve_right_rational(a: RingMatrix, b: RingMatrix) -> SolveResult:
-    """Forward elimination over Q on the rows of [A | B], read off A's and
-    B's nonzeros.  The system is consistent exactly when every non-pivot
-    row ends empty; NoSolution is raised on the first that keeps a right
-    side, before any back-substitution."""
+def _fraction_free_solve(a: RingMatrix, b: RingMatrix) -> tuple[list[dict], object, list[dict]]:
+    """(numerator, det, kernel) of A * X = B by the fraction-free
+    elimination of the rows of [A | B], pivots on A's columns only, and
+    fraction-free back-substitution (module docstring).  Over Q the rows
+    are cleared to integers first, so det and every entry are ints.
+    numerator holds, per unknown, the dict row of det * x with the free
+    coordinates zero; det is the signed minor on the row and column rank
+    profiles; kernel holds, per free column fc of A, the dict row of the
+    kernel vector with det at fc.  It proves no consistency: each row of
+    [A | B] that is dependent on A's side is left unread."""
     n = a.cols
-    rows = [{j: canonical(v) for j, v in row.items()} for row in a._nz]
-    for row, rb in zip(rows, b._nz):
-        for j, v in rb.items():
-            row[n + j] = canonical(v)
-    pivots = _forward(rows, n)
-    pivot_rows = {p for _, p in pivots}
-    for i, row in enumerate(rows):
-        if row and i not in pivot_rows:
-            raise NoSolution(f"inconsistent row {i}")
-    return _EchelonSolve(rows, pivots, n, b.cols)
-
-
-def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
-    """Solve A*X = B over the fraction field of the entry ring.
-
-    Returns one particular solution, a basis of the right kernel of A with
-    denominators cleared to ring entries, and whether X itself lies in the
-    ring.  Raises NoSolution when the system is inconsistent.  A kernel of
-    positive dimension signals non-uniqueness; it is not an error.  Over Q
-    the call runs forward elimination only, which proves consistency, and
-    the result derives the solution and the kernel when they are first
-    read (_EchelonSolve).  Over Q[y] and the Laurent ring it builds both
-    from one fraction-free elimination of [A | B] and fraction-free
-    back-substitution (module docstring): the denominator is the minor on
-    the row and column rank profiles, with the pivot columns sorted, and
-    A * X == B on every row is checked before the result is returned.
-    """
-    if a.rows != b.rows:
-        raise ShapeMismatch(f"solve {a.shape()} against {b.shape()}")
-    if a.ring != b.ring:
-        raise ShapeMismatch("ring mismatch between A and B")
-    if isinstance(a.ring, RationalField):
-        return _solve_right_rational(a, b)
-
-    ring: PolyRing = a.ring
-    n, k = a.cols, b.cols
-    rows = [{**ra, **{n + j: v for j, v in rb.items()}} for ra, rb in zip(a._nz, b._nz)]
-    _, echelon = fraction_free_echelon(rows, n, Poly.exact_div)
-    det = _pivot_minor(echelon, ring.one())
+    rows, div, one = _exact_rows(a.ring, [{**ra, **{n + j: v for j, v in rb.items()}}
+                                          for ra, rb in zip(a._nz, b._nz)])
+    _, echelon = fraction_free_echelon(rows, n, div)
+    det = _pivot_minor(echelon, one)
     pivots = {c for _, c in echelon}
 
-    # Fraction-free back-substitution (Nakos, Turner and Williams 1997),
-    # last pivot row first: solved[c] maps each non-pivot column j of
+    # Last pivot row first: solved[c] maps each non-pivot column j of
     # [A | B] to det * x_c, where x solves S x = column j on the pivot rows
     # with S the minor on the pivot rows and columns.  By Cramer's rule
     # det * x_c is a minor of [A | B], so each division is exact.  B's
@@ -750,13 +635,118 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
                 u = top[c_l]
                 for j, v in y.items():
                     acc[j] = acc[j] - u * v if j in acc else -(u * v)
-        solved[c] = {j: v.exact_div(top[c]) for j, v in acc.items() if v}
-    numerator = RingMatrix._adopt(ring, [{j - n: v for j, v in solved.get(i, {}).items()
-                                          if j >= n} for i in range(n)], k)
-    zero = ring.zero()
-    kernel = [[-solved[i][fc] if fc in solved.get(i, ()) else det if i == fc else zero
-               for i in range(n)] for fc in range(n) if fc not in pivots]
+        solved[c] = {j: div(v, top[c]) for j, v in acc.items() if v}
+    numerator = [{j - n: v for j, v in solved.get(i, {}).items() if j >= n} for i in range(n)]
+    kernel = {fc: {fc: det} for fc in range(n) if fc not in pivots}
+    for c, y in solved.items():
+        for j, v in y.items():
+            if j < n:
+                kernel[j][c] = -v
+    return numerator, det, list(kernel.values())
 
+
+@dataclass
+class SolveResult:
+    """A solution of A * X = B over the fraction field, and a basis of the
+    right kernel of A.
+
+    The particular solution is numerator / denominator, one explicit ring
+    denominator for all entries.  Kernel vectors have denominators cleared,
+    so they are exact ring vectors with A*k = 0.  in_ring is True when
+    every entry of the solution cleared to the ring by exact division, in
+    which case `cleared` holds the ring-entry matrix.  Over Q[y] and the
+    Laurent ring every field is built with the result; over Q the result is
+    a _RationalSolve, which builds them when they are first read.
+    """
+
+    ring: object
+    numerator: RingMatrix
+    denominator: object
+    kernel: list[list]
+    in_ring: bool
+    cleared: RingMatrix | None = None
+
+    @property
+    def kernel_dimension(self) -> int:
+        return len(self.kernel)
+
+
+class _RationalSolve(SolveResult):
+    """solve_right's result over Q, once _forward has proved A * X = B
+    consistent.  The first read of cleared (the particular solution with
+    free coordinates 0, also the numerator over denominator 1) or of kernel
+    runs _fraction_free_solve once, and each answer is its integer
+    counterpart over det, so every kernel vector holds 1 at its free
+    column.  kernel_dimension is n minus the rank and builds nothing."""
+
+    ring = QQ
+    denominator = Fraction(1)
+    in_ring = True
+
+    def __init__(self, a: RingMatrix, b: RingMatrix, rank: int):
+        self._a, self._b, self._rank = a, b, rank
+
+    @cached_property
+    def _solved(self) -> tuple[RingMatrix, list[list[Fraction]]]:
+        numerator, det, kernel = _fraction_free_solve(self._a, self._b)
+        cleared = RingMatrix._adopt(QQ, [_over(row, det) for row in numerator], self._b.cols)
+        return cleared, [_dense(_over(vec, det), self._a.cols, QQ.zero()) for vec in kernel]
+
+    @property
+    def cleared(self) -> RingMatrix:
+        return self._solved[0]
+
+    numerator = cleared
+
+    @property
+    def kernel(self) -> list[list[Fraction]]:
+        return self._solved[1]
+
+    @property
+    def kernel_dimension(self) -> int:
+        return self._a.cols - self._rank
+
+
+def _over(row: dict[int, int], det: int) -> dict[int, Fraction]:
+    return {j: Fraction(v, det) for j, v in row.items()}
+
+
+def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
+    """Solve A*X = B over the fraction field of the entry ring.
+
+    Returns one particular solution, a basis of the right kernel of A with
+    denominators cleared to ring entries, and whether X itself lies in the
+    ring.  Raises NoSolution when the system is inconsistent.  A kernel of
+    positive dimension signals non-uniqueness; it is not an error.  Every
+    answer comes from _fraction_free_solve.  Over Q the call runs only the
+    sparse forward elimination of [A | B] (_forward), which decides
+    consistency: NoSolution on the first non-pivot row that keeps a right
+    side.  The result (_RationalSolve) runs the fraction-free solve when
+    the solution or the kernel is first read.  Over Q[y] and the Laurent
+    ring the fraction-free solve runs at once, and A * X == B on every row
+    is checked before the result is returned.
+    """
+    if a.rows != b.rows:
+        raise ShapeMismatch(f"solve {a.shape()} against {b.shape()}")
+    if a.ring != b.ring:
+        raise ShapeMismatch("ring mismatch between A and B")
+    n, k = a.cols, b.cols
+    if isinstance(a.ring, RationalField):
+        rows = [{j: canonical(v) for j, v in row.items()} for row in a._nz]
+        for row, rb in zip(rows, b._nz):
+            for j, v in rb.items():
+                row[n + j] = canonical(v)
+        pivots = _forward(rows, n)
+        pivot_rows = {p for _, p in pivots}
+        for i, row in enumerate(rows):
+            if row and i not in pivot_rows:
+                raise NoSolution(f"inconsistent row {i}")
+        return _RationalSolve(a, b, len(pivots))
+
+    ring: PolyRing = a.ring
+    numerator, det, kernel = _fraction_free_solve(a, b)
+    numerator = RingMatrix._adopt(ring, numerator, k)
+    kernel = [_dense(vec, n, ring.zero()) for vec in kernel]
     # X = numerator / det when every entry divides exactly.  The definitive
     # consistency check on all rows is then A * X == B, and otherwise the
     # fraction-free A * numerator == det * B.
@@ -839,14 +829,10 @@ class CharPoly:
     def degree(self) -> int:
         return sum((len(factor) - 1) * count for factor, count in self.factors)
 
-    def cleared(self) -> tuple[list[dict], int]:
-        """(d * the term dict of each coefficient, d) for the least common
-        denominator d; on an integral polynomial d = 1 and every
-        coefficient is an int."""
-        return _cleared([_terms(c) for c in self.coeffs])
-
     def cleared_factors(self) -> list[tuple[list[dict], int]]:
-        """Per factor, its cleared coefficients (as cleared) and its count."""
+        """Per factor, (d * the term dict of each coefficient, for the least
+        common denominator d; on an integral factor every coefficient is an
+        int) and its count."""
         return [(_cleared([_terms(c) for c in factor])[0], count)
                 for factor, count in self.factors]
 

@@ -55,7 +55,8 @@ exponent tuple), descending, so serialization is deterministic.
 
 Every input syntax (the file formats, the polynomial and word grammars and
 the --at point) reads its lines, tokens and numbers through the lexical
-layer below: content_lines, tokenize, parse_int and parse_fraction.
+layer below: content_lines, tokenize, parse_int and parse_fraction.  Every
+input file is read through read_text.
 """
 
 from __future__ import annotations
@@ -657,6 +658,17 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def _shown(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
+def read_text(path) -> str:
+    """The whole file at path, decoded as UTF-8.  ParseError, naming the
+    byte offset, on the first byte sequence that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte offset {exc.start}") from None
 
 
 def content_lines(text: str) -> list[str]:

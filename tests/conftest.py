@@ -235,7 +235,7 @@ def random_arrangement(rng: random.Random, dim: int = 2, max_n: int = 6) -> Arra
 
 
 def _rank(rows) -> int:
-    """Rank over Q by the sparse Gauss-Jordan's forward phase, a kernel
+    """Rank over Q by the sparse forward elimination (_forward), a kernel
     apart from the Bareiss elimination the package uses for ranks."""
     rows = [{j: canonical(v) for j, v in enumerate(r) if v} for r in rows]
     return len(_forward(rows, max((max(r) + 1 for r in rows if r), default=0)))

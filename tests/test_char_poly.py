@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrmono import QQ, CharPoly, RingMatrix, char_poly, laurent_ring, poly_ring
-from arrmono.linalg import _from_terms, _terms, divide_linear_terms
+from arrmono.linalg import _cleared, _from_terms, _terms, divide_linear_terms
 
 Y = poly_ring(3)
 X = laurent_ring(2)
@@ -47,7 +47,7 @@ def poly_divide_linear(coeffs, root):
 def divide_linear(cp, root):
     """The exact quotient of cp by (z - root) as a coefficient tuple, by
     divide_linear_terms on the cleared coefficients; None on a remainder."""
-    coeffs, d = cp.cleared()
+    coeffs, d = _cleared([_terms(c) for c in cp.coeffs])
     out = divide_linear_terms(coeffs, _terms(root), cp.ring)
     return None if out is None else tuple(_from_terms(cp.ring, t, d) for t in out)
 

@@ -533,6 +533,22 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["-a", "-p", "-e", "-c", "xi1"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, flag):
+    """Each of the five file flags, in turn, names bytes that are not UTF-8
+    in a run whose other inputs are valid."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"dim 2\n\xff\xfe\n")
+    args = dict(ARGS, **{flag: str(bad)})
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("induced", "-a", args["-a"], "-p", args["-p"], "-e", args["-e"],
+                          "-c", args["-c"], "--xi", args["xi1"])
+    assert code == 2
+    assert err.getvalue().startswith("parse error") and "byte offset 6" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("subcommand", ["info", "aomoto"])
 def test_negative_dimension_is_a_parse_error(tmp_path, subcommand):
     bad = tmp_path / "neg.arr"

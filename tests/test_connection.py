@@ -384,7 +384,7 @@ def axis_probe_linear_forms(omega):
     and exact division of the cleared characteristic polynomial.  The
     multiset of certified factors, or FactorizationFailed."""
     from arrmono.connection import _eval_univariate, _integer_roots
-    from arrmono.linalg import divide_linear_terms
+    from arrmono.linalg import _cleared, _terms, divide_linear_terms
     ring, n, size = omega.ring, omega.ring.nvars, omega.rows
     cp = char_poly(omega)
     per_axis = []
@@ -396,7 +396,7 @@ def axis_probe_linear_forms(omega):
     rng = random.Random(0)
     generic = [Fraction(rng.randint(2, 97), rng.randint(1, 9)) for _ in range(n)]
     cp_generic = [c.evaluate(generic) for c in cp.coeffs]
-    cleared, _ = cp.cleared()
+    cleared, _ = _cleared([_terms(c) for c in cp.coeffs])
     stack = [()]
     for axis in per_axis:
         stack = [t + (r,) for t in stack for r in axis]
@@ -630,21 +630,22 @@ def test_gauge_system_keeps_an_equation_with_zero_left_side():
 
 def test_gauge_check_runs_no_back_substitution(pencil, monkeypatch):
     """The gauge check needs consistency alone, which forward elimination
-    proves: back-substitution, which only the solution and the kernel
+    proves: the fraction-free solve, which only the solution and the kernel
     read, never runs."""
     from arrmono import linalg
     calls = []
-    back_substitute = linalg._back_substitute
-    monkeypatch.setattr(linalg, "_back_substitute",
-                        lambda *args: calls.append(1) or back_substitute(*args))
+    solve = linalg._fraction_free_solve
+    monkeypatch.setattr(linalg, "_fraction_free_solve",
+                        lambda *args: calls.append(1) or solve(*args))
     for phi in (pencil["phis"][1], pencil["phis"][2], _boolean_inner_loop()[0]):
         rep = verify_exp_relation(phi)
         assert rep.passed and not rep.entrywise_degree2
     assert calls == []
-    # The spy sees the phase where a result is read.
+    # The spy sees the phase where a result is read, and only once.
     res = solve_right(RingMatrix(QQ, [[1, 2], [2, 4]]), RingMatrix(QQ, [[1], [2]]))
     assert res.kernel_dimension == 1 and calls == []
     assert res.kernel == [[-2, 1]] and calls == [1]
+    assert res.cleared.entries == [[1], [0]] and res.kernel == [[-2, 1]] and calls == [1]
 
 
 def test_spectra_correspondence(pencil):
@@ -832,7 +833,7 @@ def per_vector_cohomology_action(cx, maps):
     basis one kernel vector at a time, keeping a vector when it raises the
     rank of the stack, and solve for the coordinates of each
     representative's image separately.  Its ranks come from conftest's
-    Gauss-Jordan _rank, not from the fraction-free elimination that
+    forward-elimination _rank, not from the fraction-free elimination that
     cohomology_action and RingComplex.betti use.  (betti, matrices,
     representatives)."""
     ranks = [_rank(b.entries) for b in cx.boundaries] + [0]

@@ -1,7 +1,9 @@
-"""The two-phase sparse elimination over Q (forward, then back-substitution)
-against a dense reference Gauss-Jordan: equal particular solutions, kernel
-bases, kernel dimensions, NoSolution verdicts and reduced row echelon forms
-on random sparse rational systems, whichever derived field is read first."""
+"""solve_right over Q against a dense reference Gauss-Jordan: the sparse
+forward elimination that decides consistency, and the fraction-free solve
+that every answer is read off.  Equal particular solutions, kernel bases,
+kernel dimensions, NoSolution verdicts, pivot columns and reduced row
+echelon forms on random sparse rational systems, whichever answer is read
+first."""
 
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrmono import QQ, NoSolution, RingMatrix, solve_right
-from arrmono.linalg import _back_substitute, _forward
+from arrmono.linalg import _forward
 from arrmono.rings import canonical
 
 
@@ -39,17 +41,34 @@ def dense_rref(rows):
     return grid, pivots
 
 
-def sparse_rref(rows):
-    """The reduced row echelon form by _forward, then _back_substitute, laid
-    out as dense_rref lays it out: (the pivot rows by pivot column, then
-    zero rows, as Fractions; the pivot columns)."""
+def forward_pivots(rows):
+    """(the pivot columns of _forward on the dense rows, in order; the rows
+    it leaves, each asserted to hold canonical coefficients only)."""
     ncols = len(rows[0]) if rows else 0
     sparse = [{j: canonical(v) for j, v in enumerate(row) if v} for row in rows]
     pivots = _forward(sparse, ncols)
-    _back_substitute(sparse, pivots)
-    out = [[Fraction(sparse[p].get(j, 0)) for j in range(ncols)] for _, p in pivots]
+    for row in sparse:
+        assert all(_canonical(v) for v in row.values()), row
+    return [c for c, _ in pivots], sparse
+
+
+def solved_rref(rows):
+    """The reduced row echelon form read off solve_right's kernel against a
+    zero right side, laid out as dense_rref lays it out: (the pivot rows
+    by pivot column, then zero rows; the pivot columns).  The kernel vector
+    of a free column holds 1 there, as its last nonzero, and the pivot row
+    of column c holds 1 at c and -k[c] at the free column of each kernel
+    vector k.  The kernel's entries are asserted to be Fractions."""
+    ncols = len(rows[0]) if rows else 0
+    kernel = solve_right(RingMatrix(QQ, rows), RingMatrix.zero(QQ, len(rows), 1)).kernel
+    assert all(type(v) is Fraction for k in kernel for v in k)
+    free = {max(j for j, v in enumerate(k) if v): k for k in kernel}
+    assert all(k[fc] == 1 for fc, k in free.items())
+    pivots = [c for c in range(ncols) if c not in free]
+    out = [[Fraction(int(j == c)) if j not in free else -free[j][c] for j in range(ncols)]
+           for c in pivots]
     out.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, [c for c, _ in pivots]
+    return out, pivots
 
 
 def dense_solve_right(a, b):
@@ -129,9 +148,9 @@ def systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(systems(), st.booleans())
 def test_sparse_solve_matches_dense_reference(system, kernel_first):
-    """Back-substitution runs in place on the first read, so the derived
-    fields are read in both orders; kernel_dimension comes before either
-    and must not run it."""
+    """The fraction-free solve runs on the first read, so the answers are
+    read in both orders; kernel_dimension comes before either and must not
+    run it.  The answers are Fractions, whatever ints the solve ran on."""
     a_rows, b_rows = system
     a, b = RingMatrix(QQ, a_rows), RingMatrix(QQ, b_rows)
     try:
@@ -142,12 +161,14 @@ def test_sparse_solve_matches_dense_reference(system, kernel_first):
         return
     res = solve_right(a, b)
     assert res.kernel_dimension == len(expected[1])
-    assert "_reduced" not in vars(res)
+    assert "_solved" not in vars(res)
     if kernel_first:
         assert res.kernel == expected[1]
     assert res.in_ring and res.denominator == 1
     assert res.cleared == res.numerator == expected[0]
     assert res.kernel == expected[1]
+    assert all(type(v) is Fraction for row in res.cleared.nonzero_rows() for v in row.values())
+    assert all(type(v) is Fraction for k in res.kernel for v in k)
     if res.cleared.rows:
         assert a * res.cleared == b
 
@@ -155,9 +176,13 @@ def test_sparse_solve_matches_dense_reference(system, kernel_first):
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_sparse_rref_matches_dense_reference(system):
+    """_forward's pivot columns, and the reduced row echelon form that
+    solve_right's kernel spells out, are the dense reference's."""
     a_rows, b_rows = system
     for rows in (a_rows, [ra + rb for ra, rb in zip(a_rows, b_rows)]):
-        assert sparse_rref(rows) == dense_rref(rows)
+        expected = dense_rref(rows)
+        assert forward_pivots(rows)[0] == expected[1]
+        assert solved_rref(rows) == expected
 
 
 def test_integer_entries_and_zero_rows():
@@ -172,34 +197,26 @@ def test_integer_entries_and_zero_rows():
 
 # -- canonical coefficients ---------------------------------------------------
 #
-# Both phases keep every entry an int when it is integral and a Fraction
-# with denominator > 1 otherwise; a float would compare equal to the oracle
-# and slip through, so the types are checked as well as the values.
+# _forward keeps every entry an int when it is integral and a Fraction with
+# denominator > 1 otherwise, and solve_right's answers are Fractions; a
+# float would compare equal to the oracle and slip through, so the types
+# are checked as well as the values.
 
 
 def _canonical(v) -> bool:
     return type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
-def _reduced_pivot_rows(rows):
-    ncols = len(rows[0])
-    sparse = [{j: canonical(v) for j, v in row.items()}
-              for row in RingMatrix(QQ, rows).nonzero_rows()]
-    pivots = _forward(sparse, ncols)
-    _back_substitute(sparse, pivots)
-    for row in sparse:
-        assert all(_canonical(v) for v in row.values()), row
-    return [[sparse[p].get(j, 0) for j in range(ncols)] for _, p in pivots]
-
-
 def test_gauss_jordan_on_int_rows_with_pivot_two():
     # Equal row lengths, so the first pivot is row 0 with pivot 2.
     rows = [[2, 4, 1], [6, 1, 2]]
-    got = _reduced_pivot_rows(rows)
-    expected, _ = dense_rref(rows)
-    assert got == expected[:len(got)]
-    assert got[0][:2] == [1, 0] and type(got[0][0]) is int
-    assert all(type(v) is Fraction for row in sparse_rref(rows)[0] for v in row)
+    expected = dense_rref(rows)
+    pivots, left = forward_pivots(rows)
+    assert pivots == expected[1]
+    assert left[0] == {0: 1, 1: 2, 2: Fraction(1, 2)} and type(left[0][0]) is int
+    got = solved_rref(rows)
+    assert got == expected
+    assert all(type(v) is Fraction for row in got[0] for v in row)
 
 
 INT_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
@@ -209,6 +226,6 @@ INT_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 def test_gauss_jordan_on_int_rows_matches_dense_reference(m, n, data):
     rows = [[data.draw(INT_ENTRY) for _ in range(n)] for _ in range(m)]
-    got = _reduced_pivot_rows(rows)
-    expected, pivots = dense_rref(rows)
-    assert got == expected[:len(pivots)]
+    expected = dense_rref(rows)
+    assert forward_pivots(rows)[0] == expected[1]
+    assert solved_rref(rows) == expected
