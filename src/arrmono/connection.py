@@ -15,7 +15,6 @@ matrices, M = sum_j y_j M_j (linear_coefficients).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,15 +40,17 @@ from .linalg import (
     fraction_free_echelon,
     generic_rank,
     linearize_matrix,
-    mat_exp_truncated,
+    mat_exp_truncated,  # unused here; bench/spans.py wraps it by this name
     series_matrix,
     solve_right,
     verify_chain_map,
 )
 from .rings import (
     MAX_VARIABLES,
+    Coeff,
     Poly,
     _shown,
+    canonical,
     content_lines,
     exp_jet,
     format_poly,
@@ -122,71 +123,157 @@ def linear_coefficients(m: RingMatrix) -> list[list[dict[int, int]]]:
     return out
 
 
-def _gauge_system(omega: RingMatrix, rhs: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
-    """The linear system A * g = b of G1 * Omega - Omega * G1 = rhs over Q,
-    for a matrix Omega of linear forms.
+class _GaugeEquations:
+    """The equations of G1 * Omega - Omega * G1 = R for a matrix Omega of
+    linear forms, s x s in n variables, on coefficient dicts.
 
-    Unknowns: n * s^2 rational coefficients of G1; equations: coefficients of
-    the quadratic monomials of every entry, in (entry, monomial) order.  Only
-    the equations that carry a nonzero are emitted; a row that no term
-    reaches, or whose terms cancel, with a zero right side (0 = 0) is not.
-    A is built from the terms c * y_u of Omega's entries, read as they are
-    (ints on an integral Omega); the right side b is rational.  Equations
-    are sparse dicts, and those that survive are the rows of A as they are.
-    """
-    s = omega.rows
-    ring = omega.ring
-    n = ring.nvars
-    monomials = [(i, j) for i in range(n) for j in range(i, n)]
-    mono_index = {m: idx for idx, m in enumerate(monomials)}
-    # mono[u][v]: index of the monomial y_u * y_v.
-    mono = [[mono_index[(min(u, v), max(u, v))] for v in range(n)] for u in range(n)]
-    nmono = len(monomials)
-    cols = s * s * n
-    # Equation (a * s + b) * nmono + m holds the coefficient of monomial m in
-    # entry (a, b); unknown (a * s + b) * n + v is the coefficient of y_v in
-    # G1[a][b].  The equations of row a of the product form block a.
-    terms = [[(j, ring.linear_variable(key), c) for j, e in row.items()
-              for key, c in e.terms.items()] for row in omega.nonzero_rows()]
-    # In (G1 * Omega)[a][j], the term c * y_u of Omega[i][j] meets G1[a][i]:
-    # the same template in every block a, shifted by a * s * n unknowns.
-    left: dict[int, dict[int, int]] = defaultdict(dict)
-    for i, row in enumerate(terms):
-        for j, u, c in row:
-            for v in range(n):
-                left[j * nmono + mono[u][v]][i * n + v] = c
-    rhs_rows = rhs.nonzero_rows()
-    a_rows: list[dict[int, int]] = []
-    b_rows: list[dict] = []
-    for a in range(s):
-        shift = a * s * n
-        block = defaultdict(dict, {e: {col + shift: c for col, c in eq.items()}
-                                   for e, eq in left.items()})
-        # In -(Omega * G1)[a][b], the term c * y_u of Omega[a][j] meets G1[j][b].
-        for j, u, c in terms[a]:
-            for b in range(s):
-                for v in range(n):
-                    eq = block[b * nmono + mono[u][v]]
-                    col = (j * s + b) * n + v
-                    new = eq.get(col, 0) - c
-                    if new:
-                        eq[col] = new
+    Unknown (a * s + b) * n + v is the coefficient of y_v in G1[a][b], and
+    equation ((a * s + b) * n + u) * n + v, u <= v, is the coefficient of
+    y_u * y_v in entry (a, b); sorted, the equations run in (entry,
+    monomial) order.  Omega is read once into its terms c * y_u, indexed
+    by row and by column and, within each, by variable.  A coefficient is
+    canonical (rings.canonical), so on an integral Omega every equation
+    holds ints."""
+
+    def __init__(self, omega: RingMatrix):
+        self.s, self.n = s, n = omega.rows, omega.ring.nvars
+        variable = omega.ring.linear_variable
+        # by_row[i][u] holds (k, c) for each term c * y_u of Omega[i][k],
+        # by_col[k][u] holds (i, c) for the same term, and diagonal[i][u] is
+        # c when k = i.
+        self.by_row: list[dict[int, list]] = [{} for _ in range(s)]
+        self.by_col: list[dict[int, list]] = [{} for _ in range(s)]
+        self.diagonal: list[dict[int, Coeff]] = [{} for _ in range(s)]
+        for i, row in enumerate(omega.nonzero_rows()):
+            for k, e in row.items():
+                for key, c in e.terms.items():
+                    u = variable(key)
+                    self.by_row[i].setdefault(u, []).append((k, c))
+                    self.by_col[k].setdefault(u, []).append((i, c))
+                    if k == i:
+                        self.diagonal[i][u] = c
+
+    def twice_remainder(self, phi2: RingMatrix) -> dict[int, Coeff]:
+        """2R = 2 * Phi_2 - Omega^2 by equation, nonzero coefficients only,
+        for the part Phi_2 of degree 2 of Phi(exp y)."""
+        s, n = self.s, self.n
+        nn = n * n
+        exponents = phi2.ring.exponents
+        monomial: dict[int, int] = {}  # key of y_u * y_v -> u * n + v
+        out: dict[int, Coeff] = {}
+        for a, row in enumerate(phi2.nonzero_rows()):
+            for b, entry in row.items():
+                base = (a * s + b) * nn
+                for key, c in entry.terms.items():
+                    m = monomial.get(key)
+                    if m is None:
+                        u, v = [i for i, k in enumerate(exponents(key)) for _ in range(k)]
+                        m = monomial[key] = u * n + v
+                    # 2c.  On an integral Phi a coefficient is an int or a
+                    # half (x^k gives k^2/2 y^2): no Fraction arithmetic.
+                    if type(c) is int:
+                        c *= 2
+                    elif c.denominator == 2:
+                        c = c.numerator
                     else:
-                        del eq[col]
-        right = {}
-        for b, entry in rhs_rows[a].items():
-            for key, c in entry.terms.items():
-                exps = ring.exponents(key)
-                if sum(exps) != 2:
-                    raise ValueError("expected a homogeneous quadratic")
-                support = [i for i, k in enumerate(exps) if k]
-                right[b * nmono + mono[support[0]][support[-1]]] = c
-        for e in sorted(block.keys() | right.keys()):
-            eq = block.get(e, {})
-            if eq or e in right:
-                a_rows.append(eq)
-                b_rows.append({0: right.get(e, 0)})
-    return RingMatrix.from_rows(QQ, a_rows, cols), RingMatrix.from_rows(QQ, b_rows, 1)
+                        c = canonical(2 * c)
+                    out[base + m] = out.get(base + m, 0) + c
+        # (Omega^2)[a][b] sums c * d * y_u * y_w over the terms c * y_u of
+        # Omega[a][k] and d * y_w of Omega[k][b].
+        for a, terms in enumerate(self.by_row):
+            for u, pairs in terms.items():
+                for k, c in pairs:
+                    for w, inner in self.by_row[k].items():
+                        base = a * s * nn + (u * n + w if u <= w else w * n + u)
+                        for b, d in inner:
+                            e = base + b * nn
+                            out[e] = out.get(e, 0) - c * d
+        return {e: canonical(v) for e, v in out.items() if v}
+
+    def reached_system(self, rhs: dict[int, Coeff]) -> tuple[RingMatrix, RingMatrix]:
+        """The system A * g = b over Q of the equations that the nonzero
+        right sides reach, in (entry, monomial) order, over all s^2 * n
+        unknowns.  An equation is reached when it has a nonzero right side
+        or holds a reached unknown, and an unknown when a reached equation
+        holds it: the connected components of the system's row-column graph
+        that meet a nonzero right side (Pothen and Fan 1990).  Every other
+        equation has a zero right side and only unknowns that are not
+        reached, so it is solved by zero, and the whole system is
+        consistent exactly when this one is.  An equation with a right side
+        and no term, 0 = c, is kept.
+
+        A reached equation is read for its unknowns alone; an unknown, when
+        first reached, writes its coefficient into each of its equations
+        and reaches those.  So every coefficient of the reached system is
+        written once, by its unknown."""
+        s, n = self.s, self.n
+        nn, sn = n * n, s * n
+        by_row, by_col, diagonal = self.by_row, self.by_col, self.diagonal
+        rows: dict[int, dict[int, Coeff]] = {e: {} for e in rhs}
+        queue = list(rhs)
+        unknowns: set[int] = set()
+        while queue:
+            rest, v = divmod(queue.pop(), n)
+            rest, u = divmod(rest, n)
+            a, b = divmod(rest, s)
+            diag_a, diag_b = diagonal[a], diagonal[b]
+            fresh = []
+            # The coefficient of y_u * y_v in (G1 * Omega - Omega * G1)[a][b]
+            # holds G1[a][k] * y_w for each term y_x of Omega[k][b], and
+            # G1[k][b] * y_w for each term y_x of Omega[a][k], {x, w} = {u, v};
+            # the diagonal terms of the two meet at G1[a][b] * y_w (below).
+            for x, w in ((u, v), (v, u)) if u != v else ((u, v),):
+                for k, c in by_col[b].get(x, ()):
+                    if k == b and diag_a.get(x) == c:
+                        continue
+                    j = a * sn + k * n + w
+                    if j not in unknowns:
+                        unknowns.add(j)
+                        fresh.append(j)
+                for k, c in by_row[a].get(x, ()):
+                    if k == a and diag_b.get(x) == c:
+                        continue
+                    j = k * sn + b * n + w
+                    if j not in unknowns:
+                        unknowns.add(j)
+                        fresh.append(j)
+            for j in fresh:
+                rest, v = divmod(j, n)
+                a, b = divmod(rest, s)
+                # G1[a][b] * y_v meets each term c * y_u of Omega[b][k] in
+                # entry (a, k), with coefficient c, and of Omega[k][a] in
+                # entry (k, b), with -c.  The diagonal terms, k = b and
+                # k = a, meet in entry (a, b): there the coefficient is that
+                # of y_u in Omega[b][b] less that in Omega[a][a], written
+                # from the first and absent when it is zero.
+                diag_a, diag_b = diagonal[a], diagonal[b]
+                for u, pairs in by_row[b].items():
+                    m = u * n + v if u <= v else v * n + u
+                    for k, c in pairs:
+                        if k == b:
+                            c = canonical(c - diag_a.get(u, 0))
+                            if not c:
+                                continue
+                        e = (a * s + k) * nn + m
+                        row = rows.get(e)
+                        if row is None:
+                            row = rows[e] = {}
+                            queue.append(e)
+                        row[j] = c
+                for u, pairs in by_col[a].items():
+                    m = u * n + v if u <= v else v * n + u
+                    for k, c in pairs:
+                        if k == a and u in diag_b:
+                            continue
+                        e = (k * s + b) * nn + m
+                        row = rows.get(e)
+                        if row is None:
+                            row = rows[e] = {}
+                            queue.append(e)
+                        row[j] = -c
+        order = sorted(rows)
+        return (RingMatrix.from_rows(QQ, [rows[e] for e in order], s * s * n),
+                RingMatrix.from_rows(QQ, [{0: rhs[e]} if e in rhs else {} for e in order], 1))
 
 
 def verify_exp_relation(phi: RingMatrix) -> ExpRelationReport:
@@ -196,18 +283,24 @@ def verify_exp_relation(phi: RingMatrix) -> ExpRelationReport:
     its part of degree 1 is Omega, and all rests on
     R = Phi_2 - Omega^2/2.  The sides agree entrywise when R = 0, and are
     gauge conjugate when G1 * Omega - Omega * G1 = R has a solution.  The
-    solve is posed for 2 * G1 against 2R, which has the same verdict and on
-    an integral Phi has int entries (x^k = 1 + k y + k^2 y^2 / 2 + ...); it
-    decides consistency alone and reads neither a solution nor a kernel."""
+    solve is posed for 2 * G1 against 2R = 2 * Phi_2 - Omega^2, built on
+    coefficient dicts with no matrix product, which has the same verdict
+    and on an integral Phi has int entries (x^k = 1 + k y + k^2 y^2 / 2 +
+    ...).  Only the equations that the nonzero coefficients of 2R reach
+    through shared unknowns are built and solved
+    (_GaugeEquations.reached_system): the rest have a zero right side and
+    unknowns of their own, so zero solves them, and the whole system is
+    consistent exactly when the reached one is.  The solve decides
+    consistency alone and reads neither a solution nor a kernel."""
     jet = series_matrix(phi)
     if not jet[0].is_identity():
         raise NotIdentityAtOne("representation matrix is not the identity at x = 1")
-    omega = jet[1]
-    rest = jet[2] - mat_exp_truncated(omega)[2]
-    if rest.is_zero():
+    gauge = _GaugeEquations(jet[1])
+    rhs = gauge.twice_remainder(jet[2])
+    if not rhs:
         return ExpRelationReport(passed=True, entrywise_degree2=True)
     try:
-        solve_right(*_gauge_system(omega, rest.scale(2)))
+        solve_right(*gauge.reached_system(rhs))
     except NoSolution:
         return ExpRelationReport(passed=False, entrywise_degree2=False)
     return ExpRelationReport(passed=True, entrywise_degree2=False)

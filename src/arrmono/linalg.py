@@ -29,11 +29,12 @@ trace and map_entries, whose function must send 0 to 0) read each row's
 nonzero entries, compute on those alone and build the result from them.
 The Aomoto and connection matrices are mostly zeros (about 94% of mu_2 on
 a dimension-3 arrangement; 210 of the 225 entries of a 15 x 15 Phi_2 on
-Z^6), and the degree-2 gauge system of Z^28 is 64,288 x 21,952 with
-175,392 nonzeros: its equation dicts become the rows through from_rows,
-and the rational solve reads them with no dense row in between.  The one
-reader of dense rows is the rational product, which keeps its dense loop
-until the benchmark harness stops tying memory to speed (ROADMAP 1a).
+Z^6), and the reached gauge system of Z^56 is 26,784 equations over all
+175,616 unknowns of G1 with 126,320 nonzeros: its equation dicts become
+the rows through from_rows, and the rational solve reads them with no
+dense row in between.  The one reader of dense rows is the rational
+product, which keeps its dense loop until the benchmark harness stops
+tying memory to speed (ROADMAP 1a).
 
 One fraction-free elimination (Bareiss 1968) on dict rows, parametrized
 by the ring's exact division, gives every rank, determinant, dependency

@@ -652,6 +652,10 @@ def exp_jet(p: Poly, order: int) -> tuple[Fraction, Poly] | tuple[Fraction, Poly
 MAX_NESTING = 100
 # The largest absolute exponent of a word or a polynomial.
 MAX_EXPONENT = 1_000_000
+# The longest input file in bytes.  The letter limit of the word formats
+# (fox.MAX_LETTERS) admits files of about 15 MB, so 64 MiB leaves room for
+# whitespace and comments.
+MAX_INPUT_BYTES = 1 << 26
 _INTEGER = re.compile(r"([+-]?)0*([0-9]+)")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -661,10 +665,14 @@ def _shown(text: str) -> str:
 
 
 def read_text(path) -> str:
-    """The whole file at path, decoded as UTF-8.  ParseError, naming the
-    byte offset, on the first byte sequence that is not UTF-8."""
+    """The whole file at path, decoded as UTF-8.  ParseError past
+    MAX_INPUT_BYTES, found by reading at most one byte more, so an endless
+    file such as /dev/zero costs no more; ParseError, naming the byte
+    offset, on the first byte sequence that is not UTF-8."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"{path} is longer than {MAX_INPUT_BYTES} bytes")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

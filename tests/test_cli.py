@@ -549,6 +549,26 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, flag):
     assert "Traceback" not in err.getvalue()
 
 
+def test_a_file_past_the_input_limit_is_a_parse_error(tmp_path, monkeypatch):
+    """A file of exactly MAX_INPUT_BYTES parses, one byte more is refused
+    with exit 2, and an endless file is refused after limit + 1 bytes."""
+    from arrmono import rings
+    text = (FIXTURES / "pencil4.arr").read_bytes()
+    monkeypatch.setattr(rings, "MAX_INPUT_BYTES", len(text))
+    assert run_cli("info", "-a", ARGS["-a"])[0] == 0
+    long = tmp_path / "long.arr"
+    long.write_bytes(text + b"\n")
+    endless = ["/dev/zero"] if Path("/dev/zero").exists() else []
+    for path in [str(long), *endless]:
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("info", "-a", path)
+        assert code == 2 and out == ""
+        assert err.getvalue().startswith("parse error")
+        assert f"longer than {len(text)} bytes" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("subcommand", ["info", "aomoto"])
 def test_negative_dimension_is_a_parse_error(tmp_path, subcommand):
     bad = tmp_path / "neg.arr"

@@ -586,46 +586,141 @@ def _boolean_inner_loop():
     return phis[1], formal_connection(phis)[1]
 
 
-def emitted_matches_oracle(omega, rhs):
-    """The emitted system is the dense oracle's without its 0 = 0 rows: the
-    same rows in the same (entry, monomial) order, as ints, with the same
-    right sides, as rational matrices.  Returns (A, oracle rows kept, all
-    oracle rows)."""
-    from arrmono.connection import _gauge_system
-    a, b = _gauge_system(omega, rhs)
+def reached_oracle_rows(system, rhs_vec):
+    """The rows of the dense oracle's system, in order, that lie in a
+    connected component of its row-column graph holding a nonzero right
+    side: a union-find over rows r and columns as -1 - j."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for r, row in enumerate(system):
+        for j, v in enumerate(row):
+            if v:
+                parent[find(r)] = find(-1 - j)
+    sources = {find(r) for r, c in enumerate(rhs_vec) if c}
+    return [r for r in range(len(system)) if find(r) in sources]
+
+
+def oracle_for(phi):
+    """(Omega, 2R by the former Poly matrix route, the jet's Phi_2) of a
+    representation matrix."""
+    from arrmono.linalg import mat_exp_truncated, series_matrix
+    _, omega, phi2 = series_matrix(phi)
+    return omega, (phi2 - mat_exp_truncated(omega)[2]).scale(2), phi2
+
+
+def emitted_matches_oracle(omega, rhs, phi2):
+    """The emitted system is the dense oracle's part that the nonzero right
+    sides reach: the same rows in the same (entry, monomial) order, as ints
+    on an integral Omega, with the same right sides, as rational matrices.
+    rhs is 2R, and phi2 the part of degree 2 that the builder reads it from.
+    Returns (A, b, oracle rows kept, the oracle system, its right side)."""
+    from arrmono.connection import _GaugeEquations
+    gauge = _GaugeEquations(omega)
+    a, b = gauge.reached_system(gauge.twice_remainder(phi2))
     want, want_rhs = dense_gauge_system(omega, rhs)
-    kept = [r for r, row in enumerate(want) if any(row) or want_rhs[r]]
+    kept = reached_oracle_rows(want, want_rhs)
     assert a.ring == b.ring == QQ and b.cols == 1
     assert a.shape() == (len(kept), len(want[0]))
     assert a.entries == [want[r] for r in kept]  # equal as rationals, entry by entry
-    assert all(type(v) is int for row in a.nonzero_rows() for v in row.values())
+    integral = all(type(c) is int for row in omega.nonzero_rows()
+                   for e in row.values() for c in e.terms.values())
+    assert integral <= all(type(v) is int for row in a.nonzero_rows() for v in row.values())
     assert [v for v, in b.entries] == [want_rhs[r] for r in kept]
-    return a, kept, want
+    return a, b, kept, want, want_rhs
 
 
 def test_gauge_grid_matches_dense_fraction_builder(pencil):
-    from arrmono.linalg import mat_exp_truncated, series_matrix
-    cases = [(pencil["phis"][q], pencil["fc"][q]) for q in (1, 2)]
-    cases.append(_boolean_inner_loop())
-    for phi, omega in cases:
-        rhs = series_matrix(phi)[2] - mat_exp_truncated(omega)[2]
+    cases = [pencil["phis"][1], pencil["phis"][2], _boolean_inner_loop()[0]]
+    for phi in cases:
+        omega, rhs, phi2 = oracle_for(phi)
         assert not rhs.is_zero()
-        _, kept, want = emitted_matches_oracle(omega, rhs)
-        assert 0 < len(kept) < len(want)
+        _, _, kept, want, _ = emitted_matches_oracle(omega, rhs, phi2)
+        assert 0 < len(kept) < len([r for r in want if any(r)])
         assert verify_exp_relation(phi).passed
 
 
 def test_gauge_system_keeps_an_equation_with_zero_left_side():
     """A right side on a monomial that no term of Omega reaches gives the
     row 0 = c; it stays in the system, so the solve reports no gauge."""
-    from arrmono.connection import _gauge_system
+    from arrmono.linalg import mat_exp_truncated
     r2 = poly_ring(2)
     omega = mat(r2, [["y1", "0"], ["0", "0"]])
     rhs = mat(r2, [["0", "y2^2"], ["0", "0"]])
-    a, _, _ = emitted_matches_oracle(omega, rhs)
+    phi2 = mat_exp_truncated(omega)[2] + rhs.scale(Fraction(1, 2))
+    a, b, _, _, _ = emitted_matches_oracle(omega, rhs, phi2)
     assert [0] * a.cols in a.entries
     with pytest.raises(NoSolution):
-        solve_right(*_gauge_system(omega, rhs))
+        solve_right(a, b)
+
+
+def _corrupted(phi, rng):
+    """phi with c * (x_i - 1) * (x_j - 1) added to one entry: the same
+    value at x = 1 and Omega, and c * y_i * y_j more in Phi_2."""
+    ring = phi.ring
+    i, j = rng.randrange(ring.nvars), rng.randrange(ring.nvars)
+    c = rng.choice([-2, -1, 1, 2])
+    bump = (ring.variable(i + 1) - ring.one()) * (ring.variable(j + 1) - ring.one())
+    rows = phi.nonzero_rows()
+    a, b = rng.randrange(phi.rows), rng.randrange(phi.cols)
+    rows[a][b] = phi[a, b] + bump.scale(c)
+    return RingMatrix.from_rows(ring, rows, phi.cols)
+
+
+def assert_reached_verdict_is_whole_verdict(phi):
+    """verify_exp_relation's verdict, decided on the reached part, is the
+    verdict of solve_right on the dense oracle's whole system; returns it."""
+    omega, rhs, phi2 = oracle_for(phi)
+    passed = verify_exp_relation(phi).passed
+    if rhs.is_zero():
+        assert passed
+        return passed
+    *_, want, want_rhs = emitted_matches_oracle(omega, rhs, phi2)
+    try:
+        solve_right(RingMatrix(QQ, want), RingMatrix(QQ, [[c] for c in want_rhs]))
+        whole = True
+    except NoSolution:
+        whole = False
+    assert passed == whole
+    return passed
+
+
+def test_reached_verdict_is_the_whole_system_verdict(pencil):
+    """Fixtures, the boolean-inner loop and their corruptions: both verdicts
+    occur, and the reached part decides each as the whole system does."""
+    rng = random.Random(30)
+    phis = [pencil["phis"][1], pencil["phis"][2], _boolean_inner_loop()[0]]
+    phis += [_corrupted(phi, rng) for phi in phis for _ in range(4)]
+    verdicts = [assert_reached_verdict_is_whole_verdict(phi) for phi in phis]
+    assert verdicts[:3] == [True] * 3 and False in verdicts
+
+
+def test_reached_verdict_with_rational_coefficients():
+    """A Phi with rational coefficients, whose Omega is not integral, gets a
+    verdict too, the whole system's."""
+    l2 = laurent_ring(2)
+    cases = [[["1/2*x1 + 1/2", "x2 - 1"], ["0", "1"]],
+             [["1/2*x1 + 1/2", "1/3*x2 - 1/3"], ["0", "x1"]],
+             [["x1", "1/2*x2 - 1/2"], ["0", "1"]],
+             [["x1", "1/2*x1*x2 - 1/2*x1"], ["0", "x2"]]]
+    assert {assert_reached_verdict_is_whole_verdict(mat(l2, rows)) for rows in cases} \
+        == {True, False}
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 100_000))
+def test_reached_verdict_on_random_certified_loops(pencil, certified_generators, seed):
+    rng = random.Random(seed)
+    pres, cx = pencil["pres"], pencil["cx"]
+    endo, cert = random_certified_endo(rng, pres, certified_generators)
+    p1 = phi1(endo)
+    p2 = phi2_from_certificate(pres, endo, cert, cx, p1)
+    for phi in (p1, p2, _corrupted(p1, rng), _corrupted(p2, rng)):
+        assert_reached_verdict_is_whole_verdict(phi)
 
 
 def test_gauge_check_runs_no_back_substitution(pencil, monkeypatch):
