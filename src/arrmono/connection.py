@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ChainIdentityFailed,
@@ -133,7 +133,10 @@ class _GaugeEquations:
     monomial) order.  Omega is read once into its terms c * y_u, indexed
     by row and by column and, within each, by variable.  A coefficient is
     canonical (rings.canonical), so on an integral Omega every equation
-    holds ints."""
+    holds ints.  twice_remainder gives the right side 2R, and
+    reached_system builds, lazily and one connected component at a time,
+    the equations that it reaches: verify_exp_relation solves each
+    component before the next is built."""
 
     def __init__(self, omega: RingMatrix):
         self.s, self.n = s, n = omega.rows, omega.ring.nvars
@@ -190,27 +193,43 @@ class _GaugeEquations:
                             out[e] = out.get(e, 0) - c * d
         return {e: canonical(v) for e, v in out.items() if v}
 
-    def reached_system(self, rhs: dict[int, Coeff]) -> tuple[RingMatrix, RingMatrix]:
+    def reached_system(self, rhs: dict[int, Coeff]) -> Iterator[tuple[RingMatrix, RingMatrix]]:
         """The system A * g = b over Q of the equations that the nonzero
-        right sides reach, in (entry, monomial) order, over all s^2 * n
-        unknowns.  An equation is reached when it has a nonzero right side
-        or holds a reached unknown, and an unknown when a reached equation
-        holds it: the connected components of the system's row-column graph
-        that meet a nonzero right side (Pothen and Fan 1990).  Every other
-        equation has a zero right side and only unknowns that are not
-        reached, so it is solved by zero, and the whole system is
-        consistent exactly when this one is.  An equation with a right side
-        and no term, 0 = c, is kept.
+        right sides reach, one connected component of its row-column graph
+        at a time (Pothen and Fan 1990), each over all s^2 * n unknowns
+        with its rows in (entry, monomial) order.  An equation is reached
+        when it has a nonzero right side or holds a reached unknown, and an
+        unknown when a reached equation holds it.  Every other equation has
+        a zero right side and only unknowns that are not reached, so it is
+        solved by zero, and the whole system is consistent exactly when
+        each component is.  An equation with a right side and no term,
+        0 = c, is a component of its own.  Each component is the reach
+        (_reach) from the least nonzero right side that no earlier
+        component holds, and it is built only when the one before it has
+        been taken, so a caller that stops early never builds the rest."""
+        cols = self.s * self.s * self.n
+        pending = set(rhs)  # the nonzero right sides that no component holds yet
+        for start in sorted(rhs):
+            if start in pending:
+                rows = self._reach(start)
+                pending.difference_update(rows)
+                order = sorted(rows)
+                yield (RingMatrix.from_rows(QQ, [rows[e] for e in order], cols),
+                       RingMatrix.from_rows(QQ, [{0: rhs[e]} if e in rhs else {}
+                                                 for e in order], 1))
 
-        A reached equation is read for its unknowns alone; an unknown, when
-        first reached, writes its coefficient into each of its equations
-        and reaches those.  So every coefficient of the reached system is
-        written once, by its unknown."""
+    def _reach(self, start: int) -> dict[int, dict[int, Coeff]]:
+        """The equations, by index, of the connected component that holds
+        equation start, each a dict from unknown to coefficient.  A reached
+        equation is read for its unknowns alone; an unknown, when first
+        reached, writes its coefficient into each of its equations and
+        reaches those.  So every coefficient of the component is written
+        once, by its unknown."""
         s, n = self.s, self.n
         nn, sn = n * n, s * n
         by_row, by_col, diagonal = self.by_row, self.by_col, self.diagonal
-        rows: dict[int, dict[int, Coeff]] = {e: {} for e in rhs}
-        queue = list(rhs)
+        rows: dict[int, dict[int, Coeff]] = {start: {}}
+        queue = [start]
         unknowns: set[int] = set()
         while queue:
             rest, v = divmod(queue.pop(), n)
@@ -271,9 +290,7 @@ class _GaugeEquations:
                             row = rows[e] = {}
                             queue.append(e)
                         row[j] = -c
-        order = sorted(rows)
-        return (RingMatrix.from_rows(QQ, [rows[e] for e in order], s * s * n),
-                RingMatrix.from_rows(QQ, [{0: rhs[e]} if e in rhs else {} for e in order], 1))
+        return rows
 
 
 def verify_exp_relation(phi: RingMatrix) -> ExpRelationReport:
@@ -289,9 +306,13 @@ def verify_exp_relation(phi: RingMatrix) -> ExpRelationReport:
     ...).  Only the equations that the nonzero coefficients of 2R reach
     through shared unknowns are built and solved
     (_GaugeEquations.reached_system): the rest have a zero right side and
-    unknowns of their own, so zero solves them, and the whole system is
-    consistent exactly when the reached one is.  The solve decides
-    consistency alone and reads neither a solution nor a kernel."""
+    unknowns of their own, so zero solves them.  The reached equations
+    are built and solved one connected component at a time, one
+    solve_right each, and the whole system is consistent exactly when
+    every component is, so the check fails at the first inconsistent
+    component and builds none after it.  Each solve decides consistency
+    alone, by the fraction-free elimination, and reads neither a solution
+    nor a kernel."""
     jet = series_matrix(phi)
     if not jet[0].is_identity():
         raise NotIdentityAtOne("representation matrix is not the identity at x = 1")
@@ -300,7 +321,8 @@ def verify_exp_relation(phi: RingMatrix) -> ExpRelationReport:
     if not rhs:
         return ExpRelationReport(passed=True, entrywise_degree2=True)
     try:
-        solve_right(*gauge.reached_system(rhs))
+        for component in gauge.reached_system(rhs):
+            solve_right(*component)
     except NoSolution:
         return ExpRelationReport(passed=False, entrywise_degree2=False)
     return ExpRelationReport(passed=True, entrywise_degree2=False)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -366,8 +367,14 @@ class Endomorphism:
         return Endomorphism(ngens, tuple(Word.gen(ngens, j).conjugate(by)
                                          for j in range(1, ngens + 1)))
 
+    @cached_property
+    def _images(self) -> dict[int, Sequence[Word]]:
+        """The image of g_j^e at [e][j - 1], each inverse image built once
+        per endomorphism rather than once per apply."""
+        return {1: self.images, -1: [img.inverse() for img in self.images]}
+
     def apply(self, w: Word) -> Word:
-        images = {1: self.images, -1: [img.inverse() for img in self.images]}
+        images = self._images
         return Word.product(self.ngens, (images[e][g - 1] for g, e in w.letters))
 
     def after(self, other: "Endomorphism") -> "Endomorphism":

@@ -40,9 +40,7 @@ from arrmono import (
     universal_complex,
 )
 from arrmono.connection import linear_coefficients
-from arrmono.linalg import _forward
 from arrmono.oscomplex import wedge_sort
-from arrmono.rings import canonical
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -235,10 +233,22 @@ def random_arrangement(rng: random.Random, dim: int = 2, max_n: int = 6) -> Arra
 
 
 def _rank(rows) -> int:
-    """Rank over Q by the sparse forward elimination (_forward), a kernel
-    apart from the Bareiss elimination the package uses for ranks."""
-    rows = [{j: canonical(v) for j, v in enumerate(r) if v} for r in rows]
-    return len(_forward(rows, max((max(r) + 1 for r in rows if r), default=0)))
+    """Rank over Q by dense Gauss elimination on Fractions, apart from the
+    fraction-free elimination the package uses for ranks."""
+    grid = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(max(map(len, grid), default=0)):
+        i = next((i for i in range(rank, len(grid)) if grid[i][c]), None)
+        if i is None:
+            continue
+        grid[rank], grid[i] = grid[i], grid[rank]
+        pivot = grid[rank]
+        rank += 1
+        for r in grid[rank:]:
+            if r[c]:
+                f = r[c] / pivot[c]
+                r[:] = [v - f * p for v, p in zip(r, pivot)]
+    return rank
 
 
 def has_nonempty_intersection(arr, subset) -> bool:

@@ -24,7 +24,7 @@ from arrmono import (
     solve_right,
     symbolic_det,
 )
-from arrmono.linalg import fraction_free_echelon, generic_rank
+from arrmono.linalg import clear_row_denominators, fraction_free_echelon, generic_rank
 from arrmono.rings import PolyRing
 from conftest import mat
 
@@ -386,3 +386,16 @@ def test_det_with_positive_monomial_content():
     # x1*x2 - x1 = x1*(x2 - 1), whose monomial factor exact_div must remove.
     m = mat(L2, [["x1*x2-x1", "1", "0"], ["x2-1", "x2", "1"], ["0", "1", "x1^-1"]])
     assert symbolic_det(m) == (-1) ** 3 * char_poly(m).coeffs[0]
+
+
+def test_clear_row_denominators_passes_nonzero_ints_and_drops_zeros():
+    """A row of nonzero ints comes back as it is; every other row is a new
+    one without its zeros, an int row holding a 0 (as the dependency walk
+    hands over) included."""
+    row = {0: 3, 2: -1}
+    assert clear_row_denominators(row) is row
+    with_zero = {0: 3, 1: 0, 2: -1}
+    assert clear_row_denominators(with_zero) == {0: 3, 2: -1}
+    assert with_zero == {0: 3, 1: 0, 2: -1}
+    assert clear_row_denominators({0: Fraction(1, 2), 1: Fraction(0), 3: 2}) == {0: 1, 3: 4}
+    assert clear_row_denominators({}) == {}

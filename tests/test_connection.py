@@ -4,6 +4,7 @@ cohomology actions, and weight classification."""
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -614,24 +615,29 @@ def oracle_for(phi):
 
 
 def emitted_matches_oracle(omega, rhs, phi2):
-    """The emitted system is the dense oracle's part that the nonzero right
-    sides reach: the same rows in the same (entry, monomial) order, as ints
-    on an integral Omega, with the same right sides, as rational matrices.
-    rhs is 2R, and phi2 the part of degree 2 that the builder reads it from.
-    Returns (A, b, oracle rows kept, the oracle system, its right side)."""
+    """The emitted components together are the dense oracle's part that
+    the nonzero right sides reach: the same rows, each with its right side,
+    as ints on an integral Omega, as rational matrices over all the
+    oracle's unknowns.  rhs is 2R, and phi2 the part of degree 2 that the
+    builder reads it from.  Returns (the components as (A, b) pairs, oracle
+    rows kept, the oracle system, its right side)."""
     from arrmono.connection import _GaugeEquations
     gauge = _GaugeEquations(omega)
-    a, b = gauge.reached_system(gauge.twice_remainder(phi2))
+    components = list(gauge.reached_system(gauge.twice_remainder(phi2)))
     want, want_rhs = dense_gauge_system(omega, rhs)
     kept = reached_oracle_rows(want, want_rhs)
-    assert a.ring == b.ring == QQ and b.cols == 1
-    assert a.shape() == (len(kept), len(want[0]))
-    assert a.entries == [want[r] for r in kept]  # equal as rationals, entry by entry
+    for a, b in components:
+        assert a.ring == b.ring == QQ and b.cols == 1
+        assert a.cols == len(want[0]) and a.rows == b.rows > 0
+    emitted = [(tuple(row), v) for a, b in components
+               for row, (v,) in zip(a.entries, b.entries)]
+    # Equal as rationals, entry by entry, with the right sides.
+    assert Counter(emitted) == Counter((tuple(want[r]), want_rhs[r]) for r in kept)
     integral = all(type(c) is int for row in omega.nonzero_rows()
                    for e in row.values() for c in e.terms.values())
-    assert integral <= all(type(v) is int for row in a.nonzero_rows() for v in row.values())
-    assert [v for v, in b.entries] == [want_rhs[r] for r in kept]
-    return a, b, kept, want, want_rhs
+    assert integral <= all(type(v) is int for a, _ in components
+                           for row in a.nonzero_rows() for v in row.values())
+    return components, kept, want, want_rhs
 
 
 def test_gauge_grid_matches_dense_fraction_builder(pencil):
@@ -639,23 +645,25 @@ def test_gauge_grid_matches_dense_fraction_builder(pencil):
     for phi in cases:
         omega, rhs, phi2 = oracle_for(phi)
         assert not rhs.is_zero()
-        _, _, kept, want, _ = emitted_matches_oracle(omega, rhs, phi2)
+        _, kept, want, _ = emitted_matches_oracle(omega, rhs, phi2)
         assert 0 < len(kept) < len([r for r in want if any(r)])
         assert verify_exp_relation(phi).passed
 
 
 def test_gauge_system_keeps_an_equation_with_zero_left_side():
     """A right side on a monomial that no term of Omega reaches gives the
-    row 0 = c; it stays in the system, so the solve reports no gauge."""
+    row 0 = c; it stays in the system as a component of its own, so the
+    solve reports no gauge."""
     from arrmono.linalg import mat_exp_truncated
     r2 = poly_ring(2)
     omega = mat(r2, [["y1", "0"], ["0", "0"]])
     rhs = mat(r2, [["0", "y2^2"], ["0", "0"]])
     phi2 = mat_exp_truncated(omega)[2] + rhs.scale(Fraction(1, 2))
-    a, b, _, _, _ = emitted_matches_oracle(omega, rhs, phi2)
-    assert [0] * a.cols in a.entries
+    components, _, _, _ = emitted_matches_oracle(omega, rhs, phi2)
+    zero = [(a, b) for a, b in components if [0] * a.cols in a.entries]
+    assert len(zero) == 1 and zero[0][0].rows == 1
     with pytest.raises(NoSolution):
-        solve_right(a, b)
+        solve_right(*zero[0])
 
 
 def _corrupted(phi, rng):
@@ -723,24 +731,110 @@ def test_reached_verdict_on_random_certified_loops(pencil, certified_generators,
         assert_reached_verdict_is_whole_verdict(phi)
 
 
-def test_gauge_check_runs_no_back_substitution(pencil, monkeypatch):
-    """The gauge check needs consistency alone, which forward elimination
-    proves: the fraction-free solve, which only the solution and the kernel
-    read, never runs."""
-    from arrmono import linalg
+def three_component_phi():
+    """A 3 x 3 Phi with a diagonal Omega = diag(y1, y2, 0), whose reached
+    gauge system has three components, in this order: entry (0, 1),
+    solved by G1[0][1] = y1; entry (1, 1), the row 0 = 2 of 2R = 2 y1^2,
+    where a diagonal Omega leaves no room; entry (2, 0), solved by
+    G1[2][0] = y1."""
+    l2 = laurent_ring(2)
+    return mat(l2, [["x1", "1/2*x1*x2 - 1/2*x1^2 - 1/2*x2 + 1/2*x1", "0"],
+                    ["0", "x2 + x1^2 - 2*x1 + 1", "0"],
+                    ["1/2*x1^2 - x1 + 1/2", "0", "1"]])
+
+
+def test_gauge_check_stops_at_the_first_inconsistent_component(monkeypatch):
+    """Only the middle one of three components is inconsistent: the verdict
+    is the whole system's, and the check solves and builds the first two
+    components only."""
+    from arrmono import connection
+    phi = three_component_phi()
+    assert assert_reached_verdict_is_whole_verdict(phi) is False
+    omega, rhs, phi2 = oracle_for(phi)
+    components, *_ = emitted_matches_oracle(omega, rhs, phi2)
+    verdicts = []
+    for a, b in components:
+        try:
+            solve_right(a, b)
+            verdicts.append(True)
+        except NoSolution:
+            verdicts.append(False)
+    assert verdicts == [True, False, True]
+
+    solved, built = [], []
+    solve = connection.solve_right
+    monkeypatch.setattr(connection, "solve_right",
+                        lambda a, b: solved.append(a.rows) or solve(a, b))
+    reach = connection._GaugeEquations.reached_system
+
+    def counted(self, rhs):
+        for component in reach(self, rhs):
+            built.append(component[0].rows)
+            yield component
+
+    monkeypatch.setattr(connection._GaugeEquations, "reached_system", counted)
+    assert verify_exp_relation(phi).passed is False
+    assert solved[:2] == built[:2] == [a.rows for a, _ in components[:2]]
+    assert len(solved) == len(built) == 2
+
+
+def test_each_gauge_solve_gets_one_whole_component(monkeypatch):
+    """On the boolean-inner loop every solve_right call of the gauge check
+    gets one connected component of the row-column graph: its rows are
+    connected through shared columns, no two calls share a column, and
+    together they hold the oracle's reached rows."""
+    from arrmono import connection
+    phi = _boolean_inner_loop()[0]
     calls = []
-    solve = linalg._fraction_free_solve
-    monkeypatch.setattr(linalg, "_fraction_free_solve",
-                        lambda *args: calls.append(1) or solve(*args))
+    solve = connection.solve_right
+    monkeypatch.setattr(connection, "solve_right",
+                        lambda a, b: calls.append(a) or solve(a, b))
+    assert verify_exp_relation(phi).passed
+    assert len(calls) > 1
+    columns = []
+    for a in calls:
+        rows = a.nonzero_rows()
+        parent = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for i, row in enumerate(rows):
+            for j in row:
+                parent[find(i)] = find(-1 - j)
+        assert len({find(i) for i in range(len(rows))}) == 1
+        columns.append({j for row in rows for j in row})
+    assert sum(map(len, columns)) == len(set().union(*columns))
+    omega, rhs, phi2 = oracle_for(phi)
+    _, kept, _, _ = emitted_matches_oracle(omega, rhs, phi2)
+    assert sum(a.rows for a in calls) == len(kept)
+
+
+def test_gauge_check_runs_no_back_substitution(pencil, monkeypatch):
+    """The gauge check needs consistency alone, which the fraction-free
+    elimination of [A | B] proves: the back-substitution, which only the
+    solution and the kernel read, never runs.  A rational solve whose
+    answers are read runs that one elimination and back-substitutes on
+    its echelon once."""
+    from arrmono import linalg
+    calls, eliminations = [], []
+    back, eliminate = linalg._back_substitute, linalg.fraction_free_echelon
+    monkeypatch.setattr(linalg, "_back_substitute",
+                        lambda *args: calls.append(1) or back(*args))
     for phi in (pencil["phis"][1], pencil["phis"][2], _boolean_inner_loop()[0]):
         rep = verify_exp_relation(phi)
         assert rep.passed and not rep.entrywise_degree2
     assert calls == []
+    monkeypatch.setattr(linalg, "fraction_free_echelon",
+                        lambda *args: eliminations.append(1) or eliminate(*args))
     # The spy sees the phase where a result is read, and only once.
     res = solve_right(RingMatrix(QQ, [[1, 2], [2, 4]]), RingMatrix(QQ, [[1], [2]]))
-    assert res.kernel_dimension == 1 and calls == []
+    assert res.kernel_dimension == 1 and calls == [] and eliminations == [1]
     assert res.kernel == [[-2, 1]] and calls == [1]
     assert res.cleared.entries == [[1], [0]] and res.kernel == [[-2, 1]] and calls == [1]
+    assert eliminations == [1]
 
 
 def test_spectra_correspondence(pencil):
@@ -928,7 +1022,7 @@ def per_vector_cohomology_action(cx, maps):
     basis one kernel vector at a time, keeping a vector when it raises the
     rank of the stack, and solve for the coordinates of each
     representative's image separately.  Its ranks come from conftest's
-    forward-elimination _rank, not from the fraction-free elimination that
+    dense Gauss elimination _rank, not from the fraction-free elimination that
     cohomology_action and RingComplex.betti use.  (betti, matrices,
     representatives)."""
     ranks = [_rank(b.entries) for b in cx.boundaries] + [0]

@@ -458,3 +458,32 @@ def test_certificate_round_trip_on_composed_certificates(pencil, certified_gener
     pres = pencil["pres"]
     _, cert = random_certified_endo(rng, pres, certified_generators)
     assert parse_certificate(format_certificate(cert), pres) == cert
+
+
+def test_validate_inverts_each_generator_image_once(monkeypatch):
+    """Word.inverse calls during RelatorCertificate.validate of an inner
+    automorphism on R copies of [g1, g2] grow linearly in R, with a slope
+    that does not depend on the generator count: the inverse generator
+    images are built once per endomorphism, not once per relator.  It
+    counts work, not time."""
+    from arrmono.fox import Presentation
+    calls = []
+    inverse = Word.inverse
+
+    def validated(ngens, nrels):
+        commutator = Word.gen(ngens, 1).commutator(Word.gen(ngens, 2))
+        pres = Presentation(ngens, (commutator,) * nrels)
+        by = Word.from_letters(ngens, [(ngens, 1), (1, -1)])
+        endo = Endomorphism.inner(ngens, by)
+        cert = inner_certificate(pres, by)
+        calls.clear()
+        cert.validate(pres, endo)
+        return len(calls)
+
+    monkeypatch.setattr(Word, "inverse", lambda self: calls.append(1) or inverse(self))
+    slopes = set()
+    for ngens in (4, 64):
+        counts = [validated(ngens, nrels) for nrels in (50, 100, 200)]
+        assert counts[2] - counts[1] == 2 * (counts[1] - counts[0])
+        slopes.add((counts[1] - counts[0]) // 50)
+    assert len(slopes) == 1

@@ -1,9 +1,9 @@
-"""solve_right over Q against a dense reference Gauss-Jordan: the sparse
-forward elimination that decides consistency, and the fraction-free solve
-that every answer is read off.  Equal particular solutions, kernel bases,
-kernel dimensions, NoSolution verdicts, pivot columns and reduced row
-echelon forms on random sparse rational systems, whichever answer is read
-first."""
+"""solve_right over Q against a dense reference Gauss-Jordan: the
+fraction-free elimination of [A | B] that decides consistency, and the
+back-substitution on its echelon that every answer is read off.  Equal particular
+solutions, kernel bases, kernel dimensions, NoSolution verdicts, pivot
+columns and reduced row echelon forms on random sparse rational systems,
+whichever answer is read first."""
 
 from fractions import Fraction
 
@@ -12,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrmono import QQ, NoSolution, RingMatrix, solve_right
-from arrmono.linalg import _forward
-from arrmono.rings import canonical
 
 
 def dense_rref(rows):
@@ -39,17 +37,6 @@ def dense_rref(rows):
         if r == nrows:
             break
     return grid, pivots
-
-
-def forward_pivots(rows):
-    """(the pivot columns of _forward on the dense rows, in order; the rows
-    it leaves, each asserted to hold canonical coefficients only)."""
-    ncols = len(rows[0]) if rows else 0
-    sparse = [{j: canonical(v) for j, v in enumerate(row) if v} for row in rows]
-    pivots = _forward(sparse, ncols)
-    for row in sparse:
-        assert all(_canonical(v) for v in row.values()), row
-    return [c for c, _ in pivots], sparse
 
 
 def solved_rref(rows):
@@ -148,7 +135,7 @@ def systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(systems(), st.booleans())
 def test_sparse_solve_matches_dense_reference(system, kernel_first):
-    """The fraction-free solve runs on the first read, so the answers are
+    """The back-substitution runs on the first read, so the answers are
     read in both orders; kernel_dimension comes before either and must not
     run it.  The answers are Fractions, whatever ints the solve ran on."""
     a_rows, b_rows = system
@@ -176,13 +163,11 @@ def test_sparse_solve_matches_dense_reference(system, kernel_first):
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_sparse_rref_matches_dense_reference(system):
-    """_forward's pivot columns, and the reduced row echelon form that
-    solve_right's kernel spells out, are the dense reference's."""
+    """The reduced row echelon form that solve_right's kernel spells out,
+    with its pivot columns, is the dense reference's."""
     a_rows, b_rows = system
     for rows in (a_rows, [ra + rb for ra, rb in zip(a_rows, b_rows)]):
-        expected = dense_rref(rows)
-        assert forward_pivots(rows)[0] == expected[1]
-        assert solved_rref(rows) == expected
+        assert solved_rref(rows) == dense_rref(rows)
 
 
 def test_integer_entries_and_zero_rows():
@@ -195,27 +180,19 @@ def test_integer_entries_and_zero_rows():
         solve_right(a, RingMatrix(QQ, [[1], [2], [0], [4]]))
 
 
-# -- canonical coefficients ---------------------------------------------------
+# -- int rows ---------------------------------------------------------------------
 #
-# _forward keeps every entry an int when it is integral and a Fraction with
-# denominator > 1 otherwise, and solve_right's answers are Fractions; a
-# float would compare equal to the oracle and slip through, so the types
-# are checked as well as the values.
-
-
-def _canonical(v) -> bool:
-    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+# Integral rows enter the elimination as they are, and solve_right's
+# answers are Fractions; a float would compare equal to the oracle and
+# slip through, so the types are checked as well as the values.
 
 
 def test_gauss_jordan_on_int_rows_with_pivot_two():
-    # Equal row lengths, so the first pivot is row 0 with pivot 2.
+    # The pivot 2 of int rows gives Fractions in the reduced rows.
     rows = [[2, 4, 1], [6, 1, 2]]
-    expected = dense_rref(rows)
-    pivots, left = forward_pivots(rows)
-    assert pivots == expected[1]
-    assert left[0] == {0: 1, 1: 2, 2: Fraction(1, 2)} and type(left[0][0]) is int
     got = solved_rref(rows)
-    assert got == expected
+    assert got == dense_rref(rows)
+    assert got[0][0] == [1, 0, Fraction(7, 22)]
     assert all(type(v) is Fraction for row in got[0] for v in row)
 
 
@@ -226,6 +203,4 @@ INT_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 def test_gauss_jordan_on_int_rows_matches_dense_reference(m, n, data):
     rows = [[data.draw(INT_ENTRY) for _ in range(n)] for _ in range(m)]
-    expected = dense_rref(rows)
-    assert forward_pivots(rows)[0] == expected[1]
-    assert solved_rref(rows) == expected
+    assert solved_rref(rows) == dense_rref(rows)
