@@ -290,25 +290,33 @@ def fox_derivative(w: Word, j: int) -> Poly:
 def fox_derivatives(w: Word) -> dict[int, Poly]:
     """Every nonzero dw/dg_j, by 1-based j, from one pass over the letters
     of w: g_j adds the monomial of the prefix before it to dw/dg_j alone,
-    and g_j^-1 minus that of the prefix through it, so the pass costs one
-    monomial key per letter and collects each derivative's +-monomials in
-    one term dict."""
+    and g_j^-1 minus that of the prefix through it, each derivative's
+    +-monomials collected in one term dict.  The key is affine in the
+    exponents, so the prefix's key is carried along the pass by adding or
+    subtracting its generator's key step (PolyRing.key_steps): a letter
+    costs one int addition, not a packing of all n exponents.  A prefix
+    exponent is at most len(w) in absolute value, far inside a key field."""
     ring = laurent_ring(w.ngens)
-    prefix = [0] * w.ngens
+    steps = ring.key_steps
+    key = ring.unit_key
     terms: dict[int, dict[int, int]] = {}
     for g, e in w.letters:
         if e == -1:
-            prefix[g - 1] -= 1
-        key = ring.key(prefix)
-        t = terms.setdefault(g, {})
-        c = t.get(key, 0) + e
-        if c:
-            t[key] = c
-        else:
-            del t[key]
+            key -= steps[g - 1]
+        _add_term(terms.setdefault(g, {}), key, e)
         if e == 1:
-            prefix[g - 1] += 1
+            key += steps[g - 1]
     return {g: Poly(ring, t) for g, t in terms.items() if t}
+
+
+def _add_term(terms: dict[int, int], key: int, c: int) -> None:
+    """Add c times the monomial of key to the int term dict terms, dropping
+    the term if it cancels."""
+    c += terms.get(key, 0)
+    if c:
+        terms[key] = c
+    else:
+        del terms[key]
 
 
 def _fox_matrix(ring: PolyRing, words: Sequence[Word]) -> RingMatrix:
@@ -452,12 +460,14 @@ def phi2_from_certificate(pres: Presentation, endo: Endomorphism,
     cert.validate(pres, endo)
     ring = pres.ring()
     m = pres.nrels
-    rows: list[dict[int, Poly]] = [{} for _ in range(m)]
-    zero = ring.zero()
+    # Each entry collects its monomials in one term dict and becomes a Poly
+    # once, so it costs its terms, not one copy of the entry per term.
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(m)]
     for l, terms in enumerate(cert.terms):
         for w, k, e in terms:
-            rows[k - 1][l] = rows[k - 1].get(l, zero) + ring.monomial(w.abelianization(), e)
-    out = RingMatrix.from_rows(ring, rows, m)
+            _add_term(rows[k - 1].setdefault(l, {}), ring.key(w.abelianization()), e)
+    out = RingMatrix.from_rows(ring, ({l: Poly(ring, t) for l, t in row.items()} for row in rows),
+                               m)
     verify_chain_map(cx.boundaries, {1: p1, 2: out})
     return out
 

@@ -56,36 +56,33 @@ determinants, consistency and every answer come off it, on integers over
 Q.
 
 Solving reduces the rows of [A | B] once in the fraction-free
-elimination, with every pivot on A's columns (over Q the elimination
-runs on all columns, as consistency is decided there; below).
-Fraction-free back-substitution on the pivot rows (Nakos, Turner
-and Williams, ACM SIGSAM Bull. 31(3), 1997) then gives the numerator
-det * x of the particular solution, free coordinates zero, over the one
-explicit denominator det, the signed pivot minor, and every kernel
-vector, with det at its free column; each entry is a minor of [A | B],
-so every division is exact.  The empty minor of a zero matrix has
-determinant 1 and takes the same path.  This is the one back-substitution
-for every ring; over Q its answers are divided by det, so the solution
-and each kernel vector, with 1 at its free column, are the unique ones
-that the reduced row echelon form gives.  A left kernel is the kernel of
-the transpose.
-
-Consistency is decided apart from the answers.  Over Q[y] and the
-Laurent ring the numerator is divided exactly first, and the check on all
-rows is A * X == B on the quotient, or A * numerator == det * B when X is
-not a ring matrix.  Over Q one pass of the fraction-free elimination over
-every column of [A | B], rows cleared to integers and sorted by their
-number of nonzeros, decides it: a row that the earlier rows reduce to
+elimination, over all its columns and on every ring, since Bareiss is
+exact over any integral domain: a row that the earlier rows reduce to
 zero on A's columns but not on B's takes its pivot on a column of B, so
-the system is consistent exactly when no pivot lands there.  Then that
-echelon is the one the answers are back-substituted on, when they are
-first read, so the gauge check, which asks only the verdict, builds
-neither.  The elimination's entries are minors on all the pivot rows so
-far, so across independent blocks of a system they multiply; the gauge
-check therefore hands over one connected component of its equations at
-a time (connection._GaugeEquations).  Eliminated so, the 53 components
-of the Z^56 gauge system take 0.22-0.26 s together, and the whole system
-at once 2.07 s (Python 3.11).
+the system is consistent exactly when no pivot lands there.  Over Q the
+rows are cleared to integers and sorted by their number of nonzeros; over
+Q[y] and the Laurent ring they keep their input order, on which the
+denominator below depends.  Fraction-free back-substitution on the pivot
+rows (Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3), 1997) then
+gives the numerator det * x of the particular solution, free coordinates
+zero, over the one explicit denominator det, the signed pivot minor, and
+every kernel vector, with det at its free column; each entry is a minor
+of [A | B], so every division is exact.  The empty minor of a zero matrix
+has determinant 1 and takes the same path.  Over Q the answers are
+divided by det, so the solution and each kernel vector, with 1 at its
+free column, are the unique ones that the reduced row echelon form
+gives.  A left kernel is the kernel of the transpose.
+
+The back-substitution runs when an answer is first read (SolveResult),
+so the gauge check, which asks only the verdict, builds none, and no
+answer is returned unchecked: the particular solution must satisfy
+A * X == B, or A * numerator == det * B when X is not a ring matrix.  The
+elimination's entries are minors on all the pivot rows so far, so across
+independent blocks of a system they multiply; the gauge check therefore
+hands over one connected component of its equations at a time
+(connection._GaugeEquations).  Eliminated so, the 53 components of the
+Z^56 gauge system take 0.22-0.26 s together, and the whole system at once
+2.07 s (Python 3.11).
 
 A characteristic polynomial is the product of those of the diagonal
 blocks that the strongly connected components of the matrix's support
@@ -597,68 +594,65 @@ def _back_substitute(echelon: list, n: int, div: Callable, one) -> tuple[list[di
     return numerator, det, list(kernel.values())
 
 
-@dataclass
 class SolveResult:
-    """A solution of A * X = B over the fraction field, and a basis of the
-    right kernel of A.
+    """A solution of A * X = B over the fraction field of A's ring, and a
+    basis of the right kernel of A, read off the fraction-free echelon of
+    [A | B] whose pivots, all on A's n columns, proved the system
+    consistent (solve_right).
 
-    The particular solution is numerator / denominator, one explicit ring
-    denominator for all entries.  Kernel vectors have denominators cleared,
-    so they are exact ring vectors with A*k = 0.  in_ring is True when
-    every entry of the solution cleared to the ring by exact division, in
-    which case `cleared` holds the ring-entry matrix.  Over Q[y] and the
-    Laurent ring every field is built with the result; over Q the result is
-    a _RationalSolve, which builds them when they are first read.
+    kernel_dimension is n minus the rank and builds nothing.  The first
+    read of numerator, denominator, kernel, in_ring or cleared
+    back-substitutes on the echelon once (_back_substitute) and checks the
+    particular solution by a product before any answer is returned:
+    A * cleared == B, or A * numerator == denominator * B when X is not in
+    the ring.  A failed check raises NoSolution, and nothing is kept.
+
+    The particular solution, free coordinates zero, is numerator /
+    denominator, one explicit ring denominator for all entries; each kernel
+    vector is a dense list of ring entries with A * k = 0.  in_ring is True
+    when every entry of the solution divides exactly by the denominator,
+    and then cleared holds the quotient, else None.  Over Q[y] and the
+    Laurent ring the denominator is det, the signed pivot minor, and each
+    kernel vector holds det at its free column.  Over Q every answer is
+    divided by det: the numerator is the solution itself, as Fractions over
+    denominator 1, in_ring is True, cleared is the numerator, and each
+    kernel vector holds 1 at its free column, so the answers are the
+    unique ones that the reduced row echelon form gives.
     """
 
-    ring: object
-    numerator: RingMatrix
-    denominator: object
-    kernel: list[list]
-    in_ring: bool
-    cleared: RingMatrix | None = None
+    def __init__(self, a: RingMatrix, b: RingMatrix, echelon: list, div: Callable, one):
+        self.ring = a.ring
+        self._a, self._b, self._echelon, self._div, self._one = a, b, echelon, div, one
 
     @property
     def kernel_dimension(self) -> int:
-        return len(self.kernel)
-
-
-class _RationalSolve(SolveResult):
-    """solve_right's result over Q, holding the echelon of the integer rows
-    of [A | B] whose pivots, all on A's n columns, proved A * X = B
-    consistent.  The first read of cleared (the particular solution with
-    free coordinates 0, also the numerator over denominator 1) or of kernel
-    back-substitutes on that echelon once (_back_substitute), and each
-    answer is its integer counterpart over det, so every kernel vector
-    holds 1 at its free column.  kernel_dimension is n minus the rank and
-    builds nothing."""
-
-    ring = QQ
-    denominator = Fraction(1)
-    in_ring = True
-
-    def __init__(self, echelon: list, n: int, k: int):
-        self._echelon, self._n, self._k = echelon, n, k
+        return self._a.cols - len(self._echelon)
 
     @cached_property
-    def _solved(self) -> tuple[RingMatrix, list[list[Fraction]]]:
-        numerator, det, kernel = _back_substitute(self._echelon, self._n, floordiv, 1)
-        cleared = RingMatrix._adopt(QQ, [_over(row, det) for row in numerator], self._k)
-        return cleared, [_dense(_over(vec, det), self._n, QQ.zero()) for vec in kernel]
+    def _solved(self) -> tuple:
+        a, b, ring = self._a, self._b, self.ring
+        numerator, det, kernel = _back_substitute(self._echelon, a.cols, self._div, self._one)
+        if isinstance(ring, RationalField):
+            numerator = cleared = RingMatrix._adopt(ring, [_over(row, det) for row in numerator],
+                                                    b.cols)
+            kernel = [_over(vec, det) for vec in kernel]
+            det = Fraction(1)
+        else:
+            numerator = RingMatrix._adopt(ring, numerator, b.cols)
+            try:
+                cleared = numerator.map_entries(lambda e: e.exact_div(det))
+            except NotInRing:
+                cleared = None
+        if (a * cleared != b if cleared is not None
+                else a * numerator != b.map_entries(lambda e: e * det)):
+            raise NoSolution("the back-substituted solution does not satisfy A * X = B")
+        return numerator, det, [_dense(vec, a.cols, ring.zero()) for vec in kernel], cleared
 
-    @property
-    def cleared(self) -> RingMatrix:
-        return self._solved[0]
-
-    numerator = cleared
-
-    @property
-    def kernel(self) -> list[list[Fraction]]:
-        return self._solved[1]
-
-    @property
-    def kernel_dimension(self) -> int:
-        return self._n - len(self._echelon)
+    numerator = property(lambda self: self._solved[0])
+    denominator = property(lambda self: self._solved[1])
+    kernel = property(lambda self: self._solved[2])
+    cleared = property(lambda self: self._solved[3])
+    in_ring = property(lambda self: self._solved[3] is not None)
 
 
 def _over(row: dict[int, int], det: int) -> dict[int, Fraction]:
@@ -668,51 +662,30 @@ def _over(row: dict[int, int], det: int) -> dict[int, Fraction]:
 def solve_right(a: RingMatrix, b: RingMatrix) -> SolveResult:
     """Solve A*X = B over the fraction field of the entry ring.
 
-    Returns one particular solution, a basis of the right kernel of A with
-    denominators cleared to ring entries, and whether X itself lies in the
-    ring.  Raises NoSolution when the system is inconsistent.  A kernel of
-    positive dimension signals non-uniqueness; it is not an error.  Each
-    call runs one fraction-free elimination of the rows of [A | B], and
-    every answer comes from _back_substitute on its echelon.  Over Q the
-    elimination runs over all n + k columns, on rows cleared to integers
-    (a row of nonzero ints as it is) and sorted by length, which decides
-    consistency: NoSolution exactly when a pivot lands on a column of B.
-    Otherwise every pivot is on A's columns, and the result
-    (_RationalSolve) back-substitutes on that echelon when the solution or
-    the kernel is first read.  Over Q[y] and the Laurent ring the
-    elimination stops once A's columns all have a pivot, the
-    back-substitution runs at once, and A * X == B on every row is checked
-    before the result is returned.
+    One fraction-free elimination of the rows of [A | B] (_exact_rows) over
+    all n + k columns decides consistency on every ring, since Bareiss is
+    exact over any integral domain: a row that the earlier rows reduce to
+    zero on A's columns but not on B's takes its pivot on a column of B,
+    so NoSolution is raised exactly when a pivot lands there.  Otherwise
+    the result (SolveResult) holds that echelon, and back-substitutes on it
+    and checks its answer by a product when an answer is first read; a
+    kernel of positive dimension signals non-uniqueness, not an error.
+    Over Q the rows are sorted by their number of nonzeros, which shows
+    only in speed, as the answers are divided by det; over Q[y] and the
+    Laurent ring they keep their input order, on which det depends.
     """
     if a.rows != b.rows:
         raise ShapeMismatch(f"solve {a.shape()} against {b.shape()}")
     if a.ring != b.ring:
         raise ShapeMismatch("ring mismatch between A and B")
-    n, k = a.cols, b.cols
+    n = a.cols
+    rows, div, one = _exact_rows(a.ring, _augmented(a, b))
     if isinstance(a.ring, RationalField):
-        rows = sorted(map(clear_row_denominators, _augmented(a, b)), key=len)
-        _, echelon = fraction_free_echelon(rows, n + k)
-        if any(c >= n for _, c in echelon):
-            raise NoSolution("right side is not in the column span of A")
-        return _RationalSolve(echelon, n, k)
-
-    ring: PolyRing = a.ring
-    rows, div, one = _exact_rows(ring, _augmented(a, b))
-    numerator, det, kernel = _back_substitute(fraction_free_echelon(rows, n, div)[1], n, div, one)
-    numerator = RingMatrix._adopt(ring, numerator, k)
-    kernel = [_dense(vec, n, ring.zero()) for vec in kernel]
-    # X = numerator / det when every entry divides exactly.  The definitive
-    # consistency check on all rows is then A * X == B, and otherwise the
-    # fraction-free A * numerator == det * B.
-    try:
-        cleared = numerator.map_entries(lambda e: e.exact_div(det))
-    except NotInRing:
-        cleared = None
-    if (a * cleared != b if cleared is not None
-            else a * numerator != b.map_entries(lambda e: e * det)):
+        rows = sorted(rows, key=len)
+    _, echelon = fraction_free_echelon(rows, n + b.cols, div)
+    if any(c >= n for _, c in echelon):
         raise NoSolution("right side is not in the column span of A")
-    return SolveResult(ring=ring, numerator=numerator, denominator=det,
-                       kernel=kernel, in_ring=cleared is not None, cleared=cleared)
+    return SolveResult(a, b, echelon, div, one)
 
 
 # -- characteristic polynomial ----------------------------------------------

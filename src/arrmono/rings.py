@@ -32,9 +32,10 @@ input, or summed along a word, is at most 10^6 < 2^20 in absolute value
 (MAX_EXPONENT, fox.MAX_LETTERS), so a product of up to 1024 such monomials
 (2^10, as many as a ring has variables) stays in range, and one past it
 meets the guard.  Only this module reads or writes the layout;
-PolyRing.key, exponents, unit_key and linear_variable are its interface,
-and a key is unpacked only to print a term or to read its exponents, in
-time linear in n (int.to_bytes and struct over whole fields).
+PolyRing.key, exponents, unit_key, key_steps and linear_variable are its
+interface, and a key is unpacked only to print a term or to read its
+exponents, in time linear in n (int.to_bytes and struct over whole
+fields).
 
     x1*x2 - 1   ->   {key((1, 1, 0, 0)): 1, key((0, 0, 0, 0)): -1}
     1/2*y1      ->   {key((1, 0)): Fraction(1, 2)}
@@ -246,9 +247,11 @@ class PolyRing:
         return self._variables.get(key)
 
     @cached_property
-    def _steps(self) -> list[int]:
+    def key_steps(self) -> list[int]:
         """key(e + u_i) - key(e) by i, u_i the unit vector of v_{i+1}: built
-        once per ring, on first use (linear_form, substitute, exp_jet)."""
+        once per ring, on first use, and read only.  The key is affine in
+        e, so a caller can carry a key along a walk of unit steps
+        (fox.fox_derivatives) instead of packing each exponent vector."""
         degree = 1 << self._shift
         return [degree + (1 << FIELD_BITS * i) for i in reversed(range(self.nvars))]
 
@@ -256,7 +259,7 @@ class PolyRing:
     def _variables(self) -> dict[int, int]:
         """The key of each variable v_{i+1}, to i."""
         unit = self.unit_key
-        return {unit + step: i for i, step in enumerate(self._steps)}
+        return {unit + step: i for i, step in enumerate(self.key_steps)}
 
     def _exponent(self, key: int, i: int) -> int:
         """The exponent of v_{i+1} in key."""
@@ -310,7 +313,7 @@ class PolyRing:
         writer of integral linear forms (connection.linear_coefficients reads)."""
         if len(coeffs) != self.nvars:
             raise ValueError("coefficient tuple length mismatch")
-        unit, steps = self.unit_key, self._steps
+        unit, steps = self.unit_key, self.key_steps
         return Poly(self, {unit + steps[j]: c for j, c in enumerate(coeffs) if c})
 
 
@@ -509,7 +512,7 @@ class Poly:
         if replacement.ring != self.ring:
             raise ValueError("replacement ring mismatch")
         ring, i = self.ring, j - 1
-        step = ring._steps[i]
+        step = ring.key_steps[i]
         out = ring.zero()
         for e, c in self.terms.items():
             k = ring._exponent(e, i)
@@ -606,7 +609,7 @@ def exp_jet(p: Poly, order: int) -> tuple[Fraction, Poly] | tuple[Fraction, Poly
         raise ValueError("exp_jet computes order 1 or 2")
     exponents = p.ring.exponents
     target = poly_ring(p.ring.nvars)
-    steps = target._steps
+    steps = target.key_steps
     value = 0
     # Keyed by the key of the monomial less the key of 1: steps[i] for y_i,
     # steps[i] + steps[j] for y_i * y_j.  twice_quadratic holds 2 * part 2,

@@ -36,6 +36,7 @@ from arrmono import (
     verify_chain_map,
 )
 from arrmono.fox import _boundaries, format_certificate
+from arrmono.rings import Poly, PolyRing
 from conftest import DELTA0, DELTA1, PHI1, PHI2, mat, random_certified_endo
 
 L = laurent_ring(4)
@@ -233,6 +234,55 @@ def test_one_scan_gives_every_derivative(w):
         assert (j in got) == (not want.is_zero())
 
 
+def packed_prefix_scan(w):
+    """Every nonzero dw/dg_j by packing the prefix's whole exponent vector
+    into its key at each letter (PolyRing.key), the loop that the carried
+    key replaced, kept as an oracle."""
+    ring = laurent_ring(w.ngens)
+    prefix = [0] * w.ngens
+    terms = {}
+    for g, e in w.letters:
+        if e == -1:
+            prefix[g - 1] -= 1
+        t = terms.setdefault(g, {})
+        key = ring.key(prefix)
+        t[key] = t.get(key, 0) + e
+        if not t[key]:
+            del t[key]
+        if e == 1:
+            prefix[g - 1] += 1
+    return {g: Poly(ring, t) for g, t in terms.items() if t}
+
+
+very_wide_words = st.sampled_from((64, 1024)).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(1, n), st.sampled_from((1, -1))), max_size=40).map(
+        lambda ls: Word.from_letters(n, ls)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(wide_words, very_wide_words))
+def test_the_carried_prefix_key_matches_the_packed_one(w):
+    assert fox_derivatives(w) == packed_prefix_scan(w)
+
+
+def test_fox_derivatives_pack_no_key_per_letter(monkeypatch):
+    """The prefix's key is carried by key steps, so the PolyRing.key calls
+    of fox_derivatives do not grow with the word's length: it counts work,
+    not time."""
+    calls = []
+    key = PolyRing.key
+    monkeypatch.setattr(PolyRing, "key", lambda self, exps: calls.append(1) or key(self, exps))
+    counts = []
+    for length in (1_000, 10_000):
+        rng = random.Random(length)
+        w = Word.from_letters(64, [(rng.randrange(1, 65), rng.choice((1, -1)))
+                                   for _ in range(length)])
+        calls.clear()
+        assert fox_derivatives(w)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(words, min_size=4, max_size=4), words)
 def test_apply_matches_the_product_loop(images, w):
@@ -378,6 +428,69 @@ def test_phi2_reuses_the_callers_complex_and_phi1(pencil, monkeypatch):
     corrupt = RingMatrix(L, rows)
     with pytest.raises(ChainIdentityFailed):
         phi2_from_certificate(pres, endo, cert, cx, corrupt)
+
+
+def entry_by_entry_phi2(pres, cert):
+    """Phi2 by adding each certificate term's monomial to its entry with
+    Poly.__add__, which copies the entry each time: the loop that the term
+    dicts replaced, kept as an oracle."""
+    ring = pres.ring()
+    rows = [{} for _ in range(pres.nrels)]
+    zero = ring.zero()
+    for l, terms in enumerate(cert.terms):
+        for w, k, e in terms:
+            rows[k - 1][l] = rows[k - 1].get(l, zero) + ring.monomial(w.abelianization(), e)
+    return RingMatrix.from_rows(ring, rows, pres.nrels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_phi2_matches_the_entry_by_entry_loop(pencil, rng):
+    """Cancelling pairs (w, k, +-1), (w, k, -+1) inserted anywhere in the
+    pencil4 certificate leave its product, and Phi2, as they are, while
+    its entries pass through the pairs' monomials."""
+    pres, endo, cx, phis = (pencil[k] for k in ("pres", "endo", "cx", "phis"))
+    padded = []
+    for terms in pencil["cert"].terms:
+        terms = list(terms)
+        for _ in range(rng.randrange(12)):
+            w = Word.from_letters(4, [(rng.randrange(1, 5), rng.choice((1, -1)))
+                                      for _ in range(rng.randrange(4))])
+            k, e, at = rng.randrange(1, pres.nrels + 1), rng.choice((1, -1)), rng.randrange(
+                len(terms) + 1)
+            terms[at:at] = [(w, k, e), (w, k, -e)]
+        padded.append(tuple(terms))
+    cert = RelatorCertificate(tuple(padded))
+    got = phi2_from_certificate(pres, endo, cert, cx, phis[1])
+    assert got == entry_by_entry_phi2(pres, cert) == phis[2]
+
+
+def test_phi2_builds_each_entry_once(monkeypatch):
+    """On one relator [g1, g2] of 16 generators, the identity endomorphism
+    and T two-letter conjugators, then the same in reverse with sign -1,
+    then (1, 1, +1), the Poly objects that phi2_from_certificate builds do
+    not grow with T: each entry collects its terms in one term dict and
+    becomes a Poly once.  It counts work, not time."""
+    from arrmono.fox import Presentation
+    n = 16
+    pres = Presentation(n, (Word.gen(n, 1).commutator(Word.gen(n, 2)),))
+    endo = Endomorphism.identity(n)
+    cx, p1 = universal_complex(pres), phi1(endo)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    built = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, ring, terms: built.append(1) or init(self, ring, terms))
+    counts = []
+    for t in (50, 200):
+        conjugators = [Word.from_letters(n, [(i, 1), (j, 1)]) for i, j in pairs[:t]]
+        cert = RelatorCertificate(((*((w, 1, 1) for w in conjugators),
+                                    *((w, 1, -1) for w in reversed(conjugators)),
+                                    (Word.identity(n), 1, 1)),))
+        built.clear()
+        assert phi2_from_certificate(pres, endo, cert, cx, p1).is_identity()
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_phi2_fallback_solver(pencil):

@@ -200,15 +200,17 @@ def test_solve_right_fallback_kernel(displayed):
 def test_solve_right_takes_the_last_pivot_row_without_division(displayed, monkeypatch):
     # On the last pivot row det is +-its pivot, so det * x there is +-the
     # row, with no product and no exact division.  On this system the
-    # back-substitution then divides 5 entries fewer: 26 -> 21 in all.
+    # back-substitution then divides 5 entries fewer: 26 -> 21 in all,
+    # counted through the first read of the numerator, which runs it.
     from arrmono.rings import Poly
     d1, p1 = displayed["d1"], displayed["p1"]
     calls = []
     exact_div = Poly.exact_div
     monkeypatch.setattr(Poly, "exact_div", lambda a, b: calls.append(1) or exact_div(a, b))
     res = solve_right(d1, p1 * d1)
+    numerator = res.numerator
     assert len(calls) == 21
-    assert d1 * res.numerator == (p1 * d1).map_entries(lambda e: e * res.denominator)
+    assert d1 * numerator == (p1 * d1).map_entries(lambda e: e * res.denominator)
 
 
 def test_solve_right_on_a_zero_laurent_matrix():
@@ -247,6 +249,45 @@ def test_solve_right_no_solution():
     b = mat(L, [["0"], ["1"]])
     with pytest.raises(NoSolution):
         solve_right(a, b)
+
+
+def test_a_rational_answer_that_fails_its_product_check_is_refused(monkeypatch):
+    """A wrong numerator from the back-substitution is caught by A * X = B
+    on the first read of an answer, and nothing of it is kept."""
+    from arrmono import linalg
+    back = linalg._back_substitute
+
+    def wrong(*args):
+        numerator, det, kernel = back(*args)
+        numerator[0] = {0: numerator[0].get(0, 0) + det}
+        return numerator, det, kernel
+
+    monkeypatch.setattr(linalg, "_back_substitute", wrong)
+    res = solve_right(RingMatrix(QQ, [[1, 2], [3, 4]]), RingMatrix(QQ, [[1], [1]]))
+    assert res.kernel_dimension == 0
+    for _ in range(2):
+        with pytest.raises(NoSolution):
+            res.cleared
+        assert "_solved" not in vars(res)
+
+
+def test_an_inconsistent_row_after_every_pivot_is_refused_by_the_elimination(monkeypatch):
+    """Over the Laurent ring the elimination runs past the last pivot on A's
+    columns: the third row is x2 times the first plus the second on A's
+    side, but not on B's, so its pivot lands on B's column and solve_right
+    raises without back-substituting."""
+    from arrmono import linalg
+    calls = []
+    back = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute", lambda *args: calls.append(1) or back(*args))
+    a = mat(L, [["x1", "0"], ["0", "x2-1"], ["x1*x2", "x2-1"]])
+    with pytest.raises(NoSolution):
+        solve_right(a, mat(L, [["1"], ["1"], ["0"]]))
+    assert calls == []
+    res = solve_right(a, mat(L, [["1"], ["1"], ["x2+1"]]))
+    assert res.in_ring is False and calls == [1]
+    assert a * res.numerator == mat(L, [["1"], ["1"], ["x2+1"]]).map_entries(
+        lambda e: e * res.denominator)
 
 
 def test_char_poly_zero_matrix():
